@@ -1,0 +1,250 @@
+"""Golden outputs of ``cotsums verify --json`` for every registry id.
+
+``golden_verify.json`` holds, for each argv, the exit code, the report with
+its timing fields removed, and stderr. The closed forms and the registry may
+be restructured, but every printed digit and every precondition message
+must stay as recorded. Regenerate (only when an output is meant to change)
+with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from cotsums.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_verify.json")
+TIMING_KEYS = ("micros", "lhs_micros", "rhs_micros")
+LOW_PRECISION = ["--precision", "100", "--tolerance", "2^-64"]
+HIGH_PRECISION = ["--precision", "512"]
+
+# admissible instances: k = 1 and k = 2 wherever the preconditions allow
+PASSING = {
+    "eq1": [["--h", "1", "--k", "1"], ["--h", "1", "--k", "2"],
+            ["--h", "5", "--k", "17"], ["--h", "-3", "--k", "10"],
+            ["--h", "37", "--k", "101"],
+            ["--h", "3", "--k", "7", *LOW_PRECISION],
+            ["--h", "3", "--k", "7", *HIGH_PRECISION]],
+    "eq2": [["--h", "1", "--k", "1", "--instance-terms", "100"],
+            ["--h", "1", "--k", "2", "--instance-terms", "1000"],
+            ["--h", "2", "--k", "5", "--terms", "5000"]],
+    "parseval": [["--k", "1"], ["--k", "2"], ["--k", "9", "--seed", "3"]],
+    "th1": [["--k", "1"], ["--k", "2", "--m", "3"],
+            ["--k", "7", "--m", "3", "--seed", "2"],
+            ["--k", "5", "--m", "1"], ["--k", "6", "--m", "4", "--seed", "5"]],
+    "cor1": [["--k", "1", "--h1", "1", "--h2", "1"],
+             ["--k", "2", "--h1", "1", "--h2", "1"],
+             ["--k", "9", "--h1", "2", "--h2", "5", "--seed", "4"]],
+    "cor2": [["--k", "1", "--h1", "1", "--h2", "1"],
+             ["--k", "2", "--h1", "1", "--h2", "1", "--parity", "even"],
+             ["--k", "9", "--h1", "2", "--h2", "5", "--parity", "odd"],
+             ["--k", "8", "--h1", "3", "--h2", "5", "--parity", "even"]],
+    "lemma1-i": [["--k", "1"], ["--k", "2"], ["--k", "12"]],
+    "lemma1-ii": [["--k", "1", "--r", "2"], ["--k", "2", "--r", "1"],
+                  ["--k", "7", "--r", "3"],
+                  ["--k", "6", "--r", "1", "--convention", "paper"],
+                  ["--k", "5", "--r", "2", "--convention", "paper"]],
+    "lemma1-iii": [["--k", "2"], ["--k", "10"]],
+    "lemma1-iv": [["--k", "1"], ["--k", "9"]],
+    "lemma1-v": [["--k", "1"], ["--k", "2"], ["--k", "5", "--s", "2.5"],
+                 ["--k", "4", "--s", "2+1i"]],
+    "th2": [["--k", "1", "--hs", "1,1"], ["--k", "2", "--hs", "1,1"],
+            ["--k", "7", "--hs", "1,2,3"], ["--k", "5", "--hs", "2"],
+            ["--k", "5", "--hs", "1,2,3,4"],
+            ["--k", "6", "--hs", "1,5,1,5,1,5"],
+            ["--k", "7", "--hs", "1,2,3,4,5,6"],
+            ["--k", "9", "--hs", "1,2", *LOW_PRECISION],
+            ["--k", "9", "--hs", "1,2", *HIGH_PRECISION]],
+    "cor3": [["--k", "1", "--h1", "1", "--h2", "1"],
+             ["--k", "2", "--h1", "1", "--h2", "1"],
+             ["--k", "13", "--h1", "3", "--h2", "-5"]],
+    "th4": [["--k", "1", "--rs", "2,2", "--hs", "1,1"],
+            ["--k", "2", "--rs", "1,1", "--hs", "1,1"],
+            ["--k", "5", "--rs", "1,3", "--hs", "2,3"],
+            ["--k", "7", "--rs", "2,2,2", "--hs", "1,2,3"],
+            ["--k", "5", "--rs", "2,2,2,2", "--hs", "1,2,3,4"],
+            ["--k", "1", "--rs", "2,2", "--hs", "1,1",
+             "--convention", "paper"],
+            ["--k", "7", "--rs", "2,2,2", "--hs", "1,2,3",
+             "--convention", "paper"],
+            ["--k", "6", "--rs", "2,4", "--hs", "1,5",
+             "--convention", "paper"],
+            ["--k", "3", "--rs", "1,1", "--hs", "1,1",
+             "--convention", "paper"]],
+    "cor5": [["--k", "1", "--r1", "2", "--r2", "2", "--h1", "1", "--h2", "1"],
+             ["--k", "2", "--r1", "1", "--r2", "1", "--h1", "1", "--h2", "1"],
+             ["--k", "7", "--r1", "1", "--r2", "3", "--h1", "2", "--h2", "3"],
+             ["--k", "1", "--r1", "2", "--r2", "2", "--h1", "1", "--h2", "1",
+              "--convention", "paper"],
+             ["--k", "7", "--r1", "2", "--r2", "4", "--h1", "2", "--h2", "3",
+              "--convention", "paper"],
+             ["--k", "5", "--r1", "1", "--r2", "1", "--h1", "1", "--h2", "2",
+              "--convention", "paper"]],
+    "th5": [["--k", "2", "--hs", "1,1"], ["--k", "8", "--hs", "3,1,5,7"],
+            ["--k", "10", "--hs", "1,3"]],
+    "cor6": [["--k", "2", "--h1", "1", "--h2", "1"],
+             ["--k", "12", "--h1", "5", "--h2", "7"]],
+    "cor7": [["--k", "2", "--h", "1"], ["--k", "14", "--h", "3"]],
+    "th7": [["--k", "1", "--hs", "1,1"], ["--k", "9", "--hs", "2,4,5,7"],
+            ["--k", "7", "--hs", "3,5"]],
+    "cor8": [["--k", "1", "--h1", "1", "--h2", "1"],
+             ["--k", "11", "--h1", "3", "--h2", "4"]],
+    "cor9-s3": [["--k", "1", "--h", "1"], ["--k", "15", "--h", "4"]],
+    "cor9-s5": [["--k", "1", "--h", "1"], ["--k", "13", "--h", "5"]],
+    "cor10": [["--k", "1", "--h1", "2", "--h2", "1"],
+              ["--k", "9", "--h1", "4", "--h2", "5"]],
+    "cor11": [["--k", "1", "--h", "2"], ["--k", "11", "--h", "4"]],
+    "eq14": [["--k", "1", "--h1", "1", "--h2", "1"],
+             ["--k", "9", "--h1", "2", "--h2", "5"]],
+    "tan-sq": [["--k", "1"], ["--k", "3"], ["--k", "21"]],
+    "remark1": [["--k", "1", "--h", "2"], ["--k", "13", "--h", "6"]],
+    "th9": [["--k", "1", "--h1", "1", "--h2", "1"],
+            ["--k", "2", "--h1", "1", "--h2", "1"],
+            ["--k", "5", "--h1", "2", "--h2", "3", "--s1", "2.5"],
+            ["--k", "3", "--h1", "1", "--h2", "2", "--s1", "2+1i"],
+            ["--k", "4", "--h1", "1", "--h2", "3", *LOW_PRECISION],
+            ["--k", "4", "--h1", "1", "--h2", "3", *HIGH_PRECISION]],
+    "lemma3-a": [["--k", "1", "--instance-terms", "100"],
+                 ["--k", "2", "--instance-terms", "100"],
+                 ["--k", "7", "--seed", "3", "--instance-terms", "2000"]],
+    "lemma3-b": [["--k", "1"], ["--k", "2"], ["--k", "8", "--seed", "5"]],
+    "lehmer-th8": [["--k", "1"], ["--k", "2"], ["--k", "9", "--seed", "2"]],
+    "cor12": [["--k", "1"], ["--k", "2"], ["--k", "10", "--seed", "4"]],
+    "gamma-dft": [["--k", "1"], ["--k", "2"], ["--k", "12"]],
+}
+
+# one argv per precondition rule, each violating only that rule; the parity
+# rule of cor2 is left out because argparse refuses other values first
+VIOLATING = {
+    "eq1": [["--h", "1", "--k", "0"], ["--h", "2", "--k", "4"]],
+    "eq2": [["--h", "1", "--k", "-2"], ["--h", "3", "--k", "6"]],
+    "parseval": [["--k", "0"]],
+    "th1": [["--k", "0"], ["--k", "3", "--m", "9"], ["--k", "3", "--m", "0"]],
+    "cor1": [["--k", "0", "--h1", "1", "--h2", "1"],
+             ["--k", "4", "--h1", "2", "--h2", "1"],
+             ["--k", "4", "--h1", "1", "--h2", "2"]],
+    "cor2": [["--k", "0", "--h1", "1", "--h2", "1"],
+             ["--k", "6", "--h1", "3", "--h2", "1"],
+             ["--k", "6", "--h1", "1", "--h2", "4"]],
+    "lemma1-i": [["--k", "0"]],
+    "lemma1-ii": [["--k", "0"], ["--k", "3", "--r", "0"]],
+    "lemma1-iii": [["--k", "0"], ["--k", "5"]],
+    "lemma1-iv": [["--k", "-1"], ["--k", "4"]],
+    "lemma1-v": [["--k", "0"], ["--k", "3", "--s", "1"]],
+    "th2": [["--k", "0", "--hs", "1,1"], ["--k", "6", "--hs", "1,3"]],
+    "cor3": [["--k", "0", "--h1", "1", "--h2", "1"],
+             ["--k", "9", "--h1", "3", "--h2", "1"],
+             ["--k", "9", "--h1", "1", "--h2", "6"]],
+    "th4": [["--k", "0", "--rs", "2,2", "--hs", "1,1"],
+            ["--k", "5", "--rs", "2,2", "--hs", "1,1,1"],
+            ["--k", "5", "--rs", "0,2", "--hs", "1,1"],
+            ["--k", "5", "--rs", "1,2", "--hs", "1,1"],
+            ["--k", "6", "--rs", "2,2", "--hs", "1,2"]],
+    "cor5": [["--k", "0", "--r1", "2", "--r2", "2", "--h1", "1", "--h2", "1"],
+             ["--k", "5", "--r1", "0", "--r2", "2", "--h1", "1", "--h2", "1"],
+             ["--k", "5", "--r1", "2", "--r2", "1", "--h1", "1", "--h2", "1"],
+             ["--k", "6", "--r1", "2", "--r2", "2", "--h1", "2", "--h2", "1"],
+             ["--k", "6", "--r1", "2", "--r2", "2", "--h1", "1", "--h2", "3"]],
+    "th5": [["--k", "0", "--hs", "1,1"], ["--k", "5", "--hs", "1,1"],
+            ["--k", "8", "--hs", "1,3,5"], ["--k", "8", "--hs", "2,1"],
+            ["--k", "8", "--hs", "3,2"]],
+    "cor6": [["--k", "0", "--h1", "1", "--h2", "1"],
+             ["--k", "7", "--h1", "1", "--h2", "1"],
+             ["--k", "8", "--h1", "2", "--h2", "1"],
+             ["--k", "6", "--h1", "3", "--h2", "1"],
+             ["--k", "6", "--h1", "1", "--h2", "2"]],
+    "cor7": [["--k", "0", "--h", "1"], ["--k", "5", "--h", "1"],
+             ["--k", "6", "--h", "2"]],
+    "th7": [["--k", "0", "--hs", "1,1"], ["--k", "6", "--hs", "1,1"],
+            ["--k", "9", "--hs", "1,2,4"], ["--k", "9", "--hs", "1,3"]],
+    "cor8": [["--k", "0", "--h1", "1", "--h2", "1"],
+             ["--k", "8", "--h1", "1", "--h2", "1"],
+             ["--k", "9", "--h1", "2", "--h2", "1"],
+             ["--k", "9", "--h1", "3", "--h2", "1"],
+             ["--k", "9", "--h1", "1", "--h2", "6"]],
+    "cor9-s3": [["--k", "0", "--h", "1"], ["--k", "4", "--h", "1"],
+                ["--k", "9", "--h", "3"]],
+    "cor9-s5": [["--k", "0", "--h", "1"], ["--k", "4", "--h", "1"],
+                ["--k", "9", "--h", "3"], ["--k", "9", "--h", "2"]],
+    "cor10": [["--k", "0", "--h1", "2", "--h2", "1"],
+              ["--k", "8", "--h1", "2", "--h2", "1"],
+              ["--k", "9", "--h1", "1", "--h2", "1"],
+              ["--k", "9", "--h1", "6", "--h2", "1"],
+              ["--k", "9", "--h1", "2", "--h2", "3"]],
+    "cor11": [["--k", "0", "--h", "2"], ["--k", "4", "--h", "1"],
+              ["--k", "9", "--h", "1"], ["--k", "9", "--h", "6"]],
+    "eq14": [["--k", "0", "--h1", "1", "--h2", "1"],
+             ["--k", "4", "--h1", "1", "--h2", "1"],
+             ["--k", "9", "--h1", "3", "--h2", "1"],
+             ["--k", "9", "--h1", "1", "--h2", "3"]],
+    "tan-sq": [["--k", "0"], ["--k", "4"]],
+    "remark1": [["--k", "0", "--h", "2"], ["--k", "4", "--h", "1"],
+                ["--k", "9", "--h", "1"], ["--k", "9", "--h", "6"]],
+    "th9": [["--k", "0", "--h1", "1", "--h2", "1"],
+            ["--k", "4", "--h1", "2", "--h2", "1"],
+            ["--k", "4", "--h1", "1", "--h2", "2"],
+            ["--k", "4", "--h1", "1", "--h2", "1", "--s1", "1"],
+            ["--k", "4", "--h1", "1", "--h2", "1", "--s2", "0.5+1i"]],
+    "lemma3-a": [["--k", "0"]],
+    "lemma3-b": [["--k", "0"]],
+    "lehmer-th8": [["--k", "0"]],
+    "cor12": [["--k", "0"]],
+    "gamma-dft": [["--k", "0"]],
+}
+
+# argv the registry refuses before any precondition rule runs
+MISSING = [["eq1", "--k", "5"], ["th9", "--k", "5", "--h1", "1"]]
+
+
+def _argvs():
+    for ident in PASSING:
+        for args in PASSING[ident] + VIOLATING[ident]:
+            yield ["verify", ident, *args, "--json"]
+    for args in MISSING:
+        yield ["verify", *args, "--json"]
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    report = out.getvalue()
+    if report:
+        payload = json.loads(report)
+        for key in TIMING_KEYS:
+            payload.pop(key, None)
+        report = json.dumps(payload)
+    return {"argv": argv, "exit": code, "report": report,
+            "stderr": err.getvalue()}
+
+
+def _load():
+    # a missing file fails test_golden_covers_every_id
+    return json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+
+
+@pytest.mark.parametrize("expected", _load(),
+                         ids=lambda case: " ".join(case["argv"][1:-1]))
+def test_golden(expected):
+    assert _run(expected["argv"]) == expected
+
+
+def test_golden_covers_every_id():
+    from cotsums.registry import REGISTRY
+
+    runs = {}
+    for case in _load():
+        if case["exit"] != 2:
+            runs.setdefault(case["argv"][1], []).append(case)
+    assert set(runs) == set(REGISTRY)
+    assert all(len(cases) >= 2 for cases in runs.values())
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps([_run(argv) for argv in _argvs()],
+                                 indent=1) + "\n")
