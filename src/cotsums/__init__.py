@@ -17,9 +17,8 @@ from .exact import (BernoulliPoly, bernoulli_number, bernoulli_poly, frac,
                     mod_inverse, periodic_bernoulli, sawtooth)
 from .periodic import (PeriodicMap, closed_form_dft, constrained_product_sum,
                        convolve, defining_map, dft, dilate,
-                       involution_residual, map_max_residual,
-                       parseval_residual, parseval_sides, sawtooth_map,
-                       spectral_product_sum)
+                       involution_residual, map_max_residual, parseval_sides,
+                       sawtooth_map, spectral_product_sum)
 from .registry import REGISTRY, IdentityEntry, verify
 from .report import IdentityReport
 from .sums import (dedekind_cot, dedekind_series, dedekind_sum, hardy_A,

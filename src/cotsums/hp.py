@@ -25,13 +25,6 @@ def guarded(bits: int, n: int = 0) -> int:
     return bits + GUARD_BITS + max(0, n).bit_length()
 
 
-def to_mpf(x) -> mpf:
-    """Convert int/Fraction/mpf to mpf at the current working precision."""
-    if isinstance(x, Fraction):
-        return mpmath.mpmathify(x)
-    return mpf(x)
-
-
 def to_number(x):
     """Promote int/Fraction/float/complex to mpf/mpc; pass mp types through."""
     if isinstance(x, (mpf, mpc)):
@@ -45,22 +38,6 @@ def to_number(x):
 
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
-
-
-def abs_residual(lhs, rhs, bits: int = DEFAULT_BITS) -> mpf:
-    """|lhs - rhs| evaluated at full working precision."""
-    with workprec(guarded(bits)):
-        return abs(to_number(lhs) - to_number(rhs))
-
-
-def max_abs(values, bits: int = DEFAULT_BITS) -> mpf:
-    with workprec(guarded(bits)):
-        out = mpf(0)
-        for v in values:
-            a = abs(to_number(v))
-            if a > out:
-                out = a
-        return out
 
 
 def parse_tolerance(text: str) -> mpf:

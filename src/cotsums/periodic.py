@@ -202,14 +202,6 @@ def parseval_sides(f1: PeriodicMap, f2: PeriodicMap, bits: int = DEFAULT_BITS):
     return lhs, rhs
 
 
-def parseval_residual(f1: PeriodicMap, f2: PeriodicMap,
-                      bits: int = DEFAULT_BITS) -> mpf:
-    """|lhs - rhs| of the transform inner-product identity."""
-    lhs, rhs = parseval_sides(f1, f2, bits)
-    with workprec(guarded(bits)):
-        return abs(to_number(lhs) - rhs)
-
-
 def map_max_residual(f: PeriodicMap, g: PeriodicMap, bits: int = DEFAULT_BITS):
     """(max_n |f(n) - g(n)|, argmax n)."""
     k = _require_same_period(f, g)
