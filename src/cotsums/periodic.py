@@ -178,16 +178,10 @@ def spectral_product_sum(fs, hs, bits: int = DEFAULT_BITS) -> mpc:
     k = fs[0].period
     for f in fs[1:]:
         _require_same_period(fs[0], f)
-    hats = [dft(f, bits) for f in fs]
-    invs = [mod_inverse(h, k) for h in hs]
-    with workprec(guarded(bits, k)):
-        acc = mpc(0)
-        for a in range(k):
-            p = mpc(1)
-            for fh, hp in zip(hats, invs):
-                p *= fh((a * hp) % k)
-            acc += p
-        return acc / k
+    factors = [(trig.VALUES, dft(f, bits).values, mod_inverse(h, k))
+               for f, h in zip(fs, hs)]
+    return trig.trig_product_sum(factors, k, bits=bits, residues=range(k),
+                                 start=mpc(1), divisor=k)
 
 
 def parseval_sides(f1: PeriodicMap, f2: PeriodicMap, bits: int = DEFAULT_BITS):

@@ -2,8 +2,9 @@
 and finite trigonometric side for each.
 
 Exact sides are brute-force enumerations over residue tuples (O(k^(m-1))
-products, Fraction arithmetic, optional work limit). Trig sides are O(k)
-sums over cached cot/tan tables with multipliers inverted mod k.
+products, Fraction arithmetic, optional work limit). Each trig side is one
+call of trig.trig_product_sum: its factor list, its residue range and
+exclusions, and its sign and scale.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import NotCoprime, ParityViolation
 from .exact import mod_inverse, periodic_bernoulli, sawtooth
 from .hp import DEFAULT_BITS, guarded
 from .periodic import DEFAULT_WORK_LIMIT, PeriodicMap, constrained_product_sum
+from .trig import COT, TAN, VALUES, trig_product_sum
 
 HARDY_KINDS = ("S", "s1", "s2", "s3", "s4", "s5")
 
@@ -41,6 +43,12 @@ def _require_all_coprime(hs, k) -> None:
         _require_coprime(h, k, f"h{j}")
 
 
+def _tan_cots(hs, k: int) -> list:
+    """tan(pi*a*h_1'/k) prod_{j>=2} cot(pi*a*h_j'/k) as a factor list."""
+    invs = [mod_inverse(h, k) for h in hs]
+    return [(TAN, 0, invs[0])] + [(COT, 0, hp) for hp in invs[1:]]
+
+
 # ---------------------------------------------------------------------------
 # classical Dedekind sum
 
@@ -58,14 +66,8 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 def dedekind_cot(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """s(h,k) = (1/4k) sum_{a=1}^{k-1} cot(pi*a/k) cot(pi*a*h/k)."""
     _require_coprime(h, k)
-    if k == 1:
-        return mpf(0)
-    ct = trig.cot_table(k, bits)
-    with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for a in range(1, k):
-            acc += ct[a - 1] * ct[(a * h) % k - 1]
-        return acc / (4 * k)
+    return trig_product_sum([(COT, 0, 1), (COT, 0, h)], k, bits=bits,
+                            divisor=4 * k)
 
 
 def dedekind_series(h: int, k: int, terms: int = 100_000,
@@ -111,19 +113,9 @@ def zagier_cot(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
     if m % 2 != 0:
         raise ParityViolation("the cotangent form needs even m")
     _require_all_coprime(hs, k)
-    if k == 1:
-        return mpf(0)
-    invs = [mod_inverse(h, k) for h in hs]
-    ct = trig.cot_table(k, bits)
-    with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for a in range(1, k):
-            p = mpf(1)
-            for hp in invs:
-                p *= ct[(a * hp) % k - 1]
-            acc += p
-        sign = -1 if (m // 2) % 2 else 1
-        return sign * acc / (mpf(2) ** m * k)
+    factors = [(COT, 0, mod_inverse(h, k)) for h in hs]
+    return trig_product_sum(factors, k, bits=bits,
+                            divisor=_sign(m // 2) * 2 ** m * k)
 
 
 def homogeneous_pair_sum(h1: int, h2: int, k: int) -> Fraction:
@@ -135,16 +127,9 @@ def homogeneous_pair_sum(h1: int, h2: int, k: int) -> Fraction:
 def homogeneous_pair_cot(h1: int, h2: int, k: int,
                          bits: int = DEFAULT_BITS) -> mpf:
     """(1/4k) sum_{a=1}^{k-1} cot(pi*a*h1/k) cot(pi*a*h2/k), no inverses."""
-    _require_coprime(h1, k, "h1")
-    _require_coprime(h2, k, "h2")
-    if k == 1:
-        return mpf(0)
-    ct = trig.cot_table(k, bits)
-    with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for a in range(1, k):
-            acc += ct[(a * h1) % k - 1] * ct[(a * h2) % k - 1]
-        return acc / (4 * k)
+    _require_all_coprime((h1, h2), k)
+    return trig_product_sum([(COT, 0, h1), (COT, 0, h2)], k, bits=bits,
+                            divisor=4 * k)
 
 
 # ---------------------------------------------------------------------------
@@ -173,40 +158,33 @@ def bernoulli_dedekind_rhs(rs, hs, k: int, bits: int = DEFAULT_BITS,
     convention="corrected": (1/k) sum_a prod_j ghat_j(a h_j') with the
     r = 1 transforms carrying their missing constant, exact for all r_j.
     """
-    m, A = len(rs), sum(rs)
+    A = sum(rs)
     if A % 2 != 0:
         raise ParityViolation("needs even total order A")
     _require_all_coprime(hs, k)
     invs = [mod_inverse(h, k) for h in hs]
     if convention == "corrected":
-        hats = [periodic.bernoulli_dft_map(r, k, bits, "corrected") for r in rs]
-        with workprec(guarded(bits, k)):
-            acc = mpc(0)
-            for a in range(k):
-                p = mpc(1)
-                for hat, hp in zip(hats, invs):
-                    p *= hat.values[(a * hp) % k]
-                acc += p
-            return acc / k
+        factors = [(VALUES, periodic.bernoulli_dft_map(r, k, bits).values,
+                    hp) for r, hp in zip(rs, invs)]
+        return trig_product_sum(factors, k, bits=bits, residues=range(k),
+                                start=mpc(1), divisor=k)
     if convention != "paper":
         raise ValueError(f"unknown convention {convention!r}")
-    polys = [trig.cot_poly(r - 1) for r in rs]
-    first = Fraction(1)
-    for r in rs:
-        first *= periodic_bernoulli(r, Fraction(0))
-    first /= Fraction(k) ** (A - m + 1)
+    return _paper_form(rs, [(COT, r - 1, hp) for r, hp in zip(rs, invs)],
+                       _sign(A // 2), k, bits)
+
+
+def _paper_form(rs, factors, sign: int, k: int, bits: int):
+    """prod_j B_{r_j} / k^(A-m+1) + (sign prod_j r_j / (2^A k^(A-m+1)))
+    * (the trig product sum of the factors), A = sum r_j."""
+    m, A = len(rs), sum(rs)
+    first = (prod(periodic_bernoulli(r, Fraction(0)) for r in rs)
+             / Fraction(k) ** (A - m + 1))
     if k == 1:
         with workprec(guarded(bits)):
             return mpmath.mpmathify(first)
-    ct = trig.cot_table(k, bits)
+    acc = trig_product_sum(factors, k, bits=bits)
     with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for a in range(1, k):
-            p = mpf(1)
-            for poly, hp in zip(polys, invs):
-                p *= poly(ct[(a * hp) % k - 1])
-            acc += p
-        sign = -1 if (A // 2) % 2 else 1
         coeff = mpf(sign * prod(rs)) / (mpf(2) ** A * mpf(k) ** (A - m + 1))
         return mpmath.mpmathify(first) + coeff * acc
 
@@ -232,26 +210,13 @@ def bernoulli_pair_rhs(r1: int, r2: int, h1: int, h2: int, k: int,
     A = r1 + r2
     if A % 2 != 0:
         raise ParityViolation("needs r1 + r2 even")
-    _require_coprime(h1, k, "h1")
-    _require_coprime(h2, k, "h2")
+    _require_all_coprime((h1, h2), k)
     if convention == "corrected":
         return bernoulli_dedekind_rhs((r1, r2), (h1, -h2), k, bits, "corrected")
     if convention != "paper":
         raise ValueError(f"unknown convention {convention!r}")
-    first = (periodic_bernoulli(r1, Fraction(0)) * periodic_bernoulli(r2, Fraction(0))
-             / Fraction(k) ** (A - 1))
-    if k == 1:
-        with workprec(guarded(bits)):
-            return mpmath.mpmathify(first)
-    p1, p2 = trig.cot_poly(r1 - 1), trig.cot_poly(r2 - 1)
-    ct = trig.cot_table(k, bits)
-    with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for a in range(1, k):
-            acc += p1(ct[(a * h2) % k - 1]) * p2(ct[(a * h1) % k - 1])
-        sign = -1 if (((r1 - r2) // 2) % 2) else 1
-        coeff = mpf(sign * r1 * r2) / (mpf(2) ** A * mpf(k) ** (A - 1))
-        return mpmath.mpmathify(first) + coeff * acc
+    return _paper_form((r1, r2), [(COT, r1 - 1, h2), (COT, r2 - 1, h1)],
+                       _sign((r1 - r2) // 2), k, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +294,8 @@ def hardy_A_rhs(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
     if hs[0] % 2 == 0:
         raise ParityViolation("needs odd h1")
     _require_all_coprime(hs, k)
-    invs = [mod_inverse(h, k) for h in hs]
-    tt, ct = trig.tan_table(k, bits), trig.cot_table(k, bits)
-    with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for a in range(1, k):
-            if 2 * a == k:
-                continue
-            p = tt[(a * invs[0]) % k - 1]
-            for hp in invs[1:]:
-                p = p * ct[(a * hp) % k - 1]
-            acc += p
-        sign = -1 if (m // 2 - 1) % 2 else 1
-        return sign * acc / (mpf(2) ** m * k)
+    return trig_product_sum(_tan_cots(hs, k), k, {k // 2}, bits,
+                            divisor=_sign(m // 2 - 1) * 2 ** m * k)
 
 
 def hardy_B(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
@@ -365,17 +319,8 @@ def hardy_B_rhs(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
     if k % 2 == 0 or m % 2 != 0:
         raise ParityViolation("needs odd k and even m")
     _require_all_coprime(hs, k)
-    invs = [mod_inverse(h, k) for h in hs]
-    tt, ct = trig.tan_table(k, bits), trig.cot_table(k, bits)
-    with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for a in range(1, k):
-            p = tt[(a * invs[0]) % k - 1]
-            for hp in invs[1:]:
-                p = p * ct[(a * hp) % k - 1]
-            acc += p
-        sign = -1 if (m // 2) % 2 else 1
-        return sign * acc / (mpf(2) ** (m - 1) * k)
+    return trig_product_sum(_tan_cots(hs, k), k, bits=bits,
+                            divisor=_sign(m // 2) * 2 ** (m - 1) * k)
 
 
 # m = 2 corollary forms (homogeneous multipliers, no inverses)
@@ -393,16 +338,9 @@ def alt_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
         raise ParityViolation("needs even k")
     if h1 % 2 == 0:
         raise ParityViolation("needs odd h1")
-    _require_coprime(h1, k, "h1")
-    _require_coprime(h2, k, "h2")
-    tt, ct = trig.tan_table(k, bits), trig.cot_table(k, bits)
-    with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for a in range(1, k):
-            if 2 * a == k:
-                continue
-            acc += tt[(a * h2) % k - 1] * ct[(a * h1) % k - 1]
-        return -acc / (4 * k)
+    _require_all_coprime((h1, h2), k)
+    return trig_product_sum([(TAN, 0, h2), (COT, 0, h1)], k, {k // 2}, bits,
+                            divisor=-4 * k)
 
 
 def floor_pair_sum(h1: int, h2: int, k: int, with_alt: bool) -> Fraction:
@@ -419,16 +357,9 @@ def tan_cot_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """(1/2k) sum_{a=1}^{k-1} tan(pi*a*h2/k) cot(pi*a*h1/k); k odd."""
     if k % 2 == 0:
         raise ParityViolation("needs odd k")
-    _require_coprime(h1, k, "h1")
-    _require_coprime(h2, k, "h2")
-    if k == 1:
-        return mpf(0)
-    tt, ct = trig.tan_table(k, bits), trig.cot_table(k, bits)
-    with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for a in range(1, k):
-            acc += tt[(a * h2) % k - 1] * ct[(a * h1) % k - 1]
-        return acc / (2 * k)
+    _require_all_coprime((h1, h2), k)
+    return trig_product_sum([(TAN, 0, h2), (COT, 0, h1)], k, bits=bits,
+                            divisor=2 * k)
 
 
 def alt_sign_pair_sum(h1: int, h2: int, k: int) -> int:
@@ -437,8 +368,7 @@ def alt_sign_pair_sum(h1: int, h2: int, k: int) -> int:
     (the form the transform derivation yields)."""
     if k % 2 == 0:
         raise ParityViolation("needs odd k")
-    _require_coprime(h1, k, "h1")
-    _require_coprime(h2, k, "h2")
+    _require_all_coprime((h1, h2), k)
     return sum(_sign((a * h1) % k + (a * h2) % k) for a in range(1, k))
 
 
@@ -446,21 +376,15 @@ def tan_pair_mean(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """(1/k) sum_{a=1}^{k-1} tan(pi*a*h1/k) tan(pi*a*h2/k); k odd."""
     if k % 2 == 0:
         raise ParityViolation("needs odd k")
-    tt = trig.tan_table(k, bits)
-    with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for a in range(1, k):
-            acc += tt[(a * h1) % k - 1] * tt[(a * h2) % k - 1]
-        return acc / k
+    return trig_product_sum([(TAN, 0, h1), (TAN, 0, h2)], k, bits=bits,
+                            divisor=k)
 
 
 def tan_square_sum(k: int, bits: int = DEFAULT_BITS) -> mpf:
     """sum_{a=1}^{k-1} tan^2(pi*a/k) for odd k (classically k^2 - k)."""
     if k % 2 == 0:
         raise ParityViolation("needs odd k")
-    tt = trig.tan_table(k, bits)
-    with workprec(guarded(bits, k)):
-        return sum((t * t for t in tt), mpf(0))
+    return trig_product_sum([(TAN, 0, 1), (TAN, 0, 1)], k, bits=bits)
 
 
 def s1_half_range(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -470,9 +394,5 @@ def s1_half_range(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     if h % 2 != 0:
         raise ParityViolation("needs even h")
     _require_coprime(h, k)
-    tt, ct = trig.tan_table(k, bits), trig.cot_table(k, bits)
-    with workprec(guarded(bits, k)):
-        acc = mpf(0)
-        for j in range(1, (k - 1) // 2 + 1):
-            acc += tt[j - 1] * ct[(j * h) % k - 1]
-        return acc / k
+    return trig_product_sum([(TAN, 0, 1), (COT, 0, h)], k, bits=bits,
+                            residues=range(1, (k + 1) // 2), divisor=k)

@@ -1,4 +1,5 @@
-"""tan/cot and cotangent derivatives at rational multiples of pi.
+"""tan/cot and cotangent derivatives at rational multiples of pi, and the
+product-sum kernel that evaluates every closed form.
 
 Higher derivatives of cot are evaluated through exact integer polynomials
 Q_m with cot^(m)(x) = Q_m(cot x), so each value costs one transcendental
@@ -9,13 +10,18 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
+from itertools import repeat
+from operator import mul
 
 import mpmath
 from mpmath import mpf, workprec
 
 from .errors import PoleAtHalfPeriod, PoleAtIntegerMultiple
 from .hp import DEFAULT_BITS, guarded
+
+# factor kinds of trig_product_sum
+COT, TAN, VALUES = "cot-deriv", "tan", "values"
 
 
 @dataclass(frozen=True)
@@ -112,28 +118,66 @@ def tan_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
         return tuple(vals)
 
 
-def trig_product_sum(factors, k: int, exclusions=frozenset(),
-                     bits: int = DEFAULT_BITS) -> mpf:
-    """sum_{a=1}^{k-1} prod_j factor_j(a), skipping excluded residues.
+@lru_cache(maxsize=256)
+def _residue_table(kind: str, order: int, k: int,
+                   bits: int = DEFAULT_BITS) -> tuple:
+    """(T(n))_{n=0..k-1} for a trig factor kind; None marks the pole."""
+    if kind == TAN:
+        return (mpf(0),) + tan_table(k, bits)
+    if kind != COT:
+        raise ValueError(f"unknown trig factor kind {kind!r}")
+    values = cot_table(k, bits)
+    if order:
+        poly = cot_poly(order)
+        with workprec(guarded(bits, k)):
+            values = tuple(poly(t) for t in values)
+    return (None,) + values
 
-    Each factor is (kind, order, multiplier) with kind "cot-deriv" or "tan";
-    order is the cot derivative order (0 for plain cot) and is ignored for
-    tan. Exclusions must cover every pole (a = k/2 for tan with k even);
-    an uncovered pole raises.
+
+def trig_product_sum(factors, k: int, exclusions=(),
+                     bits: int = DEFAULT_BITS, *, residues: range | None = None,
+                     start=None, divisor: int = 1):
+    """(1/divisor) sum_{a in residues, a not excluded} prod_j T_j((a*h_j) % k).
+
+    Each factor is (kind, arg, h_j). Kind "cot-deriv" takes T_j(n) =
+    cot^(arg)(pi*n/k) and "tan" takes tan(pi*n/k) (arg ignored), both from
+    cached tables; "values" takes T_j = arg, a sequence indexed by the
+    residue mod k. residues defaults to 1..k-1. Each product is folded left
+    from start, or from its first factor when start is None (so at least
+    one factor is needed); start=mpc(1) rounds that factor into the working
+    precision guarded(bits, k), at which the whole sum runs. Exclusions
+    must cover every pole (n = 0 for cot, n = k/2 for tan with k even); an
+    uncovered pole raises.
     """
-    excl = {e % k for e in exclusions}
-    with workprec(guarded(bits, k * k)):
-        total = mpf(0)
-        for a in range(1, k):
-            if a in excl:
-                continue
-            term = mpf(1)
-            for kind, order, mult in factors:
-                if kind == "tan":
-                    term *= tan_at(a * mult, k, bits)
-                elif kind == "cot-deriv":
-                    term *= cot_deriv_at(order, a * mult, k, bits)
-                else:
-                    raise ValueError(f"unknown trig factor kind {kind!r}")
-            total += term
-        return total
+    if residues is None:
+        residues = range(1, k)
+    idx = residues
+    if exclusions:
+        # the runs of the range between the excluded residues
+        idx, lo = [], residues.start
+        for e in sorted({e % k for e in exclusions}):
+            if lo <= e < residues.stop:
+                idx += range(lo, e)
+                lo = e + 1
+        idx += range(lo, residues.stop)
+    with workprec(guarded(bits, k)):
+        cols = []
+        for kind, arg, h in factors:
+            table = (arg if kind == VALUES
+                     else _residue_table(kind, arg, k, bits))
+            cols.append([table[a * h % k] for a in idx])
+        first, rest = ((cols[0], cols[1:]) if start is None
+                       else (repeat(start, len(idx)), cols))
+        try:
+            return sum(reduce(partial(map, mul), rest, first),
+                       mpf(0)) / divisor
+        except TypeError:
+            # a product met a None slot: name the pole it marks
+            for (kind, _, h), col in zip(factors, cols):
+                for a, value in zip(idx, col):
+                    if value is None:
+                        error = (PoleAtHalfPeriod if kind == TAN
+                                 else PoleAtIntegerMultiple)
+                        raise error(f"{kind} factor with multiplier {h} has "
+                                    f"a pole at a = {a} (mod {k})") from None
+            raise

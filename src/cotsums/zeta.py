@@ -16,12 +16,12 @@ from math import factorial, gcd
 import mpmath
 from mpmath import mpc, mpf, workprec
 
-from . import trig
 from .errors import (ConvergenceDomain, NonPositiveArgument, NotCoprime,
                      NotOdd, OutOfRange)
 from .exact import bernoulli_number, frac
 from .hp import DEFAULT_BITS, guarded, to_number
 from .periodic import PeriodicMap, dft, map_max_residual
+from .trig import COT, VALUES, trig_product_sum
 
 _EM_GUARD = 32
 
@@ -201,10 +201,11 @@ def periodic_zeta(s, x, bits: int = DEFAULT_BITS):
     if q == 1:
         return mpc(riemann_zeta(sc, bits))
     with workprec(guarded(bits, q)):
-        acc = mpc(0)
-        for a in range(1, q + 1):
-            phase = mpmath.expjpi(mpf(2 * ((a * p) % q)) / q)
-            acc += phase * hurwitz_zeta(sc, Fraction(a, q), bits)
+        phases = [mpmath.expjpi(mpf(2 * n) / q) for n in range(q)]
+        zetas = [hurwitz_zeta(sc, Fraction(n or q, q), bits) for n in range(q)]
+        acc = trig_product_sum(
+            [(VALUES, phases, p), (VALUES, zetas, 1)], q, bits=bits,
+            residues=range(1, q + 1))
         return acc * mpf(q) ** -sc
 
 
@@ -260,20 +261,18 @@ def mikolas_pair(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS):
     if gcd(h1, k) != 1 or gcd(h2, k) != 1:
         raise NotCoprime(f"h1, h2 must be units mod {k}")
     with workprec(guarded(bits, k)):
-        lhs = mpc(0)
-        for a in range(1, k):
-            x1 = frac(Fraction(a * h1, k))
-            x2 = frac(Fraction(a * h2, k))
-            lhs += hurwitz_zeta(sc1, x1, bits) * hurwitz_zeta(sc2, x2, bits)
+        z1, z2 = ([None] + [hurwitz_zeta(sc, Fraction(n, k), bits)
+                            for n in range(1, k)] for sc in (sc1, sc2))
+        lhs = mpc(trig_product_sum(
+            [(VALUES, z1, h1), (VALUES, z2, h2)], k, bits=bits))
         kp = mpf(k) ** (sc1 + sc2 - 1)
         rhs = (kp - 1) * riemann_zeta(sc1, bits) * riemann_zeta(sc2, bits)
         if k > 1:
             f1 = periodic_zeta_map(sc1, k, bits)
             f2 = periodic_zeta_map(sc2, k, bits)
-            acc = mpc(0)
-            for a in range(1, k):
-                acc += f1.values[(a * h2) % k] * f2.values[(-a * h1) % k]
-            rhs += kp * acc
+            rhs += kp * trig_product_sum(
+                [(VALUES, f1.values, h2), (VALUES, f2.values, -h1)], k,
+                bits=bits)
         return lhs, rhs
 
 
@@ -330,27 +329,27 @@ def series_forms(f: PeriodicMap, bits: int = DEFAULT_BITS) -> SeriesForms:
     fhat = dft(f, bits)
     with workprec(guarded(bits, k)):
         pi = mpmath.pi
-        ct = trig.cot_table(k, bits) if k > 1 else ()
-        cot_acc = mpf(0)
-        for r in range(1, k):
-            cot_acc += to_number(f.values[r]) * ct[r - 1]
+        vals = [to_number(v) for v in f.values]
+        cot_acc = trig_product_sum(
+            [(VALUES, vals, 1), (COT, 0, 1)], k, bits=bits)
         cot_form = pi / (2 * k) * cot_acc
 
-        spec_acc = mpc(0)
-        for r in range(1, k):
-            spec_acc += r * fhat.values[r]
+        spec_acc = trig_product_sum(
+            [(VALUES, range(k), 1), (VALUES, fhat.values, 1)], k,
+            bits=bits)
         spectral_form = -pi * mpc(0, 1) / (k * k) * spec_acc
 
+        # the table holds gamma(r,k) for r = 1..k; rotated, r mod k indexes it
         gtab = euler_gamma_table(k, bits)
-        leh_acc = mpf(0)
-        for r in range(1, k + 1):
-            leh_acc += to_number(f.values[r % k]) * gtab[r - 1]
-        lehmer_form = leh_acc
+        lehmer_form = trig_product_sum(
+            [(VALUES, vals, 1), (VALUES, gtab[-1:] + gtab[:-1], 1)], k,
+            bits=bits, residues=range(1, k + 1))
 
-        zeta_acc = mpc(0)
-        for r in range(1, k):
-            zeta_acc += fhat.values[r] * periodic_zeta(1, Fraction(-r, k), bits)
-        zeta_form = -zeta_acc / k
+        pz = [None] + [periodic_zeta(1, Fraction(-r, k), bits)
+                       for r in range(1, k)]
+        zeta_form = -mpc(trig_product_sum(
+            [(VALUES, fhat.values, 1), (VALUES, pz, 1)], k,
+            bits=bits)) / k
 
     return SeriesForms(cot_form, spectral_form, lehmer_form, zeta_form)
 
