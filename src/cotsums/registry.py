@@ -1,17 +1,19 @@
 """The identity registry: every verifiable identity, keyed by a stable id.
 
-Each entry carries an anchor string (the formula under test, in ASCII), a
-parameter schema, a precondition validator and a checker that produces an
-IdentityReport. Checkers that compare a definitional (exact) side against a
-closed form time the two sides separately, so sweeps double as the
-O(k^(m-1))-vs-O(k) performance record.
+Each identity is one data row: its id, the anchor (the formula under test,
+in ASCII), a parameter schema with defaults, the precondition text and the
+ordered rules that enforce it, and how to check it. A plain two-sided
+identity gives its exact and closed sides as callables; an identity whose
+report is built differently gives a checker. Two-sided checks time the two
+sides separately, so sweeps double as the O(k^(m-1))-vs-O(k) performance
+record.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Callable
@@ -28,19 +30,96 @@ from .periodic import (PeriodicMap, dft, map_max_residual, random_even_map,
 from .report import IdentityReport, build_report
 
 
+# --- precondition rules (messages name the violated condition) -------------
+
+
+def _require(test, error, message: str):
+    """A rule raising error(message filled from the parameters) unless test."""
+    def rule(params):
+        if not test(params):
+            raise error(message.format(**params))
+    return rule
+
+
+def _coprime(*names):
+    def rule(params):
+        k = params["k"]
+        for name in names:
+            h = params[name]
+            if gcd(h, k) != 1:
+                raise NotCoprime(f"{name} must be coprime to k: "
+                                 f"gcd({h}, {k}) = {gcd(h, k)}")
+    return rule
+
+
+def _all_coprime(params):
+    k = params["k"]
+    for j, h in enumerate(params["hs"], 1):
+        if gcd(h, k) != 1:
+            raise NotCoprime(f"hs[{j}] = {h} must be coprime to k = {k}")
+
+
+def _parity(what: str, parity: str, value=None):
+    """what must have the parity; value(params) when what is not a param."""
+    def rule(params):
+        v = params[what] if value is None else value(params)
+        if (v % 2 == 0) != (parity == "even"):
+            raise ParityViolation(f"{what} must be {parity}, got {v}")
+    return rule
+
+
+def _re_above_one(name: str):
+    return _require(lambda p: zeta._to_s(p[name]).real > 1, OutOfRange,
+                    f"Re {name} must exceed 1")
+
+
+_K_POSITIVE = _require(lambda p: p["k"] >= 1, OutOfRange,
+                       "k must be >= 1, got {k}")
+_K_EVEN, _K_ODD = _parity("k", "even"), _parity("k", "odd")
+_M_EVEN = _parity("m", "even", lambda p: len(p["hs"]))
+
+
 @dataclass(frozen=True)
 class IdentityEntry:
     id: str
     anchor: str
     param_kinds: dict          # name -> "int" | "ints" | "s" | "choice:..."
-    defaults: dict
     precondition: str
-    validate: Callable[[dict], None]
-    check: Callable[[dict, RunConfig], IdentityReport]
+    rules: tuple = ()          # checked in order, after k >= 1
+    defaults: dict = field(default_factory=dict)
+    # plain two-sided identities: (config, **params) -> lhs / rhs
+    exact: Callable | None = None
+    closed: Callable | None = None
+    note: str | Callable = ""  # the report note, or a function of the params
+    # every other identity: (entry, params, config) -> IdentityReport
+    checker: Callable | None = None
 
     @property
     def param_names(self) -> tuple:
         return tuple(self.param_kinds)
+
+    def validate(self, params: dict) -> None:
+        """Raise the first violated precondition, naming its condition."""
+        _K_POSITIVE(params)
+        for rule in self.rules:
+            rule(params)
+
+    def check(self, params: dict, config: RunConfig) -> IdentityReport:
+        """Run the identity on parameters that passed validate()."""
+        if "convention" in self.param_kinds:
+            params = dict(params, convention=params.get("convention")
+                          or config.convention or "corrected")
+        if self.checker is not None:
+            return self.checker(self, params, config)
+        args = {name: params[name] for name in self.param_kinds}
+        return _two_sided(self, params,
+                          lambda: self.exact(config, **args),
+                          lambda: self.closed(config, **args),
+                          config, self.note_for(params))
+
+    def note_for(self, params: dict) -> str:
+        """The report note for these parameters."""
+        return self.note(params) if callable(self.note) else self.note
 
 
 def _timed(fn):
@@ -49,63 +128,25 @@ def _timed(fn):
     return value, int((time.perf_counter() - t0) * 1e6)
 
 
-def _two_sided(entry_id, anchor, params, lhs_fn, rhs_fn, config, note="",
-               tolerance=None):
-    bits = config.precision
+def _two_sided(entry, params, lhs_fn, rhs_fn, config, note=""):
     lhs, lhs_us = _timed(lhs_fn)
     rhs, rhs_us = _timed(rhs_fn)
-    tol = config.tolerance_value() if tolerance is None else tolerance
-    rep = build_report(entry_id, anchor, params, lhs, rhs, bits, tol, note)
+    rep = build_report(entry.id, entry.anchor, params, lhs, rhs,
+                       config.precision, config.tolerance_value(), note)
     rep.lhs_micros, rep.rhs_micros = lhs_us, rhs_us
     return rep
 
 
-def _map_check(entry_id, anchor, params, direct: PeriodicMap,
-               closed: PeriodicMap, config, note=""):
+def _map_check(entry, params, direct: PeriodicMap, closed: PeriodicMap,
+               config, note=""):
     bits = config.precision
     residual, where = map_max_residual(direct, closed, bits)
     extra = f"worst index n={where}"
-    return build_report(entry_id, anchor, params,
+    return build_report(entry.id, entry.anchor, params,
                         direct.values[where], closed.values[where], bits,
                         config.tolerance_value(),
                         note=f"{note}; {extra}" if note else extra,
                         residual=residual)
-
-
-# --- precondition helpers (messages name the violated condition) ----------
-
-
-def _need_k(params, minimum=1):
-    k = params["k"]
-    if k < minimum:
-        raise OutOfRange(f"k must be >= {minimum}, got {k}")
-    return k
-
-
-def _need_coprime(params, k, *names):
-    for name in names:
-        h = params[name]
-        if gcd(h, k) != 1:
-            raise NotCoprime(f"{name} must be coprime to k: "
-                             f"gcd({h}, {k}) = {gcd(h, k)}")
-
-
-def _need_all_coprime(params, k, name="hs"):
-    for j, h in enumerate(params[name], 1):
-        if gcd(h, k) != 1:
-            raise NotCoprime(f"{name}[{j}] = {h} must be coprime to k = {k}")
-
-
-def _need_parity(value, parity: str, what: str):
-    even = value % 2 == 0
-    if parity == "even" and not even:
-        raise ParityViolation(f"{what} must be even, got {value}")
-    if parity == "odd" and even:
-        raise ParityViolation(f"{what} must be odd, got {value}")
-
-
-def _units(k):
-    return [h for h in range(1, max(k, 2)) if gcd(h, k) == 1]
 
 
 def _seeded_maps(k, seed, count, kind="rational"):
@@ -114,281 +155,96 @@ def _seeded_maps(k, seed, count, kind="rational"):
     return [maker(k, seed * 1000003 + i) for i in range(count)]
 
 
-def _convention(params, config, default):
-    c = params.get("convention") or config.convention or default
-    return c
+# --- checkers of the identities whose report is built differently ----------
 
 
-# --- checkers --------------------------------------------------------------
-
-
-def _check_eq1(params, config):
-    h, k = params["h"], params["k"]
-    return _two_sided(
-        "eq1", ANCHORS["eq1"], params,
-        lambda: sums.dedekind_sum(h, k),
-        lambda: sums.dedekind_cot(h, k, config.precision), config)
-
-
-def _check_eq2(params, config):
+def _check_eq2(entry, params, config):
     h, k = params["h"], params["k"]
     terms = params.get("terms") or config.terms
     params = dict(params, terms=terms)
     bits = config.precision
     exact = sums.dedekind_sum(h, k)
     value, bound = sums.dedekind_series(h, k, terms, bits)
-    rep = build_report("eq2", ANCHORS["eq2"], params, exact, value, bits,
-                       tolerance=bound,
-                       note=f"pass is against the computed tail bound "
-                            f"C(k)/N = {mpmath.nstr(bound, 6)}")
-    return rep
+    return build_report(entry.id, entry.anchor, params, exact, value, bits,
+                        tolerance=bound,
+                        note=f"pass is against the computed tail bound "
+                             f"C(k)/N = {mpmath.nstr(bound, 6)}")
 
 
-def _check_parseval(params, config):
-    k, seed = params["k"], params["seed"]
-    f1, f2 = _seeded_maps(k, seed, 2)
+def _check_parseval(entry, params, config):
+    f1, f2 = _seeded_maps(params["k"], params["seed"], 2)
     lhs, rhs = periodic.parseval_sides(f1, f2, config.precision)
-    return build_report("parseval", ANCHORS["parseval"], params, lhs, rhs,
+    return build_report(entry.id, entry.anchor, params, lhs, rhs,
                         config.precision, config.tolerance_value())
 
 
-def _check_th1(params, config):
+def _check_th1(entry, params, config):
     k, m, seed = params["k"], params["m"], params["seed"]
     rng = random.Random(seed ^ 0x5EED)
     fs = _seeded_maps(k, seed, m)
-    hs = [rng.choice(_units(k)) for _ in range(m)]
-    params = dict(params, hs=hs)
+    units = [h for h in range(1, max(k, 2)) if gcd(h, k) == 1]
+    hs = [rng.choice(units) for _ in range(m)]
     return _two_sided(
-        "th1", ANCHORS["th1"], params,
+        entry, dict(params, hs=hs),
         lambda: periodic.constrained_product_sum(fs, hs, config.work_limit),
         lambda: periodic.spectral_product_sum(fs, hs, config.precision),
         config)
 
 
-def _check_cor1(params, config):
+def _check_cor1_cor2(entry, params, config):
+    """cor1 on rational maps (DFT[f1] at -a h2); cor2 on maps of the declared
+    parity (DFT[f1] at a h2, sign (-1)^s)."""
     k, h1, h2, seed = params["k"], params["h1"], params["h2"], params["seed"]
-    f1, f2 = _seeded_maps(k, seed, 2)
+    parity = params.get("parity")
+    f1, f2 = _seeded_maps(k, seed, 2, kind=parity or "rational")
     bits = config.precision
+    sign, at = (-1 if parity == "odd" else 1), (h2 if parity else -h2)
     lhs = sum((f1.values[(a * h1) % k] * f2.values[(a * h2) % k]
                for a in range(k)), Fraction(0))
     g1, g2 = dft(f1, bits), dft(f2, bits)
     with workprec(bits + 16):
-        rhs = sum((g1.values[(-a * h2) % k] * g2.values[(a * h1) % k]
-                   for a in range(k)), mpc(0)) / k
-    return build_report("cor1", ANCHORS["cor1"], params, lhs, rhs, bits,
-                        config.tolerance_value())
-
-
-def _check_cor2(params, config):
-    k, h1, h2, seed = params["k"], params["h1"], params["h2"], params["seed"]
-    parity = params["parity"]
-    f1, f2 = _seeded_maps(k, seed, 2, kind=parity)
-    bits = config.precision
-    sign = -1 if parity == "odd" else 1
-    lhs = sum((f1.values[(a * h1) % k] * f2.values[(a * h2) % k]
-               for a in range(k)), Fraction(0))
-    g1, g2 = dft(f1, bits), dft(f2, bits)
-    with workprec(bits + 16):
-        rhs = sign * sum((g1.values[(a * h2) % k] * g2.values[(a * h1) % k]
+        rhs = sign * sum((g1.values[(a * at) % k] * g2.values[(a * h1) % k]
                           for a in range(k)), mpc(0)) / k
-    return build_report("cor2", ANCHORS["cor2"], params, lhs, rhs, bits,
-                        config.tolerance_value(),
-                        note=f"sign (-1)^s with s=1 for odd maps, 0 for even; "
-                             f"{parity} maps used")
+    note = (f"sign (-1)^s with s=1 for odd maps, 0 for even; {parity} maps "
+            f"used" if parity else "")
+    return build_report(entry.id, entry.anchor, params, lhs, rhs, bits,
+                        config.tolerance_value(), note=note)
 
 
-def _lemma1_case(case_id, kind, params, config, note="", map_kw=None,
-                 closed_kw=None):
-    k = params["k"]
-    bits = config.precision
-    direct = dft(periodic.defining_map(kind, k, bits, **(map_kw or {})), bits)
-    closed = periodic.closed_form_dft(kind, k, bits, **(closed_kw or {}))
-    return _map_check(case_id, ANCHORS[case_id], params, direct, closed,
-                      config, note)
+def _lemma1(kind):
+    """Checker of a transform closed form: DFT of the map against it."""
+    def check(entry, params, config):
+        k, bits = params["k"], config.precision
+        kw = {name: params[name] for name in ("r", "s") if name in params}
+        direct = dft(periodic.defining_map(kind, k, bits, **kw), bits)
+        if "convention" in params:
+            kw["variant"] = params["convention"]
+        closed = periodic.closed_form_dft(kind, k, bits, **kw)
+        return _map_check(entry, params, direct, closed, config,
+                          entry.note_for(params))
+    return check
 
 
-def _check_lemma1_i(params, config):
-    return _lemma1_case("lemma1-i", "sawtooth", params, config)
-
-
-def _check_lemma1_ii(params, config):
-    r = params["r"]
-    variant = _convention(params, config, "corrected")
-    params = dict(params, convention=variant)
-    note = ""
-    if r == 1 and variant == "paper":
-        note = ("stated closed form omits the constant -1/2 off multiples "
-                "of k for r = 1; residual reported, not asserted")
-    return _lemma1_case("lemma1-ii", "bernoulli", params, config, note=note,
-                        map_kw={"r": r}, closed_kw={"r": r, "variant": variant})
-
-
-def _check_lemma1_iii(params, config):
-    return _lemma1_case("lemma1-iii", "alt-sawtooth", params, config)
-
-
-def _check_lemma1_iv(params, config):
-    return _lemma1_case("lemma1-iv", "alt-sign", params, config)
-
-
-def _check_lemma1_v(params, config):
-    kw = {"s": params["s"]}
-    return _lemma1_case("lemma1-v", "periodic-zeta", params, config,
-                        map_kw=kw, closed_kw=kw)
-
-
-def _check_th2(params, config):
+def _check_th2(entry, params, config):
     k, hs = params["k"], tuple(params["hs"])
     m = len(hs)
     if m % 2 == 1:
         lhs, lhs_us = _timed(lambda: sums.zagier_sum(hs, k, config.work_limit))
-        rep = build_report("th2", ANCHORS["th2"], params, lhs, Fraction(0),
+        rep = build_report(entry.id, entry.anchor, params, lhs, Fraction(0),
                            config.precision, config.tolerance_value(),
                            note="odd m: both sides vanish; exact side checked "
                                 "against 0")
         rep.lhs_micros, rep.rhs_micros = lhs_us, 0
         return rep
     return _two_sided(
-        "th2", ANCHORS["th2"], params,
+        entry, params,
         lambda: sums.zagier_sum(hs, k, config.work_limit),
         lambda: sums.zagier_cot(hs, k, config.precision), config,
         note=f"exact side {k}^{m - 1} = {k ** (m - 1)} product terms, "
              f"trig side {max(k - 1, 0)}")
 
 
-def _check_cor3(params, config):
-    h1, h2, k = params["h1"], params["h2"], params["k"]
-    return _two_sided(
-        "cor3", ANCHORS["cor3"], params,
-        lambda: sums.homogeneous_pair_sum(h1, h2, k),
-        lambda: sums.homogeneous_pair_cot(h1, h2, k, config.precision), config)
-
-
-def _check_th4(params, config):
-    k, rs, hs = params["k"], tuple(params["rs"]), tuple(params["hs"])
-    convention = _convention(params, config, "corrected")
-    params = dict(params, convention=convention)
-    note = ""
-    if convention == "paper" and any(r == 1 for r in rs):
-        note = ("closed form is exact only for all r_j >= 2; with some "
-                "r_j = 1 the r=1 transform gap makes it differ (documented "
-                "mismatch, reported not asserted)")
-    return _two_sided(
-        "th4", ANCHORS["th4"], params,
-        lambda: sums.bernoulli_dedekind_sum(rs, hs, k, config.work_limit),
-        lambda: sums.bernoulli_dedekind_rhs(rs, hs, k, config.precision,
-                                            convention),
-        config, note=note)
-
-
-def _check_cor5(params, config):
-    k = params["k"]
-    r1, r2, h1, h2 = (params["r1"], params["r2"], params["h1"], params["h2"])
-    convention = _convention(params, config, "corrected")
-    params = dict(params, convention=convention)
-    note = ("cot^(r1-1) attached to h2 (transform-derived pairing; the "
-            "printed source pairing r1<->h1 fails for r1 != r2)")
-    if convention == "paper" and 1 in (r1, r2):
-        note += "; r = 1 closed-form gap applies"
-    return _two_sided(
-        "cor5", ANCHORS["cor5"], params,
-        lambda: sums.bernoulli_pair_sum(r1, r2, h1, h2, k),
-        lambda: sums.bernoulli_pair_rhs(r1, r2, h1, h2, k, config.precision,
-                                        convention),
-        config, note=note)
-
-
-def _check_th5(params, config):
-    k, hs = params["k"], tuple(params["hs"])
-    return _two_sided(
-        "th5", ANCHORS["th5"], params,
-        lambda: sums.hardy_A(hs, k, config.work_limit),
-        lambda: sums.hardy_A_rhs(hs, k, config.precision), config)
-
-
-def _check_cor6(params, config):
-    h1, h2, k = params["h1"], params["h2"], params["k"]
-    return _two_sided(
-        "cor6", ANCHORS["cor6"], params,
-        lambda: sums.alt_pair_sum(h1, h2, k),
-        lambda: sums.alt_pair_rhs(h1, h2, k, config.precision), config)
-
-
-def _check_cor7(params, config):
-    h, k = params["h"], params["k"]
-    return _two_sided(
-        "cor7", ANCHORS["cor7"], params,
-        lambda: sums.hardy_sum("s2", h, k),
-        lambda: sums.alt_pair_rhs(1, h, k, config.precision), config)
-
-
-def _check_th7(params, config):
-    k, hs = params["k"], tuple(params["hs"])
-    return _two_sided(
-        "th7", ANCHORS["th7"], params,
-        lambda: sums.hardy_B(hs, k, config.work_limit),
-        lambda: sums.hardy_B_rhs(hs, k, config.precision), config)
-
-
-def _check_cor8(params, config):
-    h1, h2, k = params["h1"], params["h2"], params["k"]
-    return _two_sided(
-        "cor8", ANCHORS["cor8"], params,
-        lambda: sums.floor_pair_sum(h1, h2, k, with_alt=True),
-        lambda: sums.tan_cot_pair_rhs(h1, h2, k, config.precision), config)
-
-
-def _check_cor9_s3(params, config):
-    h, k = params["h"], params["k"]
-    return _two_sided(
-        "cor9-s3", ANCHORS["cor9-s3"], params,
-        lambda: sums.hardy_sum("s3", h, k),
-        lambda: sums.tan_cot_pair_rhs(1, h, k, config.precision), config)
-
-
-def _check_cor9_s5(params, config):
-    h, k = params["h"], params["k"]
-    return _two_sided(
-        "cor9-s5", ANCHORS["cor9-s5"], params,
-        lambda: sums.hardy_sum("s5", h, k),
-        lambda: sums.tan_cot_pair_rhs(h, 1, k, config.precision), config)
-
-
-def _check_cor10(params, config):
-    h1, h2, k = params["h1"], params["h2"], params["k"]
-    return _two_sided(
-        "cor10", ANCHORS["cor10"], params,
-        lambda: sums.floor_pair_sum(h1, h2, k, with_alt=False),
-        lambda: sums.tan_cot_pair_rhs(h1, h2, k, config.precision), config)
-
-
-def _check_cor11(params, config):
-    h, k = params["h"], params["k"]
-    return _two_sided(
-        "cor11", ANCHORS["cor11"], params,
-        lambda: sums.hardy_sum("s1", h, k),
-        lambda: sums.tan_cot_pair_rhs(h, 1, k, config.precision), config)
-
-
-def _check_eq14(params, config):
-    h1, h2, k = params["h1"], params["h2"], params["k"]
-    return _two_sided(
-        "eq14", ANCHORS["eq14"], params,
-        lambda: sums.alt_sign_pair_sum(h1, h2, k),
-        lambda: sums.tan_pair_mean(h1, h2, k, config.precision), config,
-        note="exponent reduces each a*h_i mod k separately "
-             "(the transform-derived reading)")
-
-
-def _check_tan_sq(params, config):
-    k = params["k"]
-    return _two_sided(
-        "tan-sq", ANCHORS["tan-sq"], params,
-        lambda: k * k - k,
-        lambda: sums.tan_square_sum(k, config.precision), config)
-
-
-def _check_remark1(params, config):
+def _check_remark1(entry, params, config):
     h, k = params["h"], params["k"]
     bits = config.precision
     exact = sums.hardy_sum("s1", h, k)
@@ -397,378 +253,299 @@ def _check_remark1(params, config):
     with workprec(bits + 16):
         residual = max(abs(to_number(exact) - half), abs(to_number(exact) - full),
                        abs(half - full))
-    return build_report("remark1", ANCHORS["remark1"], params, exact, half,
+    return build_report(entry.id, entry.anchor, params, exact, half,
                         bits, config.tolerance_value(), residual=residual,
                         note=f"full-range form = {mpmath.nstr(full, 12)}; "
                              f"residual is the max over the three pairings")
 
 
-def _check_th9(params, config):
-    k, h1, h2 = params["k"], params["h1"], params["h2"]
-    s1, s2 = params["s1"], params["s2"]
-    lhs, rhs = zeta.mikolas_pair(s1, s2, h1, h2, k, config.precision)
-    return build_report("th9", ANCHORS["th9"], params, lhs, rhs,
+def _check_th9(entry, params, config):
+    lhs, rhs = zeta.mikolas_pair(params["s1"], params["s2"], params["h1"],
+                                 params["h2"], params["k"], config.precision)
+    return build_report(entry.id, entry.anchor, params, lhs, rhs,
                         config.precision, config.tolerance_value())
 
 
-def _odd_map_for(params, config):
-    return random_odd_map(params["k"], params["seed"])
-
-
-def _check_lemma3_a(params, config):
-    k = params["k"]
+def _check_lemma3_a(entry, params, config):
     terms = params.get("terms") or config.terms
     params = dict(params, terms=terms)
-    f = _odd_map_for(params, config)
+    f = random_odd_map(params["k"], params["seed"])
     bits = config.precision
     forms = zeta.series_forms(f, bits)
     partial, bound = zeta.series_partial(f, terms, bits)
-    return build_report("lemma3-a", ANCHORS["lemma3-a"], params,
+    return build_report(entry.id, entry.anchor, params,
                         forms.cot_form, partial, bits, tolerance=bound,
                         note=f"truncated series vs finite form; pass is "
                              f"against the tail bound k*max|f|/N = "
                              f"{mpmath.nstr(bound, 6)}")
 
 
-def _series_form_check(entry_id, params, config, pick):
-    f = _odd_map_for(params, config)
-    forms = zeta.series_forms(f, config.precision)
-    lhs, rhs = forms.cot_form, pick(forms)
-    return build_report(entry_id, ANCHORS[entry_id], params, lhs, rhs,
-                        config.precision, config.tolerance_value())
+def _series_form(field_name):
+    """Checker of one finite form of S(f) against the cot form."""
+    def check(entry, params, config):
+        f = random_odd_map(params["k"], params["seed"])
+        forms = zeta.series_forms(f, config.precision)
+        return build_report(entry.id, entry.anchor, params, forms.cot_form,
+                            getattr(forms, field_name), config.precision,
+                            config.tolerance_value())
+    return check
 
 
-def _check_lemma3_b(params, config):
-    return _series_form_check("lemma3-b", params, config,
-                              lambda fo: fo.spectral_form)
-
-
-def _check_lehmer(params, config):
-    return _series_form_check("lehmer-th8", params, config,
-                              lambda fo: fo.lehmer_form)
-
-
-def _check_cor12(params, config):
-    return _series_form_check("cor12", params, config,
-                              lambda fo: fo.zeta_form)
-
-
-def _check_gamma_dft(params, config):
+def _check_gamma_dft(entry, params, config):
     k = params["k"]
     bits = config.precision
     direct = dft(zeta.gamma_map(k, bits), bits)
-    closed = zeta.gamma_dft_map(k, bits)
-    return _map_check("gamma-dft", ANCHORS["gamma-dft"], params, direct,
-                      closed, config)
+    return _map_check(entry, params, direct, zeta.gamma_dft_map(k, bits),
+                      config)
 
 
-# --- validators -------------------------------------------------------------
+# --- the identities ---------------------------------------------------------
 
 
-def _v_pair(params):
-    k = _need_k(params)
-    _need_coprime(params, k, "h")
-
-
-def _v_pair2(params):
-    k = _need_k(params)
-    _need_coprime(params, k, "h1", "h2")
-
-
-def _v_seeded(params):
-    _need_k(params)
-
-
-def _v_th1(params):
-    k = _need_k(params)
-    m = params["m"]
-    if not 1 <= m <= 8:
-        raise OutOfRange(f"m must be in 1..8, got {m}")
-
-
-def _v_cor2(params):
-    _v_pair2(params)
-    if params["parity"] not in ("odd", "even"):
-        raise OutOfRange("parity must be 'odd' or 'even'")
-
-
-def _v_lemma1_ii(params):
-    _need_k(params)
-    if params["r"] < 1:
-        raise OutOfRange("r must be >= 1")
-
-
-def _v_k_even(params):
-    k = _need_k(params)
-    _need_parity(k, "even", "k")
-
-
-def _v_k_odd(params):
-    k = _need_k(params)
-    _need_parity(k, "odd", "k")
-
-
-def _v_lemma1_v(params):
-    _need_k(params)
-    if not zeta._to_s(params["s"]).real > 1:
-        raise OutOfRange("Re s must exceed 1")
-
-
-def _v_th2(params):
-    k = _need_k(params)
-    _need_all_coprime(params, k)
-
-
-def _v_th4(params):
-    k = _need_k(params)
-    rs, hs = params["rs"], params["hs"]
-    if len(rs) != len(hs):
-        raise OutOfRange("rs and hs must have the same length")
-    if any(r < 1 for r in rs):
-        raise OutOfRange("orders must be >= 1")
-    _need_parity(sum(rs), "even", "total order A")
-    _need_all_coprime(params, k)
-
-
-def _v_cor5(params):
-    k = _need_k(params)
-    if params["r1"] < 1 or params["r2"] < 1:
-        raise OutOfRange("orders must be >= 1")
-    _need_parity(params["r1"] + params["r2"], "even", "r1 + r2")
-    _need_coprime(params, k, "h1", "h2")
-
-
-def _v_th5(params):
-    k = _need_k(params)
-    _need_parity(k, "even", "k")
-    hs = params["hs"]
-    _need_parity(len(hs), "even", "m")
-    _need_parity(hs[0], "odd", "h1")
-    _need_all_coprime(params, k)
-
-
-def _v_cor6(params):
-    k = _need_k(params)
-    _need_parity(k, "even", "k")
-    _need_parity(params["h1"], "odd", "h1")
-    _need_coprime(params, k, "h1", "h2")
-
-
-def _v_cor7(params):
-    k = _need_k(params)
-    _need_parity(k, "even", "k")
-    _need_coprime(params, k, "h")
-
-
-def _v_th7(params):
-    k = _need_k(params)
-    _need_parity(k, "odd", "k")
-    _need_parity(len(params["hs"]), "even", "m")
-    _need_all_coprime(params, k)
-
-
-def _v_cor8(params):
-    k = _need_k(params)
-    _need_parity(k, "odd", "k")
-    _need_parity(params["h1"], "odd", "h1")
-    _need_coprime(params, k, "h1", "h2")
-
-
-def _v_cor9_s3(params):
-    k = _need_k(params)
-    _need_parity(k, "odd", "k")
-    _need_coprime(params, k, "h")
-
-
-def _v_cor9_s5(params):
-    _v_cor9_s3(params)
-    _need_parity(params["h"], "odd", "h")
-
-
-def _v_cor10(params):
-    k = _need_k(params)
-    _need_parity(k, "odd", "k")
-    _need_parity(params["h1"], "even", "h1")
-    _need_coprime(params, k, "h1", "h2")
-
-
-def _v_cor11(params):
-    k = _need_k(params)
-    _need_parity(k, "odd", "k")
-    _need_parity(params["h"], "even", "h")
-    _need_coprime(params, k, "h")
-
-
-def _v_eq14(params):
-    k = _need_k(params)
-    _need_parity(k, "odd", "k")
-    _need_coprime(params, k, "h1", "h2")
-
-
-def _v_tan_sq(params):
-    k = _need_k(params)
-    _need_parity(k, "odd", "k")
-
-
-def _v_th9(params):
-    k = _need_k(params)
-    _need_coprime(params, k, "h1", "h2")
-    for name in ("s1", "s2"):
-        if not zeta._to_s(params[name]).real > 1:
-            raise OutOfRange(f"Re {name} must exceed 1")
-
-
-ANCHORS = {
-    "eq1": "s(h,k) = (1/4k) sum_{a=1}^{k-1} cot(pi a/k) cot(pi a h/k)",
-    "eq2": "s(h,k) = (1/2pi) sum_{r>=1, k !| r} cot(pi r h/k)/r",
-    "parseval": "sum_a f1(a) f2(-a) = (1/k) sum_a DFT[f1](a) DFT[f2](a)",
-    "th1": ("sum over a_1+...+a_m = 0 (mod k) of prod f_j(a_j h_j) "
-            "= (1/k) sum_a prod DFT[f_j](a h_j')"),
-    "cor1": ("sum_a f1(a h1) f2(a h2) "
-             "= (1/k) sum_a DFT[f1](-a h2) DFT[f2](a h1)"),
-    "cor2": ("sum_a f1(a h1) f2(a h2) "
-             "= ((-1)^s/k) sum_a DFT[f1](a h2) DFT[f2](a h1)"),
-    "lemma1-i": ("DFT[((n/k))](n) = (i/2) cot(pi n/k) off multiples of k, "
-                 "0 at them"),
-    "lemma1-ii": ("DFT[B_r({n/k})](n) = r k^(1-r) (i/2)^r "
-                  "cot^(r-1)(pi n/k) off multiples, B_r k^(1-r) at them"),
-    "lemma1-iii": ("DFT[(-1)^n ((n/k))](n) = -(i/2) tan(pi n/k), "
-                   "0 at n = k/2 (k even)"),
-    "lemma1-iv": "DFT[(-1)^(n mod k), 0 at k|n](n) = i tan(pi n/k) (k odd)",
-    "lemma1-v": ("DFT[F(s, n/k)](n) = k^(1-s) zeta(s,{n/k}) off multiples, "
-                 "k^(1-s) zeta(s) at them"),
-    "th2": ("zero-sum sawtooth product sum = ((-1)^(m/2)/(2^m k)) "
-            "sum_{a=1}^{k-1} prod_j cot(pi a h_j'/k)"),
-    "cor3": ("sum_{a=1}^{k-1} ((a h1/k))((a h2/k)) "
-             "= (1/4k) sum_a cot(pi a h1/k) cot(pi a h2/k)"),
-    "th4": ("zero-sum Bernoulli product sum = prod_j B_{r_j} / k^(A-m+1) + "
-            "((-1)^(A/2) prod_j r_j/(2^A k^(A-m+1))) "
-            "sum_a prod_j cot^(r_j-1)(pi a h_j'/k), A = sum r_j even"),
-    "cor5": ("sum_{a mod k} B_r1({a h1/k}) B_r2({a h2/k}) = "
-             "B_r1 B_r2/k^(A-1) + ((-1)^((r1-r2)/2) r1 r2/(2^A k^(A-1))) "
-             "sum_a cot^(r1-1)(pi a h2/k) cot^(r2-1)(pi a h1/k)"),
-    "th5": ("A(h_1,...,h_m; k) = ((-1)^(m/2-1)/(2^m k)) "
-            "sum_{a != k/2} tan(pi a h_1'/k) prod_{j>=2} cot(pi a h_j'/k)"),
-    "cor6": ("sum_{a=1}^{k-1} (-1)^a ((a h1/k))((a h2/k)) = -(1/4k) "
-             "sum_{a != k/2} tan(pi a h2/k) cot(pi a h1/k)"),
-    "cor7": "s2(h,k) = -(1/4k) sum_{a != k/2} tan(pi a h/k) cot(pi a/k)",
-    "th7": ("B(h_1,...,h_m; k) = ((-1)^(m/2)/(2^(m-1) k)) "
-            "sum_{a=1}^{k-1} tan(pi a h_1'/k) prod_{j>=2} cot(pi a h_j'/k)"),
-    "cor8": ("sum_{a=1}^{k-1} (-1)^(a + floor(a h1/k)) ((a h2/k)) "
-             "= (1/2k) sum_a tan(pi a h2/k) cot(pi a h1/k)"),
-    "cor9-s3": "s3(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a h/k) cot(pi a/k)",
-    "cor9-s5": "s5(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a/k) cot(pi a h/k)",
-    "cor10": ("sum_{a=1}^{k-1} (-1)^floor(a h1/k) ((a h2/k)) "
-              "= (1/2k) sum_a tan(pi a h2/k) cot(pi a h1/k)"),
-    "cor11": "s1(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a/k) cot(pi a h/k)",
-    "eq14": ("sum_{a=1}^{k-1} (-1)^((a h1 mod k)+(a h2 mod k)) "
-             "= (1/k) sum_a tan(pi a h1/k) tan(pi a h2/k)"),
-    "tan-sq": "sum_{a=1}^{k-1} tan^2(pi a/k) = k^2 - k (k odd)",
-    "remark1": ("s1(h,k) = (1/k) sum_{j=1}^{(k-1)/2} tan(pi j/k) "
-                "cot(pi h j/k) = full-range form"),
-    "th9": ("sum_{a=1}^{k-1} zeta(s1,{a h1/k}) zeta(s2,{a h2/k}) = "
-            "(k^(s1+s2-1)-1) zeta(s1) zeta(s2) + k^(s1+s2-1) "
-            "sum_a F(s1, a h2/k) F(s2, -a h1/k)"),
-    "lemma3-a": ("S(f) = sum_{r>=1} f(r)/r "
-                 "= (pi/2k) sum_{r=1}^{k-1} f(r) cot(pi r/k)"),
-    "lemma3-b": ("(pi/2k) sum_r f(r) cot(pi r/k) "
-                 "= -(pi i/k^2) sum_{r=1}^{k-1} r DFT[f](r)"),
-    "lehmer-th8": ("S(f) = sum_{r=1}^{k} f(r) gamma(r,k) "
-                   "(zero period-sum required)"),
-    "cor12": "S(f) = -(1/k) sum_{r=1}^{k-1} DFT[f](r) F(1, -r/k)",
-    "gamma-dft": ("DFT[r -> gamma(r,k)](n) = F(1, -n/k) off multiples of k, "
-                  "Euler's constant at them"),
-}
-
-
-def _entry(id, kinds, defaults, precondition, validate, check):
-    return IdentityEntry(id, ANCHORS[id], kinds, defaults, precondition,
-                         validate, check)
-
+_PAIR = {"k": "int", "h1": "int", "h2": "int"}
+_ONE = {"k": "int", "h": "int"}
+_TUPLE = {"k": "int", "hs": "ints"}
+_SEEDED = {"k": "int", "seed": "int"}
+_CONVENTION = "choice:paper,corrected"
 
 REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
-    _entry("eq1", {"h": "int", "k": "int"}, {},
-           "gcd(h,k) = 1, k >= 1", _v_pair, _check_eq1),
-    _entry("eq2", {"h": "int", "k": "int", "terms": "int"}, {"terms": None},
-           "gcd(h,k) = 1; pass measured against the computed tail bound",
-           _v_pair, _check_eq2),
-    _entry("parseval", {"k": "int", "seed": "int"}, {"seed": 1},
-           "k >= 1; seeded random exact maps", _v_seeded, _check_parseval),
-    _entry("th1", {"k": "int", "m": "int", "seed": "int"},
-           {"m": 2, "seed": 1},
-           "k >= 1, 1 <= m <= 8; seeded maps and coprime multipliers",
-           _v_th1, _check_th1),
-    _entry("cor1", {"k": "int", "h1": "int", "h2": "int", "seed": "int"},
-           {"seed": 1}, "gcd(h1,k) = gcd(h2,k) = 1", _v_pair2, _check_cor1),
-    _entry("cor2", {"k": "int", "h1": "int", "h2": "int", "seed": "int",
-                    "parity": "choice:odd,even"},
-           {"seed": 1, "parity": "odd"},
-           "gcd(h_i,k) = 1; both maps share the declared parity",
-           _v_cor2, _check_cor2),
-    _entry("lemma1-i", {"k": "int"}, {}, "k >= 1", _v_seeded, _check_lemma1_i),
-    _entry("lemma1-ii", {"k": "int", "r": "int",
-                         "convention": "choice:paper,corrected"},
-           {"r": 2, "convention": None},
-           "k >= 1, r >= 1; r = 1 exact only under convention=corrected",
-           _v_lemma1_ii, _check_lemma1_ii),
-    _entry("lemma1-iii", {"k": "int"}, {}, "k even", _v_k_even,
-           _check_lemma1_iii),
-    _entry("lemma1-iv", {"k": "int"}, {}, "k odd", _v_k_odd,
-           _check_lemma1_iv),
-    _entry("lemma1-v", {"k": "int", "s": "s"}, {"s": "2"},
-           "k >= 1, Re s > 1", _v_lemma1_v, _check_lemma1_v),
-    _entry("th2", {"k": "int", "hs": "ints"}, {},
-           "all gcd(h_j,k) = 1; even m compares with the cot form, odd m "
-           "checks the exact zero", _v_th2, _check_th2),
-    _entry("cor3", {"k": "int", "h1": "int", "h2": "int"}, {},
-           "gcd(h_i,k) = 1", _v_pair2, _check_cor3),
-    _entry("th4", {"k": "int", "rs": "ints", "hs": "ints",
-                   "convention": "choice:paper,corrected"},
-           {"convention": None},
-           "A = sum r_j even; all gcd(h_j,k) = 1", _v_th4, _check_th4),
-    _entry("cor5", {"k": "int", "r1": "int", "r2": "int", "h1": "int",
-                    "h2": "int", "convention": "choice:paper,corrected"},
-           {"convention": None},
-           "r1 + r2 even; gcd(h_i,k) = 1", _v_cor5, _check_cor5),
-    _entry("th5", {"k": "int", "hs": "ints"}, {},
-           "k even, m even, h1 odd, all gcd(h_j,k) = 1", _v_th5, _check_th5),
-    _entry("cor6", {"k": "int", "h1": "int", "h2": "int"}, {},
-           "k even, h1 odd, gcd(h_i,k) = 1", _v_cor6, _check_cor6),
-    _entry("cor7", {"k": "int", "h": "int"}, {},
-           "k even, gcd(h,k) = 1", _v_cor7, _check_cor7),
-    _entry("th7", {"k": "int", "hs": "ints"}, {},
-           "k odd, m even, all gcd(h_j,k) = 1", _v_th7, _check_th7),
-    _entry("cor8", {"k": "int", "h1": "int", "h2": "int"}, {},
-           "k odd, h1 odd, gcd(h_i,k) = 1", _v_cor8, _check_cor8),
-    _entry("cor9-s3", {"k": "int", "h": "int"}, {},
-           "k odd, gcd(h,k) = 1", _v_cor9_s3, _check_cor9_s3),
-    _entry("cor9-s5", {"k": "int", "h": "int"}, {},
-           "k odd, h odd, gcd(h,k) = 1", _v_cor9_s5, _check_cor9_s5),
-    _entry("cor10", {"k": "int", "h1": "int", "h2": "int"}, {},
-           "k odd, h1 even, gcd(h_i,k) = 1", _v_cor10, _check_cor10),
-    _entry("cor11", {"k": "int", "h": "int"}, {},
-           "k odd, h even, gcd(h,k) = 1", _v_cor11, _check_cor11),
-    _entry("eq14", {"k": "int", "h1": "int", "h2": "int"}, {},
-           "k odd, gcd(h_i,k) = 1", _v_eq14, _check_eq14),
-    _entry("tan-sq", {"k": "int"}, {}, "k odd", _v_tan_sq, _check_tan_sq),
-    _entry("remark1", {"k": "int", "h": "int"}, {},
-           "k odd, h even, gcd(h,k) = 1", _v_cor11, _check_remark1),
-    _entry("th9", {"k": "int", "h1": "int", "h2": "int", "s1": "s",
-                   "s2": "s"}, {"s1": "2", "s2": "3"},
-           "gcd(h_i,k) = 1, Re s1 > 1, Re s2 > 1", _v_th9, _check_th9),
-    _entry("lemma3-a", {"k": "int", "seed": "int", "terms": "int"},
-           {"seed": 1, "terms": None},
-           "seeded random odd map; pass against the series tail bound",
-           _v_seeded, _check_lemma3_a),
-    _entry("lemma3-b", {"k": "int", "seed": "int"}, {"seed": 1},
-           "seeded random odd map", _v_seeded, _check_lemma3_b),
-    _entry("lehmer-th8", {"k": "int", "seed": "int"}, {"seed": 1},
-           "seeded random odd map (zero period-sum holds)", _v_seeded,
-           _check_lehmer),
-    _entry("cor12", {"k": "int", "seed": "int"}, {"seed": 1},
-           "seeded random odd map", _v_seeded, _check_cor12),
-    _entry("gamma-dft", {"k": "int"}, {}, "k >= 1", _v_seeded,
-           _check_gamma_dft),
+    IdentityEntry(
+        "eq1", "s(h,k) = (1/4k) sum_{a=1}^{k-1} cot(pi a/k) cot(pi a h/k)",
+        {"h": "int", "k": "int"}, "gcd(h,k) = 1, k >= 1", (_coprime("h"),),
+        exact=lambda c, h, k: sums.dedekind_sum(h, k),
+        closed=lambda c, h, k: sums.dedekind_cot(h, k, c.precision)),
+    IdentityEntry(
+        "eq2", "s(h,k) = (1/2pi) sum_{r>=1, k !| r} cot(pi r h/k)/r",
+        {"h": "int", "k": "int", "terms": "int"},
+        "gcd(h,k) = 1; pass measured against the computed tail bound",
+        (_coprime("h"),), {"terms": None}, checker=_check_eq2),
+    IdentityEntry(
+        "parseval", "sum_a f1(a) f2(-a) = (1/k) sum_a DFT[f1](a) DFT[f2](a)",
+        _SEEDED, "k >= 1; seeded random exact maps", defaults={"seed": 1},
+        checker=_check_parseval),
+    IdentityEntry(
+        "th1", "sum over a_1+...+a_m = 0 (mod k) of prod f_j(a_j h_j) "
+               "= (1/k) sum_a prod DFT[f_j](a h_j')",
+        {"k": "int", "m": "int", "seed": "int"},
+        "k >= 1, 1 <= m <= 8; seeded maps and coprime multipliers",
+        (_require(lambda p: 1 <= p["m"] <= 8, OutOfRange,
+                  "m must be in 1..8, got {m}"),),
+        {"m": 2, "seed": 1}, checker=_check_th1),
+    IdentityEntry(
+        "cor1", "sum_a f1(a h1) f2(a h2) "
+                "= (1/k) sum_a DFT[f1](-a h2) DFT[f2](a h1)",
+        {**_PAIR, "seed": "int"}, "gcd(h1,k) = gcd(h2,k) = 1",
+        (_coprime("h1", "h2"),), {"seed": 1}, checker=_check_cor1_cor2),
+    IdentityEntry(
+        "cor2", "sum_a f1(a h1) f2(a h2) "
+                "= ((-1)^s/k) sum_a DFT[f1](a h2) DFT[f2](a h1)",
+        {**_PAIR, "seed": "int", "parity": "choice:odd,even"},
+        "gcd(h_i,k) = 1; both maps share the declared parity",
+        (_coprime("h1", "h2"),
+         _require(lambda p: p["parity"] in ("odd", "even"), OutOfRange,
+                  "parity must be 'odd' or 'even'")),
+        {"seed": 1, "parity": "odd"}, checker=_check_cor1_cor2),
+    IdentityEntry(
+        "lemma1-i", "DFT[((n/k))](n) = (i/2) cot(pi n/k) off multiples of k, "
+                    "0 at them",
+        {"k": "int"}, "k >= 1", checker=_lemma1("sawtooth")),
+    IdentityEntry(
+        "lemma1-ii", "DFT[B_r({n/k})](n) = r k^(1-r) (i/2)^r "
+                     "cot^(r-1)(pi n/k) off multiples, B_r k^(1-r) at them",
+        {"k": "int", "r": "int", "convention": _CONVENTION},
+        "k >= 1, r >= 1; r = 1 exact only under convention=corrected",
+        (_require(lambda p: p["r"] >= 1, OutOfRange, "r must be >= 1"),),
+        {"r": 2, "convention": None}, checker=_lemma1("bernoulli"),
+        note=lambda p: (
+            "stated closed form omits the constant -1/2 off multiples of k "
+            "for r = 1; residual reported, not asserted"
+            if p["r"] == 1 and p["convention"] == "paper" else "")),
+    IdentityEntry(
+        "lemma1-iii", "DFT[(-1)^n ((n/k))](n) = -(i/2) tan(pi n/k), "
+                      "0 at n = k/2 (k even)",
+        {"k": "int"}, "k even", (_K_EVEN,), checker=_lemma1("alt-sawtooth")),
+    IdentityEntry(
+        "lemma1-iv",
+        "DFT[(-1)^(n mod k), 0 at k|n](n) = i tan(pi n/k) (k odd)",
+        {"k": "int"}, "k odd", (_K_ODD,), checker=_lemma1("alt-sign")),
+    IdentityEntry(
+        "lemma1-v", "DFT[F(s, n/k)](n) = k^(1-s) zeta(s,{n/k}) off "
+                    "multiples, k^(1-s) zeta(s) at them",
+        {"k": "int", "s": "s"}, "k >= 1, Re s > 1", (_re_above_one("s"),),
+        {"s": "2"}, checker=_lemma1("periodic-zeta")),
+    IdentityEntry(
+        "th2", "zero-sum sawtooth product sum = ((-1)^(m/2)/(2^m k)) "
+               "sum_{a=1}^{k-1} prod_j cot(pi a h_j'/k)",
+        _TUPLE, "all gcd(h_j,k) = 1; even m compares with the cot form, odd "
+                "m checks the exact zero",
+        (_all_coprime,), checker=_check_th2),
+    IdentityEntry(
+        "cor3", "sum_{a=1}^{k-1} ((a h1/k))((a h2/k)) "
+                "= (1/4k) sum_a cot(pi a h1/k) cot(pi a h2/k)",
+        _PAIR, "gcd(h_i,k) = 1", (_coprime("h1", "h2"),),
+        exact=lambda c, k, h1, h2: sums.homogeneous_pair_sum(h1, h2, k),
+        closed=lambda c, k, h1, h2: sums.homogeneous_pair_cot(
+            h1, h2, k, c.precision)),
+    IdentityEntry(
+        "th4", "zero-sum Bernoulli product sum = prod_j B_{r_j} / k^(A-m+1) "
+               "+ ((-1)^(A/2) prod_j r_j/(2^A k^(A-m+1))) "
+               "sum_a prod_j cot^(r_j-1)(pi a h_j'/k), A = sum r_j even",
+        {"k": "int", "rs": "ints", "hs": "ints", "convention": _CONVENTION},
+        "A = sum r_j even; all gcd(h_j,k) = 1",
+        (_require(lambda p: len(p["rs"]) == len(p["hs"]), OutOfRange,
+                  "rs and hs must have the same length"),
+         _require(lambda p: all(r >= 1 for r in p["rs"]), OutOfRange,
+                  "orders must be >= 1"),
+         _parity("total order A", "even", lambda p: sum(p["rs"])),
+         _all_coprime),
+        {"convention": None},
+        exact=lambda c, k, rs, hs, convention: sums.bernoulli_dedekind_sum(
+            rs, hs, k, c.work_limit),
+        closed=lambda c, k, rs, hs, convention: sums.bernoulli_dedekind_rhs(
+            rs, hs, k, c.precision, convention),
+        note=lambda p: (
+            "closed form is exact only for all r_j >= 2; with some r_j = 1 "
+            "the r=1 transform gap makes it differ (documented mismatch, "
+            "reported not asserted)"
+            if p["convention"] == "paper" and 1 in p["rs"] else "")),
+    IdentityEntry(
+        "cor5", "sum_{a mod k} B_r1({a h1/k}) B_r2({a h2/k}) = "
+                "B_r1 B_r2/k^(A-1) + ((-1)^((r1-r2)/2) r1 r2/(2^A k^(A-1))) "
+                "sum_a cot^(r1-1)(pi a h2/k) cot^(r2-1)(pi a h1/k)",
+        {"k": "int", "r1": "int", "r2": "int", "h1": "int", "h2": "int",
+         "convention": _CONVENTION},
+        "r1 + r2 even; gcd(h_i,k) = 1",
+        (_require(lambda p: min(p["r1"], p["r2"]) >= 1, OutOfRange,
+                  "orders must be >= 1"),
+         _parity("r1 + r2", "even", lambda p: p["r1"] + p["r2"]),
+         _coprime("h1", "h2")),
+        {"convention": None},
+        exact=lambda c, k, r1, r2, h1, h2, convention: sums.bernoulli_pair_sum(
+            r1, r2, h1, h2, k),
+        closed=lambda c, k, r1, r2, h1, h2, convention: (
+            sums.bernoulli_pair_rhs(r1, r2, h1, h2, k, c.precision,
+                                    convention)),
+        note=lambda p: (
+            "cot^(r1-1) attached to h2 (transform-derived pairing; the "
+            "printed source pairing r1<->h1 fails for r1 != r2)"
+            + ("; r = 1 closed-form gap applies"
+               if p["convention"] == "paper" and 1 in (p["r1"], p["r2"])
+               else ""))),
+    IdentityEntry(
+        "th5", "A(h_1,...,h_m; k) = ((-1)^(m/2-1)/(2^m k)) "
+               "sum_{a != k/2} tan(pi a h_1'/k) prod_{j>=2} cot(pi a h_j'/k)",
+        _TUPLE, "k even, m even, h1 odd, all gcd(h_j,k) = 1",
+        (_K_EVEN, _M_EVEN, _parity("h1", "odd", lambda p: p["hs"][0]),
+         _all_coprime),
+        exact=lambda c, k, hs: sums.hardy_A(hs, k, c.work_limit),
+        closed=lambda c, k, hs: sums.hardy_A_rhs(hs, k, c.precision)),
+    IdentityEntry(
+        "cor6", "sum_{a=1}^{k-1} (-1)^a ((a h1/k))((a h2/k)) = -(1/4k) "
+                "sum_{a != k/2} tan(pi a h2/k) cot(pi a h1/k)",
+        _PAIR, "k even, h1 odd, gcd(h_i,k) = 1",
+        (_K_EVEN, _parity("h1", "odd"), _coprime("h1", "h2")),
+        exact=lambda c, k, h1, h2: sums.alt_pair_sum(h1, h2, k),
+        closed=lambda c, k, h1, h2: sums.alt_pair_rhs(h1, h2, k,
+                                                      c.precision)),
+    IdentityEntry(
+        "cor7", "s2(h,k) = -(1/4k) sum_{a != k/2} tan(pi a h/k) cot(pi a/k)",
+        _ONE, "k even, gcd(h,k) = 1", (_K_EVEN, _coprime("h")),
+        exact=lambda c, k, h: sums.hardy_sum("s2", h, k),
+        closed=lambda c, k, h: sums.alt_pair_rhs(1, h, k, c.precision)),
+    IdentityEntry(
+        "th7", "B(h_1,...,h_m; k) = ((-1)^(m/2)/(2^(m-1) k)) "
+               "sum_{a=1}^{k-1} tan(pi a h_1'/k) prod_{j>=2} cot(pi a h_j'/k)",
+        _TUPLE, "k odd, m even, all gcd(h_j,k) = 1",
+        (_K_ODD, _M_EVEN, _all_coprime),
+        exact=lambda c, k, hs: sums.hardy_B(hs, k, c.work_limit),
+        closed=lambda c, k, hs: sums.hardy_B_rhs(hs, k, c.precision)),
+    IdentityEntry(
+        "cor8", "sum_{a=1}^{k-1} (-1)^(a + floor(a h1/k)) ((a h2/k)) "
+                "= (1/2k) sum_a tan(pi a h2/k) cot(pi a h1/k)",
+        _PAIR, "k odd, h1 odd, gcd(h_i,k) = 1",
+        (_K_ODD, _parity("h1", "odd"), _coprime("h1", "h2")),
+        exact=lambda c, k, h1, h2: sums.floor_pair_sum(h1, h2, k,
+                                                       with_alt=True),
+        closed=lambda c, k, h1, h2: sums.tan_cot_pair_rhs(h1, h2, k,
+                                                          c.precision)),
+    IdentityEntry(
+        "cor9-s3", "s3(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a h/k) cot(pi a/k)",
+        _ONE, "k odd, gcd(h,k) = 1", (_K_ODD, _coprime("h")),
+        exact=lambda c, k, h: sums.hardy_sum("s3", h, k),
+        closed=lambda c, k, h: sums.tan_cot_pair_rhs(1, h, k, c.precision)),
+    IdentityEntry(
+        "cor9-s5", "s5(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a/k) cot(pi a h/k)",
+        _ONE, "k odd, h odd, gcd(h,k) = 1",
+        (_K_ODD, _coprime("h"), _parity("h", "odd")),
+        exact=lambda c, k, h: sums.hardy_sum("s5", h, k),
+        closed=lambda c, k, h: sums.tan_cot_pair_rhs(h, 1, k, c.precision)),
+    IdentityEntry(
+        "cor10", "sum_{a=1}^{k-1} (-1)^floor(a h1/k) ((a h2/k)) "
+                 "= (1/2k) sum_a tan(pi a h2/k) cot(pi a h1/k)",
+        _PAIR, "k odd, h1 even, gcd(h_i,k) = 1",
+        (_K_ODD, _parity("h1", "even"), _coprime("h1", "h2")),
+        exact=lambda c, k, h1, h2: sums.floor_pair_sum(h1, h2, k,
+                                                       with_alt=False),
+        closed=lambda c, k, h1, h2: sums.tan_cot_pair_rhs(h1, h2, k,
+                                                          c.precision)),
+    IdentityEntry(
+        "cor11", "s1(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a/k) cot(pi a h/k)",
+        _ONE, "k odd, h even, gcd(h,k) = 1",
+        (_K_ODD, _parity("h", "even"), _coprime("h")),
+        exact=lambda c, k, h: sums.hardy_sum("s1", h, k),
+        closed=lambda c, k, h: sums.tan_cot_pair_rhs(h, 1, k, c.precision)),
+    IdentityEntry(
+        "eq14", "sum_{a=1}^{k-1} (-1)^((a h1 mod k)+(a h2 mod k)) "
+                "= (1/k) sum_a tan(pi a h1/k) tan(pi a h2/k)",
+        _PAIR, "k odd, gcd(h_i,k) = 1", (_K_ODD, _coprime("h1", "h2")),
+        exact=lambda c, k, h1, h2: sums.alt_sign_pair_sum(h1, h2, k),
+        closed=lambda c, k, h1, h2: sums.tan_pair_mean(h1, h2, k,
+                                                       c.precision),
+        note="exponent reduces each a*h_i mod k separately "
+             "(the transform-derived reading)"),
+    IdentityEntry(
+        "tan-sq", "sum_{a=1}^{k-1} tan^2(pi a/k) = k^2 - k (k odd)",
+        {"k": "int"}, "k odd", (_K_ODD,),
+        exact=lambda c, k: k * k - k,
+        closed=lambda c, k: sums.tan_square_sum(k, c.precision)),
+    IdentityEntry(
+        "remark1", "s1(h,k) = (1/k) sum_{j=1}^{(k-1)/2} tan(pi j/k) "
+                   "cot(pi h j/k) = full-range form",
+        _ONE, "k odd, h even, gcd(h,k) = 1",
+        (_K_ODD, _parity("h", "even"), _coprime("h")),
+        checker=_check_remark1),
+    IdentityEntry(
+        "th9", "sum_{a=1}^{k-1} zeta(s1,{a h1/k}) zeta(s2,{a h2/k}) = "
+               "(k^(s1+s2-1)-1) zeta(s1) zeta(s2) + k^(s1+s2-1) "
+               "sum_a F(s1, a h2/k) F(s2, -a h1/k)",
+        {**_PAIR, "s1": "s", "s2": "s"},
+        "gcd(h_i,k) = 1, Re s1 > 1, Re s2 > 1",
+        (_coprime("h1", "h2"), _re_above_one("s1"), _re_above_one("s2")),
+        {"s1": "2", "s2": "3"}, checker=_check_th9),
+    IdentityEntry(
+        "lemma3-a", "S(f) = sum_{r>=1} f(r)/r "
+                    "= (pi/2k) sum_{r=1}^{k-1} f(r) cot(pi r/k)",
+        {**_SEEDED, "terms": "int"},
+        "seeded random odd map; pass against the series tail bound",
+        defaults={"seed": 1, "terms": None}, checker=_check_lemma3_a),
+    IdentityEntry(
+        "lemma3-b", "(pi/2k) sum_r f(r) cot(pi r/k) "
+                    "= -(pi i/k^2) sum_{r=1}^{k-1} r DFT[f](r)",
+        _SEEDED, "seeded random odd map", defaults={"seed": 1},
+        checker=_series_form("spectral_form")),
+    IdentityEntry(
+        "lehmer-th8", "S(f) = sum_{r=1}^{k} f(r) gamma(r,k) "
+                      "(zero period-sum required)",
+        _SEEDED, "seeded random odd map (zero period-sum holds)",
+        defaults={"seed": 1}, checker=_series_form("lehmer_form")),
+    IdentityEntry(
+        "cor12", "S(f) = -(1/k) sum_{r=1}^{k-1} DFT[f](r) F(1, -r/k)",
+        _SEEDED, "seeded random odd map", defaults={"seed": 1},
+        checker=_series_form("zeta_form")),
+    IdentityEntry(
+        "gamma-dft", "DFT[r -> gamma(r,k)](n) = F(1, -n/k) off multiples of "
+                     "k, Euler's constant at them",
+        {"k": "int"}, "k >= 1", checker=_check_gamma_dft),
 ]}
 
 
