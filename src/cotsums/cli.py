@@ -19,7 +19,7 @@ import mpmath
 
 from . import sums, trig, zeta
 from .config import RunConfig
-from .errors import CotsumsError
+from .errors import CotsumsError, OutOfRange
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
 from .hp import fmt
 from .registry import REGISTRY, verify
@@ -31,6 +31,15 @@ FAIL_EXIT = 1
 
 # ---------------------------------------------------------------------------
 # compute targets
+
+
+def _rational(text: str) -> Fraction:
+    """A --x argument such as 1/3, refused when its denominator is zero."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise OutOfRange(f"x must have a nonzero denominator, got {text}"
+                         ) from None
 
 
 def _t_dedekind(a, cfg):
@@ -100,15 +109,15 @@ def _t_gamma_rk(a, cfg):
 
 
 def _t_digamma(a, cfg):
-    return zeta.digamma(Fraction(a.x), cfg.precision), False, ""
+    return zeta.digamma(_rational(a.x), cfg.precision), False, ""
 
 
 def _t_hurwitz(a, cfg):
-    return zeta.hurwitz_zeta(a.s, Fraction(a.x), cfg.precision), False, ""
+    return zeta.hurwitz_zeta(a.s, _rational(a.x), cfg.precision), False, ""
 
 
 def _t_periodic_zeta(a, cfg):
-    return zeta.periodic_zeta(a.s, Fraction(a.x), cfg.precision), False, ""
+    return zeta.periodic_zeta(a.s, _rational(a.x), cfg.precision), False, ""
 
 
 def _t_cot(a, cfg):
@@ -134,7 +143,7 @@ def _t_bernoulli_poly(a, cfg):
 
 
 def _t_sawtooth(a, cfg):
-    return sawtooth(Fraction(a.x)), True, ""
+    return sawtooth(_rational(a.x)), True, ""
 
 
 def _t_mod_inverse(a, cfg):

@@ -17,7 +17,7 @@ from operator import mul
 import mpmath
 from mpmath import mpf, workprec
 
-from .errors import PoleAtHalfPeriod, PoleAtIntegerMultiple
+from .errors import OutOfRange, PoleAtHalfPeriod, PoleAtIntegerMultiple
 from .hp import DEFAULT_BITS, guarded
 
 # factor kinds of trig_product_sum
@@ -59,8 +59,14 @@ def cot_poly(m: int) -> CotPoly:
     return _COT_POLYS[m]
 
 
+def _require_period(k: int) -> None:
+    if k < 1:
+        raise OutOfRange(f"k must be >= 1, got {k}")
+
+
 def cot_at(a: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
-    """cot(pi*a/k), argument reduced mod k first."""
+    """cot(pi*a/k), argument reduced mod k first; k >= 1."""
+    _require_period(k)
     a %= k
     if a == 0:
         raise PoleAtIntegerMultiple(f"cot(pi*{a}/{k}) has a pole: k | a")
@@ -70,7 +76,8 @@ def cot_at(a: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
 
 
 def tan_at(a: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
-    """tan(pi*a/k); a = k/2 (mod k) is a pole when k is even."""
+    """tan(pi*a/k), k >= 1; a = k/2 (mod k) is a pole when k is even."""
+    _require_period(k)
     a %= k
     if k % 2 == 0 and a == k // 2:
         raise PoleAtHalfPeriod(f"tan(pi*{a}/{k}) is undefined")
@@ -89,6 +96,7 @@ def cot_deriv_at(m: int, a: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
 @lru_cache(maxsize=256)
 def cot_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
     """(cot(pi*a/k))_{a=1..k-1}, built symmetrically so table[k-a] = -table[a]."""
+    _require_period(k)
     with workprec(guarded(bits, k)):
         half = {}
         for a in range(1, k // 2 + 1):
@@ -103,6 +111,7 @@ def cot_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
 @lru_cache(maxsize=256)
 def tan_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
     """(tan(pi*a/k))_{a=1..k-1}; the k/2 slot of an even k holds None."""
+    _require_period(k)
     with workprec(guarded(bits, k)):
         half = {}
         for a in range(1, k // 2 + 1):
@@ -149,6 +158,7 @@ def trig_product_sum(factors, k: int, exclusions=(),
     must cover every pole (n = 0 for cot, n = k/2 for tan with k even); an
     uncovered pole raises.
     """
+    _require_period(k)
     if residues is None:
         residues = range(1, k)
     idx = residues

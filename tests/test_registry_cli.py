@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -176,3 +179,23 @@ class TestCli:
                      "--precision", "64"])
         assert code == 2
         assert "tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,condition", [
+    (["cot", "--a", "1", "--k", "0"], "k must be >= 1"),
+    (["cot", "--a", "1", "--k", "-3"], "k must be >= 1"),
+    (["tan", "--a", "1", "--k", "-3"], "k must be >= 1"),
+    (["digamma", "--x", "1/0"], "nonzero denominator"),
+    (["hurwitz", "--x", "1/0"], "nonzero denominator"),
+    (["periodic-zeta", "--x", "1/0"], "nonzero denominator"),
+    (["sawtooth", "--x", "1/0"], "nonzero denominator"),
+])
+def test_compute_refuses_without_traceback(argv, condition):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "cotsums.cli", "compute",
+                           *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert condition in proc.stderr
