@@ -187,9 +187,7 @@ def spectral_product_sum(fs, hs, bits: int = DEFAULT_BITS) -> mpc:
 def parseval_sides(f1: PeriodicMap, f2: PeriodicMap, bits: int = DEFAULT_BITS):
     """Both sides of sum_a f1(a) f2(-a) = (1/k) sum_a f1hat(a) f2hat(a)."""
     k = _require_same_period(f1, f2)
-    lhs = 0
-    for a in range(k):
-        lhs = lhs + f1.values[a] * f2.values[-a % k]
+    lhs = constrained_product_sum([f1, f2], (1, 1))
     h1, h2 = dft(f1, bits), dft(f2, bits)
     with workprec(guarded(bits, k)):
         rhs = sum((h1.values[a] * h2.values[a] for a in range(k)), mpc(0)) / k

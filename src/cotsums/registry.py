@@ -199,8 +199,7 @@ def _check_cor1_cor2(entry, params, config):
     f1, f2 = _seeded_maps(k, seed, 2, kind=parity or "rational")
     bits = config.precision
     sign, at = (-1 if parity == "odd" else 1), (h2 if parity else -h2)
-    lhs = sum((f1.values[(a * h1) % k] * f2.values[(a * h2) % k]
-               for a in range(k)), Fraction(0))
+    lhs = periodic.constrained_product_sum([f1, f2], (h1, -h2))
     g1, g2 = dft(f1, bits), dft(f2, bits)
     with workprec(bits + 16):
         rhs = sign * sum((g1.values[(a * at) % k] * g2.values[(a * h1) % k]

@@ -1,10 +1,13 @@
 """Dedekind, Zagier-type, Bernoulli and Hardy sums: exact definitional side
 and finite trigonometric side for each.
 
-Exact sides are brute-force enumerations over residue tuples (O(k^(m-1))
-products, Fraction arithmetic, optional work limit). Each trig side is one
-call of trig.trig_product_sum: its factor list, its residue range and
-exclusions, and its sign and scale.
+Each exact side is one call of periodic.constrained_product_sum: the zero-
+sum enumeration over the defining exact maps and their multipliers
+(O(k^(m-1)) products, Fraction arithmetic, optional work limit). A pair sum
+sum_a f1(a h1) f2(a h2) is its m = 2 case at multipliers (h1, -h2); a
+weight such as (-1)^a is a per-residue table taken at multiplier 1. Each
+trig side is one call of trig.trig_product_sum: its factor list, its
+residue range and exclusions, and its sign and scale.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from mpmath import mpc, mpf, workprec
 
 from . import periodic, trig
 from .errors import NotCoprime, ParityViolation
-from .exact import mod_inverse, periodic_bernoulli, sawtooth
+from .exact import mod_inverse, periodic_bernoulli
 from .hp import DEFAULT_BITS, guarded
 from .periodic import DEFAULT_WORK_LIMIT, PeriodicMap, constrained_product_sum
 from .trig import COT, TAN, VALUES, trig_product_sum
@@ -43,6 +46,12 @@ def _require_all_coprime(hs, k) -> None:
         _require_coprime(h, k, f"h{j}")
 
 
+def _weights(w, k: int, start: int = 0) -> PeriodicMap:
+    """The per-residue table a -> w(a) for start <= a < k, 0 below start."""
+    return PeriodicMap([0] * start + [w(a) for a in range(start, k)],
+                       parity=None)
+
+
 def _tan_cots(hs, k: int) -> list:
     """tan(pi*a*h_1'/k) prod_{j>=2} cot(pi*a*h_j'/k) as a factor list."""
     invs = [mod_inverse(h, k) for h in hs]
@@ -57,10 +66,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h,k) = sum_{a mod k} ((a/k)) ((ah/k)), exact."""
     if k < 1:
         raise ValueError("k must be positive")
-    total = Fraction(0)
-    for a in range(1, k):
-        total += sawtooth(Fraction(a, k)) * sawtooth(Fraction(a * h, k))
-    return total
+    return homogeneous_pair_sum(1, h, k)
 
 
 def dedekind_cot(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -120,8 +126,8 @@ def zagier_cot(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
 
 def homogeneous_pair_sum(h1: int, h2: int, k: int) -> Fraction:
     """sum_{a=1}^{k-1} ((a h1/k)) ((a h2/k)), exact."""
-    return sum((sawtooth(Fraction(a * h1, k)) * sawtooth(Fraction(a * h2, k))
-                for a in range(1, k)), Fraction(0))
+    saw = periodic.sawtooth_map(k)
+    return constrained_product_sum([saw, saw], (h1, -h2))
 
 
 def homogeneous_pair_cot(h1: int, h2: int, k: int,
@@ -191,9 +197,7 @@ def _paper_form(rs, factors, sign: int, k: int, bits: int):
 
 def bernoulli_pair_sum(r1: int, r2: int, h1: int, h2: int, k: int) -> Fraction:
     """sum_{a mod k} B_{r1}({a h1/k}) B_{r2}({a h2/k}), exact."""
-    return sum((periodic_bernoulli(r1, Fraction(a * h1, k))
-                * periodic_bernoulli(r2, Fraction(a * h2, k))
-                for a in range(k)), Fraction(0))
+    return bernoulli_dedekind_sum((r1, r2), (h1, -h2), k)
 
 
 def bernoulli_pair_rhs(r1: int, r2: int, h1: int, h2: int, k: int,
@@ -237,37 +241,20 @@ def hardy_sum(which: str, h: int, k: int,
         raise ValueError("k must be positive")
     if convention not in (EXCLUDE_ZERO, INCLUDE_ZERO):
         raise ValueError(f"unknown convention {convention!r}")
-    start = 0 if convention == INCLUDE_ZERO else 1
-    total = Fraction(0)
-    for a in range(start, k):
-        fl = (a * h) // k  # may be negative for h < 0; signs go through parity
-        if which == "S":
-            total += _sign(a + 1 + fl)
-        elif which == "s1":
-            total += _sign(fl) * sawtooth(Fraction(a, k))
-        elif which == "s2":
-            total += _sign(a) * sawtooth(Fraction(a, k)) * sawtooth(Fraction(a * h, k))
-        elif which == "s3":
-            total += _sign(a) * sawtooth(Fraction(a * h, k))
-        elif which == "s4":
-            total += _sign(fl)
-        else:  # s5
-            total += _sign(a + fl) * sawtooth(Fraction(a, k))
-    return total
-
-
-def _alt_sawtooth_dilated(h: int, k: int) -> PeriodicMap:
-    # a -> (-1)^a ((a*h/k)); k-periodic for even k
-    vals = tuple(_sign(a) * sawtooth(Fraction(a * h, k)) for a in range(k))
-    return PeriodicMap(vals)
-
-
-def _floor_sign_dilated(h: int, k: int) -> PeriodicMap:
-    # a -> (-1)^(a*h + k*floor(a*h/k)) off a = 0, 0 at a = 0
-    vals = [Fraction(0)]
-    for a in range(1, k):
-        vals.append(Fraction(_sign(a * h + k * ((a * h) // k))))
-    return PeriodicMap(tuple(vals))
+    saw = periodic.sawtooth_map(k)
+    # (weight of a, sawtooth factor or None for S and s4, its multiplier);
+    # floor(a h/k) may be negative for h < 0, signs go through parity
+    weight, f, hf = {
+        "S": (lambda a: _sign(a + 1 + (a * h) // k), None, 1),
+        "s1": (lambda a: _sign((a * h) // k), saw, 1),
+        "s2": (lambda a: _sign(a) * saw(a), saw, h),
+        "s3": (_sign, saw, h),
+        "s4": (lambda a: _sign((a * h) // k), None, 1),
+        "s5": (lambda a: _sign(a + (a * h) // k), saw, 1),
+    }[which]
+    table = _weights(weight, k, 0 if convention == INCLUDE_ZERO else 1)
+    return constrained_product_sum([table, f or periodic.constant_map(1, k)],
+                                   (1, -hf))
 
 
 def hardy_A(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
@@ -280,10 +267,10 @@ def hardy_A(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     if hs[0] % 2 == 0:
         raise ParityViolation("needs odd h1")
     _require_all_coprime(hs, k)
-    maps = [_alt_sawtooth_dilated(hs[0], k)]
-    maps += [periodic.PeriodicMap(tuple(sawtooth(Fraction(a * h, k)) for a in range(k)))
-             for h in hs[1:]]
-    return constrained_product_sum(maps, [1] * len(hs), work_limit)
+    saw = periodic.sawtooth_map(k)
+    alt = _weights(lambda a: _sign(a) * saw(a * hs[0]), k)
+    return constrained_product_sum([alt] + [saw] * (len(hs) - 1),
+                                   (1, *hs[1:]), work_limit)
 
 
 def hardy_A_rhs(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -307,10 +294,10 @@ def hardy_B(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     if k % 2 == 0:
         raise ParityViolation("needs odd k")
     _require_all_coprime(hs, k)
-    maps = [_floor_sign_dilated(hs[0], k)]
-    maps += [periodic.PeriodicMap(tuple(sawtooth(Fraction(a * h, k)) for a in range(k)))
-             for h in hs[1:]]
-    return constrained_product_sum(maps, [1] * len(hs), work_limit)
+    h1, saw = hs[0], periodic.sawtooth_map(k)
+    sign = _weights(lambda a: _sign(a * h1 + k * ((a * h1) // k)), k, 1)
+    return constrained_product_sum([sign] + [saw] * (len(hs) - 1),
+                                   (1, *hs[1:]), work_limit)
 
 
 def hardy_B_rhs(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -328,8 +315,9 @@ def hardy_B_rhs(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
 
 def alt_pair_sum(h1: int, h2: int, k: int) -> Fraction:
     """sum_{a=1}^{k-1} (-1)^a ((a h1/k)) ((a h2/k)); equals s2 for h1 = 1."""
-    return sum((_sign(a) * sawtooth(Fraction(a * h1, k)) * sawtooth(Fraction(a * h2, k))
-                for a in range(1, k)), Fraction(0))
+    saw = periodic.sawtooth_map(k)
+    alt = _weights(lambda a: _sign(a) * saw(a * h1), k, 1)
+    return constrained_product_sum([alt, saw], (1, -h2))
 
 
 def alt_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -346,11 +334,9 @@ def alt_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
 def floor_pair_sum(h1: int, h2: int, k: int, with_alt: bool) -> Fraction:
     """sum_{a=1}^{k-1} (-1)^(a + floor(a h1/k)) ((a h2/k)) when with_alt,
     else sum (-1)^floor(a h1/k) ((a h2/k))."""
-    total = Fraction(0)
-    for a in range(1, k):
-        e = (a + (a * h1) // k) if with_alt else (a * h1) // k
-        total += _sign(e) * sawtooth(Fraction(a * h2, k))
-    return total
+    sign = _weights(lambda a: _sign((a if with_alt else 0) + (a * h1) // k),
+                    k, 1)
+    return constrained_product_sum([sign, periodic.sawtooth_map(k)], (1, -h2))
 
 
 def tan_cot_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -362,14 +348,15 @@ def tan_cot_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
                             divisor=2 * k)
 
 
-def alt_sign_pair_sum(h1: int, h2: int, k: int) -> int:
+def alt_sign_pair_sum(h1: int, h2: int, k: int) -> Fraction:
     """sum_{a=1}^{k-1} (-1)^((a h1 mod k) + (a h2 mod k)); equals s4(h1,k)
     for h2 = 1, h1 odd. The exponent reduces each product mod k separately
     (the form the transform derivation yields)."""
     if k % 2 == 0:
         raise ParityViolation("needs odd k")
     _require_all_coprime((h1, h2), k)
-    return sum(_sign((a * h1) % k + (a * h2) % k) for a in range(1, k))
+    sign = periodic.alt_sign_map(k)
+    return constrained_product_sum([sign, sign], (h1, -h2))
 
 
 def tan_pair_mean(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:

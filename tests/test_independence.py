@@ -1,14 +1,19 @@
-"""No closed side may be the transform of its own defining map.
+"""The two sides of an identity stay separate computations.
 
-With the direct transform disabled, every identity whose closed side is a
-finite trig sum or a product of closed-form transforms must still verify.
-A closed side rebuilt as dft(defining map) would raise here instead.
+No closed side may be the transform of its own defining map: with the
+direct transform disabled, every identity whose closed side is a finite
+trig sum or a product of closed-form transforms must still verify. A closed
+side rebuilt as dft(defining map) would raise here instead.
+
+No exact side may use the trig layer: with the closed-form kernel and the
+cot/tan tables disabled, every exact side must still return its value.
 """
 
 import pytest
 
-from cotsums import periodic, registry
-from cotsums.registry import verify
+from cotsums import periodic, registry, sums, trig
+from cotsums.config import RunConfig
+from cotsums.registry import REGISTRY, verify
 
 INSTANCES = {
     "eq1": {"h": 5, "k": 17},
@@ -44,3 +49,33 @@ def no_dft(monkeypatch):
                          ids=list(INSTANCES))
 def test_closed_side_needs_no_dft(no_dft, identity, params):
     assert verify(identity, params).passed
+
+
+# exact parts of the identities whose report is built by a checker
+CHECKER_EXACT = {
+    "th2": lambda: sums.zagier_sum((1, 2, 3, 4), 7),
+    "remark1": lambda: sums.hardy_sum("s1", 6, 13),
+    "eq2": lambda: sums.dedekind_sum(3, 7),
+}
+
+
+def _exact_side(identity):
+    if identity in CHECKER_EXACT:
+        return CHECKER_EXACT[identity]()
+    entry = REGISTRY[identity]
+    return entry.exact(RunConfig(), **entry.defaults, **INSTANCES[identity])
+
+
+@pytest.mark.parametrize("identity", [
+    *(ident for ident in INSTANCES if REGISTRY[ident].exact is not None),
+    *CHECKER_EXACT])
+def test_exact_side_needs_no_trig(monkeypatch, identity):
+    expected = _exact_side(identity)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an exact side called the trig layer")
+
+    for module, name in [(trig, "trig_product_sum"), (sums, "trig_product_sum"),
+                         (trig, "cot_table"), (trig, "tan_table")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert _exact_side(identity) == expected

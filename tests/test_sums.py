@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from math import gcd
 
 import mpmath
@@ -8,6 +9,8 @@ from mpmath import mpf, workprec
 from conftest import TOL_DEFAULT, assert_close, residual
 from cotsums import sums
 from cotsums.errors import NotCoprime, ParityViolation
+from cotsums.exact import periodic_bernoulli, sawtooth
+from cotsums.periodic import parseval_sides, random_rational_map
 from cotsums.sums import (EXCLUDE_ZERO, INCLUDE_ZERO, alt_pair_rhs,
                           alt_pair_sum, alt_sign_pair_sum,
                           bernoulli_dedekind_rhs, bernoulli_dedekind_sum,
@@ -368,3 +371,109 @@ class TestHalfRange:
         exact = hardy_sum("s1", h, k)
         assert residual(exact, s1_half_range(h, k)) < TOL_DEFAULT
         assert residual(exact, tan_cot_pair_rhs(h, 1, k)) < TOL_DEFAULT
+
+
+# The exact sides are computed by the zero-sum enumerator over the defining
+# maps; here each is compared with its definition summed term by term, for
+# every k <= 16 and every multiplier in -k..2k coprime to k.
+
+
+@cache
+def _saw(n, k):
+    return sawtooth(Fraction(n, k))
+
+
+@cache
+def _bern(r, n, k):
+    return periodic_bernoulli(r, Fraction(n, k))
+
+
+def _sgn(e):
+    return -1 if e % 2 else 1
+
+
+def _units(k):
+    return [h for h in range(-k, 2 * k + 1) if gcd(h, k) == 1]
+
+
+def _pairs(k):
+    return [(h1, h2) for h1 in _units(k) for h2 in _units(k)]
+
+
+HARDY_TERMS = {
+    "S": lambda a, h, k: _sgn(a + 1 + (a * h) // k),
+    "s1": lambda a, h, k: _sgn((a * h) // k) * _saw(a, k),
+    "s2": lambda a, h, k: _sgn(a) * _saw(a, k) * _saw(a * h, k),
+    "s3": lambda a, h, k: _sgn(a) * _saw(a * h, k),
+    "s4": lambda a, h, k: _sgn((a * h) // k),
+    "s5": lambda a, h, k: _sgn(a + (a * h) // k) * _saw(a, k),
+}
+
+# name -> (computed(k, *args), literal(k, *args), the args for modulus k)
+LITERAL = {
+    "dedekind_sum": (
+        lambda k, h: dedekind_sum(h, k),
+        lambda k, h: sum(_saw(a, k) * _saw(a * h, k) for a in range(k)),
+        lambda k: [(h,) for h in _units(k)]),
+    "homogeneous_pair_sum": (
+        lambda k, h1, h2: homogeneous_pair_sum(h1, h2, k),
+        lambda k, h1, h2: sum(_saw(a * h1, k) * _saw(a * h2, k)
+                              for a in range(1, k)),
+        _pairs),
+    "alt_pair_sum": (
+        lambda k, h1, h2: alt_pair_sum(h1, h2, k),
+        lambda k, h1, h2: sum(_sgn(a) * _saw(a * h1, k) * _saw(a * h2, k)
+                              for a in range(1, k)),
+        _pairs),
+    "floor_pair_sum-alt": (
+        lambda k, h1, h2: floor_pair_sum(h1, h2, k, with_alt=True),
+        lambda k, h1, h2: sum(_sgn(a + (a * h1) // k) * _saw(a * h2, k)
+                              for a in range(1, k)),
+        _pairs),
+    "floor_pair_sum": (
+        lambda k, h1, h2: floor_pair_sum(h1, h2, k, with_alt=False),
+        lambda k, h1, h2: sum(_sgn((a * h1) // k) * _saw(a * h2, k)
+                              for a in range(1, k)),
+        _pairs),
+    "alt_sign_pair_sum": (
+        lambda k, h1, h2: alt_sign_pair_sum(h1, h2, k),
+        lambda k, h1, h2: sum(_sgn((a * h1) % k + (a * h2) % k)
+                              for a in range(1, k)),
+        lambda k: _pairs(k) if k % 2 else []),
+    "bernoulli_pair_sum": (
+        lambda k, r1, r2, h1, h2: bernoulli_pair_sum(r1, r2, h1, h2, k),
+        lambda k, r1, r2, h1, h2: sum(_bern(r1, a * h1, k) * _bern(r2, a * h2, k)
+                                      for a in range(k)),
+        lambda k: [(1 + k % 3, 1 + k % 4, h1, h2) for h1, h2 in _pairs(k)]),
+    "hardy_sum": (
+        lambda k, which, convention, h: hardy_sum(which, h, k, convention),
+        lambda k, which, convention, h: sum(
+            HARDY_TERMS[which](a, h, k)
+            for a in range(0 if convention == INCLUDE_ZERO else 1, k)),
+        lambda k: [(which, convention, h) for which in HARDY_TERMS
+                   for convention in (EXCLUDE_ZERO, INCLUDE_ZERO)
+                   for h in _units(k)]),
+    # the m = 2 cases: a_2 = -a_1
+    "hardy_A": (
+        lambda k, h1, h2: hardy_A((h1, h2), k),
+        lambda k, h1, h2: sum(_sgn(a) * _saw(a * h1, k) * _saw(-a * h2, k)
+                              for a in range(k)),
+        lambda k: _pairs(k) if k % 2 == 0 else []),
+    "hardy_B": (
+        lambda k, h1, h2: hardy_B((h1, h2), k),
+        lambda k, h1, h2: sum(_sgn(a * h1 + k * ((a * h1) // k))
+                              * _saw(-a * h2, k) for a in range(1, k)),
+        lambda k: _pairs(k) if k % 2 else []),
+    "parseval_sides": (
+        lambda k, f1, f2: parseval_sides(f1, f2, bits=64)[0],
+        lambda k, f1, f2: sum(f1(a) * f2(-a) for a in range(k)),
+        lambda k: [(random_rational_map(k, k), random_rational_map(k, -k))]),
+}
+
+
+@pytest.mark.parametrize("name", LITERAL)
+def test_exact_side_matches_literal_definition(name):
+    computed, literal, cases = LITERAL[name]
+    for k in range(1, 17):
+        for args in cases(k):
+            assert computed(k, *args) == literal(k, *args), (k, args)
