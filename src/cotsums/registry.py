@@ -77,6 +77,9 @@ _K_POSITIVE = _require(lambda p: p["k"] >= 1, OutOfRange,
                        "k must be >= 1, got {k}")
 _K_EVEN, _K_ODD = _parity("k", "even"), _parity("k", "odd")
 _M_EVEN = _parity("m", "even", lambda p: len(p["hs"]))
+# terms is None until the run config supplies the default
+_TERMS_POSITIVE = _require(lambda p: p["terms"] is None or p["terms"] >= 1,
+                           OutOfRange, "terms must be >= 1, got {terms}")
 
 
 @dataclass(frozen=True)
@@ -317,7 +320,8 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "eq2", "s(h,k) = (1/2pi) sum_{r>=1, k !| r} cot(pi r h/k)/r",
         {"h": "int", "k": "int", "terms": "int"},
         "gcd(h,k) = 1; pass measured against the computed tail bound",
-        (_coprime("h"),), {"terms": None}, checker=_check_eq2),
+        (_coprime("h"), _TERMS_POSITIVE), {"terms": None},
+        checker=_check_eq2),
     IdentityEntry(
         "parseval", "sum_a f1(a) f2(-a) = (1/k) sum_a DFT[f1](a) DFT[f2](a)",
         _SEEDED, "k >= 1; seeded random exact maps", defaults={"seed": 1},
@@ -526,7 +530,8 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                     "= (pi/2k) sum_{r=1}^{k-1} f(r) cot(pi r/k)",
         {**_SEEDED, "terms": "int"},
         "seeded random odd map; pass against the series tail bound",
-        defaults={"seed": 1, "terms": None}, checker=_check_lemma3_a),
+        (_TERMS_POSITIVE,), {"seed": 1, "terms": None},
+        checker=_check_lemma3_a),
     IdentityEntry(
         "lemma3-b", "(pi/2k) sum_r f(r) cot(pi r/k) "
                     "= -(pi i/k^2) sum_{r=1}^{k-1} r DFT[f](r)",

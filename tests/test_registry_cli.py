@@ -182,20 +182,27 @@ class TestCli:
 
 
 @pytest.mark.parametrize("argv,condition", [
-    (["cot", "--a", "1", "--k", "0"], "k must be >= 1"),
-    (["cot", "--a", "1", "--k", "-3"], "k must be >= 1"),
-    (["tan", "--a", "1", "--k", "-3"], "k must be >= 1"),
-    (["digamma", "--x", "1/0"], "nonzero denominator"),
-    (["hurwitz", "--x", "1/0"], "nonzero denominator"),
-    (["periodic-zeta", "--x", "1/0"], "nonzero denominator"),
-    (["sawtooth", "--x", "1/0"], "nonzero denominator"),
+    (["compute", "cot", "--a", "1", "--k", "0"], "k must be >= 1"),
+    (["compute", "cot", "--a", "1", "--k", "-3"], "k must be >= 1"),
+    (["compute", "tan", "--a", "1", "--k", "-3"], "k must be >= 1"),
+    (["compute", "digamma", "--x", "1/0"], "nonzero denominator"),
+    (["compute", "hurwitz", "--x", "1/0"], "nonzero denominator"),
+    (["compute", "periodic-zeta", "--x", "1/0"], "nonzero denominator"),
+    (["compute", "sawtooth", "--x", "1/0"], "nonzero denominator"),
+    (["verify", "eq2", "--h", "1", "--k", "5", "--instance-terms", "-5"],
+     "terms must be >= 1"),
+    (["verify", "eq2", "--h", "1", "--k", "5", "--instance-terms", "0"],
+     "terms must be >= 1"),
+    (["verify", "lemma3-a", "--k", "5", "--instance-terms", "-5"],
+     "terms must be >= 1"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-m", "cotsums.cli", "compute",
-                           *argv], env=env, capture_output=True, text=True,
+    proc = subprocess.run([sys.executable, "-m", "cotsums.cli", *argv],
+                          env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert condition in proc.stderr
+
