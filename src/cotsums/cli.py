@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -195,7 +196,8 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                             "exclude-zero"],
                    help="closed-form / zero-residue convention")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for sweep")
+                   help="parallel workers for sweep (at most the cores "
+                        "and the instances)")
     p.add_argument("--json", action="store_true", help="emit JSON")
 
 
@@ -478,9 +480,11 @@ def _cmd_sweep(args) -> int:
         return USAGE_EXIT
     payloads = [(i, args.id, params, cfg.to_dict())
                 for i, params in enumerate(instances)]
+    # the pool forks every worker at once: no more than cores or instances
+    jobs = min(cfg.jobs, os.cpu_count() or 1, len(payloads))
     t0 = time.perf_counter()
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = sorted(pool.map(_run_instance, payloads))
     else:
         results = [_run_instance(p) for p in payloads]

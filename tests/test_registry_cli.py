@@ -7,6 +7,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
+from cotsums import cli
 from cotsums.cli import main
 from cotsums.config import RunConfig
 from cotsums.errors import NotCoprime, OutOfRange, ParityViolation
@@ -206,3 +207,36 @@ def test_compute_refuses_without_traceback(argv, condition):
     assert "Traceback" not in proc.stderr
     assert condition in proc.stderr
 
+
+# cor3 at k = 3..6 with h1 all-coprime and h2 = 1 expands to 10 instances
+@pytest.mark.parametrize("jobs,cores,started", [
+    ("1000", 4, [4]),      # capped at the cores
+    ("1000", 64, [10]),    # capped at the instances
+    ("3", 8, [3]),
+    ("1000", None, []),    # core count unknown: serial
+    ("2", 1, []),
+])
+def test_sweep_jobs_clamped(monkeypatch, capsys, jobs, cores, started):
+    pools = []
+
+    class SerialPool:
+        """Records the worker count asked for and runs the sweep in-line."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert main(["sweep", "cor3", "--k", "3..6", "--h1", "all-coprime",
+                 "--h2", "1", "--jobs", jobs]) == 0
+    assert "10 instances, 10 pass" in capsys.readouterr().out
+    assert pools == started
