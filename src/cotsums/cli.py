@@ -179,7 +179,12 @@ COMPUTE_TARGETS = {
 
 
 def _ints_csv(text: str) -> tuple:
-    return tuple(int(t) for t in text.split(",") if t.strip() != "")
+    """A comma-separated integer list such as 1,3,7; an empty one is refused."""
+    values = tuple(int(t) for t in text.split(",") if t.strip() != "")
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"the list must hold at least one integer, got {text!r}")
+    return values
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -534,10 +539,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return _cmd_verify(args)
         return _cmd_sweep(args)
-    except CotsumsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_EXIT
-    except ValueError as exc:
+    except (CotsumsError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
 

@@ -19,7 +19,7 @@ from mpmath import mpc, mpf, workprec
 
 from . import trig
 from .errors import NotCoprime, ParityViolation, PeriodMismatch, WorkLimitExceeded
-from .exact import bernoulli_number, mod_inverse, periodic_bernoulli, sawtooth
+from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
 from .hp import DEFAULT_BITS, guarded, is_exact, to_number
 
 DEFAULT_WORK_LIMIT = 10 ** 8
@@ -28,21 +28,16 @@ DEFAULT_WORK_LIMIT = 10 ** 8
 class PeriodicMap:
     """A k-periodic function given by its values on 0..k-1."""
 
-    __slots__ = ("values", "_parity")
+    __slots__ = ("values",)
 
-    def __init__(self, values, parity="auto"):
+    def __init__(self, values):
         self.values = tuple(values)
         if not self.values:
             raise ValueError("period must be positive")
-        self._parity = self._detect_parity() if parity == "auto" else parity
 
     @property
     def period(self) -> int:
         return len(self.values)
-
-    @property
-    def parity(self):
-        return self._parity
 
     def __call__(self, n: int):
         return self.values[n % len(self.values)]
@@ -51,26 +46,8 @@ class PeriodicMap:
     def exact(self) -> bool:
         return all(is_exact(v) for v in self.values)
 
-    def _detect_parity(self):
-        # structural check: a sum/difference of exactly opposite/equal values
-        # is exactly zero at any working precision, so this is safe for both
-        # exact entries and symmetrically constructed numeric ones
-        k = len(self.values)
-        odd = even = True
-        for a in range(k):
-            va, vn = self.values[a], self.values[-a % k]
-            if vn + va != 0:
-                odd = False
-            if vn - va != 0:
-                even = False
-        if odd:
-            return "odd"
-        if even:
-            return "even"
-        return None
-
     def __repr__(self):
-        return f"PeriodicMap(k={self.period}, parity={self._parity})"
+        return f"PeriodicMap(k={self.period})"
 
 
 def _require_same_period(f: PeriodicMap, g: PeriodicMap) -> int:
@@ -100,7 +77,7 @@ def dft(f: PeriodicMap, bits: int = DEFAULT_BITS) -> PeriodicMap:
             for a in range(k):
                 acc += vals[a] * roots[(a * n) % k]
             out.append(acc)
-    return PeriodicMap(out, parity=None)
+    return PeriodicMap(out)
 
 
 def involution_residual(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpf:
@@ -188,9 +165,10 @@ def parseval_sides(f1: PeriodicMap, f2: PeriodicMap, bits: int = DEFAULT_BITS):
     """Both sides of sum_a f1(a) f2(-a) = (1/k) sum_a f1hat(a) f2hat(a)."""
     k = _require_same_period(f1, f2)
     lhs = constrained_product_sum([f1, f2], (1, 1))
-    h1, h2 = dft(f1, bits), dft(f2, bits)
-    with workprec(guarded(bits, k)):
-        rhs = sum((h1.values[a] * h2.values[a] for a in range(k)), mpc(0)) / k
+    rhs = trig.trig_product_sum(
+        [(trig.VALUES, dft(f1, bits).values, 1),
+         (trig.VALUES, dft(f2, bits).values, 1)],
+        k, bits=bits, residues=range(k), divisor=k)
     return lhs, rhs
 
 
@@ -211,11 +189,15 @@ def map_max_residual(f: PeriodicMap, g: PeriodicMap, bits: int = DEFAULT_BITS):
 
 
 def sawtooth_map(k: int) -> PeriodicMap:
-    return PeriodicMap(tuple(sawtooth(Fraction(a, k)) for a in range(k)), parity="odd")
+    return PeriodicMap(tuple(sawtooth(Fraction(a, k)) for a in range(k)))
 
 
 def bernoulli_map(r: int, k: int) -> PeriodicMap:
-    return PeriodicMap(tuple(periodic_bernoulli(r, Fraction(a, k)) for a in range(k)))
+    """a -> B_r({a/k}), evaluating one Bernoulli polynomial over the period."""
+    if r < 1:
+        raise ValueError("order must be >= 1")
+    poly = bernoulli_poly(r)
+    return PeriodicMap(tuple(poly(Fraction(a, k)) for a in range(k)))
 
 
 def alt_sawtooth_map(k: int) -> PeriodicMap:
@@ -223,7 +205,7 @@ def alt_sawtooth_map(k: int) -> PeriodicMap:
     if k % 2 != 0:
         raise ParityViolation("(-1)^n ((n/k)) is k-periodic only for even k")
     vals = tuple((-1) ** a * sawtooth(Fraction(a, k)) for a in range(k))
-    return PeriodicMap(vals, parity="odd")
+    return PeriodicMap(vals)
 
 
 def alt_sign_map(k: int) -> PeriodicMap:
@@ -231,7 +213,7 @@ def alt_sign_map(k: int) -> PeriodicMap:
     if k % 2 == 0:
         raise ParityViolation("the alternating-sign map needs odd k")
     vals = (Fraction(0),) + tuple(Fraction((-1) ** a) for a in range(1, k))
-    return PeriodicMap(vals, parity="odd")
+    return PeriodicMap(vals)
 
 
 def delta_map(k: int) -> PeriodicMap:
@@ -256,7 +238,7 @@ def random_odd_map(k: int, seed: int, span: int = 9) -> PeriodicMap:
     for a in range(1, (k - 1) // 2 + 1):
         vals[a] = Fraction(rng.randint(-span, span), rng.randint(1, span))
         vals[k - a] = -vals[a]
-    return PeriodicMap(vals, parity="odd")
+    return PeriodicMap(vals)
 
 
 def random_even_map(k: int, seed: int, span: int = 9) -> PeriodicMap:
@@ -266,7 +248,7 @@ def random_even_map(k: int, seed: int, span: int = 9) -> PeriodicMap:
     for a in range(1, k // 2 + 1):
         vals[a] = Fraction(rng.randint(-span, span), rng.randint(1, span))
         vals[k - a] = vals[a]
-    return PeriodicMap(vals, parity="even")
+    return PeriodicMap(vals)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +262,7 @@ def sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
         ct = trig.cot_table(k, bits)
         with workprec(guarded(bits, k)):
             vals += [mpc(0, 1) / 2 * ct[n - 1] for n in range(1, k)]
-    return PeriodicMap(vals, parity=None)
+    return PeriodicMap(vals)
 
 
 def bernoulli_dft_map(r: int, k: int, bits: int = DEFAULT_BITS,
@@ -306,7 +288,7 @@ def bernoulli_dft_map(r: int, k: int, bits: int = DEFAULT_BITS,
             shift = mpf(-1) / 2
         for n in range(1, k):
             vals.append(scale * trig.cot_deriv_at(r - 1, n, k, bits) + shift)
-    return PeriodicMap(vals, parity=None)
+    return PeriodicMap(vals)
 
 
 def alt_sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
@@ -319,7 +301,7 @@ def alt_sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
         for n in range(1, k):
             t = tt[n - 1]
             vals.append(mpc(0) if t is None else mpc(0, -1) / 2 * t)
-    return PeriodicMap(vals, parity=None)
+    return PeriodicMap(vals)
 
 
 def alt_sign_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
@@ -329,7 +311,7 @@ def alt_sign_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     tt = trig.tan_table(k, bits)
     with workprec(guarded(bits, k)):
         vals = [mpc(0)] + [mpc(0, 1) * tt[n - 1] for n in range(1, k)]
-    return PeriodicMap(vals, parity=None)
+    return PeriodicMap(vals)
 
 
 def closed_form_dft(kind: str, k: int, bits: int = DEFAULT_BITS, *,

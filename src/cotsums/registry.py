@@ -4,9 +4,10 @@ Each identity is one data row: its id, the anchor (the formula under test,
 in ASCII), a parameter schema with defaults, the precondition text and the
 ordered rules that enforce it, and how to check it. A plain two-sided
 identity gives its exact and closed sides as callables; an identity whose
-report is built differently gives a checker. Two-sided checks time the two
-sides separately, so sweeps double as the O(k^(m-1))-vs-O(k) performance
-record.
+report is built differently gives a checker, which may read those sides
+(the truncated series rows pass against the series' tail bound). Two-sided
+checks time the two sides separately, so sweeps double as the
+O(k^(m-1))-vs-O(k) performance record.
 """
 
 from __future__ import annotations
@@ -88,13 +89,13 @@ class IdentityEntry:
     anchor: str
     param_kinds: dict          # name -> "int" | "ints" | "s" | "choice:..."
     precondition: str
-    rules: tuple = ()          # checked in order, after k >= 1
+    rules: tuple = ()          # checked in order, after k >= 1, lists non-empty
     defaults: dict = field(default_factory=dict)
-    # plain two-sided identities: (config, **params) -> lhs / rhs
+    # the two sides, (config, **params) -> lhs / rhs; a checker may read them
     exact: Callable | None = None
     closed: Callable | None = None
     note: str | Callable = ""  # the report note, or a function of the params
-    # every other identity: (entry, params, config) -> IdentityReport
+    # a report built differently: (entry, params, config) -> IdentityReport
     checker: Callable | None = None
 
     @property
@@ -104,6 +105,9 @@ class IdentityEntry:
     def validate(self, params: dict) -> None:
         """Raise the first violated precondition, naming its condition."""
         _K_POSITIVE(params)
+        for name, kind in self.param_kinds.items():
+            if kind == "ints" and not params[name]:
+                raise OutOfRange(f"{name} must hold at least one integer")
         for rule in self.rules:
             rule(params)
 
@@ -161,17 +165,17 @@ def _seeded_maps(k, seed, count, kind="rational"):
 # --- checkers of the identities whose report is built differently ----------
 
 
-def _check_eq2(entry, params, config):
-    h, k = params["h"], params["k"]
-    terms = params.get("terms") or config.terms
-    params = dict(params, terms=terms)
-    bits = config.precision
-    exact = sums.dedekind_sum(h, k)
-    value, bound = sums.dedekind_series(h, k, terms, bits)
-    return build_report(entry.id, entry.anchor, params, exact, value, bits,
-                        tolerance=bound,
-                        note=f"pass is against the computed tail bound "
-                             f"C(k)/N = {mpmath.nstr(bound, 6)}")
+def _check_tail_bound(entry, params, config):
+    """The row's finite side (exact) against its truncated series (closed,
+    which returns the partial sum and its tail bound); the pass is against
+    that bound, which the note names."""
+    params = dict(params, terms=params.get("terms") or config.terms)
+    args = {name: params[name] for name in entry.param_kinds}
+    lhs = entry.exact(config, **args)
+    value, bound = entry.closed(config, **args)
+    return build_report(entry.id, entry.anchor, params, lhs, value,
+                        config.precision, tolerance=bound,
+                        note=f"{entry.note} = {mpmath.nstr(bound, 6)}")
 
 
 def _check_parseval(entry, params, config):
@@ -227,25 +231,6 @@ def _lemma1(kind):
     return check
 
 
-def _check_th2(entry, params, config):
-    k, hs = params["k"], tuple(params["hs"])
-    m = len(hs)
-    if m % 2 == 1:
-        lhs, lhs_us = _timed(lambda: sums.zagier_sum(hs, k, config.work_limit))
-        rep = build_report(entry.id, entry.anchor, params, lhs, Fraction(0),
-                           config.precision, config.tolerance_value(),
-                           note="odd m: both sides vanish; exact side checked "
-                                "against 0")
-        rep.lhs_micros, rep.rhs_micros = lhs_us, 0
-        return rep
-    return _two_sided(
-        entry, params,
-        lambda: sums.zagier_sum(hs, k, config.work_limit),
-        lambda: sums.zagier_cot(hs, k, config.precision), config,
-        note=f"exact side {k}^{m - 1} = {k ** (m - 1)} product terms, "
-             f"trig side {max(k - 1, 0)}")
-
-
 def _check_remark1(entry, params, config):
     h, k = params["h"], params["k"]
     bits = config.precision
@@ -268,29 +253,12 @@ def _check_th9(entry, params, config):
                         config.precision, config.tolerance_value())
 
 
-def _check_lemma3_a(entry, params, config):
-    terms = params.get("terms") or config.terms
-    params = dict(params, terms=terms)
-    f = random_odd_map(params["k"], params["seed"])
-    bits = config.precision
-    forms = zeta.series_forms(f, bits)
-    partial, bound = zeta.series_partial(f, terms, bits)
-    return build_report(entry.id, entry.anchor, params,
-                        forms.cot_form, partial, bits, tolerance=bound,
-                        note=f"truncated series vs finite form; pass is "
-                             f"against the tail bound k*max|f|/N = "
-                             f"{mpmath.nstr(bound, 6)}")
-
-
-def _series_form(field_name):
-    """Checker of one finite form of S(f) against the cot form."""
-    def check(entry, params, config):
-        f = random_odd_map(params["k"], params["seed"])
-        forms = zeta.series_forms(f, config.precision)
-        return build_report(entry.id, entry.anchor, params, forms.cot_form,
-                            getattr(forms, field_name), config.precision,
-                            config.tolerance_value())
-    return check
+def _th2_note(params):
+    k, m = params["k"], len(params["hs"])
+    if m % 2:
+        return "odd m: both sides vanish; exact side checked against 0"
+    return (f"exact side {k}^{m - 1} = {k ** (m - 1)} product terms, "
+            f"trig side {max(k - 1, 0)}")
 
 
 def _check_gamma_dft(entry, params, config):
@@ -321,7 +289,11 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         {"h": "int", "k": "int", "terms": "int"},
         "gcd(h,k) = 1; pass measured against the computed tail bound",
         (_coprime("h"), _TERMS_POSITIVE), {"terms": None},
-        checker=_check_eq2),
+        exact=lambda c, h, k, terms: sums.dedekind_sum(h, k),
+        closed=lambda c, h, k, terms: sums.dedekind_series(h, k, terms,
+                                                           c.precision),
+        note="pass is against the computed tail bound C(k)/N",
+        checker=_check_tail_bound),
     IdentityEntry(
         "parseval", "sum_a f1(a) f2(-a) = (1/k) sum_a DFT[f1](a) DFT[f2](a)",
         _SEEDED, "k >= 1; seeded random exact maps", defaults={"seed": 1},
@@ -381,7 +353,11 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                "sum_{a=1}^{k-1} prod_j cot(pi a h_j'/k)",
         _TUPLE, "all gcd(h_j,k) = 1; even m compares with the cot form, odd "
                 "m checks the exact zero",
-        (_all_coprime,), checker=_check_th2),
+        (_all_coprime,),
+        exact=lambda c, k, hs: sums.zagier_sum(hs, k, c.work_limit),
+        closed=lambda c, k, hs: (sums.zagier_cot(hs, k, c.precision)
+                                 if len(hs) % 2 == 0 else Fraction(0)),
+        note=_th2_note),
     IdentityEntry(
         "cor3", "sum_{a=1}^{k-1} ((a h1/k))((a h2/k)) "
                 "= (1/4k) sum_a cot(pi a h1/k) cot(pi a h2/k)",
@@ -531,21 +507,37 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         {**_SEEDED, "terms": "int"},
         "seeded random odd map; pass against the series tail bound",
         (_TERMS_POSITIVE,), {"seed": 1, "terms": None},
-        checker=_check_lemma3_a),
+        exact=lambda c, k, seed, terms: zeta.cot_form(random_odd_map(k, seed),
+                                                      c.precision),
+        closed=lambda c, k, seed, terms: zeta.series_partial(
+            random_odd_map(k, seed), terms, c.precision),
+        note="truncated series vs finite form; pass is against the tail "
+             "bound k*max|f|/N",
+        checker=_check_tail_bound),
     IdentityEntry(
         "lemma3-b", "(pi/2k) sum_r f(r) cot(pi r/k) "
                     "= -(pi i/k^2) sum_{r=1}^{k-1} r DFT[f](r)",
         _SEEDED, "seeded random odd map", defaults={"seed": 1},
-        checker=_series_form("spectral_form")),
+        exact=lambda c, k, seed: zeta.cot_form(random_odd_map(k, seed),
+                                               c.precision),
+        closed=lambda c, k, seed: zeta.spectral_form(random_odd_map(k, seed),
+                                                     c.precision)),
     IdentityEntry(
         "lehmer-th8", "S(f) = sum_{r=1}^{k} f(r) gamma(r,k) "
                       "(zero period-sum required)",
         _SEEDED, "seeded random odd map (zero period-sum holds)",
-        defaults={"seed": 1}, checker=_series_form("lehmer_form")),
+        defaults={"seed": 1},
+        exact=lambda c, k, seed: zeta.cot_form(random_odd_map(k, seed),
+                                               c.precision),
+        closed=lambda c, k, seed: zeta.lehmer_form(random_odd_map(k, seed),
+                                                   c.precision)),
     IdentityEntry(
         "cor12", "S(f) = -(1/k) sum_{r=1}^{k-1} DFT[f](r) F(1, -r/k)",
         _SEEDED, "seeded random odd map", defaults={"seed": 1},
-        checker=_series_form("zeta_form")),
+        exact=lambda c, k, seed: zeta.cot_form(random_odd_map(k, seed),
+                                               c.precision),
+        closed=lambda c, k, seed: zeta.zeta_form(random_odd_map(k, seed),
+                                                 c.precision)),
     IdentityEntry(
         "gamma-dft", "DFT[r -> gamma(r,k)](n) = F(1, -n/k) off multiples of "
                      "k, Euler's constant at them",

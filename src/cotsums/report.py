@@ -15,9 +15,11 @@ from .hp import fmt, to_number
 class IdentityReport:
     """One verification instance: lhs vs rhs at a tolerance.
 
-    `passed` is exactly `residual < tolerance`, where tolerance is the
-    effective one for the instance (the configured tolerance, or the
-    identity's own computed bound for truncated-series checks).
+    `passed` is exactly `residual < tolerance or residual == 0`, where
+    tolerance is the effective one for the instance (the configured
+    tolerance, or the identity's own computed bound for truncated-series
+    checks). An exactly zero residual passes even against a zero bound,
+    as for a series whose terms all vanish.
     """
 
     id: str
@@ -66,7 +68,7 @@ def build_report(identity_id: str, anchor: str, params: dict, lhs, rhs,
         if residual is None:
             residual = abs(to_number(lhs) - to_number(rhs))
         residual = abs(to_number(residual))
-        passed = bool(residual < tolerance)
+        passed = bool(residual < tolerance or residual == 0)
     return IdentityReport(
         id=identity_id, params=params, lhs=fmt(lhs, bits), rhs=fmt(rhs, bits),
         residual=mpmath.nstr(residual, 10), tolerance=mpmath.nstr(mpf(tolerance), 10),

@@ -24,6 +24,7 @@ from .exact import mod_inverse, periodic_bernoulli
 from .hp import DEFAULT_BITS, guarded
 from .periodic import DEFAULT_WORK_LIMIT, PeriodicMap, constrained_product_sum
 from .trig import COT, TAN, VALUES, trig_product_sum
+from .zeta import series_partial
 
 HARDY_KINDS = ("S", "s1", "s2", "s3", "s4", "s5")
 
@@ -48,8 +49,7 @@ def _require_all_coprime(hs, k) -> None:
 
 def _weights(w, k: int, start: int = 0) -> PeriodicMap:
     """The per-residue table a -> w(a) for start <= a < k, 0 below start."""
-    return PeriodicMap([0] * start + [w(a) for a in range(start, k)],
-                       parity=None)
+    return PeriodicMap([0] * start + [w(a) for a in range(start, k)])
 
 
 def _tan_cots(hs, k: int) -> list:
@@ -79,28 +79,19 @@ def dedekind_cot(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
 def dedekind_series(h: int, k: int, terms: int = 100_000,
                     bits: int = DEFAULT_BITS):
     """Truncation of s(h,k) = (1/2pi) sum over r >= 1 with k not dividing r
-    of cot(pi*r*h/k)/r.
+    of cot(pi*r*h/k)/r: the series S(f) of the odd map f(r) = cot(pi*r*h/k)
+    (0 at k | r), divided by 2pi.
 
-    Returns (partial_sum, tail_bound). The summand is k-periodic with zero
-    mean over a period, so Abel summation bounds the omitted tail by
-    k * max_r |cot(pi*r*h/k)| / (2*pi*N).
+    Returns (partial_sum, tail_bound): series_partial's sum and its Abel
+    bound k * max|f| / N, both divided by 2pi.
     """
     _require_coprime(h, k)
+    ct = trig.cot_table(k, bits)
+    cot_map = PeriodicMap([0] + [ct[(r * h) % k - 1] for r in range(1, k)])
+    value, bound = series_partial(cot_map, terms, bits)
     with workprec(guarded(bits, terms)):
-        if k == 1:
-            return mpf(0), mpf(0)
-        ct = trig.cot_table(k, bits)
-        table = [None] + [ct[(r * h) % k - 1] for r in range(1, k)]
-        acc = mpf(0)
-        for r in range(1, terms + 1):
-            rho = r % k
-            if rho == 0:
-                continue
-            acc += table[rho] / r
         two_pi = 2 * mpmath.pi
-        value = acc / two_pi
-        bound = k * max(abs(t) for t in table[1:]) / (two_pi * terms)
-        return value, bound
+        return value / two_pi, bound / two_pi
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def euler_gamma_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
 def gamma_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """The k-periodic map r -> gamma(r,k) with representatives 1..k."""
     table = euler_gamma_table(k, bits)
-    return PeriodicMap(tuple(table[(a - 1) % k] for a in range(k)), parity=None)
+    return PeriodicMap(tuple(table[(a - 1) % k] for a in range(k)))
 
 
 def periodic_zeta(s, x, bits: int = DEFAULT_BITS):
@@ -224,7 +224,7 @@ def periodic_zeta_map(s, k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
             for a in range(1, k + 1):
                 acc += roots[(a * n) % k] * hz[a - 1]
             vals.append(acc * scale)
-    return PeriodicMap(vals, parity=None)
+    return PeriodicMap(vals)
 
 
 def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
@@ -238,7 +238,7 @@ def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
         vals = [scale * riemann_zeta(sc, bits)]
         for n in range(1, k):
             vals.append(scale * hurwitz_zeta(sc, Fraction(n, k), bits))
-    return PeriodicMap(vals, parity=None)
+    return PeriodicMap(vals)
 
 
 def periodic_zeta_dft_residual(s, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -306,16 +306,64 @@ class SeriesForms:
 
 
 def _check_odd(f: PeriodicMap, bits: int) -> None:
-    if f.parity == "odd":
-        return
+    """Refuse a map that is not odd: exactly for exact values, to within
+    2^-(bits/2) for numeric ones."""
     k = f.period
     if f.exact:
-        raise NotOdd("map is not odd over its period")
+        if any(f.values[a] + f.values[-a % k] for a in range(k)):
+            raise NotOdd("map is not odd over its period")
+        return
     with workprec(guarded(bits, k)):
         tol = mpf(2) ** -(bits // 2)
         for a in range(k):
             if abs(to_number(f.values[a]) + to_number(f.values[-a % k])) > tol:
                 raise NotOdd(f"map is not odd at n = {a}")
+
+
+def cot_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
+    """S(f) = (pi/2k) sum_{r=1}^{k-1} f(r) cot(pi r/k) for odd f."""
+    _check_odd(f, bits)
+    k = f.period
+    with workprec(guarded(bits, k)):
+        vals = [to_number(v) for v in f.values]
+        acc = trig_product_sum([(VALUES, vals, 1), (COT, 0, 1)], k, bits=bits)
+        return mpmath.pi / (2 * k) * acc
+
+
+def spectral_form(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpc:
+    """S(f) = -(pi i/k^2) sum_{r=1}^{k-1} r fhat(r) for odd f."""
+    _check_odd(f, bits)
+    k = f.period
+    fhat = dft(f, bits)
+    with workprec(guarded(bits, k)):
+        acc = trig_product_sum(
+            [(VALUES, range(k), 1), (VALUES, fhat.values, 1)], k, bits=bits)
+        return -mpmath.pi * mpc(0, 1) / (k * k) * acc
+
+
+def lehmer_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
+    """S(f) = sum_{r=1}^{k} f(r) gamma(r,k) for odd f (Lehmer's Theorem 8)."""
+    _check_odd(f, bits)
+    k = f.period
+    with workprec(guarded(bits, k)):
+        vals = [to_number(v) for v in f.values]
+        # the table holds gamma(r,k) for r = 1..k; rotated, r mod k indexes it
+        gtab = euler_gamma_table(k, bits)
+        return trig_product_sum(
+            [(VALUES, vals, 1), (VALUES, gtab[-1:] + gtab[:-1], 1)], k,
+            bits=bits, residues=range(1, k + 1))
+
+
+def zeta_form(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpc:
+    """S(f) = -(1/k) sum_{r=1}^{k-1} fhat(r) F(1, -r/k) for odd f."""
+    _check_odd(f, bits)
+    k = f.period
+    fhat = dft(f, bits)
+    with workprec(guarded(bits, k)):
+        pz = [None] + [periodic_zeta(1, Fraction(-r, k), bits)
+                       for r in range(1, k)]
+        return -mpc(trig_product_sum(
+            [(VALUES, fhat.values, 1), (VALUES, pz, 1)], k, bits=bits)) / k
 
 
 def series_forms(f: PeriodicMap, bits: int = DEFAULT_BITS) -> SeriesForms:
@@ -324,34 +372,8 @@ def series_forms(f: PeriodicMap, bits: int = DEFAULT_BITS) -> SeriesForms:
     Requires f odd (which forces the zero period-sum that convergence of
     S(f) needs); a non-odd map is refused.
     """
-    _check_odd(f, bits)
-    k = f.period
-    fhat = dft(f, bits)
-    with workprec(guarded(bits, k)):
-        pi = mpmath.pi
-        vals = [to_number(v) for v in f.values]
-        cot_acc = trig_product_sum(
-            [(VALUES, vals, 1), (COT, 0, 1)], k, bits=bits)
-        cot_form = pi / (2 * k) * cot_acc
-
-        spec_acc = trig_product_sum(
-            [(VALUES, range(k), 1), (VALUES, fhat.values, 1)], k,
-            bits=bits)
-        spectral_form = -pi * mpc(0, 1) / (k * k) * spec_acc
-
-        # the table holds gamma(r,k) for r = 1..k; rotated, r mod k indexes it
-        gtab = euler_gamma_table(k, bits)
-        lehmer_form = trig_product_sum(
-            [(VALUES, vals, 1), (VALUES, gtab[-1:] + gtab[:-1], 1)], k,
-            bits=bits, residues=range(1, k + 1))
-
-        pz = [None] + [periodic_zeta(1, Fraction(-r, k), bits)
-                       for r in range(1, k)]
-        zeta_form = -mpc(trig_product_sum(
-            [(VALUES, fhat.values, 1), (VALUES, pz, 1)], k,
-            bits=bits)) / k
-
-    return SeriesForms(cot_form, spectral_form, lehmer_form, zeta_form)
+    return SeriesForms(cot_form(f, bits), spectral_form(f, bits),
+                       lehmer_form(f, bits), zeta_form(f, bits))
 
 
 def series_partial(f: PeriodicMap, terms: int, bits: int = DEFAULT_BITS):
@@ -376,7 +398,7 @@ def gamma_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
         vals = [+mpmath.euler]
         for n in range(1, k):
             vals.append(periodic_zeta(1, Fraction(-n, k), bits))
-    return PeriodicMap(vals, parity=None)
+    return PeriodicMap(vals)
 
 
 def gamma_dft_residual(k: int, bits: int = DEFAULT_BITS) -> mpf:

@@ -11,7 +11,7 @@ cot/tan tables disabled, every exact side must still return its value.
 
 import pytest
 
-from cotsums import periodic, registry, sums, trig
+from cotsums import periodic, registry, sums, trig, zeta
 from cotsums.config import RunConfig
 from cotsums.registry import REGISTRY, verify
 
@@ -53,7 +53,6 @@ def test_closed_side_needs_no_dft(no_dft, identity, params):
 
 # exact parts of the identities whose report is built by a checker
 CHECKER_EXACT = {
-    "th2": lambda: sums.zagier_sum((1, 2, 3, 4), 7),
     "remark1": lambda: sums.hardy_sum("s1", 6, 13),
     "eq2": lambda: sums.dedekind_sum(3, 7),
 }
@@ -79,3 +78,17 @@ def test_exact_side_needs_no_trig(monkeypatch, identity):
                          (trig, "cot_table"), (trig, "tan_table")]:
         monkeypatch.setattr(module, name, refuse)
     assert _exact_side(identity) == expected
+
+
+@pytest.mark.parametrize("identity,name", [
+    ("cor12", "euler_gamma_table"), ("lemma3-a", "euler_gamma_table"),
+    ("lemma3-b", "euler_gamma_table"), ("lehmer-th8", "dft"),
+    ("lemma3-a", "dft")])
+def test_series_form_builds_only_its_own_tables(monkeypatch, identity, name):
+    # each S(f) check computes its two forms alone: cor12 and lemma3-* build
+    # no Euler-gamma table, and the cot, Lehmer and series sides no transform
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{identity} called zeta.{name}")
+
+    monkeypatch.setattr(zeta, name, refuse)
+    assert verify(identity, {"k": 11, "seed": 3}).passed

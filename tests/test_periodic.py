@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
 from conftest import TOL_DEFAULT, assert_close, residual
-from cotsums.errors import NotCoprime, ParityViolation, PeriodMismatch, WorkLimitExceeded
+from cotsums.errors import (NotCoprime, NotOdd, ParityViolation,
+                            PeriodMismatch, WorkLimitExceeded)
 from cotsums.periodic import (PeriodicMap, alt_sawtooth_map, alt_sign_map,
                               bernoulli_dft_map, bernoulli_map,
                               closed_form_dft, constant_map,
@@ -18,6 +19,7 @@ from cotsums.periodic import (PeriodicMap, alt_sawtooth_map, alt_sign_map,
                               random_rational_map, sawtooth_dft_map,
                               sawtooth_map, spectral_product_sum)
 from cotsums.exact import mod_inverse
+from cotsums.zeta import cot_form
 
 
 class TestPeriodicMap:
@@ -26,12 +28,14 @@ class TestPeriodicMap:
         assert f(4) == Fraction(2)
         assert f(-1) == Fraction(3)
 
-    def test_parity_detection(self):
-        assert sawtooth_map(7).parity == "odd"
-        assert constant_map(2, 5).parity == "even"
-        assert random_odd_map(9, 3).parity == "odd"
-        assert random_even_map(9, 3).parity == "even"
-        assert PeriodicMap((Fraction(0), Fraction(1), Fraction(2))).parity is None
+    def test_oddness_check(self):
+        # the S(f) forms read oddness from the values; no tag is carried
+        cot_form(sawtooth_map(7))
+        cot_form(random_odd_map(9, 3))
+        for f in (constant_map(2, 5), random_even_map(9, 3),
+                  PeriodicMap((Fraction(0), Fraction(1), Fraction(2)))):
+            with pytest.raises(NotOdd):
+                cot_form(f)
 
     def test_exactness_flag(self):
         assert sawtooth_map(5).exact
@@ -100,8 +104,7 @@ class TestConvolve:
         lhs = dft(convolve(f, g))
         ff, gg = dft(f), dft(g)
         with workprec(300):
-            prod = PeriodicMap([ff.values[n] * gg.values[n] for n in range(k)],
-                               parity=None)
+            prod = PeriodicMap([ff.values[n] * gg.values[n] for n in range(k)])
         assert map_max_residual(lhs, prod)[0] < TOL_DEFAULT
 
 

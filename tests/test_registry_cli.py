@@ -46,6 +46,8 @@ class TestRegistry:
             verify("cor9-s3", {"h": 1, "k": 4})
         with pytest.raises(ParityViolation, match="h must be even"):
             verify("cor11", {"h": 3, "k": 5})
+        with pytest.raises(OutOfRange, match="hs must hold at least one"):
+            verify("th5", {"k": 4, "hs": ()})
 
     def test_config_floor(self):
         cfg = RunConfig(precision=64, tolerance="2^-128")
@@ -196,6 +198,15 @@ class TestCli:
      "terms must be >= 1"),
     (["verify", "lemma3-a", "--k", "5", "--instance-terms", "-5"],
      "terms must be >= 1"),
+    (["verify", "th5", "--k", "4", "--hs", ","], "at least one integer"),
+    (["verify", "th7", "--k", "5", "--hs", ","], "at least one integer"),
+    (["sweep", "th5", "--k", "4", "--hs", ","], "at least one integer"),
+    (["compute", "hardy-a", "--hs", ",", "--k", "4"], "at least one integer"),
+    (["compute", "hardy-b-rhs", "--hs", ",", "--k", "5"],
+     "at least one integer"),
+    (["compute", "zagier-cot", "--hs", ",", "--k", "5"],
+     "at least one integer"),
+    (["sweep", "th5", "--k", "4", "--m", "0"], "no admissible instances"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")

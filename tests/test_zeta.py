@@ -217,7 +217,7 @@ class TestSeriesForms:
         ct = cot_table(k, 256)
         with workprec(280):
             vals = [mpf(0)] + [ct[(r * h) % k - 1] for r in range(1, k)]
-        forms = series_forms(PeriodicMap(vals, parity="odd"))
+        forms = series_forms(PeriodicMap(vals))
         with workprec(300):
             expected = 2 * mpmath.pi * mpmath.mpmathify(dedekind_sum(h, k))
             assert_close(forms.cot_form, expected, tol=mpf(2) ** -200)
@@ -232,7 +232,7 @@ class TestSeriesForms:
         tt = tan_table(k, 256)
         with workprec(280):
             vals = [mpf(0)] + [tt[(r * h) % k - 1] for r in range(1, k)]
-        forms = series_forms(PeriodicMap(vals, parity="odd"))
+        forms = series_forms(PeriodicMap(vals))
         with workprec(300):
             expected = mpmath.pi * mpmath.mpmathify(hardy_sum("s3", h, k))
             assert_close(forms.cot_form, expected, tol=mpf(2) ** -200)
