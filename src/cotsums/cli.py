@@ -195,7 +195,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--terms", type=int, default=100_000,
                    help="series truncation length")
     p.add_argument("--work-limit", type=int, default=10 ** 8,
-                   help="brute-force term budget")
+                   help="exact-side product budget")
     p.add_argument("--convention",
                    choices=["paper", "corrected", "include-zero",
                             "exclude-zero"],

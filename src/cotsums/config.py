@@ -15,7 +15,7 @@ class RunConfig:
     precision: int = 256            # bits
     tolerance: str = "2^-128"
     terms: int = 100_000            # series truncation length
-    work_limit: int = 10 ** 8       # brute-force term budget
+    work_limit: int = 10 ** 8       # exact-side product budget
     convention: str | None = None   # per-identity default when None
     jobs: int = 1
 

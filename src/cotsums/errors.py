@@ -42,4 +42,4 @@ class NotOdd(CotsumsError):
 
 
 class WorkLimitExceeded(CotsumsError):
-    """A brute-force enumeration would exceed the configured term budget."""
+    """An exact side would exceed the configured product budget."""

@@ -2,17 +2,21 @@
 
 A PeriodicMap stores one period of values, either exact (int/Fraction) or
 high-precision mpf/mpc. Exact maps stay exact through convolution, dilation
-and the brute-force product sums; values are promoted to mpc only at the
-transform boundary. The transform is the direct O(k^2) sum: k is small at
-verification scale, every k (including primes) must work, and the error
-budget stays a simple k*2^(-bits) per output.
+and the zero-sum product sums; values are promoted to mpc only at the
+transform boundary. The zero-sum product sum is an integer cyclic-
+convolution chain (O((m-2)k^2 + k) products); its brute-force enumeration
+(O(k^(m-1))) is kept beside it as the reference. The transform is the
+direct O(k^2) sum: k is small at verification scale, every k (including
+primes) must work, and the error budget stays a simple k*2^(-bits) per
+output.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 import mpmath
 from mpmath import mpc, mpf, workprec
@@ -91,13 +95,10 @@ def involution_residual(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpf:
 def convolve(f: PeriodicMap, g: PeriodicMap) -> PeriodicMap:
     """Cauchy convolution (f*g)(n) = sum_a f(a) g(n-a); exact in, exact out."""
     k = _require_same_period(f, g)
-    out = []
-    for n in range(k):
-        acc = 0
-        for a in range(k):
-            acc = acc + f.values[a] * g.values[(n - a) % k]
-        out.append(acc)
-    return PeriodicMap(out)
+    # back[k - n + a] = g(n - a): row n is one slice, summed in order of a
+    back = [g.values[-a % k] for a in range(k)] * 2
+    return PeriodicMap(sum(map(mul, f.values, back[k - n:2 * k - n]))
+                       for n in range(k))
 
 
 def dilate(f: PeriodicMap, h: int) -> PeriodicMap:
@@ -108,17 +109,60 @@ def dilate(f: PeriodicMap, h: int) -> PeriodicMap:
     return PeriodicMap(tuple(f.values[(n * h) % k] for n in range(k)))
 
 
+def _common_period(fs) -> int:
+    if not fs:
+        raise ValueError("need at least one map")
+    for f in fs[1:]:
+        _require_same_period(fs[0], f)
+    return fs[0].period
+
+
 def constrained_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
     """sum of f_1(a_1 h_1) ... f_m(a_m h_m) over tuples with sum a_j = 0 (mod k).
 
-    Brute force over (a_1, ..., a_{m-1}) with a_m determined mod k:
-    O(k^(m-1)) products of m factors, exact when the maps are exact.
+    The sum is (g_1 * ... * g_m)(0) with g_j(a) = f_j(a h_j) and * the
+    cyclic convolution. Each g_j is scaled to integers by the lcm of its
+    denominators, convolve chains g_1 ... g_(m-1), and the last factor is
+    paired off as sum_a c(a) g_m(-a): (m-2)k^2 + k integer products, the
+    work budget, in place of the k^(m-1) terms of enumerated_product_sum,
+    with the same value. The maps must be exact (int or Fraction). No
+    transform is taken, so this side stays independent of the closed forms.
     """
-    if not fs:
-        raise ValueError("need at least one map")
-    k = fs[0].period
-    for f in fs[1:]:
-        _require_same_period(fs[0], f)
+    k, m = _common_period(fs), len(fs)
+    products = (m - 2) * k * k + k
+    if products > work_limit:
+        raise WorkLimitExceeded(
+            f"(m-2)k^2 + k = {products} products at k={k}, m={m} exceed the "
+            f"limit {work_limit}")
+    if not all(f.exact for f in fs):
+        raise TypeError("the zero-sum product sum needs exact (int or "
+                        "Fraction) maps")
+    tables = [tuple(f.values[(a * h) % k] for a in range(k)) for f, h in zip(fs, hs)]
+    if m == 1:
+        return tables[0][0]
+
+    scaled, scale = [], 1
+    for table in tables:
+        s = lcm(*(v.denominator for v in table))
+        scaled.append(PeriodicMap(v.numerator * (s // v.denominator)
+                                  for v in table))
+        scale *= s
+    chain = scaled[0]
+    for g in scaled[1:-1]:
+        chain = convolve(chain, g)
+    last = scaled[-1].values
+    total = sum(c * last[-a % k] for a, c in enumerate(chain.values))
+    return Fraction(total, scale)
+
+
+def enumerated_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
+    """The same sum as constrained_product_sum, by brute force over
+    (a_1, ..., a_{m-1}) with a_m determined mod k: O(k^(m-1)) products of m
+    factors, exact when the maps are exact. It is th2's definitional side,
+    which the speed criterion times as the enumeration, and the reference
+    the convolution chain is tested against.
+    """
+    k = _common_period(fs)
     m = len(fs)
     if k ** (m - 1) > work_limit:
         raise WorkLimitExceeded(f"{k}^{m - 1} terms exceed the limit {work_limit}")
@@ -150,11 +194,7 @@ def constrained_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
 
 def spectral_product_sum(fs, hs, bits: int = DEFAULT_BITS) -> mpc:
     """(1/k) sum_a prod_j fhat_j(a * h_j'): the transform side of the same sum."""
-    if not fs:
-        raise ValueError("need at least one map")
-    k = fs[0].period
-    for f in fs[1:]:
-        _require_same_period(fs[0], f)
+    k = _common_period(fs)
     factors = [(trig.VALUES, dft(f, bits).values, mod_inverse(h, k))
                for f, h in zip(fs, hs)]
     return trig.trig_product_sum(factors, k, bits=bits, residues=range(k),

@@ -2,10 +2,13 @@
 and finite trigonometric side for each.
 
 Each exact side is one call of periodic.constrained_product_sum: the zero-
-sum enumeration over the defining exact maps and their multipliers
-(O(k^(m-1)) products, Fraction arithmetic, optional work limit). A pair sum
-sum_a f1(a h1) f2(a h2) is its m = 2 case at multipliers (h1, -h2); a
-weight such as (-1)^a is a per-residue table taken at multiplier 1. Each
+sum product sum over the defining exact maps and their multipliers, as an
+integer convolution chain ((m-2)k^2 + k products, optional work limit).
+zagier_sum alone keeps the brute-force enumeration
+(periodic.enumerated_product_sum, k^(m-1) terms), which the speed criterion
+times against its closed form. A pair sum sum_a f1(a h1) f2(a h2) is the
+m = 2 case at multipliers (h1, -h2); a weight such as (-1)^a is a
+per-residue table taken at multiplier 1. Each
 trig side is one call of trig.trig_product_sum: its factor list, its
 residue range and exclusions, and its sign and scale.
 """
@@ -22,7 +25,8 @@ from . import periodic, trig
 from .errors import NotCoprime, ParityViolation
 from .exact import mod_inverse, periodic_bernoulli
 from .hp import DEFAULT_BITS, guarded
-from .periodic import DEFAULT_WORK_LIMIT, PeriodicMap, constrained_product_sum
+from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap,
+                       constrained_product_sum, enumerated_product_sum)
 from .trig import COT, TAN, VALUES, trig_product_sum
 from .zeta import series_partial
 
@@ -99,9 +103,10 @@ def dedekind_series(h: int, k: int, terms: int = 100_000,
 
 
 def zagier_sum(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
-    """sum of ((a_1 h_1/k)) ... ((a_m h_m/k)) over tuples with sum = 0 (mod k)."""
+    """sum of ((a_1 h_1/k)) ... ((a_m h_m/k)) over tuples with sum = 0 (mod k),
+    by brute-force enumeration (k^(m-1) terms)."""
     maps = [periodic.sawtooth_map(k)] * len(hs)
-    return constrained_product_sum(maps, hs, work_limit)
+    return enumerated_product_sum(maps, hs, work_limit)
 
 
 def zagier_cot(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:

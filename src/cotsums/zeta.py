@@ -379,6 +379,8 @@ def series_forms(f: PeriodicMap, bits: int = DEFAULT_BITS) -> SeriesForms:
 def series_partial(f: PeriodicMap, terms: int, bits: int = DEFAULT_BITS):
     """Truncated S(f): sum_{r=1}^{N} f(r)/r, plus the Abel tail bound
     k * max|f| / N."""
+    if terms < 1:
+        raise OutOfRange(f"terms must be >= 1, got {terms}")
     k = f.period
     with workprec(guarded(bits, terms)):
         acc = mpf(0)

@@ -5,8 +5,9 @@ direct transform disabled, every identity whose closed side is a finite
 trig sum or a product of closed-form transforms must still verify. A closed
 side rebuilt as dft(defining map) would raise here instead.
 
-No exact side may use the trig layer: with the closed-form kernel and the
-cot/tan tables disabled, every exact side must still return its value.
+No exact side may use the trig layer or a transform: with the closed-form
+kernel, the cot/tan tables and dft disabled, every exact side must still
+return its value.
 """
 
 import pytest
@@ -72,10 +73,11 @@ def test_exact_side_needs_no_trig(monkeypatch, identity):
     expected = _exact_side(identity)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("an exact side called the trig layer")
+        raise AssertionError("an exact side called the trig layer or dft")
 
     for module, name in [(trig, "trig_product_sum"), (sums, "trig_product_sum"),
-                         (trig, "cot_table"), (trig, "tan_table")]:
+                         (trig, "cot_table"), (trig, "tan_table"),
+                         (periodic, "dft"), (registry, "dft")]:
         monkeypatch.setattr(module, name, refuse)
     assert _exact_side(identity) == expected
 

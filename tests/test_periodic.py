@@ -13,7 +13,8 @@ from cotsums.periodic import (PeriodicMap, alt_sawtooth_map, alt_sign_map,
                               bernoulli_dft_map, bernoulli_map,
                               closed_form_dft, constant_map,
                               constrained_product_sum, convolve, defining_map,
-                              delta_map, dft, dilate, involution_residual,
+                              delta_map, dft, dilate, enumerated_product_sum,
+                              involution_residual,
                               map_max_residual, parseval_sides,
                               random_even_map, random_odd_map,
                               random_rational_map, sawtooth_dft_map,
@@ -166,6 +167,21 @@ class TestProductSums:
         with pytest.raises(WorkLimitExceeded):
             constrained_product_sum(fs, [1, 1, 1, 1], work_limit=10 ** 4)
 
+    @pytest.mark.parametrize("k,m", [(1, 4), (7, 2), (7, 3), (10, 5)])
+    def test_chain_budget_is_its_product_count(self, k, m):
+        fs, hs = [sawtooth_map(k)] * m, [1] * m
+        products = (m - 2) * k * k + k
+        constrained_product_sum(fs, hs, work_limit=products)
+        with pytest.raises(WorkLimitExceeded):
+            constrained_product_sum(fs, hs, work_limit=products - 1)
+
+    @pytest.mark.parametrize("k,m", [(7, 2), (7, 3), (5, 5)])
+    def test_enumeration_budget_is_its_term_count(self, k, m):
+        fs, hs = [sawtooth_map(k)] * m, [1] * m
+        enumerated_product_sum(fs, hs, work_limit=k ** (m - 1))
+        with pytest.raises(WorkLimitExceeded):
+            enumerated_product_sum(fs, hs, work_limit=k ** (m - 1) - 1)
+
     def test_not_coprime(self):
         with pytest.raises(NotCoprime):
             spectral_product_sum([sawtooth_map(6)] * 2, [2, 1])
@@ -175,6 +191,52 @@ class TestProductSums:
             constrained_product_sum([sawtooth_map(3), sawtooth_map(4)], [1, 1])
         with pytest.raises(PeriodMismatch):
             spectral_product_sum([sawtooth_map(3), sawtooth_map(4)], [1, 1])
+
+
+class TestChainEqualsEnumeration:
+    """The convolution chain against the brute-force enumeration, exactly."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_seeded_maps(self, k):
+        import random
+
+        rng = random.Random(k)
+        for m in range(1, 6):
+            fs = [random_rational_map(k, 100 * k + 10 * m + j)
+                  for j in range(m)]
+            # negative, non-unit and larger-than-k multipliers included
+            hs = [rng.randint(-2 * k - 3, 3 * k + 3) for _ in range(m)]
+            chain = constrained_product_sum(fs, hs)
+            assert chain == enumerated_product_sum(fs, hs)
+            assert isinstance(chain, Fraction)
+
+    def test_int_and_zero_maps(self):
+        ints = PeriodicMap([3, -1, 0, 2, 5, -4])
+        fs = [ints, random_rational_map(6, 2), PeriodicMap([0] * 6), ints]
+        for m in range(1, 5):
+            for hs in ([1, 2, 3, 4], [-5, 6, 7, 0]):
+                assert (constrained_product_sum(fs[:m], hs[:m])
+                        == enumerated_product_sum(fs[:m], hs[:m]))
+
+    def test_single_map(self):
+        f = random_rational_map(9, 3)
+        for h in (0, 1, 4, -7, 20):
+            assert constrained_product_sum([f], [h]) == f.values[0]
+            assert enumerated_product_sum([f], [h]) == f.values[0]
+
+    def test_empty_and_mismatched(self):
+        for fn in (constrained_product_sum, enumerated_product_sum):
+            with pytest.raises(ValueError):
+                fn([], [])
+            with pytest.raises(PeriodMismatch):
+                fn([sawtooth_map(3), sawtooth_map(4)], [1, 1])
+
+    def test_refuses_numeric_maps(self):
+        numeric = PeriodicMap([mpf(1), mpf(2), mpf(3)])
+        for m in (1, 2, 3):
+            with pytest.raises(TypeError):
+                constrained_product_sum([sawtooth_map(3)] * (m - 1)
+                                        + [numeric], [1] * m)
 
 
 class TestClosedFormDfts:

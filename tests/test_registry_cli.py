@@ -70,6 +70,16 @@ class TestRegistry:
         assert rep.lhs_micros is not None and rep.rhs_micros is not None
         assert rep.micros > 0
 
+    @pytest.mark.parametrize("identity,params", [
+        ("th2", {"k": 7, "hs": (1, 2, 3)}),     # closed side is the literal 0
+        ("lemma3-b", {"k": 8, "seed": 5}),      # "exact" side is numeric
+        ("cor12", {"k": 10, "seed": 4}),
+    ])
+    def test_timings_only_for_exact_against_numeric(self, identity, params):
+        rep = verify(identity, params)
+        assert rep.lhs_micros is None and rep.rhs_micros is None
+        assert rep.micros > 0
+
     def test_lemma1_ii_paper_r1_flagged_not_crash(self):
         rep = verify("lemma1-ii", {"k": 3, "r": 1, "convention": "paper"})
         assert not rep.passed
@@ -144,6 +154,27 @@ class TestCli:
         assert len(lines) == 1 + sum(1 for k in range(1, 13)
                                      for h in range(1, max(k, 2))
                                      if __import__("math").gcd(h, k) == 1)
+
+    @pytest.mark.parametrize("argv,ratio", [
+        (["th2", "--k", "5..7", "--hs", "1,1,1,1"], True),
+        (["th2", "--k", "5..7", "--hs", "1,1,1"], False),
+        (["lemma3-b", "--k", "5..7"], False),
+        (["lehmer-th8", "--k", "5..7"], False),
+    ])
+    def test_sweep_ratio_line_only_for_exact_sides(self, capsys, argv, ratio):
+        assert main(["sweep", *argv]) == 0
+        assert ("exact-side" in capsys.readouterr().out) == ratio
+
+    @pytest.mark.parametrize("argv,products", [
+        (["th4", "--k", "101", "--rs", "2,2,2,2,2,2,2,2",
+          "--hs", "1,2,3,4,5,6,7,8"], 6 * 101 ** 2 + 101),
+        (["th1", "--k", "101", "--m", "8"], 6 * 101 ** 2 + 101),
+    ])
+    def test_convolution_chain_opens_large_m(self, capsys, argv, products):
+        # 101^7 terms by enumeration; (m-2)k^2 + k products by the chain
+        assert main(["verify", *argv]) == 0
+        assert main(["verify", *argv, "--work-limit", str(products - 1)]) == 2
+        assert f"{products} products" in capsys.readouterr().err
 
     def test_sweep_parity_filtering(self, capsys):
         # cor11 needs h even: all-coprime expansion keeps admissible ones only

@@ -7,10 +7,12 @@ import pytest
 from mpmath import mpf, workprec
 
 from conftest import TOL_DEFAULT, assert_close, residual
-from cotsums import sums
-from cotsums.errors import NotCoprime, ParityViolation
+from cotsums import periodic, sums
+from cotsums.errors import NotCoprime, OutOfRange, ParityViolation
 from cotsums.exact import periodic_bernoulli, sawtooth
-from cotsums.periodic import parseval_sides, random_rational_map
+from cotsums.periodic import (enumerated_product_sum, parseval_sides,
+                              random_rational_map)
+from cotsums.registry import verify
 from cotsums.sums import (EXCLUDE_ZERO, INCLUDE_ZERO, alt_pair_rhs,
                           alt_pair_sum, alt_sign_pair_sum,
                           bernoulli_dedekind_rhs, bernoulli_dedekind_sum,
@@ -49,6 +51,11 @@ class TestDedekind:
     def test_series_k1_empty(self):
         value, bound = dedekind_series(1, 1, terms=100)
         assert value == 0 and bound == 0
+
+    @pytest.mark.parametrize("terms", [0, -3])
+    def test_series_refuses_no_terms(self, terms):
+        with pytest.raises(OutOfRange, match=f"terms must be >= 1, got {terms}"):
+            dedekind_series(1, 5, terms)
 
     def test_series_bound_shrinks(self):
         _, b1 = dedekind_series(1, 3, terms=1000)
@@ -373,7 +380,7 @@ class TestHalfRange:
         assert residual(exact, tan_cot_pair_rhs(h, 1, k)) < TOL_DEFAULT
 
 
-# The exact sides are computed by the zero-sum enumerator over the defining
+# The exact sides are computed by the zero-sum product sum over the defining
 # maps; here each is compared with its definition summed term by term, for
 # every k <= 16 and every multiplier in -k..2k coprime to k.
 
@@ -477,3 +484,43 @@ def test_exact_side_matches_literal_definition(name):
     for k in range(1, 17):
         for args in cases(k):
             assert computed(k, *args) == literal(k, *args), (k, args)
+
+
+# The registry's zero-sum exact sides, once by the convolution chain and once
+# rebuilt through the brute-force enumeration: the printed exact lhs agrees.
+CHAIN_INSTANCES = [
+    ("th4", {"k": 7, "rs": (1, 3), "hs": (2, 3)}),
+    ("th4", {"k": 3, "rs": (1, 1), "hs": (1, 1), "convention": "paper"}),
+    ("th4", {"k": 6, "rs": (2, 4), "hs": (1, 5), "convention": "paper"}),
+    ("th4", {"k": 5, "rs": (1, 1, 1, 1), "hs": (1, 2, 3, 4)}),
+    ("th4", {"k": 7, "rs": (2, 2, 2), "hs": (1, 2, 3),
+             "convention": "paper"}),
+    ("th4", {"k": 6, "rs": (1, 2, 3), "hs": (5, 1, 5)}),
+    ("th5", {"k": 8, "hs": (3, 1, 5, 7)}),
+    ("th5", {"k": 10, "hs": (1, 3)}),
+    ("th7", {"k": 9, "hs": (2, 4, 5, 7)}),
+    ("th7", {"k": 7, "hs": (3, 5)}),
+    ("th1", {"k": 7, "m": 3, "seed": 2}),
+    ("th1", {"k": 6, "m": 4, "seed": 5}),
+    ("th1", {"k": 5, "m": 1}),
+    ("parseval", {"k": 9, "seed": 3}),
+]
+
+
+@pytest.mark.parametrize("identity,params", CHAIN_INSTANCES,
+                         ids=[f"{i}-{n}" for n, (i, _) in
+                              enumerate(CHAIN_INSTANCES)])
+def test_exact_side_matches_enumeration(monkeypatch, identity, params):
+    chain = verify(identity, params)
+    calls = []
+
+    def enumerate_instead(fs, hs, work_limit=periodic.DEFAULT_WORK_LIMIT):
+        calls.append(len(fs))
+        return enumerated_product_sum(fs, hs, work_limit)
+
+    for module in (periodic, sums):
+        monkeypatch.setattr(module, "constrained_product_sum",
+                            enumerate_instead)
+    enumerated = verify(identity, params)
+    assert calls
+    assert enumerated.lhs == chain.lhs

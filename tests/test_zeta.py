@@ -257,6 +257,11 @@ class TestSeriesForms:
                     assert_close(prev_bound / bound, 2)
             prev_bound = bound
 
+    @pytest.mark.parametrize("terms", [0, -3])
+    def test_partial_refuses_no_terms(self, terms):
+        with pytest.raises(OutOfRange, match=f"terms must be >= 1, got {terms}"):
+            series_partial(random_odd_map(5, 1), terms)
+
     def test_refuses_non_odd(self):
         with pytest.raises(NotOdd):
             series_forms(constant_map(1, 4))
