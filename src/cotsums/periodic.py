@@ -22,7 +22,8 @@ import mpmath
 from mpmath import mpc, mpf, workprec
 
 from . import trig
-from .errors import NotCoprime, ParityViolation, PeriodMismatch, WorkLimitExceeded
+from .errors import (NotCoprime, OutOfRange, ParityViolation, PeriodMismatch,
+                     WorkLimitExceeded)
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
 from .hp import DEFAULT_BITS, guarded, is_exact, to_number
 
@@ -109,9 +110,12 @@ def dilate(f: PeriodicMap, h: int) -> PeriodicMap:
     return PeriodicMap(tuple(f.values[(n * h) % k] for n in range(k)))
 
 
-def _common_period(fs) -> int:
+def _common_period(fs, hs) -> int:
     if not fs:
         raise ValueError("need at least one map")
+    if len(fs) != len(hs):
+        raise OutOfRange(f"{len(fs)} maps need {len(fs)} multipliers, "
+                         f"got {len(hs)}")
     for f in fs[1:]:
         _require_same_period(fs[0], f)
     return fs[0].period
@@ -128,7 +132,7 @@ def constrained_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
     with the same value. The maps must be exact (int or Fraction). No
     transform is taken, so this side stays independent of the closed forms.
     """
-    k, m = _common_period(fs), len(fs)
+    k, m = _common_period(fs, hs), len(fs)
     products = (m - 2) * k * k + k
     if products > work_limit:
         raise WorkLimitExceeded(
@@ -162,7 +166,7 @@ def enumerated_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
     which the speed criterion times as the enumeration, and the reference
     the convolution chain is tested against.
     """
-    k = _common_period(fs)
+    k = _common_period(fs, hs)
     m = len(fs)
     if k ** (m - 1) > work_limit:
         raise WorkLimitExceeded(f"{k}^{m - 1} terms exceed the limit {work_limit}")
@@ -194,7 +198,7 @@ def enumerated_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
 
 def spectral_product_sum(fs, hs, bits: int = DEFAULT_BITS) -> mpc:
     """(1/k) sum_a prod_j fhat_j(a * h_j'): the transform side of the same sum."""
-    k = _common_period(fs)
+    k = _common_period(fs, hs)
     factors = [(trig.VALUES, dft(f, bits).values, mod_inverse(h, k))
                for f, h in zip(fs, hs)]
     return trig.trig_product_sum(factors, k, bits=bits, residues=range(k),

@@ -1,6 +1,12 @@
 """tan/cot and cotangent derivatives at rational multiples of pi, and the
 product-sum kernel that evaluates every closed form.
 
+The cached cot/tan tables come from one rotation, the powers of e^(i*pi/k)
+at 2*bitlen(k) + 40 bits above guarded(bits, k) (the O(k) drift, and cos
+near pi/2 is O(1/k)); cos and sin are rounded to guarded(bits, k) and
+divided, so each entry is within 2 ulp there, and cot at a = k/2 is an
+exact 0. cot_at, tan_at and cot_deriv_at evaluate cospi/sinpi per value.
+
 Higher derivatives of cot are evaluated through exact integer polynomials
 Q_m with cot^(m)(x) = Q_m(cot x), so each value costs one transcendental
 evaluation and the coefficients carry no rounding error.
@@ -11,7 +17,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul
 
 import mpmath
@@ -93,38 +99,32 @@ def cot_deriv_at(m: int, a: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
         return poly(cot_at(a, k, bits + m))
 
 
+def _half_turn(k: int, bits: int) -> list:
+    """(cos, sin)(pi*a/k), a = 1..k//2, by the rotation of the module doc."""
+    _require_period(k)
+    with workprec(guarded(bits, k) + 2 * k.bit_length() + 40):
+        w = mpmath.expjpi(mpf(1) / k)
+        points = list(accumulate(repeat(w, k // 2), mul))
+    with workprec(guarded(bits, k)):
+        return [(+z.real, +z.imag) for z in points]
+
+
 @lru_cache(maxsize=256)
 def cot_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
-    """(cot(pi*a/k))_{a=1..k-1}, built symmetrically so table[k-a] = -table[a]."""
-    _require_period(k)
+    """(cot(pi*a/k))_{a=1..k-1}, table[k-a] = -table[a], exactly 0 at k/2."""
     with workprec(guarded(bits, k)):
-        half = {}
-        for a in range(1, k // 2 + 1):
-            q = mpf(a) / k
-            half[a] = mpmath.cospi(q) / mpmath.sinpi(q)
-        vals = []
-        for a in range(1, k):
-            vals.append(half[a] if 2 * a <= k else -half[k - a])
-        return tuple(vals)
+        half = [mpf(0) if 2 * a == k else c / s
+                for a, (c, s) in enumerate(_half_turn(k, bits), 1)]
+        return tuple(half + [-v for v in reversed(half[:(k - 1) // 2])])
 
 
 @lru_cache(maxsize=256)
 def tan_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
-    """(tan(pi*a/k))_{a=1..k-1}; the k/2 slot of an even k holds None."""
-    _require_period(k)
+    """(tan(pi*a/k))_{a=1..k-1}, table[k-a] = -table[a]; None at a = k/2."""
     with workprec(guarded(bits, k)):
-        half = {}
-        for a in range(1, k // 2 + 1):
-            if 2 * a == k:
-                half[a] = None
-                continue
-            q = mpf(a) / k
-            half[a] = mpmath.sinpi(q) / mpmath.cospi(q)
-        vals = []
-        for a in range(1, k):
-            v = half[a] if 2 * a <= k else half[k - a]
-            vals.append(v if (2 * a <= k or v is None) else -v)
-        return tuple(vals)
+        half = [None if 2 * a == k else s / c
+                for a, (c, s) in enumerate(_half_turn(k, bits), 1)]
+        return tuple(half + [-v for v in reversed(half[:(k - 1) // 2])])
 
 
 @lru_cache(maxsize=256)

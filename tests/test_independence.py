@@ -8,9 +8,13 @@ side rebuilt as dft(defining map) would raise here instead.
 No exact side may use the trig layer or a transform: with the closed-form
 kernel, the cot/tan tables and dft disabled, every exact side must still
 return its value.
+
+Every id that reads the cot/tan tables must see them: scaled by 1 + 2^-e,
+which keeps them odd, the tables make each such id fail.
 """
 
 import pytest
+from mpmath import mpf, workprec
 
 from cotsums import periodic, registry, sums, trig, zeta
 from cotsums.config import RunConfig
@@ -94,3 +98,71 @@ def test_series_form_builds_only_its_own_tables(monkeypatch, identity, name):
 
     monkeypatch.setattr(zeta, name, refuse)
     assert verify(identity, {"k": 11, "seed": 3}).passed
+
+
+# Every id whose check reads trig.cot_table or trig.tan_table: an instance
+# whose table sum is not 0 (a scaled odd table keeps a zero sum at 0), and
+# the e of the perturbation 1 + 2^-e. 2^-100 is far above the 2^-128
+# tolerance; eq2 and lemma3-a compare a truncated series with its tail
+# bound, which only a perturbation above that bound can cross.
+TABLE_READERS = {
+    **{ident: (INSTANCES[ident], 100) for ident in (
+        "eq1", "th2", "cor3", "th5", "cor6", "cor7", "th7", "cor8",
+        "cor9-s3", "cor9-s5", "cor10", "cor11", "tan-sq", "remark1")},
+    "eq14": ({"k": 11, "h1": 3, "h2": 4}, 100),
+    "lemma1-i": ({"k": 10}, 100),
+    "lemma1-iii": ({"k": 10}, 100),
+    "lemma1-iv": ({"k": 9}, 100),
+    "lemma3-b": ({"k": 11, "seed": 3}, 100),
+    "lehmer-th8": ({"k": 11, "seed": 3}, 100),
+    "cor12": ({"k": 11, "seed": 3}, 100),
+    "eq2": ({"h": 1, "k": 5, "terms": 2000}, 8),
+    "lemma3-a": ({"k": 7, "seed": 1, "terms": 2000}, 8),
+}
+
+# instances of the ids that read neither table
+TABLE_FREE = {
+    "th4": INSTANCES["th4"], "cor5": INSTANCES["cor5"],
+    "parseval": {"k": 11}, "th1": {"k": 7, "m": 4},
+    "cor1": {"k": 11, "h1": 2, "h2": 3}, "cor2": {"k": 11, "h1": 2, "h2": 3},
+    "lemma1-ii": {"k": 10}, "lemma1-v": {"k": 6},
+    "th9": {"k": 5, "h1": 1, "h2": 2}, "gamma-dft": {"k": 7},
+}
+
+
+@pytest.fixture
+def wrap_tables(monkeypatch):
+    """install(wrap) routes both tables through wrap(table); the residue
+    tables cached from the real ones are dropped then and at the end."""
+    def install(wrap):
+        for name in ("cot_table", "tan_table"):
+            monkeypatch.setattr(trig, name, lambda *args, build=getattr(
+                trig, name): wrap(build(*args)))
+        trig._residue_table.cache_clear()
+
+    yield install
+    trig._residue_table.cache_clear()
+
+
+@pytest.mark.parametrize("identity", REGISTRY)
+def test_table_readers_listed(wrap_tables, identity):
+    reads = []
+    wrap_tables(lambda table: reads.append(table) or table)
+    params = (TABLE_READERS[identity][0] if identity in TABLE_READERS
+              else TABLE_FREE[identity])
+    assert verify(identity, params).passed
+    assert bool(reads) == (identity in TABLE_READERS)
+
+
+@pytest.mark.parametrize("identity", TABLE_READERS)
+def test_table_perturbation_is_seen(wrap_tables, identity):
+    params, e = TABLE_READERS[identity]
+    assert verify(identity, params).passed
+
+    def scale(table):
+        with workprec(1024):
+            return tuple(None if v is None else v * (1 + mpf(2) ** -e)
+                         for v in table)
+
+    wrap_tables(scale)
+    assert not verify(identity, params).passed

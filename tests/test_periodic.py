@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from mpmath import mpf, workprec
 
 from conftest import TOL_DEFAULT, assert_close, residual
-from cotsums.errors import (NotCoprime, NotOdd, ParityViolation,
+from cotsums.errors import (NotCoprime, NotOdd, OutOfRange, ParityViolation,
                             PeriodMismatch, WorkLimitExceeded)
 from cotsums.periodic import (PeriodicMap, alt_sawtooth_map, alt_sign_map,
                               bernoulli_dft_map, bernoulli_map,
@@ -230,6 +230,14 @@ class TestChainEqualsEnumeration:
                 fn([], [])
             with pytest.raises(PeriodMismatch):
                 fn([sawtooth_map(3), sawtooth_map(4)], [1, 1])
+
+    def test_length_mismatch(self):
+        # zip would drop the unpaired map or multiplier
+        for fn in (constrained_product_sum, enumerated_product_sum,
+                   spectral_product_sum):
+            for hs in ([1, 1], [1, 1, 1, 1]):
+                with pytest.raises(OutOfRange, match="3 maps need 3"):
+                    fn([sawtooth_map(5)] * 3, hs)
 
     def test_refuses_numeric_maps(self):
         numeric = PeriodicMap([mpf(1), mpf(2), mpf(3)])

@@ -8,6 +8,7 @@ from mpmath import mpf, workprec
 
 from conftest import TOL_DEFAULT, assert_close, residual
 from cotsums import periodic, sums
+from cotsums.config import RunConfig
 from cotsums.errors import NotCoprime, OutOfRange, ParityViolation
 from cotsums.exact import periodic_bernoulli, sawtooth
 from cotsums.periodic import (enumerated_product_sum, parseval_sides,
@@ -524,3 +525,16 @@ def test_exact_side_matches_enumeration(monkeypatch, identity, params):
     enumerated = verify(identity, params)
     assert calls
     assert enumerated.lhs == chain.lhs
+
+
+@pytest.mark.parametrize("identity,params", [
+    ("eq1", {"h": 3001, "k": 2000}), ("cor9-s3", {"h": 3001, "k": 2001})])
+def test_table_error_budget_scales_with_precision(identity, params):
+    # the closed sides read O(k) table entries; at b bits the residual stays
+    # within 2^(24-b) of max(1, |rhs|) at both precisions
+    for bits in (128, 256):
+        report = verify(identity, params,
+                        RunConfig(precision=bits, tolerance=f"2^-{bits - 16}"))
+        with workprec(bits):
+            budget = mpf(2) ** (24 - bits) * max(1, abs(mpf(report.rhs)))
+            assert mpf(report.residual) <= budget, (bits, report.residual)

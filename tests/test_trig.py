@@ -4,6 +4,7 @@ from mpmath import mpf, workprec
 
 from conftest import assert_close
 from cotsums.errors import PoleAtHalfPeriod, PoleAtIntegerMultiple
+from cotsums.hp import guarded
 from cotsums.trig import (cot_at, cot_deriv_at, cot_poly, cot_table, tan_at,
                           tan_table, trig_product_sum)
 
@@ -89,6 +90,27 @@ class TestTables:
         tt = tan_table(6)
         assert tt[2] is None  # a = 3 = k/2
         assert all(v is not None for i, v in enumerate(tt) if i != 2)
+
+    @pytest.mark.parametrize("k", [97, 2000])
+    def test_within_two_ulp(self, k):
+        # against a 720-bit reference; one ulp of a value in [2^(e-1), 2^e)
+        # is 2^(e - prec) at the tables' precision prec = guarded(bits, k)
+        with workprec(720):
+            ref = [mpmath.cot(mpmath.pi * a / k) for a in range(1, k)]
+        for bits in (100, 256):
+            prec = guarded(bits, k)
+            ct, tt = cot_table(k, bits), tan_table(k, bits)
+            for a in range(1, k):
+                if 2 * a == k:
+                    assert ct[a - 1] == 0 and tt[a - 1] is None
+                    continue
+                assert ct[k - a - 1] + ct[a - 1] == 0
+                assert tt[k - a - 1] + tt[a - 1] == 0
+                with workprec(720):
+                    for value, exact in ((ct[a - 1], ref[a - 1]),
+                                         (tt[a - 1], 1 / ref[a - 1])):
+                        ulp = mpf(2) ** (mpmath.frexp(exact)[1] - prec)
+                        assert abs(value - exact) <= 2 * ulp, (a, bits)
 
 
 class TestProductSum:
