@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 from math import gcd
 
@@ -24,7 +25,7 @@ from .errors import CotsumsError, OutOfRange
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
 from .hp import fmt
 from .registry import REGISTRY, verify
-from .report import csv_header, csv_row
+from .report import IdentityReport, csv_header, csv_row
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -487,17 +488,31 @@ def _cmd_sweep(args) -> int:
                 for i, params in enumerate(instances)]
     # the pool forks every worker at once: no more than cores or instances
     jobs = min(cfg.jobs, os.cpu_count() or 1, len(payloads))
-    t0 = time.perf_counter()
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = sorted(pool.map(_run_instance, payloads))
-    else:
-        results = [_run_instance(p) for p in payloads]
-    elapsed = time.perf_counter() - t0
-
-    from .report import IdentityReport
-
-    reports = [IdentityReport.from_dict(d) for _, d in results]
+    # a bad --csv path is refused before the sweep runs, not after it
+    try:
+        out = open(args.csv, "w", newline="") if args.csv else nullcontext()
+    except OSError as exc:
+        raise CotsumsError(f"cannot write {args.csv}: "
+                           f"{exc.strerror or exc}") from None
+    with out as fh:
+        t0 = time.perf_counter()
+        if jobs > 1:
+            # one task per run of instances (they are ordered by k), so a
+            # worker reuses its tables; 4 runs per worker balance the tail
+            chunksize = -(-len(payloads) // (4 * jobs))
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = sorted(pool.map(_run_instance, payloads,
+                                          chunksize=chunksize))
+        else:
+            results = [_run_instance(p) for p in payloads]
+        elapsed = time.perf_counter() - t0
+        reports = [IdentityReport.from_dict(d) for _, d in results]
+        if fh is not None:
+            names = [n for n in entry.param_names if n != "convention"]
+            w = csv.writer(fh)
+            w.writerow(csv_header(names))
+            for r in reports:
+                w.writerow(csv_row(r, names))
     failures = [r for r in reports if not r.passed]
     max_res = max((mpmath.mpf(r.residual) for r in reports), default=0)
     if args.verbose or args.json:
@@ -505,13 +520,6 @@ def _cmd_sweep(args) -> int:
             print(r.to_json() if args.json else
                   f"[{'PASS' if r.passed else 'FAIL'}] {r.id} {r.params} "
                   f"residual={r.residual} ({r.micros} us)")
-    if args.csv:
-        names = [n for n in entry.param_names if n != "convention"]
-        with open(args.csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(csv_header(names))
-            for r in reports:
-                w.writerow(csv_row(r, names))
     timed = [r for r in reports
              if r.lhs_micros is not None and r.rhs_micros]
     print(f"sweep {args.id}: {len(reports)} instances, "

@@ -24,7 +24,7 @@ from mpmath import mpc, mpf, workprec
 from . import trig
 from .errors import (NotCoprime, OutOfRange, ParityViolation, PeriodMismatch,
                      WorkLimitExceeded)
-from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
+from .exact import bernoulli_number, bernoulli_poly, mod_inverse
 from .hp import DEFAULT_BITS, guarded, is_exact, to_number
 
 DEFAULT_WORK_LIMIT = 10 ** 8
@@ -233,7 +233,9 @@ def map_max_residual(f: PeriodicMap, g: PeriodicMap, bits: int = DEFAULT_BITS):
 
 
 def sawtooth_map(k: int) -> PeriodicMap:
-    return PeriodicMap(tuple(sawtooth(Fraction(a, k)) for a in range(k)))
+    """a -> ((a/k)): 0 at a = 0 and (2a - k)/2k = a/k - 1/2 off it."""
+    return PeriodicMap(Fraction(2 * a - k, 2 * k) if a else Fraction(0)
+                       for a in range(k))
 
 
 def bernoulli_map(r: int, k: int) -> PeriodicMap:
@@ -248,8 +250,8 @@ def alt_sawtooth_map(k: int) -> PeriodicMap:
     """(-1)^n ((n/k)); k-periodic only for even k."""
     if k % 2 != 0:
         raise ParityViolation("(-1)^n ((n/k)) is k-periodic only for even k")
-    vals = tuple((-1) ** a * sawtooth(Fraction(a, k)) for a in range(k))
-    return PeriodicMap(vals)
+    return PeriodicMap(-v if a % 2 else v
+                       for a, v in enumerate(sawtooth_map(k).values))
 
 
 def alt_sign_map(k: int) -> PeriodicMap:

@@ -19,7 +19,7 @@ from cotsums.periodic import (PeriodicMap, alt_sawtooth_map, alt_sign_map,
                               random_even_map, random_odd_map,
                               random_rational_map, sawtooth_dft_map,
                               sawtooth_map, spectral_product_sum)
-from cotsums.exact import mod_inverse
+from cotsums.exact import mod_inverse, sawtooth
 from cotsums.zeta import cot_form
 
 
@@ -41,6 +41,20 @@ class TestPeriodicMap:
     def test_exactness_flag(self):
         assert sawtooth_map(5).exact
         assert not sawtooth_dft_map(5).exact
+
+    def test_sawtooth_maps_match_the_definition(self):
+        # the maps are built as (2a - k)/2k; exact.sawtooth is the definition
+        for k in range(1, 301):
+            defined = tuple(sawtooth(Fraction(a, k)) for a in range(k))
+            assert sawtooth_map(k).values == defined
+            if k % 2 == 0:
+                assert alt_sawtooth_map(k).values == tuple(
+                    (-1) ** a * v for a, v in enumerate(defined))
+
+    def test_sawtooth_map_needs_a_positive_period(self):
+        for k in (0, -4):
+            with pytest.raises(ValueError):
+                sawtooth_map(k)
 
 
 class TestDft:

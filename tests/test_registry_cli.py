@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -195,18 +196,20 @@ class TestCli:
     def test_sweep_jobs_matches_serial(self, capsys, tmp_path):
         serial_csv = tmp_path / "serial.csv"
         parallel_csv = tmp_path / "parallel.csv"
-        assert main(["sweep", "cor3", "--k", "3..6", "--h1", "all-coprime",
-                     "--h2", "1", "--csv", str(serial_csv)]) == 0
-        assert main(["sweep", "cor3", "--k", "3..6", "--h1", "all-coprime",
-                     "--h2", "1", "--csv", str(parallel_csv),
-                     "--jobs", "2"]) == 0
-        capsys.readouterr()
-        serial_rows = serial_csv.read_text()
-        parallel_rows = parallel_csv.read_text()
-        # identical rows in identical (deterministic) order, timings aside
-        strip = lambda text: [",".join(line.split(",")[:-1])
-                              for line in text.splitlines()]
-        assert strip(serial_rows) == strip(parallel_rows)
+        # eq1 expands to 278 instances in chunks of 35: each spans several k
+        for argv in (["cor3", "--k", "3..6", "--h1", "all-coprime",
+                      "--h2", "1"],
+                     ["eq1", "--k", "1..30", "--h", "all-coprime"]):
+            assert main(["sweep", *argv, "--csv", str(serial_csv)]) == 0
+            assert main(["sweep", *argv, "--csv", str(parallel_csv),
+                         "--jobs", "2"]) == 0
+            capsys.readouterr()
+            serial_rows = serial_csv.read_text()
+            parallel_rows = parallel_csv.read_text()
+            # identical rows in identical (deterministic) order, timings aside
+            strip = lambda text: [",".join(line.split(",")[:-1])
+                                  for line in text.splitlines()]
+            assert strip(serial_rows) == strip(parallel_rows)
 
     def test_bad_tolerance_for_precision(self, capsys):
         code = main(["verify", "eq1", "--h", "1", "--k", "3",
@@ -238,6 +241,10 @@ class TestCli:
     (["compute", "zagier-cot", "--hs", ",", "--k", "5"],
      "at least one integer"),
     (["sweep", "th5", "--k", "4", "--m", "0"], "no admissible instances"),
+    (["sweep", "eq1", "--k", "3", "--h", "1", "--csv", "/nonexistent/x.csv"],
+     "cannot write /nonexistent/x.csv"),
+    (["sweep", "eq1", "--k", "3", "--h", "1", "--csv", "/nonexistent/x.csv",
+      "--jobs", "2"], "cannot write /nonexistent/x.csv"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -257,12 +264,14 @@ def test_compute_refuses_without_traceback(argv, condition):
     ("3", 8, [3]),
     ("1000", None, []),    # core count unknown: serial
     ("2", 1, []),
+    ("2", 2, [2]),         # chunks of ceil(10 / 8) = 2 instances
 ])
 def test_sweep_jobs_clamped(monkeypatch, capsys, jobs, cores, started):
-    pools = []
+    pools, chunks = [], []
 
     class SerialPool:
-        """Records the worker count asked for and runs the sweep in-line."""
+        """Records the worker count and chunk size asked for and runs the
+        sweep in-line."""
 
         def __init__(self, max_workers):
             pools.append(max_workers)
@@ -273,7 +282,8 @@ def test_sweep_jobs_clamped(monkeypatch, capsys, jobs, cores, started):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=1):
+            chunks.append(chunksize)
             return map(fn, items)
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
@@ -282,3 +292,5 @@ def test_sweep_jobs_clamped(monkeypatch, capsys, jobs, cores, started):
                  "--h2", "1", "--jobs", jobs]) == 0
     assert "10 instances, 10 pass" in capsys.readouterr().out
     assert pools == started
+    # the pool path hands each worker contiguous runs of ceil(n / 4 jobs)
+    assert chunks == [math.ceil(10 / (4 * w)) for w in started]
