@@ -6,15 +6,16 @@ and the zero-sum product sums; values are promoted to mpc only at the
 transform boundary. The zero-sum product sum is an integer cyclic-
 convolution chain (O((m-2)k^2 + k) products); its brute-force enumeration
 (O(k^(m-1))) is kept beside it as the reference. The transform is the
-direct O(k^2) sum: k is small at verification scale, every k (including
-primes) must work, and the error budget stays a simple k*2^(-bits) per
-output.
+direct O(k^2) sum, one rounded dot product per output: k is small at
+verification scale, every k (including primes) must work, and the error
+budget stays a simple k*2^(-bits) per output.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
 from operator import mul
 
@@ -65,24 +66,25 @@ def dft(f: PeriodicMap, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """fhat(n) = sum_a f(a) e^(-2*pi*i*a*n/k), direct evaluation.
 
     The k roots of unity are built from one evaluation of e^(-2*pi*i/k)
-    by repeated multiplication; the guard bits absorb the O(k) drift of
-    that table plus the O(k) summation, keeping the final error within
+    by repeated multiplication; each output is one mpmath.fdot, whose
+    products are exact and whose sum is rounded once. The guard bits absorb
+    the O(k) drift of the root table, keeping the final error within
     k*2^(2-bits) of the requested precision.
     """
     k = f.period
     with workprec(guarded(bits, 4 * k * k)):
         w = mpmath.expjpi(mpf(-2) / k) if k > 1 else mpc(1)
-        roots = [mpc(1)]
-        for _ in range(k - 1):
-            roots.append(roots[-1] * w)
-        vals = [to_number(v) for v in f.values]
-        out = []
-        for n in range(k):
-            acc = mpc(0)
-            for a in range(k):
-                acc += vals[a] * roots[(a * n) % k]
-            out.append(acc)
-    return PeriodicMap(out)
+        roots = list(accumulate(repeat(w, k - 1), mul, initial=mpc(1)))
+        return root_sums([to_number(v) for v in f.values], roots)
+
+
+def root_sums(vals, roots) -> PeriodicMap:
+    """n -> sum_a vals[a] roots[a*n mod k], given the k powers of a k-th root
+    of unity: one mpmath.fdot per n, whose products are exact and whose sum
+    is rounded once at the working precision."""
+    k = len(vals)
+    return PeriodicMap(mpmath.fdot(vals, [roots[a * n % k] for a in range(k)])
+                       for n in range(k))
 
 
 def involution_residual(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpf:
@@ -361,12 +363,13 @@ def alt_sign_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
 
 
 def closed_form_dft(kind: str, k: int, bits: int = DEFAULT_BITS, *,
-                    r: int | None = None, s=None,
-                    variant: str = "corrected") -> PeriodicMap:
+                    r: int | None = None, s=None, variant: str = "corrected",
+                    work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
     """Dispatch the closed-form transform of a named map family.
 
     kind: "sawtooth" | "bernoulli" (needs r) | "alt-sawtooth" (k even)
-          | "alt-sign" (k odd) | "periodic-zeta" (needs s, Re s > 1).
+          | "alt-sign" (k odd) | "periodic-zeta" (needs s, Re s > 1;
+          its Hurwitz cuts count against work_limit).
     """
     if kind == "sawtooth":
         return sawtooth_dft_map(k, bits)
@@ -383,12 +386,13 @@ def closed_form_dft(kind: str, k: int, bits: int = DEFAULT_BITS, *,
 
         if s is None:
             raise ValueError("periodic-zeta transform needs s")
-        return periodic_zeta_dft_map(s, k, bits)
+        return periodic_zeta_dft_map(s, k, bits, work_limit)
     raise ValueError(f"unknown closed-form kind {kind!r}")
 
 
 def defining_map(kind: str, k: int, bits: int = DEFAULT_BITS, *,
-                 r: int | None = None, s=None) -> PeriodicMap:
+                 r: int | None = None, s=None,
+                 work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
     """The map whose transform closed_form_dft(kind, ...) claims to be."""
     if kind == "sawtooth":
         return sawtooth_map(k)
@@ -405,5 +409,5 @@ def defining_map(kind: str, k: int, bits: int = DEFAULT_BITS, *,
 
         if s is None:
             raise ValueError("periodic-zeta map needs s")
-        return periodic_zeta_map(s, k, bits)
+        return periodic_zeta_map(s, k, bits, work_limit)
     raise ValueError(f"unknown map kind {kind!r}")

@@ -224,6 +224,7 @@ def _lemma1(kind):
     def check(entry, params, config):
         k, bits = params["k"], config.precision
         kw = {name: params[name] for name in ("r", "s") if name in params}
+        kw["work_limit"] = config.work_limit
         direct = dft(periodic.defining_map(kind, k, bits, **kw), bits)
         if "convention" in params:
             kw["variant"] = params["convention"]
@@ -250,7 +251,8 @@ def _check_remark1(entry, params, config):
 
 def _check_th9(entry, params, config):
     lhs, rhs = zeta.mikolas_pair(params["s1"], params["s2"], params["h1"],
-                                 params["h2"], params["k"], config.precision)
+                                 params["h2"], params["k"], config.precision,
+                                 config.work_limit)
     return build_report(entry.id, entry.anchor, params, lhs, rhs,
                         config.precision, config.tolerance_value())
 

@@ -17,10 +17,11 @@ import mpmath
 from mpmath import mpc, mpf, workprec
 
 from .errors import (ConvergenceDomain, NonPositiveArgument, NotCoprime,
-                     NotOdd, OutOfRange)
+                     NotOdd, OutOfRange, WorkLimitExceeded)
 from .exact import bernoulli_number, frac
 from .hp import DEFAULT_BITS, guarded, to_number
-from .periodic import PeriodicMap, dft, map_max_residual
+from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap, dft, map_max_residual,
+                       root_sums)
 from .trig import COT, VALUES, trig_product_sum
 
 _EM_GUARD = 32
@@ -43,6 +44,23 @@ def _to_s(s, bits: int = DEFAULT_BITS) -> mpc:
         return mpc(s)
 
 
+def _em_cut(sc: mpc, bits: int) -> int:
+    """The Euler-Maclaurin cut M of hurwitz_zeta: at least 2|Im s|, so the
+    tail expansion converges."""
+    return max(16, int(0.4 * (guarded(bits, 0) + _EM_GUARD)),
+               int(2 * abs(sc.imag)))
+
+
+def _charge_cut(sc: mpc, count: int, bits: int, work_limit: int) -> None:
+    """Refuse count Hurwitz values whose cuts sum more than work_limit terms,
+    before any term is summed."""
+    cut = _em_cut(sc, bits)
+    if cut * count > work_limit:
+        raise WorkLimitExceeded(
+            f"Hurwitz cut {cut} terms x {count} values = {cut * count} "
+            f"terms exceed the work limit {work_limit}")
+
+
 def hurwitz_zeta(s, x, bits: int = DEFAULT_BITS):
     """zeta(s, x) = sum_{n>=0} (n+x)^(-s) for Re s > 1, 0 < x <= 1.
 
@@ -59,12 +77,11 @@ def hurwitz_zeta(s, x, bits: int = DEFAULT_BITS):
     if not 0 < xq <= 1:
         raise OutOfRange(f"x must lie in (0, 1], got {xq}")
     real_s = sc.imag == 0
-    wp = guarded(bits, 0) + _EM_GUARD
-    with workprec(wp):
+    with workprec(guarded(bits, 0) + _EM_GUARD):
         se = sc.real if real_s else sc
         xv = mpmath.mpmathify(xq)
         target = mpf(2) ** -(bits + 8)
-        m_cut = max(16, int(0.4 * wp), int(2 * abs(sc.imag)))
+        m_cut = _em_cut(sc, bits)
         for _ in range(8):
             value = _em_tail(se, xv, m_cut, target)
             if value is not None:
@@ -100,49 +117,27 @@ def _em_tail(s, x, m_cut, target):
     return None  # pragma: no cover
 
 
+@lru_cache(maxsize=64)
 def riemann_zeta(s, bits: int = DEFAULT_BITS):
     return hurwitz_zeta(s, Fraction(1), bits)
 
 
+@lru_cache(maxsize=64)
+def hurwitz_row(s: mpc, k: int, bits: int = DEFAULT_BITS) -> tuple:
+    """(None, zeta(s, 1/k), ..., zeta(s, (k-1)/k)), indexed by n mod k: the
+    lhs row of mikolas_pair, keyed by the normalized s."""
+    return (None,) + tuple(hurwitz_zeta(s, Fraction(n, k), bits)
+                           for n in range(1, k))
+
+
 def digamma(x, bits: int = DEFAULT_BITS) -> mpf:
-    """psi(x) for rational x > 0: recurrence shift to the asymptotic range,
-    then the Bernoulli-coefficient expansion with first-omitted-term bound."""
+    """psi(x) for rational x > 0: mpmath.digamma at the working precision
+    guarded(bits, 0) + _EM_GUARD."""
     xq = Fraction(x)
     if xq <= 0:
         raise NonPositiveArgument(f"digamma needs x > 0, got {xq}")
-    wp = guarded(bits, 0) + _EM_GUARD
-    with workprec(wp):
-        target = mpf(2) ** -(bits + 8)
-        m_cut = max(16, int(0.4 * wp))
-        xv = mpmath.mpmathify(xq)
-        for _ in range(8):
-            shift = max(0, m_cut - int(xq))
-            shifted = mpf(0)
-            for i in range(shift):
-                shifted += 1 / (xv + i)
-            w = xv + shift
-            value = mpmath.log(w) - 1 / (2 * w)
-            w_m2 = 1 / (w * w)
-            wpow = w_m2
-            prev = None
-            j = 1
-            ok = False
-            while 2 * j < 8 * wp:
-                term = mpmath.mpmathify(Fraction(bernoulli_number(2 * j), 2 * j)) * wpow
-                value -= term
-                size = abs(term)
-                if size < target:
-                    ok = True
-                    break
-                if prev is not None and size >= prev:
-                    break
-                prev = size
-                wpow *= w_m2
-                j += 1
-            if ok:
-                return value - shifted
-            m_cut *= 2
-        raise ConvergenceDomain("digamma expansion failed to converge")  # pragma: no cover
+    with workprec(guarded(bits, 0) + _EM_GUARD):
+        return mpmath.digamma(mpmath.mpmathify(xq))
 
 
 def euler_gamma_rk(r: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -152,16 +147,6 @@ def euler_gamma_rk(r: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
         raise OutOfRange(f"need 1 <= r <= k, got r={r}, k={k}")
     with workprec(guarded(bits, k)):
         return -(mpmath.log(k) + digamma(Fraction(r, k), bits)) / k
-
-
-def euler_gamma_partial(r: int, k: int, x: int) -> float:
-    """Float partial-sum oracle for gamma(r,k): the definitional limit cut
-    at n <= x (O(1/x) from the limit)."""
-    import math
-
-    first = r if r >= 1 else r + k
-    acc = math.fsum(1.0 / n for n in range(first, x + 1, k))
-    return acc - math.log(x) / k
 
 
 @lru_cache(maxsize=64)
@@ -209,30 +194,35 @@ def periodic_zeta(s, x, bits: int = DEFAULT_BITS):
         return acc * mpf(q) ** -sc
 
 
-def periodic_zeta_map(s, k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
-    """n -> F(s, n/k) as a k-periodic map; one Hurwitz table, k phase sums."""
+def periodic_zeta_map(s, k: int, bits: int = DEFAULT_BITS,
+                      work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
+    """n -> F(s, n/k) as a k-periodic map, charged k Hurwitz cuts."""
     sc = _to_s(s, bits)
     if not sc.real > 1:
         raise ConvergenceDomain(f"needs Re s > 1, got Re s = {sc.real}")
+    _charge_cut(sc, k, bits, work_limit)
+    return _periodic_zeta_table(sc, k, bits)
+
+
+@lru_cache(maxsize=64)
+def _periodic_zeta_table(s: mpc, k: int, bits: int) -> PeriodicMap:
+    """F(s, n/k) = k^(-s) sum_a e^(2*pi*i*a*n/k) zeta(s, a/k), a = 1..k: the
+    rhs map of mikolas_pair, built apart from hurwitz_row."""
     with workprec(guarded(bits, k * k)):
-        hz = [hurwitz_zeta(sc, Fraction(a, k), bits) for a in range(1, k + 1)]
-        scale = mpf(k) ** -sc
+        hz = [hurwitz_zeta(s, Fraction(a or k, k), bits) for a in range(k)]
         roots = [mpmath.expjpi(mpf(2 * j) / k) for j in range(k)]
-        vals = []
-        for n in range(k):
-            acc = mpc(0)
-            for a in range(1, k + 1):
-                acc += roots[(a * n) % k] * hz[a - 1]
-            vals.append(acc * scale)
-    return PeriodicMap(vals)
+        scale = mpf(k) ** -s
+        return PeriodicMap(scale * v for v in root_sums(hz, roots).values)
 
 
-def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
+def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS,
+                          work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
     """Stated transform of n -> F(s, n/k): k^(1-s) zeta(s, {n/k}) off
-    multiples of k and k^(1-s) zeta(s) at them."""
+    multiples of k and k^(1-s) zeta(s) at them; charged k Hurwitz cuts."""
     sc = _to_s(s, bits)
     if not sc.real > 1:
         raise ConvergenceDomain(f"needs Re s > 1, got Re s = {sc.real}")
+    _charge_cut(sc, k, bits, work_limit)
     with workprec(guarded(bits, k)):
         scale = mpf(k) ** (1 - sc)
         vals = [scale * riemann_zeta(sc, bits)]
@@ -241,35 +231,34 @@ def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     return PeriodicMap(vals)
 
 
-def periodic_zeta_dft_residual(s, k: int, bits: int = DEFAULT_BITS) -> mpf:
-    """max_n | dft(n -> F(s, n/k))(n) - stated closed form |."""
-    lhs = dft(periodic_zeta_map(s, k, bits), bits)
-    rhs = periodic_zeta_dft_map(s, k, bits)
-    return map_max_residual(lhs, rhs, bits)[0]
-
-
-def mikolas_pair(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS):
+def mikolas_pair(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS,
+                 work_limit: int = DEFAULT_WORK_LIMIT):
     """Both sides of the Hurwitz-zeta analogue of the Dedekind sum:
 
     lhs = sum_{a=1}^{k-1} zeta(s1, {a h1/k}) zeta(s2, {a h2/k})
     rhs = (k^(s1+s2-1) - 1) zeta(s1) zeta(s2)
           + k^(s1+s2-1) sum_{a=1}^{k-1} F(s1, a h2/k) F(s2, -a h1/k)
+
+    The lhs reads the cached hurwitz_row of each s, the rhs riemann_zeta
+    and the cached F maps; each s is charged k Hurwitz cuts for its row
+    and zeta(s), and its F map k more.
     """
     sc1, sc2 = _to_s(s1, bits), _to_s(s2, bits)
     if not (sc1.real > 1 and sc2.real > 1):
         raise ConvergenceDomain("needs Re s1 > 1 and Re s2 > 1")
     if gcd(h1, k) != 1 or gcd(h2, k) != 1:
         raise NotCoprime(f"h1, h2 must be units mod {k}")
+    for sc in (sc1, sc2):
+        _charge_cut(sc, k, bits, work_limit)
     with workprec(guarded(bits, k)):
-        z1, z2 = ([None] + [hurwitz_zeta(sc, Fraction(n, k), bits)
-                            for n in range(1, k)] for sc in (sc1, sc2))
         lhs = mpc(trig_product_sum(
-            [(VALUES, z1, h1), (VALUES, z2, h2)], k, bits=bits))
+            [(VALUES, hurwitz_row(sc1, k, bits), h1),
+             (VALUES, hurwitz_row(sc2, k, bits), h2)], k, bits=bits))
         kp = mpf(k) ** (sc1 + sc2 - 1)
         rhs = (kp - 1) * riemann_zeta(sc1, bits) * riemann_zeta(sc2, bits)
         if k > 1:
-            f1 = periodic_zeta_map(sc1, k, bits)
-            f2 = periodic_zeta_map(sc2, k, bits)
+            f1 = periodic_zeta_map(sc1, k, bits, work_limit)
+            f2 = periodic_zeta_map(sc2, k, bits, work_limit)
             rhs += kp * trig_product_sum(
                 [(VALUES, f1.values, h2), (VALUES, f2.values, -h1)], k,
                 bits=bits)

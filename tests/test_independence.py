@@ -11,6 +11,9 @@ return its value.
 
 Every id that reads the cot/tan tables must see them: scaled by 1 + 2^-e,
 which keeps them odd, the tables make each such id fail.
+
+th9 reads two cached zeta tables, one per side: scaling either the Hurwitz
+row of its lhs or the F map of its rhs makes it fail.
 """
 
 import pytest
@@ -166,3 +169,48 @@ def test_table_perturbation_is_seen(wrap_tables, identity):
 
     wrap_tables(scale)
     assert not verify(identity, params).passed
+
+
+@pytest.fixture
+def cold_zeta_caches():
+    """Every zeta-layer cache is empty at the start and at the end, so no
+    warm entry hides a patched primitive; the test may call clear()."""
+    caches = (zeta.hurwitz_row, zeta._periodic_zeta_table, zeta.riemann_zeta,
+              zeta.euler_gamma_table)
+
+    def clear():
+        for cached in caches:
+            cached.cache_clear()
+
+    clear()
+    yield clear
+    clear()
+
+
+# each th9 table, and the table of the other side, which must not change
+# when this one is scaled
+@pytest.mark.parametrize("name,other", [
+    ("hurwitz_row", lambda s: zeta.periodic_zeta_map(s, 7).values),
+    ("_periodic_zeta_table", lambda s: zeta.hurwitz_row(s, 7, 256))],
+    ids=["lhs-row", "rhs-F-map"])
+def test_th9_sides_read_separate_zeta_tables(monkeypatch, cold_zeta_caches,
+                                             name, other):
+    params = {"k": 7, "h1": 1, "h2": 3}
+    assert verify("th9", params).passed
+    s = zeta._to_s("2")
+    before = other(s)
+    build = getattr(zeta, name)
+
+    def scaled(*args):
+        table = build(*args)
+        values = table if isinstance(table, tuple) else table.values
+        with workprec(1024):
+            values = tuple(None if v is None else v * (1 + mpf(2) ** -100)
+                           for v in values)
+        return values if isinstance(table, tuple) else periodic.PeriodicMap(
+            values)
+
+    cold_zeta_caches()
+    monkeypatch.setattr(zeta, name, scaled)
+    assert not verify("th9", params).passed
+    assert other(s) == before

@@ -78,6 +78,16 @@ class TestDft:
         for v in fhat.values:
             assert_close(v, 0)
 
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("k", [96, 97])
+    def test_error_within_the_stated_bound(self, k, bits):
+        # the docstring's bound k*2^(2-bits), against the transform at 2*bits
+        for f in (sawtooth_map(k), random_rational_map(k, 5)):
+            fhat, ref = dft(f, bits), dft(f, 2 * bits)
+            with workprec(4 * bits):
+                err = max(abs(a - b) for a, b in zip(fhat.values, ref.values))
+                assert err < k * mpf(2) ** (2 - bits)
+
     @pytest.mark.parametrize("make,k", [
         (sawtooth_map, 5),
         (lambda k: random_rational_map(k, 11), 8),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -7,12 +8,27 @@ from mpmath import mpf, workprec
 from conftest import TOL_DEFAULT, assert_close, residual
 from cotsums.errors import (ConvergenceDomain, NonPositiveArgument,
                             NotCoprime, NotOdd, OutOfRange)
-from cotsums.periodic import PeriodicMap, constant_map, random_odd_map, sawtooth_map
-from cotsums.zeta import (SeriesForms, digamma, euler_gamma_partial,
-                          euler_gamma_rk, euler_gamma_table,
-                          gamma_dft_residual, hurwitz_zeta, mikolas_pair,
-                          periodic_zeta, periodic_zeta_dft_residual,
-                          riemann_zeta, series_forms, series_partial)
+from cotsums.periodic import (PeriodicMap, constant_map, dft, map_max_residual,
+                              random_odd_map, sawtooth_map)
+from cotsums.zeta import (SeriesForms, digamma, euler_gamma_rk,
+                          euler_gamma_table, gamma_dft_residual, hurwitz_zeta,
+                          mikolas_pair, periodic_zeta, periodic_zeta_dft_map,
+                          periodic_zeta_map, riemann_zeta, series_forms,
+                          series_partial)
+
+
+def euler_gamma_partial(r: int, k: int, x: int) -> float:
+    """Float partial-sum oracle for gamma(r,k): the definitional limit cut
+    at n <= x (O(1/x) from the limit)."""
+    first = r if r >= 1 else r + k
+    acc = math.fsum(1.0 / n for n in range(first, x + 1, k))
+    return acc - math.log(x) / k
+
+
+def periodic_zeta_dft_residual(s, k: int, bits: int = 256) -> mpf:
+    """max_n | dft(n -> F(s, n/k))(n) - stated closed form |."""
+    lhs = dft(periodic_zeta_map(s, k, bits), bits)
+    return map_max_residual(lhs, periodic_zeta_dft_map(s, k, bits), bits)[0]
 
 
 class TestHurwitzZeta:
@@ -109,12 +125,21 @@ class TestDigamma:
                          -mpmath.euler - 2 * mpmath.log(2))
             assert_close(digamma(Fraction(2)), 1 - mpmath.euler)
 
-    @pytest.mark.parametrize("x", [Fraction(1, 3), Fraction(5, 7),
-                                   Fraction(13, 4), Fraction(99, 100)])
-    def test_against_mpmath_oracle(self, x):
+    @pytest.mark.parametrize("m", range(2, 31))
+    def test_gauss_digamma_theorem(self, m):
+        # psi(r/m) = -gamma - log 2m - (pi/2) cot(pi r/m)
+        #            + 2 sum_{n=1}^{ceil(m/2)-1} cos(2 pi n r/m) log sin(pi n/m)
         with workprec(300):
-            assert_close(digamma(x, 256), mpmath.digamma(mpmath.mpmathify(x)),
-                         tol=mpf(2) ** -240)
+            logsin = [mpmath.log(mpmath.sinpi(mpf(n) / m))
+                      for n in range(1, (m + 1) // 2)]
+            for r in range(1, m):
+                q = mpf(r) / m
+                gauss = (-mpmath.euler - mpmath.log(2 * m)
+                         - mpmath.pi / 2 * mpmath.cospi(q) / mpmath.sinpi(q)
+                         + 2 * sum(mpmath.cospi(2 * n * q) * ls
+                                   for n, ls in enumerate(logsin, 1)))
+                assert_close(digamma(Fraction(r, m), 256), gauss,
+                             tol=mpf(2) ** -240)
 
     @pytest.mark.parametrize("x", [Fraction(1, 5), Fraction(3, 7), Fraction(2)])
     def test_duplication_oracle(self, x):
