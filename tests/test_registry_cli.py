@@ -241,16 +241,16 @@ class TestCli:
     (["compute", "zagier-cot", "--hs", ",", "--k", "5"],
      "at least one integer"),
     (["sweep", "th5", "--k", "4", "--m", "0"], "no admissible instances"),
+    (["sweep", "eq1", "--k", "3", "--h", "1", "--csv", "/nonexistent/x.csv"],
+     "cannot write /nonexistent/x.csv"),
+    (["sweep", "eq1", "--k", "3", "--h", "1", "--csv", "/nonexistent/x.csv",
+      "--jobs", "2"], "cannot write /nonexistent/x.csv"),
     # the Euler-Maclaurin cut grows as 2|Im s|: refused before any term
     (["verify", "lemma1-v", "--k", "3", "--s", "2+1e9i"],
      "Hurwitz cut 2000000000 terms x 3 values = 6000000000 terms exceed "
      "the work limit 100000000"),
     (["verify", "th9", "--k", "3", "--h1", "1", "--h2", "1", "--s2", "2+1e9i"],
      "Hurwitz cut 2000000000 terms x 3 values"),
-    (["sweep", "eq1", "--k", "3", "--h", "1", "--csv", "/nonexistent/x.csv"],
-     "cannot write /nonexistent/x.csv"),
-    (["sweep", "eq1", "--k", "3", "--h", "1", "--csv", "/nonexistent/x.csv",
-      "--jobs", "2"], "cannot write /nonexistent/x.csv"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")
