@@ -16,17 +16,16 @@ from .errors import (ConvergenceDomain, CotsumsError, NonPositiveArgument,
 from .exact import (BernoulliPoly, bernoulli_number, bernoulli_poly, frac,
                     mod_inverse, periodic_bernoulli, sawtooth)
 from .periodic import (PeriodicMap, closed_form_dft, constrained_product_sum,
-                       convolve, defining_map, dft, dilate,
-                       involution_residual, map_max_residual, parseval_sides,
-                       sawtooth_map, spectral_product_sum)
+                       convolve, defining_map, dft, map_max_residual,
+                       parseval_sides, sawtooth_map, spectral_product_sum)
 from .registry import REGISTRY, IdentityEntry, verify
 from .report import IdentityReport
 from .sums import (dedekind_cot, dedekind_series, dedekind_sum, hardy_A,
                    hardy_A_rhs, hardy_B, hardy_B_rhs, hardy_sum, zagier_cot,
                    zagier_sum)
 from .trig import CotPoly, cot_at, cot_deriv_at, cot_poly, tan_at, trig_product_sum
-from .zeta import (digamma, euler_gamma_rk, euler_gamma_table,
-                   gamma_dft_residual, hurwitz_zeta, mikolas_pair,
-                   periodic_zeta, riemann_zeta, series_forms, series_partial)
+from .zeta import (digamma, euler_gamma_rk, euler_gamma_table, hurwitz_zeta,
+                   mikolas_pair, periodic_zeta, riemann_zeta, series_forms,
+                   series_partial)
 
 __version__ = "0.1.0"

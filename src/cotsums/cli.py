@@ -115,11 +115,15 @@ def _t_digamma(a, cfg):
 
 
 def _t_hurwitz(a, cfg):
-    return zeta.hurwitz_zeta(a.s, _rational(a.x), cfg.precision), False, ""
+    x = _rational(a.x)
+    zeta._charge_cut(zeta._to_s(a.s, cfg.precision), 1, cfg.precision,
+                     cfg.work_limit)
+    return zeta.hurwitz_zeta(a.s, x, cfg.precision), False, ""
 
 
 def _t_periodic_zeta(a, cfg):
-    return zeta.periodic_zeta(a.s, _rational(a.x), cfg.precision), False, ""
+    return zeta.periodic_zeta(a.s, _rational(a.x), cfg.precision,
+                              cfg.work_limit), False, ""
 
 
 def _t_cot(a, cfg):

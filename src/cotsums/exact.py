@@ -13,8 +13,6 @@ from math import comb, gcd
 
 from .errors import NotCoprime
 
-Rational = Fraction
-
 
 def frac(q: Fraction) -> Fraction:
     """Fractional part {q} = q - floor(q), in [0, 1)."""

@@ -1,11 +1,11 @@
 """The DFT algebra on k-periodic maps.
 
 A PeriodicMap stores one period of values, either exact (int/Fraction) or
-high-precision mpf/mpc. Exact maps stay exact through convolution, dilation
-and the zero-sum product sums; values are promoted to mpc only at the
-transform boundary. The zero-sum product sum is an integer cyclic-
-convolution chain (O((m-2)k^2 + k) products); its brute-force enumeration
-(O(k^(m-1))) is kept beside it as the reference. The transform is the
+high-precision mpf/mpc. Exact maps stay exact through convolution and the
+zero-sum product sums; values are promoted to mpc only at the transform
+boundary. The zero-sum product sum is an integer cyclic-convolution chain
+(O((m-2)k^2 + k) products); its brute-force enumeration (O(k^(m-1))) is
+kept beside it as the reference. The transform is the
 direct O(k^2) sum, one rounded dot product per output: k is small at
 verification scale, every k (including primes) must work, and the error
 budget stays a simple k*2^(-bits) per output.
@@ -16,14 +16,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 
 import mpmath
 from mpmath import mpc, mpf, workprec
 
 from . import trig
-from .errors import (NotCoprime, OutOfRange, ParityViolation, PeriodMismatch,
+from .errors import (OutOfRange, ParityViolation, PeriodMismatch,
                      WorkLimitExceeded)
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse
 from .hp import DEFAULT_BITS, guarded, is_exact, to_number
@@ -87,14 +87,6 @@ def root_sums(vals, roots) -> PeriodicMap:
                        for n in range(k))
 
 
-def involution_residual(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpf:
-    """max_n |F(F(f))(n) - k*f(-n)|: the double-transform identity."""
-    k = f.period
-    ff = dft(dft(f, bits), bits)
-    with workprec(guarded(bits, k)):
-        return max(abs(ff(n) - k * to_number(f(-n))) for n in range(k))
-
-
 def convolve(f: PeriodicMap, g: PeriodicMap) -> PeriodicMap:
     """Cauchy convolution (f*g)(n) = sum_a f(a) g(n-a); exact in, exact out."""
     k = _require_same_period(f, g)
@@ -102,14 +94,6 @@ def convolve(f: PeriodicMap, g: PeriodicMap) -> PeriodicMap:
     back = [g.values[-a % k] for a in range(k)] * 2
     return PeriodicMap(sum(map(mul, f.values, back[k - n:2 * k - n]))
                        for n in range(k))
-
-
-def dilate(f: PeriodicMap, h: int) -> PeriodicMap:
-    """n -> f(n*h); h must be a unit mod k so the DFT dilation law holds."""
-    k = f.period
-    if gcd(h, k) != 1:
-        raise NotCoprime(f"gcd({h}, {k}) != 1")
-    return PeriodicMap(tuple(f.values[(n * h) % k] for n in range(k)))
 
 
 def _common_period(fs, hs) -> int:
@@ -264,10 +248,6 @@ def alt_sign_map(k: int) -> PeriodicMap:
     return PeriodicMap(vals)
 
 
-def delta_map(k: int) -> PeriodicMap:
-    return PeriodicMap((Fraction(1),) + (Fraction(0),) * (k - 1))
-
-
 def constant_map(c, k: int) -> PeriodicMap:
     return PeriodicMap((Fraction(c),) * k)
 
@@ -305,12 +285,9 @@ def random_even_map(k: int, seed: int, span: int = 9) -> PeriodicMap:
 
 def sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """Transform of ((n/k)): (i/2) cot(pi*n/k) off multiples of k, 0 at them."""
-    vals = [Fraction(0)]
-    if k > 1:
-        ct = trig.cot_table(k, bits)
-        with workprec(guarded(bits, k)):
-            vals += [mpc(0, 1) / 2 * ct[n - 1] for n in range(1, k)]
-    return PeriodicMap(vals)
+    ct = trig.cot_table(k, bits)
+    with workprec(guarded(bits, k)):
+        return PeriodicMap([Fraction(0)] + [mpc(0, 1) / 2 * t for t in ct[1:]])
 
 
 def bernoulli_dft_map(r: int, k: int, bits: int = DEFAULT_BITS,
@@ -328,15 +305,14 @@ def bernoulli_dft_map(r: int, k: int, bits: int = DEFAULT_BITS,
     if variant not in ("paper", "corrected"):
         raise ValueError(f"unknown variant {variant!r}")
     at_multiples = bernoulli_number(r) * Fraction(k) ** (1 - r)
-    vals = [at_multiples]
+    derivs = trig.cot_deriv_table(r - 1, k, bits)
     with workprec(guarded(bits, k)):
         scale = mpf(r) * mpf(k) ** (1 - r) * (mpc(0, 1) / 2) ** r
         shift = mpf(0)
         if r == 1 and variant == "corrected":
             shift = mpf(-1) / 2
-        for n in range(1, k):
-            vals.append(scale * trig.cot_deriv_at(r - 1, n, k, bits) + shift)
-    return PeriodicMap(vals)
+        return PeriodicMap([at_multiples]
+                           + [scale * t + shift for t in derivs[1:]])
 
 
 def alt_sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
@@ -344,12 +320,9 @@ def alt_sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     if k % 2 != 0:
         raise ParityViolation("needs even k")
     tt = trig.tan_table(k, bits)
-    vals = [mpc(0)]
     with workprec(guarded(bits, k)):
-        for n in range(1, k):
-            t = tt[n - 1]
-            vals.append(mpc(0) if t is None else mpc(0, -1) / 2 * t)
-    return PeriodicMap(vals)
+        return PeriodicMap(mpc(0) if t is None else mpc(0, -1) / 2 * t
+                           for t in tt)
 
 
 def alt_sign_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
@@ -358,8 +331,7 @@ def alt_sign_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
         raise ParityViolation("needs odd k")
     tt = trig.tan_table(k, bits)
     with workprec(guarded(bits, k)):
-        vals = [mpc(0)] + [mpc(0, 1) * tt[n - 1] for n in range(1, k)]
-    return PeriodicMap(vals)
+        return PeriodicMap(mpc(0, 1) * t for t in tt)
 
 
 def closed_form_dft(kind: str, k: int, bits: int = DEFAULT_BITS, *,

@@ -21,7 +21,7 @@ from math import gcd
 from typing import Callable
 
 import mpmath
-from mpmath import mpc, workprec
+from mpmath import workprec
 
 from . import periodic, sums, zeta
 from .config import RunConfig
@@ -30,6 +30,7 @@ from .hp import is_exact, to_number
 from .periodic import (PeriodicMap, dft, map_max_residual, random_even_map,
                        random_odd_map, random_rational_map)
 from .report import IdentityReport, build_report
+from .trig import VALUES, trig_product_sum
 
 
 # --- precondition rules (messages name the violated condition) -------------
@@ -209,10 +210,9 @@ def _check_cor1_cor2(entry, params, config):
     bits = config.precision
     sign, at = (-1 if parity == "odd" else 1), (h2 if parity else -h2)
     lhs = periodic.constrained_product_sum([f1, f2], (h1, -h2))
-    g1, g2 = dft(f1, bits), dft(f2, bits)
-    with workprec(bits + 16):
-        rhs = sign * sum((g1.values[(a * at) % k] * g2.values[(a * h1) % k]
-                          for a in range(k)), mpc(0)) / k
+    rhs = trig_product_sum([(VALUES, dft(f1, bits).values, at),
+                            (VALUES, dft(f2, bits).values, h1)], k, bits=bits,
+                           residues=range(k), divisor=sign * k)
     note = (f"sign (-1)^s with s=1 for odd maps, 0 for even; {parity} maps "
             f"used" if parity else "")
     return build_report(entry.id, entry.anchor, params, lhs, rhs, bits,

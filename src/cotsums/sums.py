@@ -91,7 +91,7 @@ def dedekind_series(h: int, k: int, terms: int = 100_000,
     """
     _require_coprime(h, k)
     ct = trig.cot_table(k, bits)
-    cot_map = PeriodicMap([0] + [ct[(r * h) % k - 1] for r in range(1, k)])
+    cot_map = PeriodicMap([0] + [ct[r * h % k] for r in range(1, k)])
     value, bound = series_partial(cot_map, terms, bits)
     with workprec(guarded(bits, terms)):
         two_pi = 2 * mpmath.pi

@@ -1,15 +1,18 @@
 """tan/cot and cotangent derivatives at rational multiples of pi, and the
 product-sum kernel that evaluates every closed form.
 
-The cached cot/tan tables come from one rotation, the powers of e^(i*pi/k)
-at 2*bitlen(k) + 40 bits above guarded(bits, k) (the O(k) drift, and cos
-near pi/2 is O(1/k)); cos and sin are rounded to guarded(bits, k) and
-divided, so each entry is within 2 ulp there, and cot at a = k/2 is an
-exact 0. cot_at, tan_at and cot_deriv_at evaluate cospi/sinpi per value.
+The cot and tan tables hold one whole period, indexed by the residue
+n = 0..k-1, with None at a pole; they are the layer's only caches. They
+come from one rotation, the powers of e^(i*pi/k) at 2*bitlen(k) + 40 bits
+above guarded(bits, k) (the O(k) drift, and cos near pi/2 is O(1/k)); cos
+and sin are rounded to guarded(bits, k) and divided, so each entry is
+within 2 ulp there, and cot at n = k/2 is an exact 0. cot_at, tan_at and
+cot_deriv_at evaluate one value each by cospi/sinpi.
 
 Higher derivatives of cot are evaluated through exact integer polynomials
-Q_m with cot^(m)(x) = Q_m(cot x), so each value costs one transcendental
-evaluation and the coefficients carry no rounding error.
+Q_m with cot^(m)(x) = Q_m(cot x), so the coefficients carry no rounding
+error: a derivative table is Q_m over the cached cot table, within
+(2m + 4) * 2^-guarded(bits, k) relative error for odd m.
 """
 
 from __future__ import annotations
@@ -111,36 +114,33 @@ def _half_turn(k: int, bits: int) -> list:
 
 @lru_cache(maxsize=256)
 def cot_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
-    """(cot(pi*a/k))_{a=1..k-1}, table[k-a] = -table[a], exactly 0 at k/2."""
+    """(cot(pi*n/k))_{n=0..k-1}: None at n = 0, exactly 0 at n = k/2,
+    table[k-n] = -table[n]."""
     with workprec(guarded(bits, k)):
         half = [mpf(0) if 2 * a == k else c / s
                 for a, (c, s) in enumerate(_half_turn(k, bits), 1)]
-        return tuple(half + [-v for v in reversed(half[:(k - 1) // 2])])
+        return (None, *half, *(-v for v in reversed(half[:(k - 1) // 2])))
 
 
 @lru_cache(maxsize=256)
 def tan_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
-    """(tan(pi*a/k))_{a=1..k-1}, table[k-a] = -table[a]; None at a = k/2."""
+    """(tan(pi*n/k))_{n=0..k-1}: 0 at n = 0, None at n = k/2,
+    table[k-n] = -table[n]."""
     with workprec(guarded(bits, k)):
         half = [None if 2 * a == k else s / c
                 for a, (c, s) in enumerate(_half_turn(k, bits), 1)]
-        return tuple(half + [-v for v in reversed(half[:(k - 1) // 2])])
+        return (mpf(0), *half, *(-v for v in reversed(half[:(k - 1) // 2])))
 
 
-@lru_cache(maxsize=256)
-def _residue_table(kind: str, order: int, k: int,
-                   bits: int = DEFAULT_BITS) -> tuple:
-    """(T(n))_{n=0..k-1} for a trig factor kind; None marks the pole."""
-    if kind == TAN:
-        return (mpf(0),) + tan_table(k, bits)
-    if kind != COT:
-        raise ValueError(f"unknown trig factor kind {kind!r}")
-    values = cot_table(k, bits)
-    if order:
-        poly = cot_poly(order)
-        with workprec(guarded(bits, k)):
-            values = tuple(poly(t) for t in values)
-    return (None,) + values
+def cot_deriv_table(order: int, k: int, bits: int = DEFAULT_BITS) -> tuple:
+    """(cot^(order)(pi*n/k))_{n=0..k-1}, None at n = 0: Q_order over the
+    cached cot table, which is itself the order-0 table."""
+    table = cot_table(k, bits)
+    if not order:
+        return table
+    poly = cot_poly(order)
+    with workprec(guarded(bits, k)):
+        return (None, *(poly(t) for t in table[1:]))
 
 
 def trig_product_sum(factors, k: int, exclusions=(),
@@ -149,9 +149,9 @@ def trig_product_sum(factors, k: int, exclusions=(),
     """(1/divisor) sum_{a in residues, a not excluded} prod_j T_j((a*h_j) % k).
 
     Each factor is (kind, arg, h_j). Kind "cot-deriv" takes T_j(n) =
-    cot^(arg)(pi*n/k) and "tan" takes tan(pi*n/k) (arg ignored), both from
-    cached tables; "values" takes T_j = arg, a sequence indexed by the
-    residue mod k. residues defaults to 1..k-1. Each product is folded left
+    cot^(arg)(pi*n/k) from cot_deriv_table and "tan" takes tan(pi*n/k)
+    from tan_table (arg ignored); "values" takes T_j = arg, a sequence
+    indexed by the residue mod k. residues defaults to 1..k-1. Each product is folded left
     from start, or from its first factor when start is None (so at least
     one factor is needed); start=mpc(1) rounds that factor into the working
     precision guarded(bits, k), at which the whole sum runs. Exclusions
@@ -173,8 +173,14 @@ def trig_product_sum(factors, k: int, exclusions=(),
     with workprec(guarded(bits, k)):
         cols = []
         for kind, arg, h in factors:
-            table = (arg if kind == VALUES
-                     else _residue_table(kind, arg, k, bits))
+            if kind == VALUES:
+                table = arg
+            elif kind == TAN:
+                table = tan_table(k, bits)
+            elif kind == COT:
+                table = cot_deriv_table(arg, k, bits)
+            else:
+                raise ValueError(f"unknown trig factor kind {kind!r}")
             cols.append([table[a * h % k] for a in idx])
         first, rest = ((cols[0], cols[1:]) if start is None
                        else (repeat(start, len(idx)), cols))

@@ -161,14 +161,16 @@ def gamma_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     return PeriodicMap(tuple(table[(a - 1) % k] for a in range(k)))
 
 
-def periodic_zeta(s, x, bits: int = DEFAULT_BITS):
+def periodic_zeta(s, x, bits: int = DEFAULT_BITS,
+                  work_limit: int = DEFAULT_WORK_LIMIT):
     """F(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for rational x.
 
     For Re s > 1 and x = p/q this is assembled from the finite Hurwitz
     combination F(s, p/q) = q^(-s) sum_{a=1}^{q} e^(2*pi*i*a*p/q) zeta(s, a/q),
     which is exact on the stated domain and avoids the conditionally
-    convergent direct series. For s = 1 and non-integer x the closed form
-    -log(2 sin(pi {x})) + i*pi*(1/2 - {x}) is used.
+    convergent direct series; it is charged q Hurwitz cuts. For s = 1 and
+    non-integer x the closed form -log(2 sin(pi {x})) + i*pi*(1/2 - {x}) is
+    used.
     """
     sc = _to_s(s, bits)
     xq = frac(Fraction(x))
@@ -183,6 +185,7 @@ def periodic_zeta(s, x, bits: int = DEFAULT_BITS):
         raise ConvergenceDomain(f"needs Re s > 1 (or s = 1 off integers), "
                                 f"got Re s = {sc.real}")
     q, p = xq.denominator, xq.numerator
+    _charge_cut(sc, q, bits, work_limit)
     if q == 1:
         return mpc(riemann_zeta(sc, bits))
     with workprec(guarded(bits, q)):

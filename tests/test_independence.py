@@ -110,10 +110,11 @@ def test_series_form_builds_only_its_own_tables(monkeypatch, identity, name):
 # bound, which only a perturbation above that bound can cross.
 TABLE_READERS = {
     **{ident: (INSTANCES[ident], 100) for ident in (
-        "eq1", "th2", "cor3", "th5", "cor6", "cor7", "th7", "cor8",
-        "cor9-s3", "cor9-s5", "cor10", "cor11", "tan-sq", "remark1")},
+        "eq1", "th2", "cor3", "th4", "th5", "cor5", "cor6", "cor7", "th7",
+        "cor8", "cor9-s3", "cor9-s5", "cor10", "cor11", "tan-sq", "remark1")},
     "eq14": ({"k": 11, "h1": 3, "h2": 4}, 100),
     "lemma1-i": ({"k": 10}, 100),
+    "lemma1-ii": ({"k": 10}, 100),
     "lemma1-iii": ({"k": 10}, 100),
     "lemma1-iv": ({"k": 9}, 100),
     "lemma3-b": ({"k": 11, "seed": 3}, 100),
@@ -125,26 +126,22 @@ TABLE_READERS = {
 
 # instances of the ids that read neither table
 TABLE_FREE = {
-    "th4": INSTANCES["th4"], "cor5": INSTANCES["cor5"],
     "parseval": {"k": 11}, "th1": {"k": 7, "m": 4},
     "cor1": {"k": 11, "h1": 2, "h2": 3}, "cor2": {"k": 11, "h1": 2, "h2": 3},
-    "lemma1-ii": {"k": 10}, "lemma1-v": {"k": 6},
-    "th9": {"k": 5, "h1": 1, "h2": 2}, "gamma-dft": {"k": 7},
+    "lemma1-v": {"k": 6}, "th9": {"k": 5, "h1": 1, "h2": 2},
+    "gamma-dft": {"k": 7},
 }
 
 
 @pytest.fixture
 def wrap_tables(monkeypatch):
-    """install(wrap) routes both tables through wrap(table); the residue
-    tables cached from the real ones are dropped then and at the end."""
+    """install(wrap) routes both tables through wrap(table)."""
     def install(wrap):
         for name in ("cot_table", "tan_table"):
             monkeypatch.setattr(trig, name, lambda *args, build=getattr(
                 trig, name): wrap(build(*args)))
-        trig._residue_table.cache_clear()
 
-    yield install
-    trig._residue_table.cache_clear()
+    return install
 
 
 @pytest.mark.parametrize("identity", REGISTRY)

@@ -251,6 +251,14 @@ class TestCli:
      "the work limit 100000000"),
     (["verify", "th9", "--k", "3", "--h1", "1", "--h2", "1", "--s2", "2+1e9i"],
      "Hurwitz cut 2000000000 terms x 3 values"),
+    (["compute", "hurwitz", "--s", "2+1e9i", "--x", "1/2"],
+     "Hurwitz cut 2000000000 terms x 1 values = 2000000000 terms exceed "
+     "the work limit 100000000"),
+    (["compute", "periodic-zeta", "--s", "2+1e9i", "--x", "1/3"],
+     "Hurwitz cut 2000000000 terms x 3 values"),
+    # q = 10^6 Hurwitz values at the 121-term cut of s = 2
+    (["compute", "periodic-zeta", "--s", "2", "--x", "1/1000000"],
+     "Hurwitz cut 121 terms x 1000000 values = 121000000 terms exceed"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")

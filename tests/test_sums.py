@@ -194,7 +194,7 @@ class TestBernoulliPair:
         with workprec(300):
             acc = mpf(0)
             for a in range(1, k):
-                acc += p1(ct[(a * h1) % k - 1]) * p2(ct[(a * h2) % k - 1])
+                acc += p1(ct[a * h1 % k]) * p2(ct[a * h2 % k])
             first = mpmath.mpmathify(
                 Fraction(1, 6) * Fraction(0) / Fraction(k) ** 7)
             wrong = first + mpf((-1) ** ((r1 - r2) // 2) * r1 * r2) / (

@@ -5,8 +5,8 @@ from mpmath import mpf, workprec
 from conftest import assert_close
 from cotsums.errors import PoleAtHalfPeriod, PoleAtIntegerMultiple
 from cotsums.hp import guarded
-from cotsums.trig import (cot_at, cot_deriv_at, cot_poly, cot_table, tan_at,
-                          tan_table, trig_product_sum)
+from cotsums.trig import (cot_at, cot_deriv_at, cot_deriv_table, cot_poly,
+                          cot_table, tan_at, tan_table, trig_product_sum)
 
 
 class TestCotPoly:
@@ -84,12 +84,12 @@ class TestTables:
             ct = cot_table(k)
             for a in range(1, k):
                 # the exact sum of a value and its mirror is 0 at any precision
-                assert ct[k - a - 1] + ct[a - 1] == 0
+                assert ct[k - a] + ct[a] == 0
 
     def test_tan_table_pole_slot(self):
         tt = tan_table(6)
-        assert tt[2] is None  # a = 3 = k/2
-        assert all(v is not None for i, v in enumerate(tt) if i != 2)
+        assert tt[3] is None  # a = 3 = k/2
+        assert all(v is not None for i, v in enumerate(tt) if i != 3)
 
     @pytest.mark.parametrize("k", [97, 2000])
     def test_within_two_ulp(self, k):
@@ -100,17 +100,40 @@ class TestTables:
         for bits in (100, 256):
             prec = guarded(bits, k)
             ct, tt = cot_table(k, bits), tan_table(k, bits)
+            assert len(ct) == len(tt) == k
+            assert ct[0] is None and tt[0] == 0
             for a in range(1, k):
                 if 2 * a == k:
-                    assert ct[a - 1] == 0 and tt[a - 1] is None
+                    assert ct[a] == 0 and tt[a] is None
                     continue
-                assert ct[k - a - 1] + ct[a - 1] == 0
-                assert tt[k - a - 1] + tt[a - 1] == 0
+                assert ct[k - a] + ct[a] == 0
+                assert tt[k - a] + tt[a] == 0
                 with workprec(720):
-                    for value, exact in ((ct[a - 1], ref[a - 1]),
-                                         (tt[a - 1], 1 / ref[a - 1])):
+                    for value, exact in ((ct[a], ref[a - 1]),
+                                         (tt[a], 1 / ref[a - 1])):
                         ulp = mpf(2) ** (mpmath.frexp(exact)[1] - prec)
                         assert abs(value - exact) <= 2 * ulp, (a, bits)
+
+    @pytest.mark.parametrize("k", [7, 97, 2000])
+    def test_derivative_table_bound(self, k):
+        # Q_m over the cached cot table: within (2m + 4) ulp-units
+        # 2^-guarded(bits, k) of an 800-bit reference, relative; odd orders
+        # keep every value away from 0 (cot^(m) < 0 for odd m)
+        with workprec(800):
+            ref = [mpmath.cot(mpmath.pi * a / k) for a in range(1, k)]
+        for m in (1, 3, 7):
+            poly = cot_poly(m)
+            with workprec(800):
+                exact = [poly(t) for t in ref]
+            for bits in (100, 256):
+                table = cot_deriv_table(m, k, bits)
+                assert len(table) == k and table[0] is None
+                with workprec(800):
+                    worst = max(abs(v / e - 1) for v, e in zip(table[1:], exact))
+                    assert worst <= (2 * m + 4) * mpf(2) ** -guarded(bits, k)
+
+    def test_derivative_table_order_zero_is_the_cot_table(self):
+        assert cot_deriv_table(0, 9, 256) is cot_table(9, 256)
 
 
 class TestProductSum:

@@ -241,7 +241,7 @@ class TestSeriesForms:
         k, h = 3, 1
         ct = cot_table(k, 256)
         with workprec(280):
-            vals = [mpf(0)] + [ct[(r * h) % k - 1] for r in range(1, k)]
+            vals = [mpf(0)] + [ct[r * h % k] for r in range(1, k)]
         forms = series_forms(PeriodicMap(vals))
         with workprec(300):
             expected = 2 * mpmath.pi * mpmath.mpmathify(dedekind_sum(h, k))
@@ -256,7 +256,7 @@ class TestSeriesForms:
         k, h = 3, 1
         tt = tan_table(k, 256)
         with workprec(280):
-            vals = [mpf(0)] + [tt[(r * h) % k - 1] for r in range(1, k)]
+            vals = [mpf(0)] + [tt[r * h % k] for r in range(1, k)]
         forms = series_forms(PeriodicMap(vals))
         with workprec(300):
             expected = mpmath.pi * mpmath.mpmathify(hardy_sum("s3", h, k))
