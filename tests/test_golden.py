@@ -1,10 +1,14 @@
-"""Golden outputs of ``cotsums verify --json`` for every registry id.
+"""Golden outputs of ``cotsums verify --json`` for every registry id, and of
+``cotsums compute`` and ``cotsums sweep``.
 
 ``golden_verify.json`` holds, for each argv, the exit code, the report with
-its timing fields removed, and stderr. The closed forms and the registry may
-be restructured, but every printed digit and every precondition message
-must stay as recorded. Regenerate (only when an output is meant to change)
-with
+its timing fields removed, and stderr. ``golden_cli.json`` holds the same
+for compute argv (every target in text and ``--json`` mode, and the refused
+argv) and for sweep argv; a sweep record keeps the ``--json`` report lines
+without their timing fields and the first summary line. The closed forms,
+the registry and the CLI may be restructured, but every printed digit,
+every instance and every refusal must stay as recorded. Regenerate both
+files (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -12,13 +16,16 @@ with
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from cotsums.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_verify.json")
+GOLDEN_CLI = Path(__file__).with_name("golden_cli.json")
 TIMING_KEYS = ("micros", "lhs_micros", "rhs_micros")
 LOW_PRECISION = ["--precision", "100", "--tolerance", "2^-64"]
 HIGH_PRECISION = ["--precision", "512"]
@@ -201,6 +208,103 @@ VIOLATING = {
 MISSING = [["eq1", "--k", "5"], ["th9", "--k", "5", "--h1", "1"]]
 
 
+# compute argv, each run in text and in --json mode
+COMPUTE = [
+    ["dedekind", "--h", "3", "--k", "7"],
+    ["dedekind-cot", "--h", "3", "--k", "7"],
+    ["dedekind-cot", "--h", "1", "--k", "1"],
+    ["dedekind-series", "--h", "3", "--k", "7", "--terms", "1000"],
+    ["zagier", "--hs", "1,2,3", "--k", "5"],
+    ["zagier-cot", "--hs", "1,2,3,4", "--k", "5"],
+    ["zagier-cot", "--hs", "1,1", "--k", "1"],
+    ["bernoulli-sum", "--rs", "2,2", "--hs", "1,2", "--k", "5"],
+    ["bernoulli-sum-rhs", "--rs", "2,2", "--hs", "1,2", "--k", "5"],
+    ["bernoulli-sum-rhs", "--rs", "1,3", "--hs", "2,3", "--k", "5",
+     "--convention", "paper"],
+    ["hardy", "--which", "S", "--h", "1", "--k", "5"],
+    ["hardy", "--which", "s1", "--h", "2", "--k", "7"],
+    ["hardy", "--which", "s2", "--h", "3", "--k", "8"],
+    ["hardy", "--which", "s3", "--h", "2", "--k", "7"],
+    ["hardy", "--which", "s4", "--h", "2", "--k", "7",
+     "--convention", "include-zero"],
+    ["hardy", "--which", "s5", "--h", "3", "--k", "7"],
+    ["hardy-a", "--hs", "1,3", "--k", "4"],
+    ["hardy-a-rhs", "--hs", "1,3", "--k", "4"],
+    ["hardy-b", "--hs", "1,2", "--k", "5"],
+    ["hardy-b-rhs", "--hs", "1,2", "--k", "5"],
+    ["gamma-rk", "--r", "2", "--k", "3"],
+    ["digamma", "--x", "1/3"],
+    ["digamma"],
+    ["hurwitz", "--s", "2.5", "--x", "1/3"],
+    ["hurwitz"],
+    ["periodic-zeta", "--s", "2.5", "--x", "1/3"],
+    ["periodic-zeta", "--x", "1/4"],
+    ["cot", "--a", "1", "--k", "7"],
+    ["tan", "--a", "2", "--k", "7"],
+    ["cot-deriv", "--order", "2", "--a", "1", "--k", "7"],
+    ["bernoulli-number", "--r", "12"],
+    ["bernoulli-poly", "--r", "4"],
+    ["sawtooth", "--x", "7/3"],
+    ["mod-inverse", "--h", "3", "--k", "7"],
+]
+
+# compute argv that must exit 2 and name the violated condition
+COMPUTE_REFUSED = [
+    ["dedekind", "--h", "1"],
+    ["cot", "--a", "1", "--k", "0"],
+    ["cot", "--a", "1", "--k", "-3"],
+    ["tan", "--a", "1", "--k", "-3"],
+    ["digamma", "--x", "1/0"],
+    ["hurwitz", "--x", "1/0"],
+    ["periodic-zeta", "--x", "1/0"],
+    ["sawtooth", "--x", "1/0"],
+    ["hardy-a", "--hs", ",", "--k", "4"],
+    ["hardy-b-rhs", "--hs", ",", "--k", "5"],
+    ["zagier-cot", "--hs", ",", "--k", "5"],
+    ["zagier-cot", "--hs", "1,2,3", "--k", "5"],
+    ["hurwitz", "--s", "2+1e9i", "--x", "1/2"],
+    ["periodic-zeta", "--s", "2+1e9i", "--x", "1/3"],
+    ["periodic-zeta", "--s", "2", "--x", "1/1000000"],
+    ["bernoulli-sum", "--rs", "2,2", "--hs", "1", "--k", "5"],
+    ["bernoulli-sum", "--rs", "0,2", "--hs", "1,1", "--k", "5"],
+    ["bernoulli-number", "--r", "-2"],
+    ["bernoulli-sum-rhs", "--rs", "2,2", "--hs", "1", "--k", "5"],
+    ["bernoulli-sum-rhs", "--rs", "2", "--hs", "1,2", "--k", "5"],
+    ["bernoulli-sum-rhs", "--rs", "0,2", "--hs", "1,1", "--k", "5"],
+    ["bernoulli-poly", "--r", "-2"],
+]
+
+# sweep argv, each run with --json: every range form, every multiplier and
+# tuple form, the single values, and the refusals
+SWEEP = [
+    ["eq1", "--k", "1..12", "--h", "all-coprime"],
+    ["eq1", "--k", "odd", "3..9", "--h", "all-coprime"],
+    ["eq1", "--k", "even", "4..8", "--h", "1..3"],
+    ["eq1", "--k", "3,5,7", "--h", "2"],
+    ["eq1", "--k", "7", "--h", "3,5"],
+    ["cor3", "--k", "3..6", "--h1", "all-coprime", "--h2", "1,2,4"],
+    ["th2", "--k", "5..7", "--hs", "1,2,3"],
+    ["th2", "--k", "5", "--hs", "all-coprime", "--m", "2"],
+    ["th2", "--k", "7", "--hs", "random", "--samples", "5", "--seed", "2"],
+    ["th4", "--k", "5", "--rs", "2,2"],
+    ["th4", "--k", "5", "--rs", "2,2", "--convention", "paper"],
+    ["lemma1-ii", "--k", "5", "--r", "1..3"],
+    ["cor5", "--k", "5", "--r1", "1..3", "--r2", "1", "--h1", "all-coprime",
+     "--h2", "1"],
+    ["cor12", "--k", "6", "--seed", "1..3"],
+    ["th1", "--k", "5", "--m", "3", "--seed", "1..2"],
+    ["th9", "--k", "4", "--h1", "1", "--h2", "1,3", "--s1", "2.5"],
+    ["cor2", "--k", "8", "--h1", "all-coprime", "--h2", "1",
+     "--parity", "even"],
+    ["eq2", "--k", "5", "--h", "1", "--instance-terms", "10"],
+    ["lemma3-a", "--k", "5", "--instance-terms", "10"],
+    ["eq1", "--h", "1"],
+    ["th4", "--k", "5"],
+    ["cor11", "--k", "4..4", "--h", "all-coprime"],
+    ["eq1", "--k", "5..", "--h", "1"],
+]
+
+
 def _argvs():
     for ident in PASSING:
         for args in PASSING[ident] + VIOLATING[ident]:
@@ -223,9 +327,43 @@ def _run(argv):
             "stderr": err.getvalue()}
 
 
-def _load():
-    # a missing file fails test_golden_covers_every_id
-    return json.loads(GOLDEN.read_text()) if GOLDEN.exists() else []
+def _cli_argvs():
+    for args in COMPUTE:
+        yield ["compute", *args]
+        yield ["compute", *args, "--json"]
+    for args in COMPUTE_REFUSED:
+        yield ["compute", *args]
+    for args in SWEEP:
+        yield ["sweep", *args, "--json"]
+
+
+def _run_cli(argv):
+    """Exit code, stdout and stderr of one compute or sweep argv; a sweep
+    keeps its report lines without timing fields and its first summary
+    line. The usage text of an argparse refusal is wrapped at 80 columns."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    stdout = out.getvalue()
+    if argv[0] == "sweep":
+        lines = stdout.splitlines()
+        reports = [json.loads(line) for line in lines if line.startswith("{")]
+        for report in reports:
+            for key in TIMING_KEYS:
+                report.pop(key, None)
+        stdout = [json.dumps(r) for r in reports]
+        stdout += [line for line in lines if line.startswith("sweep ")][:1]
+    return {"argv": argv, "exit": code, "stdout": stdout,
+            "stderr": err.getvalue()}
+
+
+def _load(path=GOLDEN):
+    # a missing file fails the coverage tests
+    return json.loads(path.read_text()) if path.exists() else []
 
 
 @pytest.mark.parametrize("expected", _load(),
@@ -245,6 +383,25 @@ def test_golden_covers_every_id():
     assert all(len(cases) >= 2 for cases in runs.values())
 
 
+@pytest.mark.parametrize("expected", _load(GOLDEN_CLI),
+                         ids=lambda case: " ".join(case["argv"]))
+def test_golden_cli(expected):
+    assert _run_cli(expected["argv"]) == expected
+
+
+def test_golden_cli_covers_every_target():
+    from cotsums.cli import COMPUTE_TARGETS
+
+    modes = {}
+    for case in _load(GOLDEN_CLI):
+        if case["argv"][0] == "compute" and case["exit"] == 0:
+            modes.setdefault(case["argv"][1], set()).add(
+                "--json" in case["argv"])
+    assert modes == {target: {False, True} for target in COMPUTE_TARGETS}
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps([_run(argv) for argv in _argvs()],
                                  indent=1) + "\n")
+    GOLDEN_CLI.write_text(json.dumps([_run_cli(argv) for argv in _cli_argvs()],
+                                     indent=1) + "\n")
