@@ -10,12 +10,15 @@ import argparse
 import csv
 import json
 import os
+import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
+from itertools import product
 from math import gcd
+from typing import NamedTuple
 
 import mpmath
 
@@ -23,7 +26,7 @@ from . import sums, trig, zeta
 from .config import RunConfig
 from .errors import CotsumsError, OutOfRange
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
-from .hp import fmt
+from .hp import fmt, is_exact
 from .registry import REGISTRY, verify
 from .report import IdentityReport, csv_header, csv_row
 
@@ -44,142 +47,75 @@ def _rational(text: str) -> Fraction:
                          ) from None
 
 
-def _t_dedekind(a, cfg):
-    return sums.dedekind_sum(a.h, a.k), True, ""
+class _Noted(NamedTuple):
+    """A compute value and the note printed beside it."""
+
+    value: object
+    note: str
 
 
-def _t_dedekind_cot(a, cfg):
-    return sums.dedekind_cot(a.h, a.k, cfg.precision), False, ""
+def _dedekind_series(h, k, terms, bits):
+    value, bound = sums.dedekind_series(h, k, terms, bits)
+    return _Noted(value, f"tail bound {mpmath.nstr(bound, 6)}")
 
 
-def _t_dedekind_series(a, cfg):
-    value, bound = sums.dedekind_series(a.h, a.k, cfg.terms, cfg.precision)
-    return value, False, f"tail bound {mpmath.nstr(bound, 6)}"
+def _bernoulli_sum_rhs(rs, hs, k, bits, convention):
+    conv = convention or "corrected"
+    return _Noted(sums.bernoulli_dedekind_rhs(rs, hs, k, bits, conv),
+                  f"convention={conv}")
 
 
-def _t_zagier(a, cfg):
-    return sums.zagier_sum(a.hs, a.k, cfg.work_limit), True, ""
+def _hardy(which, h, k, convention):
+    """The sum at the zero-residue convention asked for (exclude-zero by
+    default); for S and s4 the note gives the other one where it differs."""
+    conv, other = sums.EXCLUDE_ZERO, sums.INCLUDE_ZERO
+    if convention == other:
+        conv, other = other, conv
+    value = sums.hardy_sum(which, h, k, conv)
+    alt = sums.hardy_sum(which, h, k, other) if which in ("S", "s4") else value
+    return _Noted(value, f"{other} value: {alt}" if alt != value else "")
 
 
-def _t_zagier_cot(a, cfg):
-    return sums.zagier_cot(a.hs, a.k, cfg.precision), False, ""
+def _hurwitz(s, x, bits, work_limit):
+    zeta._charge_cut(zeta._to_s(s, bits), 1, bits, work_limit)
+    return zeta.hurwitz_zeta(s, x, bits)
 
 
-def _t_bernoulli_sum(a, cfg):
-    return sums.bernoulli_dedekind_sum(a.rs, a.hs, a.k, cfg.work_limit), True, ""
+def _bernoulli_poly(r):
+    return _Noted(bernoulli_poly(r).coefficients,
+                  "coefficients, ascending powers")
 
 
-def _t_bernoulli_sum_rhs(a, cfg):
-    conv = cfg.convention or "corrected"
-    return (sums.bernoulli_dedekind_rhs(a.rs, a.hs, a.k, cfg.precision, conv),
-            False, f"convention={conv}")
-
-
-def _t_hardy(a, cfg):
-    conv = cfg.convention or sums.EXCLUDE_ZERO
-    if conv not in (sums.EXCLUDE_ZERO, sums.INCLUDE_ZERO):
-        conv = sums.EXCLUDE_ZERO
-    value = sums.hardy_sum(a.which, a.h, a.k, conv)
-    note = ""
-    if a.which in ("S", "s4"):
-        other = (sums.INCLUDE_ZERO if conv == sums.EXCLUDE_ZERO
-                 else sums.EXCLUDE_ZERO)
-        alt = sums.hardy_sum(a.which, a.h, a.k, other)
-        if alt != value:
-            note = f"{other} value: {alt}"
-    return value, True, note
-
-
-def _t_hardy_a(a, cfg):
-    return sums.hardy_A(a.hs, a.k, cfg.work_limit), True, ""
-
-
-def _t_hardy_a_rhs(a, cfg):
-    return sums.hardy_A_rhs(a.hs, a.k, cfg.precision), False, ""
-
-
-def _t_hardy_b(a, cfg):
-    return sums.hardy_B(a.hs, a.k, cfg.work_limit), True, ""
-
-
-def _t_hardy_b_rhs(a, cfg):
-    return sums.hardy_B_rhs(a.hs, a.k, cfg.precision), False, ""
-
-
-def _t_gamma_rk(a, cfg):
-    return zeta.euler_gamma_rk(a.r, a.k, cfg.precision), False, ""
-
-
-def _t_digamma(a, cfg):
-    return zeta.digamma(_rational(a.x), cfg.precision), False, ""
-
-
-def _t_hurwitz(a, cfg):
-    x = _rational(a.x)
-    zeta._charge_cut(zeta._to_s(a.s, cfg.precision), 1, cfg.precision,
-                     cfg.work_limit)
-    return zeta.hurwitz_zeta(a.s, x, cfg.precision), False, ""
-
-
-def _t_periodic_zeta(a, cfg):
-    return zeta.periodic_zeta(a.s, _rational(a.x), cfg.precision,
-                              cfg.work_limit), False, ""
-
-
-def _t_cot(a, cfg):
-    return trig.cot_at(a.a, a.k, cfg.precision), False, ""
-
-
-def _t_tan(a, cfg):
-    return trig.tan_at(a.a, a.k, cfg.precision), False, ""
-
-
-def _t_cot_deriv(a, cfg):
-    return trig.cot_deriv_at(a.order, a.a, a.k, cfg.precision), False, ""
-
-
-def _t_bernoulli_number(a, cfg):
-    return bernoulli_number(a.r), True, ""
-
-
-def _t_bernoulli_poly(a, cfg):
-    poly = bernoulli_poly(a.r)
-    return "[" + ", ".join(str(c) for c in poly.coefficients) + "]", True, \
-        "coefficients, ascending powers"
-
-
-def _t_sawtooth(a, cfg):
-    return sawtooth(_rational(a.x)), True, ""
-
-
-def _t_mod_inverse(a, cfg):
-    return mod_inverse(a.h, a.k), True, ""
-
-
+# target -> (function, argv names in call order, RunConfig fields after
+# them); the compute flags are added in the order the rows first name them
 COMPUTE_TARGETS = {
-    "dedekind": (_t_dedekind, ("h", "k")),
-    "dedekind-cot": (_t_dedekind_cot, ("h", "k")),
-    "dedekind-series": (_t_dedekind_series, ("h", "k")),
-    "zagier": (_t_zagier, ("hs", "k")),
-    "zagier-cot": (_t_zagier_cot, ("hs", "k")),
-    "bernoulli-sum": (_t_bernoulli_sum, ("rs", "hs", "k")),
-    "bernoulli-sum-rhs": (_t_bernoulli_sum_rhs, ("rs", "hs", "k")),
-    "hardy": (_t_hardy, ("which", "h", "k")),
-    "hardy-a": (_t_hardy_a, ("hs", "k")),
-    "hardy-a-rhs": (_t_hardy_a_rhs, ("hs", "k")),
-    "hardy-b": (_t_hardy_b, ("hs", "k")),
-    "hardy-b-rhs": (_t_hardy_b_rhs, ("hs", "k")),
-    "gamma-rk": (_t_gamma_rk, ("r", "k")),
-    "digamma": (_t_digamma, ("x",)),
-    "hurwitz": (_t_hurwitz, ("s", "x")),
-    "periodic-zeta": (_t_periodic_zeta, ("s", "x")),
-    "cot": (_t_cot, ("a", "k")),
-    "tan": (_t_tan, ("a", "k")),
-    "cot-deriv": (_t_cot_deriv, ("order", "a", "k")),
-    "bernoulli-number": (_t_bernoulli_number, ("r",)),
-    "bernoulli-poly": (_t_bernoulli_poly, ("r",)),
-    "sawtooth": (_t_sawtooth, ("x",)),
-    "mod-inverse": (_t_mod_inverse, ("h", "k")),
+    "dedekind": (sums.dedekind_sum, ("h", "k"), ()),
+    "dedekind-cot": (sums.dedekind_cot, ("h", "k"), ("precision",)),
+    "dedekind-series": (_dedekind_series, ("h", "k"),
+                        ("terms", "precision")),
+    "mod-inverse": (mod_inverse, ("h", "k"), ()),
+    "cot": (trig.cot_at, ("a", "k"), ("precision",)),
+    "tan": (trig.tan_at, ("a", "k"), ("precision",)),
+    "gamma-rk": (zeta.euler_gamma_rk, ("r", "k"), ("precision",)),
+    "bernoulli-number": (bernoulli_number, ("r",), ()),
+    "bernoulli-poly": (_bernoulli_poly, ("r",), ()),
+    "cot-deriv": (trig.cot_deriv_at, ("order", "a", "k"), ("precision",)),
+    "zagier": (sums.zagier_sum, ("hs", "k"), ("work_limit",)),
+    "zagier-cot": (sums.zagier_cot, ("hs", "k"), ("precision",)),
+    "hardy-a": (sums.hardy_A, ("hs", "k"), ("work_limit",)),
+    "hardy-a-rhs": (sums.hardy_A_rhs, ("hs", "k"), ("precision",)),
+    "hardy-b": (sums.hardy_B, ("hs", "k"), ("work_limit",)),
+    "hardy-b-rhs": (sums.hardy_B_rhs, ("hs", "k"), ("precision",)),
+    "bernoulli-sum": (sums.bernoulli_dedekind_sum, ("rs", "hs", "k"),
+                      ("work_limit",)),
+    "bernoulli-sum-rhs": (_bernoulli_sum_rhs, ("rs", "hs", "k"),
+                          ("precision", "convention")),
+    "hurwitz": (_hurwitz, ("s", "x"), ("precision", "work_limit")),
+    "periodic-zeta": (zeta.periodic_zeta, ("s", "x"),
+                      ("precision", "work_limit")),
+    "digamma": (zeta.digamma, ("x",), ("precision",)),
+    "sawtooth": (sawtooth, ("x",), ()),
+    "hardy": (_hardy, ("which", "h", "k"), ("convention",)),
 }
 
 
@@ -190,6 +126,61 @@ def _ints_csv(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"the list must hold at least one integer, got {text!r}")
     return values
+
+
+# ---------------------------------------------------------------------------
+# instance flags
+
+
+# How sweep reads a flag, numbered in the order it expands them within each
+# k: MULTIPLIER a range or all-coprime, TUPLE 'm,list' / all-coprime /
+# random, RANGE '1..50' | 'odd 3..49' | 'even 4..48' | '3,5,7' | '7', ONE a
+# single value.
+MULTIPLIER, TUPLE, RANGE, ONE = range(4)
+_SWEEP_KWARGS = {MULTIPLIER: {"nargs": "+"}, RANGE: {"nargs": "+"},
+                 TUPLE: {"help": "'m,list' / all-coprime / random"}}
+
+
+class _Param(NamedTuple):
+    kwargs: dict            # argparse type, choices and help (verify, compute)
+    form: int = ONE         # how sweep reads it
+    flag: str = ""          # when it is not --<name>
+
+
+_INT, _INTS = {"type": int}, {"type": _ints_csv}
+
+# every instance flag once, in the order verify lists them
+PARAMS = {
+    "k": _Param(_INT, RANGE),
+    **dict.fromkeys(("h", "h1", "h2"), _Param(_INT, MULTIPLIER)),
+    **dict.fromkeys(("r", "r1", "r2", "seed"), _Param(_INT, RANGE)),
+    "m": _Param({**_INT, "help": "tuple length for hs expansion"}),
+    "hs": _Param(_INTS, TUPLE),
+    "rs": _Param({**_INTS, "help": "explicit order tuple, e.g. 2,2"}),
+    "s": _Param({"help": "exponent, e.g. 2, 2.5, 2+1i"}),
+    "s1": _Param({"help": "first exponent"}),
+    "s2": _Param({"help": "second exponent"}),
+    "parity": _Param({"choices": ["odd", "even"]}),
+    "terms": _Param({**_INT, "help": "series terms for this identity "
+                                     "instance"}, flag="instance-terms"),
+    **dict.fromkeys(("a", "order"), _Param(_INT)),
+    "x": _Param({"help": "rational argument, e.g. 1/3"}),
+    "which": _Param({"choices": list(sums.HARDY_KINDS)}),
+}
+_SWEEP_ORDER = sorted(PARAMS, key=lambda name: PARAMS[name].form)
+
+
+def _dest(name: str) -> str:
+    """The argparse attribute of a parameter's flag."""
+    return (PARAMS[name].flag or name).replace("-", "_")
+
+
+def _instance_flags(p, names, sweep: bool = False) -> None:
+    for name in names:
+        param = PARAMS[name]
+        kwargs = _SWEEP_KWARGS.get(param.form, param.kwargs) if sweep \
+            else param.kwargs
+        p.add_argument(f"--{param.flag or name}", **kwargs)
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -221,61 +212,29 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("compute", help="compute one sum or special value")
     pc.add_argument("target", choices=sorted(COMPUTE_TARGETS))
     _common_flags(pc)
-    pc.add_argument("--h", type=int)
-    pc.add_argument("--k", type=int)
-    pc.add_argument("--a", type=int)
-    pc.add_argument("--r", type=int)
-    pc.add_argument("--order", type=int)
-    pc.add_argument("--hs", type=_ints_csv)
-    pc.add_argument("--rs", type=_ints_csv)
-    pc.add_argument("--s", default="2", help="exponent, e.g. 2, 2.5, 2+1i")
-    pc.add_argument("--x", default="1", help="rational argument, e.g. 1/3")
-    pc.add_argument("--which", choices=list(sums.HARDY_KINDS))
+    _instance_flags(pc, dict.fromkeys(
+        name for _, names, _ in COMPUTE_TARGETS.values() for name in names))
+    pc.set_defaults(s="2", x="1")
 
     pv = sub.add_parser("verify", help="verify one identity instance")
     pv.add_argument("id", nargs="?", help="identity id (see --list)")
     pv.add_argument("--list", action="store_true",
                     help="list identity ids and preconditions")
     _common_flags(pv)
-    _instance_flags(pv, for_sweep=False)
+    row_params = [name for name in PARAMS
+                  if any(name in e.param_kinds for e in REGISTRY.values())]
+    _instance_flags(pv, row_params)
 
     ps = sub.add_parser("sweep", help="verify an identity over ranges")
     ps.add_argument("id", help="identity id")
     _common_flags(ps)
-    _instance_flags(ps, for_sweep=True)
+    _instance_flags(ps, row_params, sweep=True)
     ps.add_argument("--csv", metavar="PATH", help="write per-instance rows")
     ps.add_argument("--samples", type=int, default=50,
                     help="random multiplier tuples when --hs random")
     ps.add_argument("--verbose", action="store_true",
                     help="print one line per instance")
     return ap
-
-
-def _instance_flags(p, for_sweep: bool) -> None:
-    if for_sweep:
-        rng = {"nargs": "+"}
-        p.add_argument("--k", **rng)
-        p.add_argument("--h", **rng)
-        p.add_argument("--h1", **rng)
-        p.add_argument("--h2", **rng)
-        p.add_argument("--r", **rng)
-        p.add_argument("--r1", **rng)
-        p.add_argument("--r2", **rng)
-        p.add_argument("--seed", **rng)
-        p.add_argument("--hs", help="'m,list' / all-coprime / random")
-        p.add_argument("--rs", help="explicit order tuple, e.g. 2,2")
-        p.add_argument("--m", type=int, help="tuple length for hs expansion")
-    else:
-        for name in ("k", "h", "h1", "h2", "r", "r1", "r2", "seed", "m"):
-            p.add_argument(f"--{name}", type=int)
-        p.add_argument("--hs", type=_ints_csv)
-        p.add_argument("--rs", type=_ints_csv)
-    p.add_argument("--s", help="exponent, e.g. 2, 2.5, 2+1i")
-    p.add_argument("--s1", help="first exponent")
-    p.add_argument("--s2", help="second exponent")
-    p.add_argument("--parity", choices=["odd", "even"])
-    p.add_argument("--instance-terms", dest="instance_terms", type=int,
-                   help="series terms for this identity instance")
 
 
 def _config_from(args) -> RunConfig:
@@ -290,43 +249,39 @@ def _config_from(args) -> RunConfig:
 
 
 def _gather_params(args, entry) -> dict:
-    params = {}
-    for name in entry.param_kinds:
-        if name == "convention":
-            continue  # flows through the config
-        if name == "terms":
-            params["terms"] = args.instance_terms
-            continue
-        params[name] = getattr(args, name, None)
+    """The row's parameters that were given; the convention flows through
+    the config."""
+    params = {name: getattr(args, _dest(name))
+              for name in entry.param_kinds if name in PARAMS}
     return {k: v for k, v in params.items() if v is not None}
 
 
 def _cmd_compute(args) -> int:
     cfg = _config_from(args)
-    fn, needed = COMPUTE_TARGETS[args.target]
-    missing = [n for n in needed if getattr(args, n, None) is None]
+    fn, names, fields = COMPUTE_TARGETS[args.target]
+    params = {n: getattr(args, n) for n in names}
+    missing = [n for n, v in params.items() if v is None]
     if missing:
         print(f"compute {args.target} needs --" + " --".join(missing),
               file=sys.stderr)
         return USAGE_EXIT
-    value, exact, note = fn(args, cfg)
-    text = value if isinstance(value, str) else fmt(value, cfg.precision)
+    result = fn(*(_rational(v) if n == "x" else v for n, v in params.items()),
+                *(getattr(cfg, f) for f in fields))
+    value, note = result if isinstance(result, _Noted) else (result, "")
+    # a tuple (the Bernoulli coefficients) prints as a list
+    parts = value if isinstance(value, tuple) else (value,)
+    text = ", ".join(fmt(v, cfg.precision) for v in parts)
+    if isinstance(value, tuple):
+        text = f"[{text}]"
     if args.json:
-        params = {n: _jsonable(getattr(args, n)) for n in needed}
         print(json.dumps({"target": args.target, "params": params,
-                          "value": text, "exact": exact,
+                          "value": text, "exact": all(map(is_exact, parts)),
                           **({"note": note} if note else {})}))
     else:
         print(text)
         if note:
             print(f"# {note}", file=sys.stderr)
     return 0
-
-
-def _jsonable(v):
-    if isinstance(v, tuple):
-        return list(v)
-    return v
 
 
 def _cmd_verify(args) -> int:
@@ -362,15 +317,12 @@ def _cmd_verify(args) -> int:
 # sweep expansion
 
 
-def _parse_int_range(tokens) -> list[int]:
+def _parse_int_range(text: str) -> list[int]:
     """'1..50' | 'odd 3..49' | 'even 4..48' | '3,5,7' | '7'."""
-    text = " ".join(tokens) if isinstance(tokens, (list, tuple)) else tokens
     text = text.strip()
-    parity = None
-    for tag in ("odd", "even"):
-        if text.startswith(tag):
-            parity = tag
-            text = text[len(tag):].strip()
+    parity = next((p for p in ("odd", "even") if text.startswith(p)), None)
+    if parity:
+        text = text[len(parity):].strip()
     if ".." in text:
         lo, hi = text.split("..")
         values = list(range(int(lo), int(hi) + 1))
@@ -378,92 +330,62 @@ def _parse_int_range(tokens) -> list[int]:
         values = [int(t) for t in text.split(",")]
     else:
         values = [int(text)]
-    if parity == "odd":
-        values = [v for v in values if v % 2 == 1]
-    elif parity == "even":
-        values = [v for v in values if v % 2 == 0]
+    if parity:
+        values = [v for v in values if v % 2 == (parity == "odd")]
     return values
 
 
-def _multiplier_candidates(token_list, k: int) -> list[int]:
-    text = " ".join(token_list) if isinstance(token_list, (list, tuple)) \
-        else token_list
-    text = text.strip()
-    if text == "all-coprime":
-        return [h for h in range(1, max(k, 2)) if gcd(h, k) == 1]
-    return _parse_int_range(text)
-
-
-def _tuple_candidates(spec: str, k: int, m: int, samples: int,
-                      seed: int) -> list[tuple]:
-    import random as _random
-
+def _tuple_candidates(spec: str, units: list[int], k: int, m: int,
+                      samples: int, seed: int) -> list[tuple]:
     if spec is None:
         spec = "all-coprime" if (m or 2) <= 2 else "random"
     spec = spec.strip()
-    units = [h for h in range(1, max(k, 2)) if gcd(h, k) == 1]
     if spec == "all-coprime":
-        import itertools
-
-        return [t for t in itertools.product(units, repeat=m)]
+        return list(product(units, repeat=m))
     if spec == "random":
-        rng = _random.Random(seed * 99991 + k)
+        rng = random.Random(seed * 99991 + k)
         return [tuple(rng.choice(units) for _ in range(m))
                 for _ in range(samples)]
     return [_ints_csv(spec)]
 
 
-def _expand_instances(args, entry, cfg) -> list[dict]:
-    """Cartesian product of the requested ranges, filtered to admissible
-    parameter sets (instances violating the identity's preconditions are
-    skipped, not errors)."""
-    ks = _parse_int_range(args.k) if args.k else None
-    if ks is None:
+def _expand_instances(args, entry) -> list[dict]:
+    """Cartesian product of the requested ranges, k-major, filtered to
+    admissible parameter sets (instances violating the identity's
+    preconditions are skipped, not errors). A flag the row does not read
+    is ignored; one it needs without a default must be given, except hs,
+    whose tuples default to all-coprime pairs or random tuples."""
+    if not args.k:
         raise CotsumsError("sweep needs --k")
-    m = getattr(args, "m", None)
-    hs_spec = getattr(args, "hs", None)
-    if m is None and hs_spec and hs_spec not in ("all-coprime", "random"):
-        m = len(_ints_csv(hs_spec))
-    if m is None:
-        m = 2
-    seeds = _parse_int_range(args.seed) if args.seed else [1]
+    ks = _parse_int_range(" ".join(args.k))
+    m = 2 if args.m is None else args.m
+    seed = _parse_int_range(" ".join(args.seed))[0] if args.seed else 1
+    names = [n for n in _SWEEP_ORDER if n != "k" and n in entry.param_kinds]
     instances = []
     for k in ks:
+        units = [h for h in range(1, max(k, 2)) if gcd(h, k) == 1]
         per_k: list[dict] = [{"k": k}]
-        for name in ("h", "h1", "h2"):
-            tokens = getattr(args, name, None)
-            if tokens is None:
+        for name in names:
+            value, form = getattr(args, _dest(name)), PARAMS[name].form
+            if form == TUPLE:
+                cands = _tuple_candidates(value, units, k, m, args.samples,
+                                          seed)
+            elif value is None and name in entry.defaults:
                 continue
-            cands = _multiplier_candidates(tokens, k)
+            elif value is None:
+                raise CotsumsError(f"this identity needs --{name}")
+            elif form == ONE:
+                cands = [value]
+            else:
+                text = " ".join(value).strip()
+                cands = (units if form == MULTIPLIER and text == "all-coprime"
+                         else _parse_int_range(text))
             per_k = [dict(p, **{name: c}) for p in per_k for c in cands]
-        if "hs" in entry.param_kinds:
-            tuples = _tuple_candidates(getattr(args, "hs", None), k, m,
-                                       args.samples, seeds[0])
-            per_k = [dict(p, hs=t) for p in per_k for t in tuples]
-        if "rs" in entry.param_kinds:
-            if not getattr(args, "rs", None):
-                raise CotsumsError("this identity needs --rs")
-            per_k = [dict(p, rs=_ints_csv(args.rs)) for p in per_k]
-        for name in ("r", "r1", "r2"):
-            tokens = getattr(args, name, None)
-            if tokens is None:
-                continue
-            cands = _parse_int_range(tokens)
-            per_k = [dict(p, **{name: c}) for p in per_k for c in cands]
-        if "seed" in entry.param_kinds:
-            per_k = [dict(p, seed=s) for p in per_k for s in seeds]
-        for name in ("s", "s1", "s2", "parity", "m"):
-            v = getattr(args, name, None)
-            if v is not None:
-                per_k = [dict(p, **{name: v}) for p in per_k]
         instances.extend(per_k)
     admissible = []
     for params in instances:
-        params = {k: v for k, v in params.items() if k in entry.param_kinds}
-        full = dict(entry.defaults)
-        full.update(params)
         try:
-            entry.validate(full)
+            entry.validate({**entry.defaults, **params})
         except CotsumsError:
             continue
         admissible.append(params)
@@ -471,8 +393,7 @@ def _expand_instances(args, entry, cfg) -> list[dict]:
 
 
 def _run_instance(payload):
-    index, identity_id, params, cfg_dict = payload
-    cfg = RunConfig.from_dict(cfg_dict)
+    index, identity_id, params, cfg = payload
     rep = verify(identity_id, params, cfg)
     return index, rep.to_dict()
 
@@ -483,12 +404,12 @@ def _cmd_sweep(args) -> int:
         print(f"unknown identity {args.id!r}", file=sys.stderr)
         return USAGE_EXIT
     entry = REGISTRY[args.id]
-    instances = _expand_instances(args, entry, cfg)
+    instances = _expand_instances(args, entry)
     if not instances:
         print("no admissible instances in the requested ranges",
               file=sys.stderr)
         return USAGE_EXIT
-    payloads = [(i, args.id, params, cfg.to_dict())
+    payloads = [(i, args.id, params, cfg)
                 for i, params in enumerate(instances)]
     # the pool forks every worker at once: no more than cores or instances
     jobs = min(cfg.jobs, os.cpu_count() or 1, len(payloads))

@@ -33,13 +33,3 @@ class RunConfig:
                 f"raise precision or loosen tolerance")
         if self.terms < 1 or self.work_limit < 1 or self.jobs < 1:
             raise OutOfRange("terms, work limit and jobs must be positive")
-
-    def to_dict(self) -> dict:
-        return {"precision": self.precision, "tolerance": self.tolerance,
-                "terms": self.terms, "work_limit": self.work_limit,
-                "convention": self.convention, "jobs": self.jobs}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        return cls(**{k: v for k, v in d.items()
-                      if k in cls.__dataclass_fields__})

@@ -68,6 +68,8 @@ class BernoulliPoly:
 
 def bernoulli_poly(r: int) -> BernoulliPoly:
     """B_r(x) = sum_j C(r,j) B_j x^(r-j)."""
+    if r < 0:
+        raise ValueError("Bernoulli index must be >= 0")
     coeffs = tuple(comb(r, r - j) * bernoulli_number(r - j) for j in range(r + 1))
     return BernoulliPoly(r, coeffs)
 

@@ -51,6 +51,13 @@ def _require_all_coprime(hs, k) -> None:
         _require_coprime(h, k, f"h{j}")
 
 
+def _require_orders(rs, hs) -> None:
+    if len(rs) != len(hs):
+        raise ValueError("orders and multipliers must pair up")
+    if any(r < 1 for r in rs):
+        raise ValueError("order must be >= 1")
+
+
 def _weights(w, k: int, start: int = 0) -> PeriodicMap:
     """The per-residue table a -> w(a) for start <= a < k, 0 below start."""
     return PeriodicMap([0] * start + [w(a) for a in range(start, k)])
@@ -141,8 +148,7 @@ def homogeneous_pair_cot(h1: int, h2: int, k: int,
 def bernoulli_dedekind_sum(rs, hs, k: int,
                            work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum of B_{r_1}({a_1 h_1/k}) ... B_{r_m}({a_m h_m/k}) over zero-sum tuples."""
-    if len(rs) != len(hs):
-        raise ValueError("orders and multipliers must pair up")
+    _require_orders(rs, hs)
     maps = [periodic.bernoulli_map(r, k) for r in rs]
     return constrained_product_sum(maps, hs, work_limit)
 
@@ -160,6 +166,7 @@ def bernoulli_dedekind_rhs(rs, hs, k: int, bits: int = DEFAULT_BITS,
     convention="corrected": (1/k) sum_a prod_j ghat_j(a h_j') with the
     r = 1 transforms carrying their missing constant, exact for all r_j.
     """
+    _require_orders(rs, hs)
     A = sum(rs)
     if A % 2 != 0:
         raise ParityViolation("needs even total order A")

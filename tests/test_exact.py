@@ -97,6 +97,10 @@ class TestBernoulliPoly:
         assert poly.coefficients[0] == bernoulli_number(r)
         assert poly.coefficients[r - 1] == Fraction(-r, 2)
 
+    def test_negative_index_refused(self):
+        with pytest.raises(ValueError, match="Bernoulli index must be >= 0"):
+            bernoulli_poly(-2)
+
 
 class TestPeriodicBernoulli:
     @pytest.mark.parametrize("r,q,expected", [

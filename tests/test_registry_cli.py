@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -189,6 +190,41 @@ class TestCli:
                      "--convention", "paper"])
         assert code == 1
 
+    def test_sweep_honours_instance_terms(self, capsys):
+        argv = ["eq2", "--k", "5", "--h", "1", "--instance-terms", "10"]
+        assert main(["sweep", *argv, "--json"]) == 0
+        swept = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert main(["verify", *argv, "--json"]) == 0
+        single = json.loads(capsys.readouterr().out)
+        assert swept["params"]["terms"] == 10
+        assert swept["rhs"] == single["rhs"]
+
+    def test_subparser_flags_are_the_names_read(self):
+        """compute has exactly the flags its targets read; verify and sweep
+        exactly those the registry rows read (terms as --instance-terms, the
+        convention through the common --convention)."""
+        parser = cli._build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        common = {"-h", "--help", "--precision", "--tolerance", "--terms",
+                  "--work-limit", "--convention", "--jobs", "--json"}
+        own = {"compute": set(), "verify": {"--list"},
+               "sweep": {"--csv", "--samples", "--verbose"}}
+        flags = {name: {opt for a in p._actions for opt in a.option_strings}
+                 - common - own[name]
+                 for name, p in subparsers.choices.items()}
+        targets = {f"--{n}" for _, names, _ in cli.COMPUTE_TARGETS.values()
+                   for n in names}
+        rows = {"--instance-terms" if n == "terms" else f"--{n}"
+                for e in REGISTRY.values() for n in e.param_kinds
+                if n != "convention"}
+        assert flags == {"compute": targets, "verify": rows, "sweep": rows}
+        assert targets == {"--h", "--k", "--a", "--r", "--order", "--hs",
+                           "--rs", "--s", "--x", "--which"}
+        assert rows == {"--k", "--h", "--h1", "--h2", "--r", "--r1", "--r2",
+                        "--seed", "--m", "--hs", "--rs", "--s", "--s1",
+                        "--s2", "--parity", "--instance-terms"}
+
     def test_sweep_no_instances_usage_error(self, capsys):
         code = main(["sweep", "cor11", "--k", "4..4", "--h", "all-coprime"])
         assert code == 2
@@ -259,6 +295,16 @@ class TestCli:
     # q = 10^6 Hurwitz values at the 121-term cut of s = 2
     (["compute", "periodic-zeta", "--s", "2", "--x", "1/1000000"],
      "Hurwitz cut 121 terms x 1000000 values = 121000000 terms exceed"),
+    # the closed form refuses the lists the exact side refuses
+    (["compute", "bernoulli-sum-rhs", "--rs", "2,2", "--hs", "1", "--k", "5"],
+     "orders and multipliers must pair up"),
+    (["compute", "bernoulli-sum-rhs", "--rs", "2", "--hs", "1,2", "--k", "5"],
+     "orders and multipliers must pair up"),
+    (["compute", "bernoulli-sum-rhs", "--rs", "0,2", "--hs", "1,1",
+      "--k", "5"], "order must be >= 1"),
+    (["compute", "bernoulli-poly", "--r", "-2"],
+     "Bernoulli index must be >= 0"),
+    (["sweep", "eq1", "--k", "5"], "this identity needs --h"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")

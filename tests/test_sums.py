@@ -153,6 +153,16 @@ class TestBernoulliSums:
         with pytest.raises(ParityViolation):
             bernoulli_dedekind_rhs((1, 2), (1, 1), 3)
 
+    @pytest.mark.parametrize("rs,hs,message", [
+        ((2, 2), (1,), "orders and multipliers must pair up"),
+        ((2,), (1, 2), "orders and multipliers must pair up"),
+        ((0, 2), (1, 1), "order must be >= 1"),
+    ])
+    def test_rhs_refuses_what_the_sum_refuses(self, rs, hs, message):
+        for side in (bernoulli_dedekind_sum, bernoulli_dedekind_rhs):
+            with pytest.raises(ValueError, match=message):
+                side(rs, hs, 5)
+
     @pytest.mark.parametrize("rs,hs,k", [
         ((3, 2, 2), (1, 1, 1), 5),
         ((2, 3), (1, 2), 5),
