@@ -24,7 +24,7 @@ import mpmath
 
 from . import sums, trig, zeta
 from .config import RunConfig
-from .errors import CotsumsError, OutOfRange
+from .errors import CotsumsError, OutOfRange, check, choice
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
 from .hp import fmt, is_exact
 from .registry import REGISTRY, verify
@@ -69,7 +69,7 @@ def _hardy(which, h, k, convention):
     """The sum at the zero-residue convention asked for (exclude-zero by
     default); for S and s4 the note gives the other one where it differs."""
     conv, other = sums.EXCLUDE_ZERO, sums.INCLUDE_ZERO
-    if convention == other:
+    if convention == "include-zero":
         conv, other = other, conv
     value = sums.hardy_sum(which, h, k, conv)
     alt = sums.hardy_sum(which, h, k, other) if which in ("S", "s4") else value
@@ -117,6 +117,9 @@ COMPUTE_TARGETS = {
     "sawtooth": (sawtooth, ("x",), ()),
     "hardy": (_hardy, ("which", "h", "k"), ("convention",)),
 }
+# the --convention values of the targets that read one, in CLI spelling
+CONVENTIONS = {"bernoulli-sum-rhs": ("paper", "corrected"),
+               "hardy": ("include-zero", "exclude-zero")}
 
 
 def _ints_csv(text: str) -> tuple:
@@ -183,7 +186,7 @@ def _instance_flags(p, names, sweep: bool = False) -> None:
         p.add_argument(f"--{param.flag or name}", **kwargs)
 
 
-def _common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags(p: argparse.ArgumentParser, conventions) -> None:
     p.add_argument("--precision", type=int, default=256,
                    help="working precision in bits (default 256)")
     p.add_argument("--tolerance", default="2^-128",
@@ -192,9 +195,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
                    help="series truncation length")
     p.add_argument("--work-limit", type=int, default=10 ** 8,
                    help="exact-side product budget")
-    p.add_argument("--convention",
-                   choices=["paper", "corrected", "include-zero",
-                            "exclude-zero"],
+    p.add_argument("--convention", choices=list(dict.fromkeys(conventions)),
                    help="closed-form / zero-residue convention")
     p.add_argument("--jobs", type=int, default=1,
                    help="parallel workers for sweep (at most the cores "
@@ -211,23 +212,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("compute", help="compute one sum or special value")
     pc.add_argument("target", choices=sorted(COMPUTE_TARGETS))
-    _common_flags(pc)
+    _common_flags(pc, (c for cs in CONVENTIONS.values() for c in cs))
     _instance_flags(pc, dict.fromkeys(
         name for _, names, _ in COMPUTE_TARGETS.values() for name in names))
     pc.set_defaults(s="2", x="1")
 
     pv = sub.add_parser("verify", help="verify one identity instance")
-    pv.add_argument("id", nargs="?", help="identity id (see --list)")
+    pv.add_argument("id", nargs="?", choices=REGISTRY, metavar="id",
+                    help="identity id (see --list)")
     pv.add_argument("--list", action="store_true",
                     help="list identity ids and preconditions")
-    _common_flags(pv)
+    row_conventions = [
+        c for e in REGISTRY.values() if "convention" in e.param_kinds
+        for c in e.param_kinds["convention"].removeprefix("choice:").split(",")]
+    _common_flags(pv, row_conventions)
     row_params = [name for name in PARAMS
                   if any(name in e.param_kinds for e in REGISTRY.values())]
     _instance_flags(pv, row_params)
 
     ps = sub.add_parser("sweep", help="verify an identity over ranges")
-    ps.add_argument("id", help="identity id")
-    _common_flags(ps)
+    ps.add_argument("id", choices=REGISTRY, metavar="id", help="identity id")
+    _common_flags(ps, row_conventions)
     _instance_flags(ps, row_params, sweep=True)
     ps.add_argument("--csv", metavar="PATH", help="write per-instance rows")
     ps.add_argument("--samples", type=int, default=50,
@@ -238,12 +243,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from(args) -> RunConfig:
-    conv = args.convention
-    if conv in ("include-zero", "exclude-zero"):
-        conv += "-residue"
     cfg = RunConfig(precision=args.precision, tolerance=args.tolerance,
                     terms=args.terms, work_limit=args.work_limit,
-                    convention=conv, jobs=args.jobs)
+                    convention=args.convention, jobs=args.jobs)
     cfg.validate()
     return cfg
 
@@ -259,6 +261,9 @@ def _gather_params(args, entry) -> dict:
 def _cmd_compute(args) -> int:
     cfg = _config_from(args)
     fn, names, fields = COMPUTE_TARGETS[args.target]
+    if args.convention is not None and args.target in CONVENTIONS:
+        check((choice("convention", CONVENTIONS[args.target]),),
+              convention=args.convention)
     params = {n: getattr(args, n) for n in names}
     missing = [n for n, v in params.items() if v is None]
     if missing:
@@ -293,12 +298,8 @@ def _cmd_verify(args) -> int:
     if not args.id:
         print("verify needs an identity id (or --list)", file=sys.stderr)
         return USAGE_EXIT
-    cfg = _config_from(args)
-    if args.id not in REGISTRY:
-        print(f"unknown identity {args.id!r}; known ids: "
-              f"{', '.join(sorted(REGISTRY))}", file=sys.stderr)
-        return USAGE_EXIT
-    rep = verify(args.id, _gather_params(args, REGISTRY[args.id]), cfg)
+    rep = verify(args.id, _gather_params(args, REGISTRY[args.id]),
+                 _config_from(args))
     if args.json:
         print(rep.to_json())
     else:
@@ -317,19 +318,24 @@ def _cmd_verify(args) -> int:
 # sweep expansion
 
 
-def _parse_int_range(text: str) -> list[int]:
-    """'1..50' | 'odd 3..49' | 'even 4..48' | '3,5,7' | '7'."""
-    text = text.strip()
-    parity = next((p for p in ("odd", "even") if text.startswith(p)), None)
+def _parse_int_range(text: str, name: str) -> list[int]:
+    """'1..50' | 'odd 3..49' | 'even 4..48' | '3,5,7' | '7', given to --name;
+    any other text is refused naming the flag and these forms."""
+    spec = text.strip()
+    parity = next((p for p in ("odd", "even") if spec.startswith(p)), None)
     if parity:
-        text = text[len(parity):].strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        values = list(range(int(lo), int(hi) + 1))
-    elif "," in text:
-        values = [int(t) for t in text.split(",")]
-    else:
-        values = [int(text)]
+        spec = spec[len(parity):].strip()
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..")
+            values = list(range(int(lo), int(hi) + 1))
+        else:
+            values = [int(t) for t in spec.split(",")]
+    except ValueError:
+        forms = "1..50, odd 3..49, even 4..48, 3,5,7 or 7"
+        if PARAMS[name].form == MULTIPLIER:
+            forms = forms.replace(" or", ",") + " or all-coprime"
+        raise OutOfRange(f"--{name} takes {forms}, got {text!r}") from None
     if parity:
         values = [v for v in values if v % 2 == (parity == "odd")]
     return values
@@ -357,9 +363,11 @@ def _expand_instances(args, entry) -> list[dict]:
     whose tuples default to all-coprime pairs or random tuples."""
     if not args.k:
         raise CotsumsError("sweep needs --k")
-    ks = _parse_int_range(" ".join(args.k))
-    m = 2 if args.m is None else args.m
-    seed = _parse_int_range(" ".join(args.seed))[0] if args.seed else 1
+    ks = _parse_int_range(" ".join(args.k), "k")
+    # default hs tuples are as long as the explicit rs they pair up with
+    rs = args.rs if "rs" in entry.param_kinds else None
+    m = args.m if args.m is not None else len(rs) if rs else 2
+    seed = _parse_int_range(" ".join(args.seed), "seed")[0] if args.seed else 1
     names = [n for n in _SWEEP_ORDER if n != "k" and n in entry.param_kinds]
     instances = []
     for k in ks:
@@ -379,7 +387,7 @@ def _expand_instances(args, entry) -> list[dict]:
             else:
                 text = " ".join(value).strip()
                 cands = (units if form == MULTIPLIER and text == "all-coprime"
-                         else _parse_int_range(text))
+                         else _parse_int_range(text, name))
             per_k = [dict(p, **{name: c}) for p in per_k for c in cands]
         instances.extend(per_k)
     admissible = []
@@ -400,9 +408,6 @@ def _run_instance(payload):
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from(args)
-    if args.id not in REGISTRY:
-        print(f"unknown identity {args.id!r}", file=sys.stderr)
-        return USAGE_EXIT
     entry = REGISTRY[args.id]
     instances = _expand_instances(args, entry)
     if not instances:

@@ -9,9 +9,9 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
-from .errors import NotCoprime
+from .errors import K_POSITIVE, R_POSITIVE, check, coprime
 
 
 def frac(q: Fraction) -> Fraction:
@@ -68,8 +68,7 @@ class BernoulliPoly:
 
 def bernoulli_poly(r: int) -> BernoulliPoly:
     """B_r(x) = sum_j C(r,j) B_j x^(r-j)."""
-    if r < 0:
-        raise ValueError("Bernoulli index must be >= 0")
+    bernoulli_number(r)  # refuses r < 0; fills the cache the loop reads
     coeffs = tuple(comb(r, r - j) * bernoulli_number(r - j) for j in range(r + 1))
     return BernoulliPoly(r, coeffs)
 
@@ -80,8 +79,7 @@ def periodic_bernoulli(r: int, q: Fraction) -> Fraction:
     For r = 1 this differs from sawtooth() exactly at the integers,
     where it is -1/2 rather than 0.
     """
-    if r < 1:
-        raise ValueError("order must be >= 1")
+    check((R_POSITIVE,), r=r)
     return bernoulli_poly(r)(frac(q))
 
 
@@ -91,10 +89,5 @@ def mod_inverse(h: int, k: int) -> int:
     Normalizing to [1, k-1] keeps downstream trig arguments pi*a*h'/k
     reproducible across platforms.
     """
-    if k < 1:
-        raise ValueError("modulus must be positive")
-    if k == 1:
-        return 1
-    if gcd(h, k) != 1:
-        raise NotCoprime(f"gcd({h}, {k}) = {gcd(h, k)} != 1")
-    return pow(h % k, -1, k)
+    check((K_POSITIVE, coprime("h")), h=h, k=k)
+    return 1 if k == 1 else pow(h % k, -1, k)

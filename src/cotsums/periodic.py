@@ -23,8 +23,8 @@ import mpmath
 from mpmath import mpc, mpf, workprec
 
 from . import trig
-from .errors import (OutOfRange, ParityViolation, PeriodMismatch,
-                     WorkLimitExceeded)
+from .errors import (K_EVEN, K_ODD, R_POSITIVE, OutOfRange, PeriodMismatch,
+                     WorkLimitExceeded, check, choice)
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse
 from .hp import DEFAULT_BITS, guarded, is_exact, to_number
 
@@ -226,24 +226,21 @@ def sawtooth_map(k: int) -> PeriodicMap:
 
 def bernoulli_map(r: int, k: int) -> PeriodicMap:
     """a -> B_r({a/k}), evaluating one Bernoulli polynomial over the period."""
-    if r < 1:
-        raise ValueError("order must be >= 1")
+    check((R_POSITIVE,), r=r)
     poly = bernoulli_poly(r)
     return PeriodicMap(tuple(poly(Fraction(a, k)) for a in range(k)))
 
 
 def alt_sawtooth_map(k: int) -> PeriodicMap:
     """(-1)^n ((n/k)); k-periodic only for even k."""
-    if k % 2 != 0:
-        raise ParityViolation("(-1)^n ((n/k)) is k-periodic only for even k")
+    check((K_EVEN,), k=k)
     return PeriodicMap(-v if a % 2 else v
                        for a, v in enumerate(sawtooth_map(k).values))
 
 
 def alt_sign_map(k: int) -> PeriodicMap:
     """(-1)^(n mod k) off multiples of k, 0 at them; k must be odd."""
-    if k % 2 == 0:
-        raise ParityViolation("the alternating-sign map needs odd k")
+    check((K_ODD,), k=k)
     vals = (Fraction(0),) + tuple(Fraction((-1) ** a) for a in range(1, k))
     return PeriodicMap(vals)
 
@@ -302,8 +299,8 @@ def bernoulli_dft_map(r: int, k: int, bits: int = DEFAULT_BITS,
     value -1/2 is already right). variant="paper" keeps the uncorrected
     closed form so its residual can be reported.
     """
-    if variant not in ("paper", "corrected"):
-        raise ValueError(f"unknown variant {variant!r}")
+    check((choice("variant", ("paper", "corrected"), ValueError),),
+          variant=variant)
     at_multiples = bernoulli_number(r) * Fraction(k) ** (1 - r)
     derivs = trig.cot_deriv_table(r - 1, k, bits)
     with workprec(guarded(bits, k)):
@@ -317,8 +314,7 @@ def bernoulli_dft_map(r: int, k: int, bits: int = DEFAULT_BITS,
 
 def alt_sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """Transform of (-1)^n ((n/k)) (k even): -(i/2) tan(pi*n/k), 0 at n = k/2."""
-    if k % 2 != 0:
-        raise ParityViolation("needs even k")
+    check((K_EVEN,), k=k)
     tt = trig.tan_table(k, bits)
     with workprec(guarded(bits, k)):
         return PeriodicMap(mpc(0) if t is None else mpc(0, -1) / 2 * t
@@ -327,8 +323,7 @@ def alt_sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
 
 def alt_sign_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """Transform of the odd-k alternating-sign map: i tan(pi*n/k)."""
-    if k % 2 == 0:
-        raise ParityViolation("needs odd k")
+    check((K_ODD,), k=k)
     tt = trig.tan_table(k, bits)
     with workprec(guarded(bits, k)):
         return PeriodicMap(mpc(0, 1) * t for t in tt)

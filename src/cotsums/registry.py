@@ -25,64 +25,14 @@ from mpmath import workprec
 
 from . import periodic, sums, zeta
 from .config import RunConfig
-from .errors import NotCoprime, OutOfRange, ParityViolation
+from .errors import (K_EVEN, K_ODD, K_POSITIVE, R_POSITIVE, TERMS_POSITIVE,
+                     OutOfRange, all_coprime, check, choice, coprime, parity,
+                     require)
 from .hp import is_exact, to_number
 from .periodic import (PeriodicMap, dft, map_max_residual, random_even_map,
                        random_odd_map, random_rational_map)
 from .report import IdentityReport, build_report
 from .trig import VALUES, trig_product_sum
-
-
-# --- precondition rules (messages name the violated condition) -------------
-
-
-def _require(test, error, message: str):
-    """A rule raising error(message filled from the parameters) unless test."""
-    def rule(params):
-        if not test(params):
-            raise error(message.format(**params))
-    return rule
-
-
-def _coprime(*names):
-    def rule(params):
-        k = params["k"]
-        for name in names:
-            h = params[name]
-            if gcd(h, k) != 1:
-                raise NotCoprime(f"{name} must be coprime to k: "
-                                 f"gcd({h}, {k}) = {gcd(h, k)}")
-    return rule
-
-
-def _all_coprime(params):
-    k = params["k"]
-    for j, h in enumerate(params["hs"], 1):
-        if gcd(h, k) != 1:
-            raise NotCoprime(f"hs[{j}] = {h} must be coprime to k = {k}")
-
-
-def _parity(what: str, parity: str, value=None):
-    """what must have the parity; value(params) when what is not a param."""
-    def rule(params):
-        v = params[what] if value is None else value(params)
-        if (v % 2 == 0) != (parity == "even"):
-            raise ParityViolation(f"{what} must be {parity}, got {v}")
-    return rule
-
-
-def _re_above_one(name: str):
-    return _require(lambda p: zeta._to_s(p[name]).real > 1, OutOfRange,
-                    f"Re {name} must exceed 1")
-
-
-_K_POSITIVE = _require(lambda p: p["k"] >= 1, OutOfRange,
-                       "k must be >= 1, got {k}")
-_K_EVEN, _K_ODD = _parity("k", "even"), _parity("k", "odd")
-_M_EVEN = _parity("m", "even", lambda p: len(p["hs"]))
-# terms is None until the run config supplies the default
-_TERMS_POSITIVE = _require(lambda p: p["terms"] is None or p["terms"] >= 1,
-                           OutOfRange, "terms must be >= 1, got {terms}")
 
 
 @dataclass(frozen=True)
@@ -106,12 +56,11 @@ class IdentityEntry:
 
     def validate(self, params: dict) -> None:
         """Raise the first violated precondition, naming its condition."""
-        _K_POSITIVE(params)
+        K_POSITIVE(params)
         for name, kind in self.param_kinds.items():
             if kind == "ints" and not params[name]:
                 raise OutOfRange(f"{name} must hold at least one integer")
-        for rule in self.rules:
-            rule(params)
+        check(self.rules, **params)
 
     def check(self, params: dict, config: RunConfig) -> IdentityReport:
         """Run the identity on parameters that passed validate()."""
@@ -221,7 +170,7 @@ def _check_cor1_cor2(entry, params, config):
 
 def _lemma1(kind):
     """Checker of a transform closed form: DFT of the map against it."""
-    def check(entry, params, config):
+    def run(entry, params, config):
         k, bits = params["k"], config.precision
         kw = {name: params[name] for name in ("r", "s") if name in params}
         kw["work_limit"] = config.work_limit
@@ -231,7 +180,7 @@ def _lemma1(kind):
         closed = periodic.closed_form_dft(kind, k, bits, **kw)
         return _map_check(entry, params, direct, closed, config,
                           entry.note_for(params))
-    return check
+    return run
 
 
 def _check_remark1(entry, params, config):
@@ -285,14 +234,14 @@ _CONVENTION = "choice:paper,corrected"
 REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "eq1", "s(h,k) = (1/4k) sum_{a=1}^{k-1} cot(pi a/k) cot(pi a h/k)",
-        {"h": "int", "k": "int"}, "gcd(h,k) = 1, k >= 1", (_coprime("h"),),
+        {"h": "int", "k": "int"}, "gcd(h,k) = 1, k >= 1", (coprime("h"),),
         exact=lambda c, h, k: sums.dedekind_sum(h, k),
         closed=lambda c, h, k: sums.dedekind_cot(h, k, c.precision)),
     IdentityEntry(
         "eq2", "s(h,k) = (1/2pi) sum_{r>=1, k !| r} cot(pi r h/k)/r",
         {"h": "int", "k": "int", "terms": "int"},
         "gcd(h,k) = 1; pass measured against the computed tail bound",
-        (_coprime("h"), _TERMS_POSITIVE), {"terms": None},
+        (coprime("h"), TERMS_POSITIVE), {"terms": None},
         exact=lambda c, h, k, terms: sums.dedekind_sum(h, k),
         closed=lambda c, h, k, terms: sums.dedekind_series(h, k, terms,
                                                            c.precision),
@@ -307,22 +256,20 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                "= (1/k) sum_a prod DFT[f_j](a h_j')",
         {"k": "int", "m": "int", "seed": "int"},
         "k >= 1, 1 <= m <= 8; seeded maps and coprime multipliers",
-        (_require(lambda p: 1 <= p["m"] <= 8, OutOfRange,
-                  "m must be in 1..8, got {m}"),),
+        (require(lambda p: 1 <= p["m"] <= 8, OutOfRange,
+                 "m must be in 1..8, got {m}"),),
         {"m": 2, "seed": 1}, checker=_check_th1),
     IdentityEntry(
         "cor1", "sum_a f1(a h1) f2(a h2) "
                 "= (1/k) sum_a DFT[f1](-a h2) DFT[f2](a h1)",
         {**_PAIR, "seed": "int"}, "gcd(h1,k) = gcd(h2,k) = 1",
-        (_coprime("h1", "h2"),), {"seed": 1}, checker=_check_cor1_cor2),
+        (coprime("h1", "h2"),), {"seed": 1}, checker=_check_cor1_cor2),
     IdentityEntry(
         "cor2", "sum_a f1(a h1) f2(a h2) "
                 "= ((-1)^s/k) sum_a DFT[f1](a h2) DFT[f2](a h1)",
         {**_PAIR, "seed": "int", "parity": "choice:odd,even"},
         "gcd(h_i,k) = 1; both maps share the declared parity",
-        (_coprime("h1", "h2"),
-         _require(lambda p: p["parity"] in ("odd", "even"), OutOfRange,
-                  "parity must be 'odd' or 'even'")),
+        (coprime("h1", "h2"), choice("parity", ("odd", "even"))),
         {"seed": 1, "parity": "odd"}, checker=_check_cor1_cor2),
     IdentityEntry(
         "lemma1-i", "DFT[((n/k))](n) = (i/2) cot(pi n/k) off multiples of k, "
@@ -333,7 +280,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                      "cot^(r-1)(pi n/k) off multiples, B_r k^(1-r) at them",
         {"k": "int", "r": "int", "convention": _CONVENTION},
         "k >= 1, r >= 1; r = 1 exact only under convention=corrected",
-        (_require(lambda p: p["r"] >= 1, OutOfRange, "r must be >= 1"),),
+        (R_POSITIVE,),
         {"r": 2, "convention": None}, checker=_lemma1("bernoulli"),
         note=lambda p: (
             "stated closed form omits the constant -1/2 off multiples of k "
@@ -342,22 +289,23 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "lemma1-iii", "DFT[(-1)^n ((n/k))](n) = -(i/2) tan(pi n/k), "
                       "0 at n = k/2 (k even)",
-        {"k": "int"}, "k even", (_K_EVEN,), checker=_lemma1("alt-sawtooth")),
+        {"k": "int"}, "k even", (K_EVEN,), checker=_lemma1("alt-sawtooth")),
     IdentityEntry(
         "lemma1-iv",
         "DFT[(-1)^(n mod k), 0 at k|n](n) = i tan(pi n/k) (k odd)",
-        {"k": "int"}, "k odd", (_K_ODD,), checker=_lemma1("alt-sign")),
+        {"k": "int"}, "k odd", (K_ODD,), checker=_lemma1("alt-sign")),
     IdentityEntry(
         "lemma1-v", "DFT[F(s, n/k)](n) = k^(1-s) zeta(s,{n/k}) off "
                     "multiples, k^(1-s) zeta(s) at them",
-        {"k": "int", "s": "s"}, "k >= 1, Re s > 1", (_re_above_one("s"),),
+        {"k": "int", "s": "s"}, "k >= 1, Re s > 1",
+        (zeta.re_above_one("s", OutOfRange),),
         {"s": "2"}, checker=_lemma1("periodic-zeta")),
     IdentityEntry(
         "th2", "zero-sum sawtooth product sum = ((-1)^(m/2)/(2^m k)) "
                "sum_{a=1}^{k-1} prod_j cot(pi a h_j'/k)",
         _TUPLE, "all gcd(h_j,k) = 1; even m compares with the cot form, odd "
                 "m checks the exact zero",
-        (_all_coprime,),
+        (all_coprime,),
         exact=lambda c, k, hs: sums.zagier_sum(hs, k, c.work_limit),
         closed=lambda c, k, hs: (sums.zagier_cot(hs, k, c.precision)
                                  if len(hs) % 2 == 0 else Fraction(0)),
@@ -365,7 +313,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "cor3", "sum_{a=1}^{k-1} ((a h1/k))((a h2/k)) "
                 "= (1/4k) sum_a cot(pi a h1/k) cot(pi a h2/k)",
-        _PAIR, "gcd(h_i,k) = 1", (_coprime("h1", "h2"),),
+        _PAIR, "gcd(h_i,k) = 1", (coprime("h1", "h2"),),
         exact=lambda c, k, h1, h2: sums.homogeneous_pair_sum(h1, h2, k),
         closed=lambda c, k, h1, h2: sums.homogeneous_pair_cot(
             h1, h2, k, c.precision)),
@@ -374,13 +322,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                "+ ((-1)^(A/2) prod_j r_j/(2^A k^(A-m+1))) "
                "sum_a prod_j cot^(r_j-1)(pi a h_j'/k), A = sum r_j even",
         {"k": "int", "rs": "ints", "hs": "ints", "convention": _CONVENTION},
-        "A = sum r_j even; all gcd(h_j,k) = 1",
-        (_require(lambda p: len(p["rs"]) == len(p["hs"]), OutOfRange,
-                  "rs and hs must have the same length"),
-         _require(lambda p: all(r >= 1 for r in p["rs"]), OutOfRange,
-                  "orders must be >= 1"),
-         _parity("total order A", "even", lambda p: sum(p["rs"])),
-         _all_coprime),
+        "A = sum r_j even; all gcd(h_j,k) = 1", sums.BERNOULLI_RHS,
         {"convention": None},
         exact=lambda c, k, rs, hs, convention: sums.bernoulli_dedekind_sum(
             rs, hs, k, c.work_limit),
@@ -397,11 +339,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                 "sum_a cot^(r1-1)(pi a h2/k) cot^(r2-1)(pi a h1/k)",
         {"k": "int", "r1": "int", "r2": "int", "h1": "int", "h2": "int",
          "convention": _CONVENTION},
-        "r1 + r2 even; gcd(h_i,k) = 1",
-        (_require(lambda p: min(p["r1"], p["r2"]) >= 1, OutOfRange,
-                  "orders must be >= 1"),
-         _parity("r1 + r2", "even", lambda p: p["r1"] + p["r2"]),
-         _coprime("h1", "h2")),
+        "r1 + r2 even; gcd(h_i,k) = 1", sums.BERNOULLI_PAIR_RHS,
         {"convention": None},
         exact=lambda c, k, r1, r2, h1, h2, convention: sums.bernoulli_pair_sum(
             r1, r2, h1, h2, k),
@@ -418,55 +356,52 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "th5", "A(h_1,...,h_m; k) = ((-1)^(m/2-1)/(2^m k)) "
                "sum_{a != k/2} tan(pi a h_1'/k) prod_{j>=2} cot(pi a h_j'/k)",
         _TUPLE, "k even, m even, h1 odd, all gcd(h_j,k) = 1",
-        (_K_EVEN, _M_EVEN, _parity("h1", "odd", lambda p: p["hs"][0]),
-         _all_coprime),
+        sums.HARDY_A_RHS,
         exact=lambda c, k, hs: sums.hardy_A(hs, k, c.work_limit),
         closed=lambda c, k, hs: sums.hardy_A_rhs(hs, k, c.precision)),
     IdentityEntry(
         "cor6", "sum_{a=1}^{k-1} (-1)^a ((a h1/k))((a h2/k)) = -(1/4k) "
                 "sum_{a != k/2} tan(pi a h2/k) cot(pi a h1/k)",
-        _PAIR, "k even, h1 odd, gcd(h_i,k) = 1",
-        (_K_EVEN, _parity("h1", "odd"), _coprime("h1", "h2")),
+        _PAIR, "k even, h1 odd, gcd(h_i,k) = 1", sums.ALT_PAIR_RHS,
         exact=lambda c, k, h1, h2: sums.alt_pair_sum(h1, h2, k),
         closed=lambda c, k, h1, h2: sums.alt_pair_rhs(h1, h2, k,
                                                       c.precision)),
     IdentityEntry(
         "cor7", "s2(h,k) = -(1/4k) sum_{a != k/2} tan(pi a h/k) cot(pi a/k)",
-        _ONE, "k even, gcd(h,k) = 1", (_K_EVEN, _coprime("h")),
+        _ONE, "k even, gcd(h,k) = 1", (K_EVEN, coprime("h")),
         exact=lambda c, k, h: sums.hardy_sum("s2", h, k),
         closed=lambda c, k, h: sums.alt_pair_rhs(1, h, k, c.precision)),
     IdentityEntry(
         "th7", "B(h_1,...,h_m; k) = ((-1)^(m/2)/(2^(m-1) k)) "
                "sum_{a=1}^{k-1} tan(pi a h_1'/k) prod_{j>=2} cot(pi a h_j'/k)",
-        _TUPLE, "k odd, m even, all gcd(h_j,k) = 1",
-        (_K_ODD, _M_EVEN, _all_coprime),
+        _TUPLE, "k odd, m even, all gcd(h_j,k) = 1", sums.HARDY_B_RHS,
         exact=lambda c, k, hs: sums.hardy_B(hs, k, c.work_limit),
         closed=lambda c, k, hs: sums.hardy_B_rhs(hs, k, c.precision)),
     IdentityEntry(
         "cor8", "sum_{a=1}^{k-1} (-1)^(a + floor(a h1/k)) ((a h2/k)) "
                 "= (1/2k) sum_a tan(pi a h2/k) cot(pi a h1/k)",
         _PAIR, "k odd, h1 odd, gcd(h_i,k) = 1",
-        (_K_ODD, _parity("h1", "odd"), _coprime("h1", "h2")),
+        (K_ODD, parity("h1", "odd"), coprime("h1", "h2")),
         exact=lambda c, k, h1, h2: sums.floor_pair_sum(h1, h2, k,
                                                        with_alt=True),
         closed=lambda c, k, h1, h2: sums.tan_cot_pair_rhs(h1, h2, k,
                                                           c.precision)),
     IdentityEntry(
         "cor9-s3", "s3(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a h/k) cot(pi a/k)",
-        _ONE, "k odd, gcd(h,k) = 1", (_K_ODD, _coprime("h")),
+        _ONE, "k odd, gcd(h,k) = 1", (K_ODD, coprime("h")),
         exact=lambda c, k, h: sums.hardy_sum("s3", h, k),
         closed=lambda c, k, h: sums.tan_cot_pair_rhs(1, h, k, c.precision)),
     IdentityEntry(
         "cor9-s5", "s5(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a/k) cot(pi a h/k)",
         _ONE, "k odd, h odd, gcd(h,k) = 1",
-        (_K_ODD, _coprime("h"), _parity("h", "odd")),
+        (K_ODD, coprime("h"), parity("h", "odd")),
         exact=lambda c, k, h: sums.hardy_sum("s5", h, k),
         closed=lambda c, k, h: sums.tan_cot_pair_rhs(h, 1, k, c.precision)),
     IdentityEntry(
         "cor10", "sum_{a=1}^{k-1} (-1)^floor(a h1/k) ((a h2/k)) "
                  "= (1/2k) sum_a tan(pi a h2/k) cot(pi a h1/k)",
         _PAIR, "k odd, h1 even, gcd(h_i,k) = 1",
-        (_K_ODD, _parity("h1", "even"), _coprime("h1", "h2")),
+        (K_ODD, parity("h1", "even"), coprime("h1", "h2")),
         exact=lambda c, k, h1, h2: sums.floor_pair_sum(h1, h2, k,
                                                        with_alt=False),
         closed=lambda c, k, h1, h2: sums.tan_cot_pair_rhs(h1, h2, k,
@@ -474,13 +409,13 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "cor11", "s1(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a/k) cot(pi a h/k)",
         _ONE, "k odd, h even, gcd(h,k) = 1",
-        (_K_ODD, _parity("h", "even"), _coprime("h")),
+        (K_ODD, parity("h", "even"), coprime("h")),
         exact=lambda c, k, h: sums.hardy_sum("s1", h, k),
         closed=lambda c, k, h: sums.tan_cot_pair_rhs(h, 1, k, c.precision)),
     IdentityEntry(
         "eq14", "sum_{a=1}^{k-1} (-1)^((a h1 mod k)+(a h2 mod k)) "
                 "= (1/k) sum_a tan(pi a h1/k) tan(pi a h2/k)",
-        _PAIR, "k odd, gcd(h_i,k) = 1", (_K_ODD, _coprime("h1", "h2")),
+        _PAIR, "k odd, gcd(h_i,k) = 1", sums.ODD_PAIR,
         exact=lambda c, k, h1, h2: sums.alt_sign_pair_sum(h1, h2, k),
         closed=lambda c, k, h1, h2: sums.tan_pair_mean(h1, h2, k,
                                                        c.precision),
@@ -488,14 +423,13 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
              "(the transform-derived reading)"),
     IdentityEntry(
         "tan-sq", "sum_{a=1}^{k-1} tan^2(pi a/k) = k^2 - k (k odd)",
-        {"k": "int"}, "k odd", (_K_ODD,),
+        {"k": "int"}, "k odd", (K_ODD,),
         exact=lambda c, k: k * k - k,
         closed=lambda c, k: sums.tan_square_sum(k, c.precision)),
     IdentityEntry(
         "remark1", "s1(h,k) = (1/k) sum_{j=1}^{(k-1)/2} tan(pi j/k) "
                    "cot(pi h j/k) = full-range form",
-        _ONE, "k odd, h even, gcd(h,k) = 1",
-        (_K_ODD, _parity("h", "even"), _coprime("h")),
+        _ONE, "k odd, h even, gcd(h,k) = 1", sums.S1_HALF_RANGE,
         checker=_check_remark1),
     IdentityEntry(
         "th9", "sum_{a=1}^{k-1} zeta(s1,{a h1/k}) zeta(s2,{a h2/k}) = "
@@ -503,14 +437,15 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                "sum_a F(s1, a h2/k) F(s2, -a h1/k)",
         {**_PAIR, "s1": "s", "s2": "s"},
         "gcd(h_i,k) = 1, Re s1 > 1, Re s2 > 1",
-        (_coprime("h1", "h2"), _re_above_one("s1"), _re_above_one("s2")),
+        (coprime("h1", "h2"), zeta.re_above_one("s1", OutOfRange),
+         zeta.re_above_one("s2", OutOfRange)),
         {"s1": "2", "s2": "3"}, checker=_check_th9),
     IdentityEntry(
         "lemma3-a", "S(f) = sum_{r>=1} f(r)/r "
                     "= (pi/2k) sum_{r=1}^{k-1} f(r) cot(pi r/k)",
         {**_SEEDED, "terms": "int"},
         "seeded random odd map; pass against the series tail bound",
-        (_TERMS_POSITIVE,), {"seed": 1, "terms": None},
+        (TERMS_POSITIVE,), {"seed": 1, "terms": None},
         exact=lambda c, k, seed, terms: zeta.cot_form(random_odd_map(k, seed),
                                                       c.precision),
         closed=lambda c, k, seed, terms: zeta.series_partial(
@@ -552,16 +487,13 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
 def verify(identity_id: str, params: dict, config: RunConfig | None = None
            ) -> IdentityReport:
     """Validate parameters against the identity's preconditions and run it."""
-    if identity_id not in REGISTRY:
-        raise OutOfRange(f"unknown identity id {identity_id!r}; known: "
-                         f"{', '.join(sorted(REGISTRY))}")
+    check((choice("id", REGISTRY),), id=identity_id)
     entry = REGISTRY[identity_id]
     config = config or RunConfig()
     config.validate()
     full = dict(entry.defaults)
     full.update({k: v for k, v in params.items() if v is not None})
-    missing = [n for n in entry.param_kinds
-               if n not in full and entry.defaults.get(n, "req") == "req"]
+    missing = [n for n in entry.param_kinds if n not in full]
     if missing:
         raise OutOfRange(f"{identity_id} needs parameters: "
                          f"{', '.join(missing)}")

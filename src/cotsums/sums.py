@@ -16,13 +16,14 @@ residue range and exclusions, and its sign and scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, prod
+from math import prod
 
 import mpmath
 from mpmath import mpc, mpf, workprec
 
 from . import periodic, trig
-from .errors import NotCoprime, ParityViolation
+from .errors import (H1_ODD, K_EVEN, K_ODD, K_POSITIVE, M_EVEN, PAIRED_ORDERS,
+                     all_coprime, check, choice, coprime, orders, parity)
 from .exact import mod_inverse, periodic_bernoulli
 from .hp import DEFAULT_BITS, guarded
 from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap,
@@ -34,28 +35,25 @@ HARDY_KINDS = ("S", "s1", "s2", "s3", "s4", "s5")
 
 EXCLUDE_ZERO = "exclude-zero-residue"
 INCLUDE_ZERO = "include-zero-residue"
+# library callers have caught an unknown convention as a ValueError
+_CONVENTION = choice("convention", ("paper", "corrected"), ValueError)
+# the rules of the functions below that a registry row names as its own
+BERNOULLI_RHS = (*PAIRED_ORDERS,
+                 parity("total order A", "even", lambda p: sum(p["rs"])),
+                 all_coprime)
+BERNOULLI_PAIR_RHS = (orders(lambda p: (p["r1"], p["r2"])),
+                      parity("r1 + r2", "even", lambda p: p["r1"] + p["r2"]),
+                      coprime("h1", "h2"))
+HARDY_A_RHS = (K_EVEN, M_EVEN, H1_ODD, all_coprime)
+HARDY_B_RHS = (K_ODD, M_EVEN, all_coprime)
+ALT_PAIR_RHS = (K_EVEN, parity("h1", "odd"), coprime("h1", "h2"))
+ODD_PAIR = (K_ODD, coprime("h1", "h2"))  # tan_cot_pair_rhs, alt_sign_pair_sum
+S1_HALF_RANGE = (K_ODD, parity("h", "even"), coprime("h"))
 
 
 def _sign(exponent: int) -> int:
     """(-1)^exponent for any integer exponent (negative included)."""
     return -1 if exponent % 2 else 1
-
-
-def _require_coprime(h: int, k: int, name: str = "h") -> None:
-    if gcd(h, k) != 1:
-        raise NotCoprime(f"{name} must be coprime to k: gcd({h}, {k}) = {gcd(h, k)}")
-
-
-def _require_all_coprime(hs, k) -> None:
-    for j, h in enumerate(hs, 1):
-        _require_coprime(h, k, f"h{j}")
-
-
-def _require_orders(rs, hs) -> None:
-    if len(rs) != len(hs):
-        raise ValueError("orders and multipliers must pair up")
-    if any(r < 1 for r in rs):
-        raise ValueError("order must be >= 1")
 
 
 def _weights(w, k: int, start: int = 0) -> PeriodicMap:
@@ -75,14 +73,13 @@ def _tan_cots(hs, k: int) -> list:
 
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h,k) = sum_{a mod k} ((a/k)) ((ah/k)), exact."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    check((K_POSITIVE,), k=k)
     return homogeneous_pair_sum(1, h, k)
 
 
 def dedekind_cot(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """s(h,k) = (1/4k) sum_{a=1}^{k-1} cot(pi*a/k) cot(pi*a*h/k)."""
-    _require_coprime(h, k)
+    check((coprime("h"),), h=h, k=k)
     return trig_product_sum([(COT, 0, 1), (COT, 0, h)], k, bits=bits,
                             divisor=4 * k)
 
@@ -96,7 +93,7 @@ def dedekind_series(h: int, k: int, terms: int = 100_000,
     Returns (partial_sum, tail_bound): series_partial's sum and its Abel
     bound k * max|f| / N, both divided by 2pi.
     """
-    _require_coprime(h, k)
+    check((coprime("h"),), h=h, k=k)
     ct = trig.cot_table(k, bits)
     cot_map = PeriodicMap([0] + [ct[r * h % k] for r in range(1, k)])
     value, bound = series_partial(cot_map, terms, bits)
@@ -118,10 +115,8 @@ def zagier_sum(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
 
 def zagier_cot(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """((-1)^(m/2) / 2^m k) sum_{a=1}^{k-1} prod_j cot(pi*a*h_j'/k); m even."""
+    check((M_EVEN, all_coprime), hs=hs, k=k)
     m = len(hs)
-    if m % 2 != 0:
-        raise ParityViolation("the cotangent form needs even m")
-    _require_all_coprime(hs, k)
     factors = [(COT, 0, mod_inverse(h, k)) for h in hs]
     return trig_product_sum(factors, k, bits=bits,
                             divisor=_sign(m // 2) * 2 ** m * k)
@@ -136,7 +131,7 @@ def homogeneous_pair_sum(h1: int, h2: int, k: int) -> Fraction:
 def homogeneous_pair_cot(h1: int, h2: int, k: int,
                          bits: int = DEFAULT_BITS) -> mpf:
     """(1/4k) sum_{a=1}^{k-1} cot(pi*a*h1/k) cot(pi*a*h2/k), no inverses."""
-    _require_all_coprime((h1, h2), k)
+    check((coprime("h1", "h2"),), h1=h1, h2=h2, k=k)
     return trig_product_sum([(COT, 0, h1), (COT, 0, h2)], k, bits=bits,
                             divisor=4 * k)
 
@@ -148,7 +143,7 @@ def homogeneous_pair_cot(h1: int, h2: int, k: int,
 def bernoulli_dedekind_sum(rs, hs, k: int,
                            work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum of B_{r_1}({a_1 h_1/k}) ... B_{r_m}({a_m h_m/k}) over zero-sum tuples."""
-    _require_orders(rs, hs)
+    check(PAIRED_ORDERS, rs=rs, hs=hs)
     maps = [periodic.bernoulli_map(r, k) for r in rs]
     return constrained_product_sum(maps, hs, work_limit)
 
@@ -166,21 +161,16 @@ def bernoulli_dedekind_rhs(rs, hs, k: int, bits: int = DEFAULT_BITS,
     convention="corrected": (1/k) sum_a prod_j ghat_j(a h_j') with the
     r = 1 transforms carrying their missing constant, exact for all r_j.
     """
-    _require_orders(rs, hs)
-    A = sum(rs)
-    if A % 2 != 0:
-        raise ParityViolation("needs even total order A")
-    _require_all_coprime(hs, k)
+    check((*BERNOULLI_RHS, _CONVENTION), rs=rs, hs=hs, k=k,
+          convention=convention)
     invs = [mod_inverse(h, k) for h in hs]
     if convention == "corrected":
         factors = [(VALUES, periodic.bernoulli_dft_map(r, k, bits).values,
                     hp) for r, hp in zip(rs, invs)]
         return trig_product_sum(factors, k, bits=bits, residues=range(k),
                                 start=mpc(1), divisor=k)
-    if convention != "paper":
-        raise ValueError(f"unknown convention {convention!r}")
     return _paper_form(rs, [(COT, r - 1, hp) for r, hp in zip(rs, invs)],
-                       _sign(A // 2), k, bits)
+                       _sign(sum(rs) // 2), k, bits)
 
 
 def _paper_form(rs, factors, sign: int, k: int, bits: int):
@@ -214,14 +204,10 @@ def bernoulli_pair_rhs(r1: int, r2: int, h1: int, h2: int, k: int,
     convention="corrected" routes through the zero-sum evaluator with the
     exact r = 1 transforms, using multiplier pair (h1, -h2).
     """
-    A = r1 + r2
-    if A % 2 != 0:
-        raise ParityViolation("needs r1 + r2 even")
-    _require_all_coprime((h1, h2), k)
+    check((*BERNOULLI_PAIR_RHS, _CONVENTION), r1=r1, r2=r2, h1=h1, h2=h2,
+          k=k, convention=convention)
     if convention == "corrected":
         return bernoulli_dedekind_rhs((r1, r2), (h1, -h2), k, bits, "corrected")
-    if convention != "paper":
-        raise ValueError(f"unknown convention {convention!r}")
     return _paper_form((r1, r2), [(COT, r1 - 1, h2), (COT, r2 - 1, h1)],
                        _sign((r1 - r2) // 2), k, bits)
 
@@ -238,12 +224,9 @@ def hardy_sum(which: str, h: int, k: int,
     convention argument selects whether it is included. The finite trig
     representations hold with it excluded, which is the default.
     """
-    if which not in HARDY_KINDS:
-        raise ValueError(f"unknown Hardy sum {which!r}")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if convention not in (EXCLUDE_ZERO, INCLUDE_ZERO):
-        raise ValueError(f"unknown convention {convention!r}")
+    check((choice("which", HARDY_KINDS, ValueError), K_POSITIVE,
+           choice("convention", (EXCLUDE_ZERO, INCLUDE_ZERO), ValueError)),
+          which=which, k=k, convention=convention)
     saw = periodic.sawtooth_map(k)
     # (weight of a, sawtooth factor or None for S and s4, its multiplier);
     # floor(a h/k) may be negative for h < 0, signs go through parity
@@ -265,11 +248,7 @@ def hardy_A(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
 
     Needs k even (for periodicity of the weight) and h_1 odd.
     """
-    if k % 2 != 0:
-        raise ParityViolation("needs even k")
-    if hs[0] % 2 == 0:
-        raise ParityViolation("needs odd h1")
-    _require_all_coprime(hs, k)
+    check((K_EVEN, H1_ODD, all_coprime), hs=hs, k=k)
     saw = periodic.sawtooth_map(k)
     alt = _weights(lambda a: _sign(a) * saw(a * hs[0]), k)
     return constrained_product_sum([alt] + [saw] * (len(hs) - 1),
@@ -278,12 +257,8 @@ def hardy_A(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
 
 def hardy_A_rhs(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """((-1)^(m/2-1) / 2^m k) sum_{a != k/2} tan(pi*a*h_1'/k) prod cot(pi*a*h_j'/k)."""
+    check(HARDY_A_RHS, hs=hs, k=k)
     m = len(hs)
-    if k % 2 != 0 or m % 2 != 0:
-        raise ParityViolation("needs even k and even m")
-    if hs[0] % 2 == 0:
-        raise ParityViolation("needs odd h1")
-    _require_all_coprime(hs, k)
     return trig_product_sum(_tan_cots(hs, k), k, {k // 2}, bits,
                             divisor=_sign(m // 2 - 1) * 2 ** m * k)
 
@@ -294,9 +269,7 @@ def hardy_B(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
 
     Needs k odd.
     """
-    if k % 2 == 0:
-        raise ParityViolation("needs odd k")
-    _require_all_coprime(hs, k)
+    check((K_ODD, all_coprime), hs=hs, k=k)
     h1, saw = hs[0], periodic.sawtooth_map(k)
     sign = _weights(lambda a: _sign(a * h1 + k * ((a * h1) // k)), k, 1)
     return constrained_product_sum([sign] + [saw] * (len(hs) - 1),
@@ -305,10 +278,8 @@ def hardy_B(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
 
 def hardy_B_rhs(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """((-1)^(m/2) / 2^(m-1) k) sum_a tan(pi*a*h_1'/k) prod cot(pi*a*h_j'/k)."""
+    check(HARDY_B_RHS, hs=hs, k=k)
     m = len(hs)
-    if k % 2 == 0 or m % 2 != 0:
-        raise ParityViolation("needs odd k and even m")
-    _require_all_coprime(hs, k)
     return trig_product_sum(_tan_cots(hs, k), k, bits=bits,
                             divisor=_sign(m // 2) * 2 ** (m - 1) * k)
 
@@ -325,11 +296,7 @@ def alt_pair_sum(h1: int, h2: int, k: int) -> Fraction:
 
 def alt_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """-(1/4k) sum_{a != k/2} tan(pi*a*h2/k) cot(pi*a*h1/k); k even, h1 odd."""
-    if k % 2 != 0:
-        raise ParityViolation("needs even k")
-    if h1 % 2 == 0:
-        raise ParityViolation("needs odd h1")
-    _require_all_coprime((h1, h2), k)
+    check(ALT_PAIR_RHS, h1=h1, h2=h2, k=k)
     return trig_product_sum([(TAN, 0, h2), (COT, 0, h1)], k, {k // 2}, bits,
                             divisor=-4 * k)
 
@@ -344,9 +311,7 @@ def floor_pair_sum(h1: int, h2: int, k: int, with_alt: bool) -> Fraction:
 
 def tan_cot_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """(1/2k) sum_{a=1}^{k-1} tan(pi*a*h2/k) cot(pi*a*h1/k); k odd."""
-    if k % 2 == 0:
-        raise ParityViolation("needs odd k")
-    _require_all_coprime((h1, h2), k)
+    check(ODD_PAIR, h1=h1, h2=h2, k=k)
     return trig_product_sum([(TAN, 0, h2), (COT, 0, h1)], k, bits=bits,
                             divisor=2 * k)
 
@@ -355,34 +320,26 @@ def alt_sign_pair_sum(h1: int, h2: int, k: int) -> Fraction:
     """sum_{a=1}^{k-1} (-1)^((a h1 mod k) + (a h2 mod k)); equals s4(h1,k)
     for h2 = 1, h1 odd. The exponent reduces each product mod k separately
     (the form the transform derivation yields)."""
-    if k % 2 == 0:
-        raise ParityViolation("needs odd k")
-    _require_all_coprime((h1, h2), k)
+    check(ODD_PAIR, h1=h1, h2=h2, k=k)
     sign = periodic.alt_sign_map(k)
     return constrained_product_sum([sign, sign], (h1, -h2))
 
 
 def tan_pair_mean(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """(1/k) sum_{a=1}^{k-1} tan(pi*a*h1/k) tan(pi*a*h2/k); k odd."""
-    if k % 2 == 0:
-        raise ParityViolation("needs odd k")
+    check((K_ODD,), k=k)
     return trig_product_sum([(TAN, 0, h1), (TAN, 0, h2)], k, bits=bits,
                             divisor=k)
 
 
 def tan_square_sum(k: int, bits: int = DEFAULT_BITS) -> mpf:
     """sum_{a=1}^{k-1} tan^2(pi*a/k) for odd k (classically k^2 - k)."""
-    if k % 2 == 0:
-        raise ParityViolation("needs odd k")
+    check((K_ODD,), k=k)
     return trig_product_sum([(TAN, 0, 1), (TAN, 0, 1)], k, bits=bits)
 
 
 def s1_half_range(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """(1/k) sum_{j=1}^{(k-1)/2} tan(pi*j/k) cot(pi*h*j/k); k odd, h even."""
-    if k % 2 == 0:
-        raise ParityViolation("needs odd k")
-    if h % 2 != 0:
-        raise ParityViolation("needs even h")
-    _require_coprime(h, k)
+    check(S1_HALF_RANGE, h=h, k=k)
     return trig_product_sum([(TAN, 0, 1), (COT, 0, h)], k, bits=bits,
                             residues=range(1, (k + 1) // 2), divisor=k)

@@ -26,7 +26,8 @@ from operator import mul
 import mpmath
 from mpmath import mpf, workprec
 
-from .errors import OutOfRange, PoleAtHalfPeriod, PoleAtIntegerMultiple
+from .errors import (K_POSITIVE, PoleAtHalfPeriod, PoleAtIntegerMultiple,
+                     check)
 from .hp import DEFAULT_BITS, guarded
 
 # factor kinds of trig_product_sum
@@ -68,14 +69,9 @@ def cot_poly(m: int) -> CotPoly:
     return _COT_POLYS[m]
 
 
-def _require_period(k: int) -> None:
-    if k < 1:
-        raise OutOfRange(f"k must be >= 1, got {k}")
-
-
 def cot_at(a: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """cot(pi*a/k), argument reduced mod k first; k >= 1."""
-    _require_period(k)
+    check((K_POSITIVE,), k=k)
     a %= k
     if a == 0:
         raise PoleAtIntegerMultiple(f"cot(pi*{a}/{k}) has a pole: k | a")
@@ -86,7 +82,7 @@ def cot_at(a: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
 
 def tan_at(a: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """tan(pi*a/k), k >= 1; a = k/2 (mod k) is a pole when k is even."""
-    _require_period(k)
+    check((K_POSITIVE,), k=k)
     a %= k
     if k % 2 == 0 and a == k // 2:
         raise PoleAtHalfPeriod(f"tan(pi*{a}/{k}) is undefined")
@@ -104,7 +100,7 @@ def cot_deriv_at(m: int, a: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
 
 def _half_turn(k: int, bits: int) -> list:
     """(cos, sin)(pi*a/k), a = 1..k//2, by the rotation of the module doc."""
-    _require_period(k)
+    check((K_POSITIVE,), k=k)
     with workprec(guarded(bits, k) + 2 * k.bit_length() + 40):
         w = mpmath.expjpi(mpf(1) / k)
         points = list(accumulate(repeat(w, k // 2), mul))
@@ -158,7 +154,7 @@ def trig_product_sum(factors, k: int, exclusions=(),
     must cover every pole (n = 0 for cot, n = k/2 for tan with k even); an
     uncovered pole raises.
     """
-    _require_period(k)
+    check((K_POSITIVE,), k=k)
     if residues is None:
         residues = range(1, k)
     idx = residues

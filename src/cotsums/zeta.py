@@ -11,13 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 
 import mpmath
 from mpmath import mpc, mpf, workprec
 
-from .errors import (ConvergenceDomain, NonPositiveArgument, NotCoprime,
-                     NotOdd, OutOfRange, WorkLimitExceeded)
+from .errors import (TERMS_POSITIVE, ConvergenceDomain, NonPositiveArgument,
+                     NotOdd, OutOfRange, WorkLimitExceeded, check, coprime,
+                     require)
 from .exact import bernoulli_number, frac
 from .hp import DEFAULT_BITS, guarded, to_number
 from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap, dft, map_max_residual,
@@ -42,6 +43,12 @@ def _to_s(s, bits: int = DEFAULT_BITS) -> mpc:
         if isinstance(s, complex):
             return mpc(s.real, s.imag)
         return mpc(s)
+
+
+def re_above_one(name: str, error=ConvergenceDomain):
+    """The rule Re name > 1, the domain where the zeta-side series converge."""
+    return require(lambda p: _to_s(p[name]).real > 1, error,
+                   f"Re {name} must exceed 1")
 
 
 def _em_cut(sc: mpc, bits: int) -> int:
@@ -71,8 +78,7 @@ def hurwitz_zeta(s, x, bits: int = DEFAULT_BITS):
     mpf for real s, mpc otherwise.
     """
     sc = _to_s(s, bits)
-    if not sc.real > 1:
-        raise ConvergenceDomain(f"needs Re s > 1, got Re s = {sc.real}")
+    check((re_above_one("s"),), s=sc)
     xq = Fraction(x)
     if not 0 < xq <= 1:
         raise OutOfRange(f"x must lie in (0, 1], got {xq}")
@@ -181,9 +187,7 @@ def periodic_zeta(s, x, bits: int = DEFAULT_BITS,
             xv = mpmath.mpmathify(xq)
             return mpc(-mpmath.log(2 * mpmath.sinpi(xv)),
                        mpmath.pi * (mpf(1) / 2 - xv))
-    if not sc.real > 1:
-        raise ConvergenceDomain(f"needs Re s > 1 (or s = 1 off integers), "
-                                f"got Re s = {sc.real}")
+    check((re_above_one("s"),), s=sc)
     q, p = xq.denominator, xq.numerator
     _charge_cut(sc, q, bits, work_limit)
     if q == 1:
@@ -201,8 +205,7 @@ def periodic_zeta_map(s, k: int, bits: int = DEFAULT_BITS,
                       work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
     """n -> F(s, n/k) as a k-periodic map, charged k Hurwitz cuts."""
     sc = _to_s(s, bits)
-    if not sc.real > 1:
-        raise ConvergenceDomain(f"needs Re s > 1, got Re s = {sc.real}")
+    check((re_above_one("s"),), s=sc)
     _charge_cut(sc, k, bits, work_limit)
     return _periodic_zeta_table(sc, k, bits)
 
@@ -223,8 +226,7 @@ def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS,
     """Stated transform of n -> F(s, n/k): k^(1-s) zeta(s, {n/k}) off
     multiples of k and k^(1-s) zeta(s) at them; charged k Hurwitz cuts."""
     sc = _to_s(s, bits)
-    if not sc.real > 1:
-        raise ConvergenceDomain(f"needs Re s > 1, got Re s = {sc.real}")
+    check((re_above_one("s"),), s=sc)
     _charge_cut(sc, k, bits, work_limit)
     with workprec(guarded(bits, k)):
         scale = mpf(k) ** (1 - sc)
@@ -247,10 +249,8 @@ def mikolas_pair(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS,
     and zeta(s), and its F map k more.
     """
     sc1, sc2 = _to_s(s1, bits), _to_s(s2, bits)
-    if not (sc1.real > 1 and sc2.real > 1):
-        raise ConvergenceDomain("needs Re s1 > 1 and Re s2 > 1")
-    if gcd(h1, k) != 1 or gcd(h2, k) != 1:
-        raise NotCoprime(f"h1, h2 must be units mod {k}")
+    check((re_above_one("s1"), re_above_one("s2"), coprime("h1", "h2")),
+          s1=sc1, s2=sc2, h1=h1, h2=h2, k=k)
     for sc in (sc1, sc2):
         _charge_cut(sc, k, bits, work_limit)
     with workprec(guarded(bits, k)):
@@ -371,8 +371,7 @@ def series_forms(f: PeriodicMap, bits: int = DEFAULT_BITS) -> SeriesForms:
 def series_partial(f: PeriodicMap, terms: int, bits: int = DEFAULT_BITS):
     """Truncated S(f): sum_{r=1}^{N} f(r)/r, plus the Abel tail bound
     k * max|f| / N."""
-    if terms < 1:
-        raise OutOfRange(f"terms must be >= 1, got {terms}")
+    check((TERMS_POSITIVE,), terms=terms)
     k = f.period
     with workprec(guarded(bits, terms)):
         acc = mpf(0)

@@ -272,6 +272,11 @@ COMPUTE_REFUSED = [
     ["bernoulli-sum-rhs", "--rs", "2", "--hs", "1,2", "--k", "5"],
     ["bernoulli-sum-rhs", "--rs", "0,2", "--hs", "1,1", "--k", "5"],
     ["bernoulli-poly", "--r", "-2"],
+    ["hardy-a-rhs", "--hs", "1,1,1", "--k", "4"],
+    ["mod-inverse", "--h", "2", "--k", "4"],
+    ["hardy", "--k", "7", "--h", "3", "--which", "S", "--convention", "paper"],
+    ["bernoulli-sum-rhs", "--rs", "2,2", "--hs", "1,2", "--k", "5",
+     "--convention", "include-zero"],
 ]
 
 # sweep argv, each run with --json: every range form, every multiplier and
@@ -302,6 +307,9 @@ SWEEP = [
     ["th4", "--k", "5"],
     ["cor11", "--k", "4..4", "--h", "all-coprime"],
     ["eq1", "--k", "5..", "--h", "1"],
+    ["eq1", "--k", "5", "--h", "x"],
+    ["th4", "--k", "5", "--rs", "2,2,2", "--samples", "4"],
+    ["th4", "--k", "5", "--rs", "2,2", "--convention", "include-zero"],
 ]
 
 

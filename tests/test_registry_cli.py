@@ -1,7 +1,9 @@
 import argparse
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +11,11 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from cotsums import cli
+from cotsums import cli, sums
 from cotsums.cli import main
 from cotsums.config import RunConfig
-from cotsums.errors import NotCoprime, OutOfRange, ParityViolation
+from cotsums.errors import (CotsumsError, NotCoprime, OutOfRange,
+                            ParityViolation)
 from cotsums.registry import REGISTRY, verify
 
 SPEC_IDS = {
@@ -219,6 +222,12 @@ class TestCli:
                 for e in REGISTRY.values() for n in e.param_kinds
                 if n != "convention"}
         assert flags == {"compute": targets, "verify": rows, "sweep": rows}
+        conventions = {name: next(a.choices for a in p._actions
+                                  if a.dest == "convention")
+                       for name, p in subparsers.choices.items()}
+        assert conventions == {
+            "compute": ["paper", "corrected", "include-zero", "exclude-zero"],
+            "verify": ["paper", "corrected"], "sweep": ["paper", "corrected"]}
         assert targets == {"--h", "--k", "--a", "--r", "--order", "--hs",
                            "--rs", "--s", "--x", "--which"}
         assert rows == {"--k", "--h", "--h1", "--h2", "--r", "--r1", "--r2",
@@ -297,14 +306,23 @@ class TestCli:
      "Hurwitz cut 121 terms x 1000000 values = 121000000 terms exceed"),
     # the closed form refuses the lists the exact side refuses
     (["compute", "bernoulli-sum-rhs", "--rs", "2,2", "--hs", "1", "--k", "5"],
-     "orders and multipliers must pair up"),
+     "rs and hs must have the same length"),
     (["compute", "bernoulli-sum-rhs", "--rs", "2", "--hs", "1,2", "--k", "5"],
-     "orders and multipliers must pair up"),
+     "rs and hs must have the same length"),
     (["compute", "bernoulli-sum-rhs", "--rs", "0,2", "--hs", "1,1",
-      "--k", "5"], "order must be >= 1"),
+      "--k", "5"], "orders must be >= 1"),
     (["compute", "bernoulli-poly", "--r", "-2"],
      "Bernoulli index must be >= 0"),
     (["sweep", "eq1", "--k", "5"], "this identity needs --h"),
+    # a convention the id or target does not read, named in CLI spelling
+    (["verify", "th4", "--k", "5", "--rs", "2,2", "--hs", "1,2",
+      "--convention", "include-zero"],
+     "invalid choice: 'include-zero' (choose from 'paper', 'corrected')"),
+    (["compute", "hardy", "--k", "7", "--h", "3", "--which", "S",
+      "--convention", "paper"],
+     "convention must be one of include-zero, exclude-zero, got 'paper'"),
+    (["sweep", "eq1", "--k", "5..", "--h", "1"],
+     "--k takes 1..50, odd 3..49, even 4..48, 3,5,7 or 7, got '5..'"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -315,6 +333,49 @@ def test_compute_refuses_without_traceback(argv, condition):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert condition in proc.stderr
+
+
+# one violated rule, raised by the library function and by its verify row
+SHARED_RULES = [
+    ("hardy_A_rhs", ((1, 1, 1), 4), "th5", {"k": 4, "hs": (1, 1, 1)}),
+    ("tan_cot_pair_rhs", (1, 1, 4), "cor9-s3", {"k": 4, "h": 1}),
+    ("bernoulli_dedekind_rhs", ((1, 2), (1, 1), 5), "th4",
+     {"k": 5, "rs": (1, 2), "hs": (1, 1)}),
+    ("bernoulli_pair_rhs", (2, 1, 1, 1, 5), "cor5",
+     {"k": 5, "r1": 2, "r2": 1, "h1": 1, "h2": 1}),
+    ("s1_half_range", (1, 9), "remark1", {"k": 9, "h": 1}),
+    ("homogeneous_pair_cot", (3, 1, 9), "cor3", {"k": 9, "h1": 3, "h2": 1}),
+    ("hardy_B_rhs", ((1, 2, 4), 9), "th7", {"k": 9, "hs": (1, 2, 4)}),
+]
+
+
+@pytest.mark.parametrize("function,args,identity,params", SHARED_RULES,
+                         ids=[f"{case[0]}-{case[2]}" for case in SHARED_RULES])
+def test_library_and_verify_share_the_wording(function, args, identity,
+                                              params):
+    with pytest.raises(CotsumsError) as library:
+        getattr(sums, function)(*args)
+    with pytest.raises(CotsumsError) as registry:
+        verify(identity, params)
+    assert type(library.value) is type(registry.value)
+    assert str(library.value) == str(registry.value)
+
+
+def test_rule_messages_are_built_only_in_errors():
+    """ParityViolation, NotCoprime and the k >= 1 message are constructed
+    by the rule vocabulary of errors.py and nowhere else in the package."""
+    built = set()
+    for path in sorted((Path(cli.__file__).parent).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", ""))
+                if name in ("ParityViolation", "NotCoprime"):
+                    built.add((path.name, name))
+            elif isinstance(node, ast.Constant) and re.search(
+                    r"\b(k|modulus) must be (>= 1|positive)", str(node.value)):
+                built.add((path.name, "k >= 1"))
+    assert built == {("errors.py", "ParityViolation"),
+                     ("errors.py", "NotCoprime"), ("errors.py", "k >= 1")}
 
 
 # cor3 at k = 3..6 with h1 all-coprime and h2 = 1 expands to 10 instances

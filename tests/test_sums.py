@@ -154,13 +154,13 @@ class TestBernoulliSums:
             bernoulli_dedekind_rhs((1, 2), (1, 1), 3)
 
     @pytest.mark.parametrize("rs,hs,message", [
-        ((2, 2), (1,), "orders and multipliers must pair up"),
-        ((2,), (1, 2), "orders and multipliers must pair up"),
-        ((0, 2), (1, 1), "order must be >= 1"),
+        ((2, 2), (1,), "rs and hs must have the same length"),
+        ((2,), (1, 2), "rs and hs must have the same length"),
+        ((0, 2), (1, 1), "orders must be >= 1"),
     ])
     def test_rhs_refuses_what_the_sum_refuses(self, rs, hs, message):
         for side in (bernoulli_dedekind_sum, bernoulli_dedekind_rhs):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(OutOfRange, match=message):
                 side(rs, hs, 5)
 
     @pytest.mark.parametrize("rs,hs,k", [
