@@ -296,8 +296,7 @@ def _cmd_verify(args) -> int:
                   f" requires: {entry.precondition}")
         return 0
     if not args.id:
-        print("verify needs an identity id (or --list)", file=sys.stderr)
-        return USAGE_EXIT
+        raise CotsumsError("verify needs an identity id (or --list)")
     rep = verify(args.id, _gather_params(args, REGISTRY[args.id]),
                  _config_from(args))
     if args.json:

@@ -59,8 +59,9 @@ def _em_cut(sc: mpc, bits: int) -> int:
 
 
 def _charge_cut(sc: mpc, count: int, bits: int, work_limit: int) -> None:
-    """Refuse count Hurwitz values whose cuts sum more than work_limit terms,
-    before any term is summed."""
+    """Refuse Re s <= 1, then count Hurwitz values whose cuts sum more than
+    work_limit terms: both before any term is summed."""
+    check((re_above_one("s"),), s=sc)
     cut = _em_cut(sc, bits)
     if cut * count > work_limit:
         raise WorkLimitExceeded(
@@ -187,7 +188,6 @@ def periodic_zeta(s, x, bits: int = DEFAULT_BITS,
             xv = mpmath.mpmathify(xq)
             return mpc(-mpmath.log(2 * mpmath.sinpi(xv)),
                        mpmath.pi * (mpf(1) / 2 - xv))
-    check((re_above_one("s"),), s=sc)
     q, p = xq.denominator, xq.numerator
     _charge_cut(sc, q, bits, work_limit)
     if q == 1:
@@ -205,7 +205,6 @@ def periodic_zeta_map(s, k: int, bits: int = DEFAULT_BITS,
                       work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
     """n -> F(s, n/k) as a k-periodic map, charged k Hurwitz cuts."""
     sc = _to_s(s, bits)
-    check((re_above_one("s"),), s=sc)
     _charge_cut(sc, k, bits, work_limit)
     return _periodic_zeta_table(sc, k, bits)
 
@@ -226,7 +225,6 @@ def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS,
     """Stated transform of n -> F(s, n/k): k^(1-s) zeta(s, {n/k}) off
     multiples of k and k^(1-s) zeta(s) at them; charged k Hurwitz cuts."""
     sc = _to_s(s, bits)
-    check((re_above_one("s"),), s=sc)
     _charge_cut(sc, k, bits, work_limit)
     with workprec(guarded(bits, k)):
         scale = mpf(k) ** (1 - sc)
