@@ -24,7 +24,7 @@ import mpmath
 
 from . import sums, trig, zeta
 from .config import RunConfig
-from .errors import CotsumsError, OutOfRange, check, choice
+from .errors import CotsumsError, OutOfRange, check, choice, given
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
 from .hp import fmt, is_exact
 from .registry import REGISTRY, verify
@@ -86,13 +86,14 @@ def _bernoulli_poly(r):
                   "coefficients, ascending powers")
 
 
-# target -> (function, argv names in call order, RunConfig fields after
-# them); the compute flags are added in the order the rows first name them
+# target -> (function, argv names in call order, the settings passed after
+# them: precision, work_limit, convention); the compute flags are added in
+# the order the rows first name them
 COMPUTE_TARGETS = {
     "dedekind": (sums.dedekind_sum, ("h", "k"), ()),
     "dedekind-cot": (sums.dedekind_cot, ("h", "k"), ("precision",)),
-    "dedekind-series": (_dedekind_series, ("h", "k"),
-                        ("terms", "precision")),
+    "dedekind-series": (_dedekind_series, ("h", "k", "terms"),
+                        ("precision",)),
     "mod-inverse": (mod_inverse, ("h", "k"), ()),
     "cot": (trig.cot_at, ("a", "k"), ("precision",)),
     "tan": (trig.tan_at, ("a", "k"), ("precision",)),
@@ -147,7 +148,6 @@ _SWEEP_KWARGS = {MULTIPLIER: {"nargs": "+"}, RANGE: {"nargs": "+"},
 class _Param(NamedTuple):
     kwargs: dict            # argparse type, choices and help (verify, compute)
     form: int = ONE         # how sweep reads it
-    flag: str = ""          # when it is not --<name>
 
 
 _INT, _INTS = {"type": int}, {"type": _ints_csv}
@@ -164,18 +164,16 @@ PARAMS = {
     "s1": _Param({"help": "first exponent"}),
     "s2": _Param({"help": "second exponent"}),
     "parity": _Param({"choices": ["odd", "even"]}),
-    "terms": _Param({**_INT, "help": "series terms for this identity "
-                                     "instance"}, flag="instance-terms"),
+    "terms": _Param({**_INT, "help": "series truncation length "
+                                     f"(default {sums.TERMS})"}),
     **dict.fromkeys(("a", "order"), _Param(_INT)),
     "x": _Param({"help": "rational argument, e.g. 1/3"}),
     "which": _Param({"choices": list(sums.HARDY_KINDS)}),
+    "convention": _Param({"choices": ["paper", "corrected"],
+                          "help": "closed-form convention (default "
+                                  "corrected)"}),
 }
 _SWEEP_ORDER = sorted(PARAMS, key=lambda name: PARAMS[name].form)
-
-
-def _dest(name: str) -> str:
-    """The argparse attribute of a parameter's flag."""
-    return (PARAMS[name].flag or name).replace("-", "_")
 
 
 def _instance_flags(p, names, sweep: bool = False) -> None:
@@ -183,23 +181,16 @@ def _instance_flags(p, names, sweep: bool = False) -> None:
         param = PARAMS[name]
         kwargs = _SWEEP_KWARGS.get(param.form, param.kwargs) if sweep \
             else param.kwargs
-        p.add_argument(f"--{param.flag or name}", **kwargs)
+        p.add_argument(f"--{name}", **kwargs)
 
 
-def _common_flags(p: argparse.ArgumentParser, conventions) -> None:
+def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=256,
                    help="working precision in bits (default 256)")
     p.add_argument("--tolerance", default="2^-128",
                    help="pass tolerance, e.g. 2^-128 or 1e-30")
-    p.add_argument("--terms", type=int, default=100_000,
-                   help="series truncation length")
     p.add_argument("--work-limit", type=int, default=10 ** 8,
                    help="exact-side product budget")
-    p.add_argument("--convention", choices=list(dict.fromkeys(conventions)),
-                   help="closed-form / zero-residue convention")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for sweep (at most the cores "
-                        "and the instances)")
     p.add_argument("--json", action="store_true", help="emit JSON")
 
 
@@ -212,28 +203,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("compute", help="compute one sum or special value")
     pc.add_argument("target", choices=sorted(COMPUTE_TARGETS))
-    _common_flags(pc, (c for cs in CONVENTIONS.values() for c in cs))
+    _common_flags(pc)
+    pc.add_argument("--convention",
+                    choices=[c for cs in CONVENTIONS.values() for c in cs],
+                    help="closed-form / zero-residue convention")
     _instance_flags(pc, dict.fromkeys(
         name for _, names, _ in COMPUTE_TARGETS.values() for name in names))
-    pc.set_defaults(s="2", x="1")
+    pc.set_defaults(s="2", x="1", terms=sums.TERMS)
 
     pv = sub.add_parser("verify", help="verify one identity instance")
     pv.add_argument("id", nargs="?", choices=REGISTRY, metavar="id",
                     help="identity id (see --list)")
     pv.add_argument("--list", action="store_true",
                     help="list identity ids and preconditions")
-    row_conventions = [
-        c for e in REGISTRY.values() if "convention" in e.param_kinds
-        for c in e.param_kinds["convention"].removeprefix("choice:").split(",")]
-    _common_flags(pv, row_conventions)
+    _common_flags(pv)
     row_params = [name for name in PARAMS
                   if any(name in e.param_kinds for e in REGISTRY.values())]
     _instance_flags(pv, row_params)
 
     ps = sub.add_parser("sweep", help="verify an identity over ranges")
     ps.add_argument("id", choices=REGISTRY, metavar="id", help="identity id")
-    _common_flags(ps, row_conventions)
+    _common_flags(ps)
     _instance_flags(ps, row_params, sweep=True)
+    ps.add_argument("--jobs", type=int, default=1,
+                    help="parallel workers (at most the cores and the "
+                         "instances)")
     ps.add_argument("--csv", metavar="PATH", help="write per-instance rows")
     ps.add_argument("--samples", type=int, default=50,
                     help="random multiplier tuples when --hs random")
@@ -244,18 +238,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args) -> RunConfig:
     cfg = RunConfig(precision=args.precision, tolerance=args.tolerance,
-                    terms=args.terms, work_limit=args.work_limit,
-                    convention=args.convention, jobs=args.jobs)
+                    work_limit=args.work_limit)
     cfg.validate()
     return cfg
-
-
-def _gather_params(args, entry) -> dict:
-    """The row's parameters that were given; the convention flows through
-    the config."""
-    params = {name: getattr(args, _dest(name))
-              for name in entry.param_kinds if name in PARAMS}
-    return {k: v for k, v in params.items() if v is not None}
 
 
 def _cmd_compute(args) -> int:
@@ -265,13 +250,9 @@ def _cmd_compute(args) -> int:
         check((choice("convention", CONVENTIONS[args.target]),),
               convention=args.convention)
     params = {n: getattr(args, n) for n in names}
-    missing = [n for n, v in params.items() if v is None]
-    if missing:
-        print(f"compute {args.target} needs --" + " --".join(missing),
-              file=sys.stderr)
-        return USAGE_EXIT
+    check((given(args.target, names),), **params)
     result = fn(*(_rational(v) if n == "x" else v for n, v in params.items()),
-                *(getattr(cfg, f) for f in fields))
+                *(getattr(args, f) for f in fields))
     value, note = result if isinstance(result, _Noted) else (result, "")
     # a tuple (the Bernoulli coefficients) prints as a list
     parts = value if isinstance(value, tuple) else (value,)
@@ -297,7 +278,8 @@ def _cmd_verify(args) -> int:
         return 0
     if not args.id:
         raise CotsumsError("verify needs an identity id (or --list)")
-    rep = verify(args.id, _gather_params(args, REGISTRY[args.id]),
+    rep = verify(args.id, {n: getattr(args, n)
+                           for n in REGISTRY[args.id].param_kinds},
                  _config_from(args))
     if args.json:
         print(rep.to_json())
@@ -337,6 +319,9 @@ def _parse_int_range(text: str, name: str) -> list[int]:
         raise OutOfRange(f"--{name} takes {forms}, got {text!r}") from None
     if parity:
         values = [v for v in values if v % 2 == (parity == "odd")]
+    if not values:
+        raise OutOfRange(f"--{name} must hold at least one integer, "
+                         f"got {text!r}")
     return values
 
 
@@ -348,9 +333,10 @@ def _tuple_candidates(spec: str, units: list[int], k: int, m: int,
     if spec == "all-coprime":
         return list(product(units, repeat=m))
     if spec == "random":
+        # repeated draws are verified once, in the order first drawn
         rng = random.Random(seed * 99991 + k)
-        return [tuple(rng.choice(units) for _ in range(m))
-                for _ in range(samples)]
+        return list(dict.fromkeys(tuple(rng.choice(units) for _ in range(m))
+                                  for _ in range(samples)))
     return [_ints_csv(spec)]
 
 
@@ -360,27 +346,26 @@ def _expand_instances(args, entry) -> list[dict]:
     preconditions are skipped, not errors). A flag the row does not read
     is ignored; one it needs without a default must be given, except hs,
     whose tuples default to all-coprime pairs or random tuples."""
-    if not args.k:
-        raise CotsumsError("sweep needs --k")
+    names = [n for n in _SWEEP_ORDER if n in entry.param_kinds]
+    check((given(args.id, [n for n in names if n not in entry.defaults
+                           and PARAMS[n].form != TUPLE]),), **vars(args))
     ks = _parse_int_range(" ".join(args.k), "k")
     # default hs tuples are as long as the explicit rs they pair up with
     rs = args.rs if "rs" in entry.param_kinds else None
     m = args.m if args.m is not None else len(rs) if rs else 2
     seed = _parse_int_range(" ".join(args.seed), "seed")[0] if args.seed else 1
-    names = [n for n in _SWEEP_ORDER if n != "k" and n in entry.param_kinds]
+    names.remove("k")
     instances = []
     for k in ks:
         units = [h for h in range(1, max(k, 2)) if gcd(h, k) == 1]
         per_k: list[dict] = [{"k": k}]
         for name in names:
-            value, form = getattr(args, _dest(name)), PARAMS[name].form
+            value, form = getattr(args, name), PARAMS[name].form
             if form == TUPLE:
                 cands = _tuple_candidates(value, units, k, m, args.samples,
                                           seed)
-            elif value is None and name in entry.defaults:
+            elif value is None:             # the row's default
                 continue
-            elif value is None:
-                raise CotsumsError(f"this identity needs --{name}")
             elif form == ONE:
                 cands = [value]
             else:
@@ -407,6 +392,8 @@ def _run_instance(payload):
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from(args)
+    if args.jobs < 1:
+        raise OutOfRange(f"jobs must be >= 1, got {args.jobs}")
     entry = REGISTRY[args.id]
     instances = _expand_instances(args, entry)
     if not instances:
@@ -416,7 +403,7 @@ def _cmd_sweep(args) -> int:
     payloads = [(i, args.id, params, cfg)
                 for i, params in enumerate(instances)]
     # the pool forks every worker at once: no more than cores or instances
-    jobs = min(cfg.jobs, os.cpu_count() or 1, len(payloads))
+    jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
     # a bad --csv path is refused before the sweep runs, not after it
     try:
         out = open(args.csv, "w", newline="") if args.csv else nullcontext()

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from mpmath import mpf
 
@@ -14,10 +14,7 @@ from .hp import parse_tolerance
 class RunConfig:
     precision: int = 256            # bits
     tolerance: str = "2^-128"
-    terms: int = 100_000            # series truncation length
     work_limit: int = 10 ** 8       # exact-side product budget
-    convention: str | None = None   # per-identity default when None
-    jobs: int = 1
 
     def tolerance_value(self) -> mpf:
         return parse_tolerance(self.tolerance)
@@ -31,5 +28,5 @@ class RunConfig:
             raise OutOfRange(
                 f"tolerance {self.tolerance} is below 2^({-self.precision}+16); "
                 f"raise precision or loosen tolerance")
-        if self.terms < 1 or self.work_limit < 1 or self.jobs < 1:
-            raise OutOfRange("terms, work limit and jobs must be positive")
+        if self.work_limit < 1:
+            raise OutOfRange(f"work limit must be >= 1, got {self.work_limit}")

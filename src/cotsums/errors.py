@@ -65,6 +65,16 @@ def require(test, error, message: str):
     return rule
 
 
+def given(what: str, names):
+    """what reads each named parameter, given on the CLI as --name: none of
+    them is missing or None."""
+    def rule(params):
+        missing = [n for n in names if params.get(n) is None]
+        if missing:
+            raise OutOfRange(f"{what} needs --" + " --".join(missing))
+    return rule
+
+
 def coprime(*names):
     """Each named multiplier is a unit mod k."""
     def rule(params):
@@ -110,9 +120,8 @@ def choice(name: str, options, error=OutOfRange):
 K_POSITIVE = require(lambda p: p["k"] >= 1, OutOfRange,
                      "k must be >= 1, got {k}")
 R_POSITIVE = require(lambda p: p["r"] >= 1, OutOfRange, "r must be >= 1")
-# terms is None until a run config supplies the default
-TERMS_POSITIVE = require(lambda p: p["terms"] is None or p["terms"] >= 1,
-                         OutOfRange, "terms must be >= 1, got {terms}")
+TERMS_POSITIVE = require(lambda p: p["terms"] >= 1, OutOfRange,
+                         "terms must be >= 1, got {terms}")
 K_EVEN, K_ODD = parity("k", "even"), parity("k", "odd")
 M_EVEN = parity("m", "even", lambda p: len(p["hs"]))
 H1_ODD = parity("h1", "odd", lambda p: p["hs"][0])    # h_1 of the tuple hs

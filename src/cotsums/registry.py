@@ -26,8 +26,8 @@ from mpmath import workprec
 from . import periodic, sums, zeta
 from .config import RunConfig
 from .errors import (K_EVEN, K_ODD, K_POSITIVE, R_POSITIVE, TERMS_POSITIVE,
-                     OutOfRange, all_coprime, check, choice, coprime, parity,
-                     require)
+                     OutOfRange, all_coprime, check, choice, coprime, given,
+                     parity, require)
 from .hp import is_exact, to_number
 from .periodic import (PeriodicMap, dft, map_max_residual, random_even_map,
                        random_odd_map, random_rational_map)
@@ -64,9 +64,6 @@ class IdentityEntry:
 
     def check(self, params: dict, config: RunConfig) -> IdentityReport:
         """Run the identity on parameters that passed validate()."""
-        if "convention" in self.param_kinds:
-            params = dict(params, convention=params.get("convention")
-                          or config.convention or "corrected")
         if self.checker is not None:
             return self.checker(self, params, config)
         args = {name: params[name] for name in self.param_kinds}
@@ -121,7 +118,6 @@ def _check_tail_bound(entry, params, config):
     """The row's finite side (exact) against its truncated series (closed,
     which returns the partial sum and its tail bound); the pass is against
     that bound, which the note names."""
-    params = dict(params, terms=params.get("terms") or config.terms)
     args = {name: params[name] for name in entry.param_kinds}
     lhs = entry.exact(config, **args)
     value, bound = entry.closed(config, **args)
@@ -241,7 +237,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "eq2", "s(h,k) = (1/2pi) sum_{r>=1, k !| r} cot(pi r h/k)/r",
         {"h": "int", "k": "int", "terms": "int"},
         "gcd(h,k) = 1; pass measured against the computed tail bound",
-        (coprime("h"), TERMS_POSITIVE), {"terms": None},
+        (coprime("h"), TERMS_POSITIVE), {"terms": sums.TERMS},
         exact=lambda c, h, k, terms: sums.dedekind_sum(h, k),
         closed=lambda c, h, k, terms: sums.dedekind_series(h, k, terms,
                                                            c.precision),
@@ -281,7 +277,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         {"k": "int", "r": "int", "convention": _CONVENTION},
         "k >= 1, r >= 1; r = 1 exact only under convention=corrected",
         (R_POSITIVE,),
-        {"r": 2, "convention": None}, checker=_lemma1("bernoulli"),
+        {"r": 2, "convention": "corrected"}, checker=_lemma1("bernoulli"),
         note=lambda p: (
             "stated closed form omits the constant -1/2 off multiples of k "
             "for r = 1; residual reported, not asserted"
@@ -298,7 +294,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "lemma1-v", "DFT[F(s, n/k)](n) = k^(1-s) zeta(s,{n/k}) off "
                     "multiples, k^(1-s) zeta(s) at them",
         {"k": "int", "s": "s"}, "k >= 1, Re s > 1",
-        (zeta.re_above_one("s", OutOfRange),),
+        (zeta.re_above_one("s"),),
         {"s": "2"}, checker=_lemma1("periodic-zeta")),
     IdentityEntry(
         "th2", "zero-sum sawtooth product sum = ((-1)^(m/2)/(2^m k)) "
@@ -323,7 +319,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                "sum_a prod_j cot^(r_j-1)(pi a h_j'/k), A = sum r_j even",
         {"k": "int", "rs": "ints", "hs": "ints", "convention": _CONVENTION},
         "A = sum r_j even; all gcd(h_j,k) = 1", sums.BERNOULLI_RHS,
-        {"convention": None},
+        {"convention": "corrected"},
         exact=lambda c, k, rs, hs, convention: sums.bernoulli_dedekind_sum(
             rs, hs, k, c.work_limit),
         closed=lambda c, k, rs, hs, convention: sums.bernoulli_dedekind_rhs(
@@ -340,7 +336,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         {"k": "int", "r1": "int", "r2": "int", "h1": "int", "h2": "int",
          "convention": _CONVENTION},
         "r1 + r2 even; gcd(h_i,k) = 1", sums.BERNOULLI_PAIR_RHS,
-        {"convention": None},
+        {"convention": "corrected"},
         exact=lambda c, k, r1, r2, h1, h2, convention: sums.bernoulli_pair_sum(
             r1, r2, h1, h2, k),
         closed=lambda c, k, r1, r2, h1, h2, convention: (
@@ -437,15 +433,14 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                "sum_a F(s1, a h2/k) F(s2, -a h1/k)",
         {**_PAIR, "s1": "s", "s2": "s"},
         "gcd(h_i,k) = 1, Re s1 > 1, Re s2 > 1",
-        (coprime("h1", "h2"), zeta.re_above_one("s1", OutOfRange),
-         zeta.re_above_one("s2", OutOfRange)),
+        (coprime("h1", "h2"), zeta.re_above_one("s1"), zeta.re_above_one("s2")),
         {"s1": "2", "s2": "3"}, checker=_check_th9),
     IdentityEntry(
         "lemma3-a", "S(f) = sum_{r>=1} f(r)/r "
                     "= (pi/2k) sum_{r=1}^{k-1} f(r) cot(pi r/k)",
         {**_SEEDED, "terms": "int"},
         "seeded random odd map; pass against the series tail bound",
-        (TERMS_POSITIVE,), {"seed": 1, "terms": None},
+        (TERMS_POSITIVE,), {"seed": 1, "terms": sums.TERMS},
         exact=lambda c, k, seed, terms: zeta.cot_form(random_odd_map(k, seed),
                                                       c.precision),
         closed=lambda c, k, seed, terms: zeta.series_partial(
@@ -493,11 +488,7 @@ def verify(identity_id: str, params: dict, config: RunConfig | None = None
     config.validate()
     full = dict(entry.defaults)
     full.update({k: v for k, v in params.items() if v is not None})
-    missing = [n for n in entry.param_kinds if n not in full]
-    if missing:
-        raise OutOfRange(f"{identity_id} needs parameters: "
-                         f"{', '.join(missing)}")
-    entry.validate(full)
+    check((given(identity_id, entry.param_kinds), entry.validate), **full)
     t0 = time.perf_counter()
     rep = entry.check(full, config)
     rep.micros = int((time.perf_counter() - t0) * 1e6)

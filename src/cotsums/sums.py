@@ -32,6 +32,7 @@ from .trig import COT, TAN, VALUES, trig_product_sum
 from .zeta import series_partial
 
 HARDY_KINDS = ("S", "s1", "s2", "s3", "s4", "s5")
+TERMS = 100_000     # the series truncation length N, unless one is given
 
 EXCLUDE_ZERO = "exclude-zero-residue"
 INCLUDE_ZERO = "include-zero-residue"
@@ -84,7 +85,7 @@ def dedekind_cot(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
                             divisor=4 * k)
 
 
-def dedekind_series(h: int, k: int, terms: int = 100_000,
+def dedekind_series(h: int, k: int, terms: int = TERMS,
                     bits: int = DEFAULT_BITS):
     """Truncation of s(h,k) = (1/2pi) sum over r >= 1 with k not dividing r
     of cot(pi*r*h/k)/r: the series S(f) of the odd map f(r) = cot(pi*r*h/k)

@@ -45,9 +45,9 @@ def _to_s(s, bits: int = DEFAULT_BITS) -> mpc:
         return mpc(s)
 
 
-def re_above_one(name: str, error=ConvergenceDomain):
+def re_above_one(name: str):
     """The rule Re name > 1, the domain where the zeta-side series converge."""
-    return require(lambda p: _to_s(p[name]).real > 1, error,
+    return require(lambda p: _to_s(p[name]).real > 1, ConvergenceDomain,
                    f"Re {name} must exceed 1")
 
 

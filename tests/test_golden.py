@@ -37,8 +37,8 @@ PASSING = {
             ["--h", "37", "--k", "101"],
             ["--h", "3", "--k", "7", *LOW_PRECISION],
             ["--h", "3", "--k", "7", *HIGH_PRECISION]],
-    "eq2": [["--h", "1", "--k", "1", "--instance-terms", "100"],
-            ["--h", "1", "--k", "2", "--instance-terms", "1000"],
+    "eq2": [["--h", "1", "--k", "1", "--terms", "100"],
+            ["--h", "1", "--k", "2", "--terms", "1000"],
             ["--h", "2", "--k", "5", "--terms", "5000"]],
     "parseval": [["--k", "1"], ["--k", "2"], ["--k", "9", "--seed", "3"]],
     "th1": [["--k", "1"], ["--k", "2", "--m", "3"],
@@ -116,9 +116,9 @@ PASSING = {
             ["--k", "3", "--h1", "1", "--h2", "2", "--s1", "2+1i"],
             ["--k", "4", "--h1", "1", "--h2", "3", *LOW_PRECISION],
             ["--k", "4", "--h1", "1", "--h2", "3", *HIGH_PRECISION]],
-    "lemma3-a": [["--k", "1", "--instance-terms", "100"],
-                 ["--k", "2", "--instance-terms", "100"],
-                 ["--k", "7", "--seed", "3", "--instance-terms", "2000"]],
+    "lemma3-a": [["--k", "1", "--terms", "100"],
+                 ["--k", "2", "--terms", "100"],
+                 ["--k", "7", "--seed", "3", "--terms", "2000"]],
     "lemma3-b": [["--k", "1"], ["--k", "2"], ["--k", "8", "--seed", "5"]],
     "lehmer-th8": [["--k", "1"], ["--k", "2"], ["--k", "9", "--seed", "2"]],
     "cor12": [["--k", "1"], ["--k", "2"], ["--k", "10", "--seed", "4"]],
@@ -301,8 +301,8 @@ SWEEP = [
     ["th9", "--k", "4", "--h1", "1", "--h2", "1,3", "--s1", "2.5"],
     ["cor2", "--k", "8", "--h1", "all-coprime", "--h2", "1",
      "--parity", "even"],
-    ["eq2", "--k", "5", "--h", "1", "--instance-terms", "10"],
-    ["lemma3-a", "--k", "5", "--instance-terms", "10"],
+    ["eq2", "--k", "5", "--h", "1", "--terms", "10"],
+    ["lemma3-a", "--k", "5", "--terms", "10"],
     ["eq1", "--h", "1"],
     ["th4", "--k", "5"],
     ["cor11", "--k", "4..4", "--h", "all-coprime"],
@@ -310,6 +310,9 @@ SWEEP = [
     ["eq1", "--k", "5", "--h", "x"],
     ["th4", "--k", "5", "--rs", "2,2,2", "--samples", "4"],
     ["th4", "--k", "5", "--rs", "2,2", "--convention", "include-zero"],
+    ["th4", "--k", "5", "--rs", "2,2,2"],
+    ["th2", "--k", "7", "--hs", "random", "--seed", "5..1"],
+    ["eq1", "--k", "5", "--h", "1", "--jobs", "0"],
 ]
 
 

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import importlib
 import json
 import math
 import os
@@ -11,11 +12,11 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from cotsums import cli, sums
+from cotsums import cli, sums, zeta
 from cotsums.cli import main
 from cotsums.config import RunConfig
-from cotsums.errors import (CotsumsError, NotCoprime, OutOfRange,
-                            ParityViolation)
+from cotsums.errors import (ConvergenceDomain, CotsumsError, NotCoprime,
+                            OutOfRange, ParityViolation)
 from cotsums.registry import REGISTRY, verify
 
 SPEC_IDS = {
@@ -194,7 +195,7 @@ class TestCli:
         assert code == 1
 
     def test_sweep_honours_instance_terms(self, capsys):
-        argv = ["eq2", "--k", "5", "--h", "1", "--instance-terms", "10"]
+        argv = ["eq2", "--k", "5", "--h", "1", "--terms", "10"]
         assert main(["sweep", *argv, "--json"]) == 0
         swept = json.loads(capsys.readouterr().out.splitlines()[0])
         assert main(["verify", *argv, "--json"]) == 0
@@ -203,24 +204,22 @@ class TestCli:
         assert swept["rhs"] == single["rhs"]
 
     def test_subparser_flags_are_the_names_read(self):
-        """compute has exactly the flags its targets read; verify and sweep
-        exactly those the registry rows read (terms as --instance-terms, the
-        convention through the common --convention)."""
+        """compute has exactly the flags its targets read, and --convention;
+        verify and sweep exactly those the registry rows read, each as
+        --<name>; --jobs is a flag of sweep alone."""
         parser = cli._build_parser()
         subparsers = next(a for a in parser._actions
                           if isinstance(a, argparse._SubParsersAction))
-        common = {"-h", "--help", "--precision", "--tolerance", "--terms",
-                  "--work-limit", "--convention", "--jobs", "--json"}
-        own = {"compute": set(), "verify": {"--list"},
-               "sweep": {"--csv", "--samples", "--verbose"}}
+        common = {"-h", "--help", "--precision", "--tolerance",
+                  "--work-limit", "--json"}
+        own = {"compute": {"--convention"}, "verify": {"--list"},
+               "sweep": {"--csv", "--samples", "--verbose", "--jobs"}}
         flags = {name: {opt for a in p._actions for opt in a.option_strings}
                  - common - own[name]
                  for name, p in subparsers.choices.items()}
         targets = {f"--{n}" for _, names, _ in cli.COMPUTE_TARGETS.values()
                    for n in names}
-        rows = {"--instance-terms" if n == "terms" else f"--{n}"
-                for e in REGISTRY.values() for n in e.param_kinds
-                if n != "convention"}
+        rows = {f"--{n}" for e in REGISTRY.values() for n in e.param_kinds}
         assert flags == {"compute": targets, "verify": rows, "sweep": rows}
         conventions = {name: next(a.choices for a in p._actions
                                   if a.dest == "convention")
@@ -229,10 +228,10 @@ class TestCli:
             "compute": ["paper", "corrected", "include-zero", "exclude-zero"],
             "verify": ["paper", "corrected"], "sweep": ["paper", "corrected"]}
         assert targets == {"--h", "--k", "--a", "--r", "--order", "--hs",
-                           "--rs", "--s", "--x", "--which"}
+                           "--rs", "--s", "--x", "--which", "--terms"}
         assert rows == {"--k", "--h", "--h1", "--h2", "--r", "--r1", "--r2",
                         "--seed", "--m", "--hs", "--rs", "--s", "--s1",
-                        "--s2", "--parity", "--instance-terms"}
+                        "--s2", "--parity", "--terms", "--convention"}
 
     def test_sweep_no_instances_usage_error(self, capsys):
         code = main(["sweep", "cor11", "--k", "4..4", "--h", "all-coprime"])
@@ -271,11 +270,11 @@ class TestCli:
     (["compute", "hurwitz", "--x", "1/0"], "nonzero denominator"),
     (["compute", "periodic-zeta", "--x", "1/0"], "nonzero denominator"),
     (["compute", "sawtooth", "--x", "1/0"], "nonzero denominator"),
-    (["verify", "eq2", "--h", "1", "--k", "5", "--instance-terms", "-5"],
+    (["verify", "eq2", "--h", "1", "--k", "5", "--terms", "-5"],
      "terms must be >= 1"),
-    (["verify", "eq2", "--h", "1", "--k", "5", "--instance-terms", "0"],
+    (["verify", "eq2", "--h", "1", "--k", "5", "--terms", "0"],
      "terms must be >= 1"),
-    (["verify", "lemma3-a", "--k", "5", "--instance-terms", "-5"],
+    (["verify", "lemma3-a", "--k", "5", "--terms", "-5"],
      "terms must be >= 1"),
     (["verify", "th5", "--k", "4", "--hs", ","], "at least one integer"),
     (["verify", "th7", "--k", "5", "--hs", ","], "at least one integer"),
@@ -313,7 +312,7 @@ class TestCli:
       "--k", "5"], "orders must be >= 1"),
     (["compute", "bernoulli-poly", "--r", "-2"],
      "Bernoulli index must be >= 0"),
-    (["sweep", "eq1", "--k", "5"], "this identity needs --h"),
+    (["sweep", "eq1", "--k", "5"], "eq1 needs --h"),
     # a convention the id or target does not read, named in CLI spelling
     (["verify", "th4", "--k", "5", "--rs", "2,2", "--hs", "1,2",
       "--convention", "include-zero"],
@@ -323,6 +322,10 @@ class TestCli:
      "convention must be one of include-zero, exclude-zero, got 'paper'"),
     (["sweep", "eq1", "--k", "5..", "--h", "1"],
      "--k takes 1..50, odd 3..49, even 4..48, 3,5,7 or 7, got '5..'"),
+    (["sweep", "eq1", "--k", "5", "--h", "1", "--jobs", "0"],
+     "jobs must be >= 1, got 0"),
+    (["sweep", "th2", "--k", "7", "--hs", "random", "--seed", "5..1"],
+     "--seed must hold at least one integer, got '5..1'"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -415,3 +418,36 @@ def test_sweep_jobs_clamped(monkeypatch, capsys, jobs, cores, started):
     assert pools == started
     # the pool path hands each worker contiguous runs of ceil(n / 4 jobs)
     assert chunks == [math.ceil(10 / (4 * w)) for w in started]
+
+
+def test_library_and_cli_read_terms_alike(capsys):
+    """terms is an instance parameter: the library call and --terms give
+    one report, timings aside."""
+    library = verify("eq2", {"h": 2, "k": 7, "terms": 300}).to_dict()
+    assert main(["verify", "eq2", "--h", "2", "--k", "7", "--terms", "300",
+                 "--json"]) == 0
+    command = json.loads(capsys.readouterr().out)
+    for report in (library, command):
+        for key in ("micros", "lhs_micros", "rhs_micros"):
+            report.pop(key, None)
+    assert library == command
+    assert command["params"]["terms"] == 300
+
+
+def test_re_s_above_one_is_one_rule():
+    with pytest.raises(ConvergenceDomain) as registry:
+        verify("th9", {"k": 5, "h1": 1, "h2": 1, "s1": "1"})
+    with pytest.raises(ConvergenceDomain) as library:
+        zeta.mikolas_pair("1", "3", 1, 1, 5)
+    assert str(registry.value) == str(library.value) == "Re s1 must exceed 1"
+
+
+def test_benchmark_argv_parse(monkeypatch):
+    """Every argv the benchmark can run, with the --json and --jobs it
+    appends, is accepted by the CLI parser."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    workloads = importlib.import_module("perfbench.workloads")
+    parser = cli._build_parser()
+    for name, spec in workloads.WORKLOADS.items():
+        for argv in workloads.all_commands(name):
+            parser.parse_args([*argv, "--json", "--jobs", str(spec["jobs"])])
