@@ -169,7 +169,8 @@ PARAMS = {
     **dict.fromkeys(("a", "order"), _Param(_INT)),
     "x": _Param({"help": "rational argument, e.g. 1/3"}),
     "which": _Param({"choices": list(sums.HARDY_KINDS)}),
-    "convention": _Param({"choices": ["paper", "corrected"],
+    # the rows' choice, the same pair as the Bernoulli target's
+    "convention": _Param({"choices": list(CONVENTIONS["bernoulli-sum-rhs"]),
                           "help": "closed-form convention (default "
                                   "corrected)"}),
 }
