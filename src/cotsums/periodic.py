@@ -282,7 +282,7 @@ def random_even_map(k: int, seed: int, span: int = 9) -> PeriodicMap:
 
 def sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """Transform of ((n/k)): (i/2) cot(pi*n/k) off multiples of k, 0 at them."""
-    ct = trig.cot_table(k, bits)
+    ct = trig.as_mpf(trig.cot_table(k, bits), k, bits)
     with workprec(guarded(bits, k)):
         return PeriodicMap([Fraction(0)] + [mpc(0, 1) / 2 * t for t in ct[1:]])
 
@@ -302,7 +302,7 @@ def bernoulli_dft_map(r: int, k: int, bits: int = DEFAULT_BITS,
     check((choice("variant", ("paper", "corrected"), ValueError),),
           variant=variant)
     at_multiples = bernoulli_number(r) * Fraction(k) ** (1 - r)
-    derivs = trig.cot_deriv_table(r - 1, k, bits)
+    derivs = trig.as_mpf(trig.cot_deriv_table(r - 1, k, bits), k, bits)
     with workprec(guarded(bits, k)):
         scale = mpf(r) * mpf(k) ** (1 - r) * (mpc(0, 1) / 2) ** r
         shift = mpf(0)
@@ -315,7 +315,7 @@ def bernoulli_dft_map(r: int, k: int, bits: int = DEFAULT_BITS,
 def alt_sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """Transform of (-1)^n ((n/k)) (k even): -(i/2) tan(pi*n/k), 0 at n = k/2."""
     check((K_EVEN,), k=k)
-    tt = trig.tan_table(k, bits)
+    tt = trig.as_mpf(trig.tan_table(k, bits), k, bits)
     with workprec(guarded(bits, k)):
         return PeriodicMap(mpc(0) if t is None else mpc(0, -1) / 2 * t
                            for t in tt)
@@ -324,7 +324,7 @@ def alt_sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
 def alt_sign_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """Transform of the odd-k alternating-sign map: i tan(pi*n/k)."""
     check((K_ODD,), k=k)
-    tt = trig.tan_table(k, bits)
+    tt = trig.as_mpf(trig.tan_table(k, bits), k, bits)
     with workprec(guarded(bits, k)):
         return PeriodicMap(mpc(0, 1) * t for t in tt)
 

@@ -95,7 +95,7 @@ def dedekind_series(h: int, k: int, terms: int = TERMS,
     bound k * max|f| / N, both divided by 2pi.
     """
     check((coprime("h"),), h=h, k=k)
-    ct = trig.cot_table(k, bits)
+    ct = trig.as_mpf(trig.cot_table(k, bits), k, bits)
     cot_map = PeriodicMap([0] + [ct[r * h % k] for r in range(1, k)])
     value, bound = series_partial(cot_map, terms, bits)
     with workprec(guarded(bits, terms)):

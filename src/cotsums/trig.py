@@ -1,18 +1,34 @@
 """tan/cot and cotangent derivatives at rational multiples of pi, and the
 product-sum kernel that evaluates every closed form.
 
-The cot and tan tables hold one whole period, indexed by the residue
-n = 0..k-1, with None at a pole; they are the layer's only caches. They
-come from one rotation, the powers of e^(i*pi/k) at 2*bitlen(k) + 40 bits
-above guarded(bits, k) (the O(k) drift, and cos near pi/2 is O(1/k)); cos
-and sin are rounded to guarded(bits, k) and divided, so each entry is
-within 2 ulp there, and cot at n = k/2 is an exact 0. cot_at, tan_at and
-cot_deriv_at evaluate one value each by cospi/sinpi.
+Table layout. The cot and tan tables of (k, bits) are Python ints at one
+fixed scale 2^P, P = table_scale(k, bits) = guarded(bits, k) + bitlen(k):
+the entry v stands for v * 2^-P. The extra bitlen(k) bits keep full
+relative precision in the smallest entries, ~pi/(2k) next to n = k/2. Each
+table holds one whole period, indexed by the residue n = 0..k-1, with None
+at a pole (cot at n = 0, tan at n = k/2) and the exact 0 of cot at
+n = k/2. fixed_tables builds both from one rotation and keeps them in the
+layer's only cache, one entry per (k, bits): the powers of
+w = round(e^(i*pi/k) * 2^Q) as Gaussian-int products with a rounding
+shift, at Q = guarded(bits, k) + 2*bitlen(k) + 40 (the drift is O(k)
+units of 2^-Q, and cos near pi/2 is O(1/k)); then cot = round((c << P) / s)
+and tan = round((s << P) / c). Each entry is within 2^-P of the true
+value. cot_table and tan_table read the cache; as_mpf is the mpf view of
+any entries, rounded to guarded(bits, k), for readers outside the kernel.
 
 Higher derivatives of cot are evaluated through exact integer polynomials
 Q_m with cot^(m)(x) = Q_m(cot x), so the coefficients carry no rounding
-error: a derivative table is Q_m over the cached cot table, within
+error: a derivative table is Q_m over the cot ints by integer Horner at
+scale 2^P, one rounding shift per step, within
 (2m + 4) * 2^-guarded(bits, k) relative error for odd m.
+
+Kernel error bound. When every factor is a cot/tan table, trig_product_sum
+multiplies the int columns exactly, sums them exactly and rounds once: the
+sum of k m-fold products is within about m * k * max|T|^(m-1) * 2^-P of
+the true sum before that rounding. With a "values" factor the entries are
+read as mpf and folded at guarded(bits, k).
+
+cot_at, tan_at and cot_deriv_at evaluate one value each by cospi/sinpi.
 """
 
 from __future__ import annotations
@@ -20,7 +36,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import mul
 
 import mpmath
@@ -98,45 +114,90 @@ def cot_deriv_at(m: int, a: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
         return poly(cot_at(a, k, bits + m))
 
 
-def _half_turn(k: int, bits: int) -> list:
-    """(cos, sin)(pi*a/k), a = 1..k//2, by the rotation of the module doc."""
+def table_scale(k: int, bits: int = DEFAULT_BITS) -> int:
+    """P of the module doc: a table entry v stands for v * 2^-P."""
+    return guarded(bits, k) + k.bit_length()
+
+
+def _half_turn(k: int, q: int) -> list:
+    """round(2^q (cos, sin)(pi*a/k)), a = 1..k//2: the powers of the
+    rounded root, each product shifted back to 2^q with rounding."""
+    with workprec(q + 8):
+        w = mpmath.root(-1, k)              # e^(i*pi/k)
+        wr, wi = (int(mpmath.nint(mpmath.ldexp(v, q)))
+                  for v in (w.real, w.imag))
+    half, c, s, points = 1 << (q - 1), 1 << q, 0, []
+    for _ in range(k // 2):
+        c, s = (c * wr - s * wi + half) >> q, (c * wi + s * wr + half) >> q
+        points.append((c, s))
+    return points
+
+
+def _ratio(x: int, y: int, p: int) -> int:
+    """round(x * 2^p / y) for y > 0."""
+    return ((x << (p + 1)) + y) // (y << 1)
+
+
+def _period(first, half: list, k: int) -> tuple:
+    """n = 0..k-1 from the values at n = 1..k//2, by table[k-n] = -table[n]."""
+    return (first, *half, *(-v for v in reversed(half[:(k - 1) // 2])))
+
+
+@lru_cache(maxsize=256)
+def fixed_tables(k: int, bits: int = DEFAULT_BITS) -> tuple:
+    """(cot table, tan table) of (k, bits), both from one rotation."""
     check((K_POSITIVE,), k=k)
-    with workprec(guarded(bits, k) + 2 * k.bit_length() + 40):
-        w = mpmath.expjpi(mpf(1) / k)
-        points = list(accumulate(repeat(w, k // 2), mul))
-    with workprec(guarded(bits, k)):
-        return [(+z.real, +z.imag) for z in points]
+    p = table_scale(k, bits)
+    points = _half_turn(k, guarded(bits, k) + 2 * k.bit_length() + 40)
+    cot = [0 if 2 * a == k else _ratio(c, s, p)
+           for a, (c, s) in enumerate(points, 1)]
+    tan = [None if 2 * a == k else _ratio(s, c, p)
+           for a, (c, s) in enumerate(points, 1)]
+    return _period(None, cot, k), _period(0, tan, k)
 
 
-@lru_cache(maxsize=256)
 def cot_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
-    """(cot(pi*n/k))_{n=0..k-1}: None at n = 0, exactly 0 at n = k/2,
-    table[k-n] = -table[n]."""
-    with workprec(guarded(bits, k)):
-        half = [mpf(0) if 2 * a == k else c / s
-                for a, (c, s) in enumerate(_half_turn(k, bits), 1)]
-        return (None, *half, *(-v for v in reversed(half[:(k - 1) // 2])))
+    """(cot(pi*n/k))_{n=0..k-1} at scale 2^P: None at n = 0, exactly 0 at
+    n = k/2, table[k-n] = -table[n]."""
+    return fixed_tables(k, bits)[0]
 
 
-@lru_cache(maxsize=256)
 def tan_table(k: int, bits: int = DEFAULT_BITS) -> tuple:
-    """(tan(pi*n/k))_{n=0..k-1}: 0 at n = 0, None at n = k/2,
+    """(tan(pi*n/k))_{n=0..k-1} at scale 2^P: 0 at n = 0, None at n = k/2,
     table[k-n] = -table[n]."""
-    with workprec(guarded(bits, k)):
-        half = [None if 2 * a == k else s / c
-                for a, (c, s) in enumerate(_half_turn(k, bits), 1)]
-        return (mpf(0), *half, *(-v for v in reversed(half[:(k - 1) // 2])))
+    return fixed_tables(k, bits)[1]
+
+
+# each call of the two is one lookup in the int cache, whose counters they
+# report (a profiler reads a table layer's hits through them)
+for _column in (cot_table, tan_table):
+    _column.cache_info = fixed_tables.cache_info
+    _column.cache_clear = fixed_tables.cache_clear
 
 
 def cot_deriv_table(order: int, k: int, bits: int = DEFAULT_BITS) -> tuple:
-    """(cot^(order)(pi*n/k))_{n=0..k-1}, None at n = 0: Q_order over the
-    cached cot table, which is itself the order-0 table."""
+    """(cot^(order)(pi*n/k))_{n=0..k-1} at scale 2^P, None at n = 0:
+    Q_order by integer Horner over the cot table (itself the order-0
+    table), one rounding shift per step."""
     table = cot_table(k, bits)
     if not order:
         return table
-    poly = cot_poly(order)
+    p, (*rest, lead) = table_scale(k, bits), cot_poly(order).coefficients
+    half, out = 1 << (p - 1), [None]
+    for t in table[1:]:
+        acc = lead << p
+        for c in reversed(rest):
+            acc = ((acc * t + half) >> p) + (c << p)
+        out.append(acc)
+    return tuple(out)
+
+
+def as_mpf(values, k: int, bits: int = DEFAULT_BITS) -> tuple:
+    """The mpf view of table entries of (k, bits), rounded to
+    guarded(bits, k); None stays None."""
+    p = table_scale(k, bits)
     with workprec(guarded(bits, k)):
-        return (None, *(poly(t) for t in table[1:]))
+        return tuple(None if v is None else mpf((v, -p)) for v in values)
 
 
 def trig_product_sum(factors, k: int, exclusions=(),
@@ -145,14 +206,18 @@ def trig_product_sum(factors, k: int, exclusions=(),
     """(1/divisor) sum_{a in residues, a not excluded} prod_j T_j((a*h_j) % k).
 
     Each factor is (kind, arg, h_j). Kind "cot-deriv" takes T_j(n) =
-    cot^(arg)(pi*n/k) from cot_deriv_table and "tan" takes tan(pi*n/k)
-    from tan_table (arg ignored); "values" takes T_j = arg, a sequence
-    indexed by the residue mod k. residues defaults to 1..k-1. Each product is folded left
-    from start, or from its first factor when start is None (so at least
-    one factor is needed); start=mpc(1) rounds that factor into the working
-    precision guarded(bits, k), at which the whole sum runs. Exclusions
-    must cover every pole (n = 0 for cot, n = k/2 for tan with k even); an
-    uncovered pole raises.
+    cot^(arg)(pi*n/k) and "tan" takes tan(pi*n/k) (arg ignored), both
+    from the int tables; "values" takes T_j = arg, a sequence indexed by
+    the residue mod k. residues defaults to 1..k-1. Exclusions must cover
+    every pole (n = 0 for cot, n = k/2 for tan with k even); an uncovered
+    pole raises.
+
+    With only cot/tan factors and no start, the int columns are multiplied
+    and summed exactly and the sum is rounded once to guarded(bits, k).
+    Otherwise the table entries are read as mpf and each product is folded
+    left from start, or from its first factor when start is None (so at
+    least one factor is needed); start=mpc(1) rounds that factor into the
+    working precision guarded(bits, k), at which the whole sum runs.
     """
     check((K_POSITIVE,), k=k)
     if residues is None:
@@ -166,6 +231,7 @@ def trig_product_sum(factors, k: int, exclusions=(),
                 idx += range(lo, e)
                 lo = e + 1
         idx += range(lo, residues.stop)
+    fixed = start is None and all(kind != VALUES for kind, _, _ in factors)
     with workprec(guarded(bits, k)):
         cols = []
         for kind, arg, h in factors:
@@ -177,12 +243,14 @@ def trig_product_sum(factors, k: int, exclusions=(),
                 table = cot_deriv_table(arg, k, bits)
             else:
                 raise ValueError(f"unknown trig factor kind {kind!r}")
-            cols.append([table[a * h % k] for a in idx])
+            col = [table[a * h % k] for a in idx]
+            cols.append(col if fixed or kind == VALUES
+                        else as_mpf(col, k, bits))
         first, rest = ((cols[0], cols[1:]) if start is None
                        else (repeat(start, len(idx)), cols))
         try:
-            return sum(reduce(partial(map, mul), rest, first),
-                       mpf(0)) / divisor
+            total = sum(reduce(partial(map, mul), rest, first),
+                        0 if fixed else mpf(0))
         except TypeError:
             # a product met a None slot: name the pole it marks
             for (kind, _, h), col in zip(factors, cols):
@@ -193,3 +261,6 @@ def trig_product_sum(factors, k: int, exclusions=(),
                         raise error(f"{kind} factor with multiplier {h} has "
                                     f"a pole at a = {a} (mod {k})") from None
             raise
+        if fixed:
+            total = mpf((total, -len(factors) * table_scale(k, bits)))
+        return total / divisor

@@ -9,8 +9,9 @@ No exact side may use the trig layer or a transform: with the closed-form
 kernel, the cot/tan tables and dft disabled, every exact side must still
 return its value.
 
-Every id that reads the cot/tan tables must see them: scaled by 1 + 2^-e,
-which keeps them odd, the tables make each such id fail.
+Every id that reads the cot/tan tables must see them: with each int entry
+v scaled to v + (v >> e), about 1 + 2^-e, the tables make each such id
+fail.
 
 th9 reads two cached zeta tables, one per side: scaling either the Hurwitz
 row of its lhs or the F map of its rhs makes it fail.
@@ -83,7 +84,7 @@ def test_exact_side_needs_no_trig(monkeypatch, identity):
         raise AssertionError("an exact side called the trig layer or dft")
 
     for module, name in [(trig, "trig_product_sum"), (sums, "trig_product_sum"),
-                         (trig, "cot_table"), (trig, "tan_table"),
+                         (trig, "fixed_tables"),
                          (periodic, "dft"), (registry, "dft")]:
         monkeypatch.setattr(module, name, refuse)
     assert _exact_side(identity) == expected
@@ -103,7 +104,7 @@ def test_series_form_builds_only_its_own_tables(monkeypatch, identity, name):
     assert verify(identity, {"k": 11, "seed": 3}).passed
 
 
-# Every id whose check reads trig.cot_table or trig.tan_table: an instance
+# Every id whose check reads the tables of trig.fixed_tables: an instance
 # whose table sum is not 0 (a scaled odd table keeps a zero sum at 0), and
 # the e of the perturbation 1 + 2^-e. 2^-100 is far above the 2^-128
 # tolerance; eq2 and lemma3-a compare a truncated series with its tail
@@ -135,11 +136,11 @@ TABLE_FREE = {
 
 @pytest.fixture
 def wrap_tables(monkeypatch):
-    """install(wrap) routes both tables through wrap(table)."""
+    """install(wrap) routes both tables of the one table builder through
+    wrap(table)."""
     def install(wrap):
-        for name in ("cot_table", "tan_table"):
-            monkeypatch.setattr(trig, name, lambda *args, build=getattr(
-                trig, name): wrap(build(*args)))
+        monkeypatch.setattr(trig, "fixed_tables", lambda *args, build=(
+            trig.fixed_tables): tuple(map(wrap, build(*args))))
 
     return install
 
@@ -160,9 +161,7 @@ def test_table_perturbation_is_seen(wrap_tables, identity):
     assert verify(identity, params).passed
 
     def scale(table):
-        with workprec(1024):
-            return tuple(None if v is None else v * (1 + mpf(2) ** -e)
-                         for v in table)
+        return tuple(None if v is None else v + (v >> e) for v in table)
 
     wrap_tables(scale)
     assert not verify(identity, params).passed

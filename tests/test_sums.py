@@ -200,7 +200,7 @@ class TestBernoulliPair:
         r1, r2, h1, h2, k = 3, 5, 2, 3, 7
         lhs = bernoulli_pair_sum(r1, r2, h1, h2, k)
         p1, p2 = trig.cot_poly(r1 - 1), trig.cot_poly(r2 - 1)
-        ct = trig.cot_table(k, 256)
+        ct = trig.as_mpf(trig.cot_table(k, 256), k)
         with workprec(300):
             acc = mpf(0)
             for a in range(1, k):
@@ -538,11 +538,15 @@ def test_exact_side_matches_enumeration(monkeypatch, identity, params):
 
 
 @pytest.mark.parametrize("identity,params", [
-    ("eq1", {"h": 3001, "k": 2000}), ("cor9-s3", {"h": 3001, "k": 2001})])
+    ("eq1", {"h": 3001, "k": 2000}), ("cor9-s3", {"h": 3001, "k": 2001}),
+    ("cor7", {"h": 3001, "k": 2000}), ("tan-sq", {"k": 2001}),
+    # the paper form is a kernel call on the order-1 and order-3 tables
+    ("th4", {"k": 2000, "rs": (2, 4), "hs": (3001, 7),
+             "convention": "paper"})])
 def test_table_error_budget_scales_with_precision(identity, params):
     # the closed sides read O(k) table entries; at b bits the residual stays
-    # within 2^(24-b) of max(1, |rhs|) at both precisions
-    for bits in (128, 256):
+    # within 2^(24-b) of max(1, |rhs|) at every precision
+    for bits in (128, 256, 512):
         report = verify(identity, params,
                         RunConfig(precision=bits, tolerance=f"2^-{bits - 16}"))
         with workprec(bits):

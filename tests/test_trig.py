@@ -5,8 +5,9 @@ from mpmath import mpf, workprec
 from conftest import assert_close
 from cotsums.errors import PoleAtHalfPeriod, PoleAtIntegerMultiple
 from cotsums.hp import guarded
-from cotsums.trig import (cot_at, cot_deriv_at, cot_deriv_table, cot_poly,
-                          cot_table, tan_at, tan_table, trig_product_sum)
+from cotsums.trig import (COT, TAN, VALUES, as_mpf, cot_at, cot_deriv_at,
+                          cot_deriv_table, cot_poly, cot_table, tan_at,
+                          tan_table, trig_product_sum)
 
 
 class TestCotPoly:
@@ -93,13 +94,15 @@ class TestTables:
 
     @pytest.mark.parametrize("k", [97, 2000])
     def test_within_two_ulp(self, k):
-        # against a 720-bit reference; one ulp of a value in [2^(e-1), 2^e)
-        # is 2^(e - prec) at the tables' precision prec = guarded(bits, k)
+        # the mpf view against a 720-bit reference; one ulp of a value in
+        # [2^(e-1), 2^e) is 2^(e - prec) at the view's precision
+        # prec = guarded(bits, k)
         with workprec(720):
             ref = [mpmath.cot(mpmath.pi * a / k) for a in range(1, k)]
         for bits in (100, 256):
             prec = guarded(bits, k)
-            ct, tt = cot_table(k, bits), tan_table(k, bits)
+            ct, tt = (as_mpf(table(k, bits), k, bits)
+                      for table in (cot_table, tan_table))
             assert len(ct) == len(tt) == k
             assert ct[0] is None and tt[0] == 0
             for a in range(1, k):
@@ -116,9 +119,10 @@ class TestTables:
 
     @pytest.mark.parametrize("k", [7, 97, 2000])
     def test_derivative_table_bound(self, k):
-        # Q_m over the cached cot table: within (2m + 4) ulp-units
-        # 2^-guarded(bits, k) of an 800-bit reference, relative; odd orders
-        # keep every value away from 0 (cot^(m) < 0 for odd m)
+        # the mpf view of Q_m by integer Horner over the cached cot table:
+        # within (2m + 4) ulp-units 2^-guarded(bits, k) of an 800-bit
+        # reference, relative; odd orders keep every value away from 0
+        # (cot^(m) < 0 for odd m)
         with workprec(800):
             ref = [mpmath.cot(mpmath.pi * a / k) for a in range(1, k)]
         for m in (1, 3, 7):
@@ -126,7 +130,7 @@ class TestTables:
             with workprec(800):
                 exact = [poly(t) for t in ref]
             for bits in (100, 256):
-                table = cot_deriv_table(m, k, bits)
+                table = as_mpf(cot_deriv_table(m, k, bits), k, bits)
                 assert len(table) == k and table[0] is None
                 with workprec(800):
                     worst = max(abs(v / e - 1) for v, e in zip(table[1:], exact))
@@ -165,3 +169,30 @@ class TestProductSum:
         assert_close(val, 4)  # tan*cot = 1 at the four unexcluded residues
         with pytest.raises(PoleAtHalfPeriod):
             trig_product_sum([("tan", 0, 1)], 6)
+
+
+# the factor lists of eq1, cor7 and tan-sq; the sums below exclude k/2,
+# tan's pole at these even k
+FACTOR_LISTS = {
+    "eq1": [(COT, 0, 1), (COT, 0, 7)],
+    "cor7": [(TAN, 0, 7), (COT, 0, 1)],
+    "tan-sq": [(TAN, 0, 1), (TAN, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("k", [60, 2000])
+@pytest.mark.parametrize("form", FACTOR_LISTS)
+def test_int_path_agrees_with_values_path(form, k):
+    # the same columns, once as cot/tan factors (exact int products, one
+    # rounding) and once as VALUES read from the mpf view (today's fold)
+    for bits in (128, 256):
+        factors = FACTOR_LISTS[form]
+        as_values = [(VALUES, as_mpf(tan_table(k, bits) if kind == TAN
+                                     else cot_deriv_table(arg, k, bits),
+                                     k, bits), h)
+                     for kind, arg, h in factors]
+        fixed = trig_product_sum(factors, k, {k // 2}, bits)
+        folded = trig_product_sum(as_values, k, {k // 2}, bits)
+        with workprec(2 * bits):
+            assert abs(fixed - folded) <= (mpf(2) ** -(bits + 8)
+                                           * max(1, abs(fixed))), bits

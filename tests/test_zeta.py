@@ -236,10 +236,10 @@ class TestSeriesForms:
     def test_cot_map_reproduces_dedekind_series(self):
         # the map r -> cot(pi r h/k) has S(f) = 2 pi s(h,k)
         from cotsums.sums import dedekind_sum
-        from cotsums.trig import cot_table
+        from cotsums.trig import as_mpf, cot_table
 
         k, h = 3, 1
-        ct = cot_table(k, 256)
+        ct = as_mpf(cot_table(k, 256), k)
         with workprec(280):
             vals = [mpf(0)] + [ct[r * h % k] for r in range(1, k)]
         forms = series_forms(PeriodicMap(vals))
@@ -251,10 +251,10 @@ class TestSeriesForms:
     def test_tan_map_reproduces_s3_series(self):
         # the map r -> tan(pi r h/k) has S(f) = pi s3(h,k)
         from cotsums.sums import hardy_sum
-        from cotsums.trig import tan_table
+        from cotsums.trig import as_mpf, tan_table
 
         k, h = 3, 1
-        tt = tan_table(k, 256)
+        tt = as_mpf(tan_table(k, 256), k)
         with workprec(280):
             vals = [mpf(0)] + [tt[r * h % k] for r in range(1, k)]
         forms = series_forms(PeriodicMap(vals))
