@@ -24,7 +24,8 @@ import mpmath
 
 from . import sums, trig, zeta
 from .config import RunConfig
-from .errors import CotsumsError, OutOfRange, check, choice, given
+from .errors import (CotsumsError, OutOfRange, WorkLimitExceeded, check,
+                     choice, given, holds_ints)
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
 from .hp import fmt, is_exact
 from .registry import REGISTRY, verify
@@ -124,11 +125,13 @@ CONVENTIONS = {"bernoulli-sum-rhs": ("paper", "corrected"),
 
 
 def _ints_csv(text: str) -> tuple:
-    """A comma-separated integer list such as 1,3,7; an empty one is refused."""
+    """A comma-separated integer list such as 1,3,7; an empty one is refused
+    as an argparse type error, which carries the usage line."""
     values = tuple(int(t) for t in text.split(",") if t.strip() != "")
-    if not values:
-        raise argparse.ArgumentTypeError(
-            f"the list must hold at least one integer, got {text!r}")
+    try:
+        check((holds_ints("the list"),), values=values, text=text)
+    except OutOfRange as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return values
 
 
@@ -186,11 +189,13 @@ def _instance_flags(p, names, sweep: bool = False) -> None:
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision", type=int, default=256,
-                   help="working precision in bits (default 256)")
-    p.add_argument("--tolerance", default="2^-128",
-                   help="pass tolerance, e.g. 2^-128 or 1e-30")
-    p.add_argument("--work-limit", type=int, default=10 ** 8,
+    defaults = RunConfig()
+    p.add_argument("--precision", type=int, default=defaults.precision,
+                   help="working precision in bits (default "
+                        f"{defaults.precision})")
+    p.add_argument("--tolerance", default=defaults.tolerance,
+                   help=f"pass tolerance, e.g. {defaults.tolerance} or 1e-30")
+    p.add_argument("--work-limit", type=int, default=defaults.work_limit,
                    help="exact-side product budget")
     p.add_argument("--json", action="store_true", help="emit JSON")
 
@@ -320,24 +325,32 @@ def _parse_int_range(text: str, name: str) -> list[int]:
         raise OutOfRange(f"--{name} takes {forms}, got {text!r}") from None
     if parity:
         values = [v for v in values if v % 2 == (parity == "odd")]
-    if not values:
-        raise OutOfRange(f"--{name} must hold at least one integer, "
-                         f"got {text!r}")
+    check((holds_ints(f"--{name}"),), values=values, text=text)
     return values
 
 
 def _tuple_candidates(spec: str, units: list[int], k: int, m: int,
-                      samples: int, seed: int) -> list[tuple]:
+                      samples: int, seed: int, work_limit: int) -> list[tuple]:
     if spec is None:
         spec = "all-coprime" if (m or 2) <= 2 else "random"
     spec = spec.strip()
     if spec == "all-coprime":
         return list(product(units, repeat=m))
     if spec == "random":
-        # repeated draws are verified once, in the order first drawn
+        if samples * m > work_limit:
+            raise WorkLimitExceeded(
+                f"--samples {samples} tuples x {m} multipliers = "
+                f"{samples * m} random draws exceed the work limit "
+                f"{work_limit}")
+        # repeated draws are verified once, in the order first drawn; the
+        # draws stop once all len(units)^m tuples have come up
         rng = random.Random(seed * 99991 + k)
-        return list(dict.fromkeys(tuple(rng.choice(units) for _ in range(m))
-                                  for _ in range(samples)))
+        drawn, every = {}, len(units) ** m
+        for _ in range(samples):
+            drawn[tuple(rng.choice(units) for _ in range(m))] = None
+            if len(drawn) == every:
+                break
+        return list(drawn)
     return [_ints_csv(spec)]
 
 
@@ -364,7 +377,7 @@ def _expand_instances(args, entry) -> list[dict]:
             value, form = getattr(args, name), PARAMS[name].form
             if form == TUPLE:
                 cands = _tuple_candidates(value, units, k, m, args.samples,
-                                          seed)
+                                          seed, args.work_limit)
             elif value is None:             # the row's default
                 continue
             elif form == ONE:

@@ -7,14 +7,15 @@ from dataclasses import dataclass
 from mpmath import mpf
 
 from .errors import OutOfRange
-from .hp import parse_tolerance
+from .hp import DEFAULT_BITS, DEFAULT_TOLERANCE, parse_tolerance
+from .periodic import DEFAULT_WORK_LIMIT
 
 
 @dataclass
 class RunConfig:
-    precision: int = 256            # bits
-    tolerance: str = "2^-128"
-    work_limit: int = 10 ** 8       # exact-side product budget
+    precision: int = DEFAULT_BITS               # bits
+    tolerance: str = DEFAULT_TOLERANCE
+    work_limit: int = DEFAULT_WORK_LIMIT        # exact-side product budget
 
     def tolerance_value(self) -> mpf:
         return parse_tolerance(self.tolerance)

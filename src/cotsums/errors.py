@@ -104,6 +104,13 @@ def parity(what: str, parity: str, value=None):
     return rule
 
 
+def holds_ints(label: str):
+    """The list values, read from text, holds at least one integer; label
+    names it in the message."""
+    return require(lambda p: len(p["values"]) > 0, OutOfRange,
+                   label + " must hold at least one integer, got {text!r}")
+
+
 def orders(value):
     """Every Bernoulli order in value(params) is >= 1."""
     return require(lambda p: all(r >= 1 for r in value(p)), OutOfRange,

@@ -15,6 +15,7 @@ import mpmath
 from mpmath import mpc, mpf, workprec
 
 DEFAULT_BITS = 256
+DEFAULT_TOLERANCE = "2^-128"
 
 # extra working bits on top of the requested precision
 GUARD_BITS = 16

@@ -27,7 +27,7 @@ from . import periodic, sums, zeta
 from .config import RunConfig
 from .errors import (K_EVEN, K_ODD, K_POSITIVE, R_POSITIVE, TERMS_POSITIVE,
                      OutOfRange, all_coprime, check, choice, coprime, given,
-                     parity, require)
+                     holds_ints, parity, require)
 from .hp import is_exact, to_number
 from .periodic import (PeriodicMap, dft, map_max_residual, random_even_map,
                        random_odd_map, random_rational_map)
@@ -58,8 +58,9 @@ class IdentityEntry:
         """Raise the first violated precondition, naming its condition."""
         K_POSITIVE(params)
         for name, kind in self.param_kinds.items():
-            if kind == "ints" and not params[name]:
-                raise OutOfRange(f"{name} must hold at least one integer")
+            if kind == "ints":
+                check((holds_ints(name),), values=params[name],
+                      text=params[name])
         check(self.rules, **params)
 
     def check(self, params: dict, config: RunConfig) -> IdentityReport:

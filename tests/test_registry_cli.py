@@ -1,9 +1,11 @@
 import argparse
 import ast
 import importlib
+import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -365,8 +367,9 @@ def test_library_and_verify_share_the_wording(function, args, identity,
 
 
 def test_rule_messages_are_built_only_in_errors():
-    """ParityViolation, NotCoprime and the k >= 1 message are constructed
-    by the rule vocabulary of errors.py and nowhere else in the package."""
+    """ParityViolation, NotCoprime, the k >= 1 message and the list rule's
+    message are constructed by the rule vocabulary of errors.py and nowhere
+    else in the package."""
     built = set()
     for path in sorted((Path(cli.__file__).parent).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -377,8 +380,54 @@ def test_rule_messages_are_built_only_in_errors():
             elif isinstance(node, ast.Constant) and re.search(
                     r"\b(k|modulus) must be (>= 1|positive)", str(node.value)):
                 built.add((path.name, "k >= 1"))
+            elif isinstance(node, ast.Constant) and "at least one integer" in (
+                    str(node.value)):
+                built.add((path.name, "list"))
     assert built == {("errors.py", "ParityViolation"),
-                     ("errors.py", "NotCoprime"), ("errors.py", "k >= 1")}
+                     ("errors.py", "NotCoprime"), ("errors.py", "k >= 1"),
+                     ("errors.py", "list")}
+
+
+@pytest.mark.parametrize("argv", [["compute", "dedekind"], ["verify", "eq1"],
+                                  ["sweep", "eq1"]])
+def test_cli_defaults_are_the_run_config_defaults(argv):
+    args = cli._build_parser().parse_args(argv)
+    assert cli._config_from(args) == RunConfig()
+
+
+@pytest.fixture
+def counted_draws(monkeypatch):
+    """The multipliers drawn by the sweep's random tuple generators."""
+    draws = []
+
+    class Counting(random.Random):
+        def choice(self, seq):
+            draws.append(1)
+            return super().choice(seq)
+
+    monkeypatch.setattr(cli.random, "Random", Counting)
+    return draws
+
+
+def test_random_tuples_stop_once_every_tuple_is_drawn(counted_draws):
+    # k = 7 has 6 units, so 6^3 = 216 tuples of m = 3: the draws stop at the
+    # last new one, which keeps the order of the full run of draws
+    units = [1, 2, 3, 4, 5, 6]
+    tuples = cli._tuple_candidates("random", units, 7, 3, 2_000_000, 1,
+                                   10 ** 8)
+    assert sorted(tuples) == sorted(itertools.product(units, repeat=3))
+    assert len(counted_draws) < 30_000
+    rng = random.Random(99991 + 7)
+    full = dict.fromkeys(tuple(rng.choice(units) for _ in range(3))
+                         for _ in range(len(counted_draws) // 3 + 5000))
+    assert tuples == list(full)
+
+
+def test_random_draws_are_charged_to_the_work_limit(counted_draws, capsys):
+    assert main(["sweep", "th2", "--k", "7", "--hs", "random", "--m", "3",
+                 "--samples", "2000000", "--work-limit", "1000"]) == 2
+    assert "draws exceed the work limit 1000" in capsys.readouterr().err
+    assert not counted_draws
 
 
 # cor3 at k = 3..6 with h1 all-coprime and h2 = 1 expands to 10 instances
