@@ -122,8 +122,10 @@ def table_scale(k: int, bits: int = DEFAULT_BITS) -> int:
 def _half_turn(k: int, q: int) -> list:
     """round(2^q (cos, sin)(pi*a/k)), a = 1..k//2: the powers of the
     rounded root, each product shifted back to 2^q with rounding."""
-    with workprec(q + 8):
-        w = mpmath.root(-1, k)              # e^(i*pi/k)
+    r = q + 8
+    with workprec(r):
+        # e^(i*pi*x), x = 1/k rounded to 2^-r by an int division
+        w = mpmath.expjpi(mpf((((1 << r) + k // 2) // k, -r)))
         wr, wi = (int(mpmath.nint(mpmath.ldexp(v, q)))
                   for v in (w.real, w.imag))
     half, c, s, points = 1 << (q - 1), 1 << q, 0, []
