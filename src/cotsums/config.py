@@ -7,8 +7,8 @@ from dataclasses import dataclass
 from mpmath import mpf
 
 from .errors import OutOfRange
-from .hp import DEFAULT_BITS, DEFAULT_TOLERANCE, parse_tolerance
-from .periodic import DEFAULT_WORK_LIMIT
+from .hp import (DEFAULT_BITS, DEFAULT_TOLERANCE, DEFAULT_WORK_LIMIT,
+                 parse_tolerance)
 
 
 @dataclass

@@ -14,8 +14,10 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpc, mpf, workprec
 
+# the run defaults of RunConfig and the CLI
 DEFAULT_BITS = 256
 DEFAULT_TOLERANCE = "2^-128"
+DEFAULT_WORK_LIMIT = 10 ** 8        # exact-side product budget
 
 # extra working bits on top of the requested precision
 GUARD_BITS = 16

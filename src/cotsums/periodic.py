@@ -26,9 +26,7 @@ from . import trig
 from .errors import (K_EVEN, K_ODD, R_POSITIVE, OutOfRange, PeriodMismatch,
                      WorkLimitExceeded, check, choice)
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse
-from .hp import DEFAULT_BITS, guarded, is_exact, to_number
-
-DEFAULT_WORK_LIMIT = 10 ** 8
+from .hp import DEFAULT_BITS, DEFAULT_WORK_LIMIT, guarded, is_exact, to_number
 
 
 class PeriodicMap:

@@ -105,10 +105,11 @@ def test_series_form_builds_only_its_own_tables(monkeypatch, identity, name):
 
 
 # Every id whose check reads the tables of trig.fixed_tables: an instance
-# whose table sum is not 0 (a scaled odd table keeps a zero sum at 0), and
-# the e of the perturbation 1 + 2^-e. 2^-100 is far above the 2^-128
-# tolerance; eq2 and lemma3-a compare a truncated series with its tail
-# bound, which only a perturbation above that bound can cross.
+# whose table sum is not 0 (a scaled odd table keeps a zero sum at 0, to a
+# unit of 2^-P), and the e of the perturbation 1 + 2^-e. 2^-100 is far
+# above the 2^-128 tolerance; eq2 and lemma3-a compare a truncated series
+# with its tail bound, which only a perturbation above that bound can
+# cross.
 TABLE_READERS = {
     **{ident: (INSTANCES[ident], 100) for ident in (
         "eq1", "th2", "cor3", "th4", "th5", "cor5", "cor6", "cor7", "th7",
