@@ -30,25 +30,66 @@ from .hp import DEFAULT_BITS, DEFAULT_WORK_LIMIT, guarded, is_exact, to_number
 
 
 class PeriodicMap:
-    """A k-periodic function given by its values on 0..k-1."""
+    """A k-periodic function given by its values on 0..k-1.
 
-    __slots__ = ("values",)
+    An exact map also has an integer form, `ints`: numerators over one
+    positive denominator. A map made by `over` holds that form and builds
+    its Fraction `values` only when they are first read; a map made from
+    values derives it once, by the lcm of their denominators.
+    """
+
+    __slots__ = ("_values", "_ints")
 
     def __init__(self, values):
-        self.values = tuple(values)
-        if not self.values:
+        self._values = tuple(values)
+        self._ints = None
+        if not self._values:
             raise ValueError("period must be positive")
+
+    @classmethod
+    def over(cls, nums, den: int) -> PeriodicMap:
+        """The exact map a -> nums[a]/den."""
+        nums = tuple(nums)
+        if not nums:
+            raise ValueError("period must be positive")
+        if den <= 0:
+            raise ValueError(f"denominator must be positive, got {den}")
+        f = cls.__new__(cls)
+        f._values, f._ints = None, (nums, den)
+        return f
+
+    @property
+    def values(self) -> tuple:
+        if self._values is None:
+            nums, den = self._ints
+            self._values = tuple(Fraction(n, den) for n in nums)
+        return self._values
+
+    @property
+    def ints(self) -> tuple:
+        """(nums, den) with value a = nums[a]/den; TypeError if not exact."""
+        if self._ints is None:
+            vals = self._values
+            if not all(is_exact(v) for v in vals):
+                raise TypeError("an integer form needs exact (int or "
+                                "Fraction) values")
+            den = lcm(*(v.denominator for v in vals))
+            self._ints = (tuple(v.numerator * (den // v.denominator)
+                                for v in vals), den)
+        return self._ints
 
     @property
     def period(self) -> int:
-        return len(self.values)
+        return len(self._values if self._ints is None else self._ints[0])
 
     def __call__(self, n: int):
-        return self.values[n % len(self.values)]
+        vals = self.values
+        return vals[n % len(vals)]
 
     @property
     def exact(self) -> bool:
-        return all(is_exact(v) for v in self.values)
+        return (self._ints is not None
+                or all(is_exact(v) for v in self._values))
 
     def __repr__(self):
         return f"PeriodicMap(k={self.period})"
@@ -86,12 +127,14 @@ def root_sums(vals, roots) -> PeriodicMap:
 
 
 def convolve(f: PeriodicMap, g: PeriodicMap) -> PeriodicMap:
-    """Cauchy convolution (f*g)(n) = sum_a f(a) g(n-a); exact in, exact out."""
+    """Cauchy convolution (f*g)(n) = sum_a f(a) g(n-a), in the integer
+    forms: the numerators convolve and the denominators multiply."""
     k = _require_same_period(f, g)
+    (fn, fd), (gn, gd) = f.ints, g.ints
     # back[k - n + a] = g(n - a): row n is one slice, summed in order of a
-    back = [g.values[-a % k] for a in range(k)] * 2
-    return PeriodicMap(sum(map(mul, f.values, back[k - n:2 * k - n]))
-                       for n in range(k))
+    back = [gn[-a % k] for a in range(k)] * 2
+    return PeriodicMap.over((sum(map(mul, fn, back[k - n:2 * k - n]))
+                             for n in range(k)), fd * gd)
 
 
 def _common_period(fs, hs) -> int:
@@ -109,12 +152,14 @@ def constrained_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
     """sum of f_1(a_1 h_1) ... f_m(a_m h_m) over tuples with sum a_j = 0 (mod k).
 
     The sum is (g_1 * ... * g_m)(0) with g_j(a) = f_j(a h_j) and * the
-    cyclic convolution. Each g_j is scaled to integers by the lcm of its
-    denominators, convolve chains g_1 ... g_(m-1), and the last factor is
-    paired off as sum_a c(a) g_m(-a): (m-2)k^2 + k integer products, the
-    work budget, in place of the k^(m-1) terms of enumerated_product_sum,
-    with the same value. The maps must be exact (int or Fraction). No
-    transform is taken, so this side stays independent of the closed forms.
+    cyclic convolution. Each g_j is read in its integer form (numerators
+    over one denominator), convolve chains g_1 ... g_(m-1), and the last
+    factor is paired off as sum_a c(a) g_m(-a): (m-2)k^2 + k integer
+    products, the work budget, in place of the k^(m-1) terms of
+    enumerated_product_sum, with the same value; the product of the
+    denominators divides once at the end. The maps must be exact (int or
+    Fraction). No transform is taken, so this side stays independent of
+    the closed forms.
     """
     k, m = _common_period(fs, hs), len(fs)
     products = (m - 2) * k * k + k
@@ -122,25 +167,19 @@ def constrained_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
         raise WorkLimitExceeded(
             f"(m-2)k^2 + k = {products} products at k={k}, m={m} exceed the "
             f"limit {work_limit}")
-    if not all(f.exact for f in fs):
-        raise TypeError("the zero-sum product sum needs exact (int or "
-                        "Fraction) maps")
-    tables = [tuple(f.values[(a * h) % k] for a in range(k)) for f, h in zip(fs, hs)]
-    if m == 1:
-        return tables[0][0]
-
-    scaled, scale = [], 1
-    for table in tables:
-        s = lcm(*(v.denominator for v in table))
-        scaled.append(PeriodicMap(v.numerator * (s // v.denominator)
-                                  for v in table))
-        scale *= s
-    chain = scaled[0]
-    for g in scaled[1:-1]:
+    gs = []
+    for f, h in zip(fs, hs):
+        nums, den = f.ints
+        gs.append(PeriodicMap.over([nums[a * h % k] for a in range(k)], den))
+    chain = gs[0]
+    for g in gs[1:-1]:
         chain = convolve(chain, g)
-    last = scaled[-1].values
-    total = sum(c * last[-a % k] for a, c in enumerate(chain.values))
-    return Fraction(total, scale)
+    nums, den = chain.ints
+    if m == 1:
+        return Fraction(nums[0], den)
+    last, last_den = gs[-1].ints
+    total = sum(c * last[-a % k] for a, c in enumerate(nums))
+    return Fraction(total, den * last_den)
 
 
 def enumerated_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
@@ -218,8 +257,7 @@ def map_max_residual(f: PeriodicMap, g: PeriodicMap, bits: int = DEFAULT_BITS):
 
 def sawtooth_map(k: int) -> PeriodicMap:
     """a -> ((a/k)): 0 at a = 0 and (2a - k)/2k = a/k - 1/2 off it."""
-    return PeriodicMap(Fraction(2 * a - k, 2 * k) if a else Fraction(0)
-                       for a in range(k))
+    return PeriodicMap.over([2 * a - k if a else 0 for a in range(k)], 2 * k)
 
 
 def bernoulli_map(r: int, k: int) -> PeriodicMap:
@@ -232,19 +270,20 @@ def bernoulli_map(r: int, k: int) -> PeriodicMap:
 def alt_sawtooth_map(k: int) -> PeriodicMap:
     """(-1)^n ((n/k)); k-periodic only for even k."""
     check((K_EVEN,), k=k)
-    return PeriodicMap(-v if a % 2 else v
-                       for a, v in enumerate(sawtooth_map(k).values))
+    nums, den = sawtooth_map(k).ints
+    return PeriodicMap.over((-v if a % 2 else v for a, v in enumerate(nums)),
+                            den)
 
 
 def alt_sign_map(k: int) -> PeriodicMap:
     """(-1)^(n mod k) off multiples of k, 0 at them; k must be odd."""
     check((K_ODD,), k=k)
-    vals = (Fraction(0),) + tuple(Fraction((-1) ** a) for a in range(1, k))
-    return PeriodicMap(vals)
+    return PeriodicMap.over([0] + [(-1) ** a for a in range(1, k)], 1)
 
 
 def constant_map(c, k: int) -> PeriodicMap:
-    return PeriodicMap((Fraction(c),) * k)
+    c = Fraction(c)
+    return PeriodicMap.over([c.numerator] * k, c.denominator)
 
 
 def random_rational_map(k: int, seed: int, span: int = 9) -> PeriodicMap:

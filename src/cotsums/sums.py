@@ -57,9 +57,11 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _weights(w, k: int, start: int = 0) -> PeriodicMap:
-    """The per-residue table a -> w(a) for start <= a < k, 0 below start."""
-    return PeriodicMap([0] * start + [w(a) for a in range(start, k)])
+def _weights(w, k: int, start: int = 0, den: int = 1) -> PeriodicMap:
+    """The per-residue table a -> w(a)/den for start <= a < k, 0 below
+    start; w gives integer numerators."""
+    return PeriodicMap.over([0] * start + [w(a) for a in range(start, k)],
+                            den)
 
 
 def _tan_cots(hs, k: int) -> list:
@@ -229,17 +231,19 @@ def hardy_sum(which: str, h: int, k: int,
            choice("convention", (EXCLUDE_ZERO, INCLUDE_ZERO), ValueError)),
           which=which, k=k, convention=convention)
     saw = periodic.sawtooth_map(k)
-    # (weight of a, sawtooth factor or None for S and s4, its multiplier);
-    # floor(a h/k) may be negative for h < 0, signs go through parity
-    weight, f, hf = {
-        "S": (lambda a: _sign(a + 1 + (a * h) // k), None, 1),
-        "s1": (lambda a: _sign((a * h) // k), saw, 1),
-        "s2": (lambda a: _sign(a) * saw(a), saw, h),
-        "s3": (_sign, saw, h),
-        "s4": (lambda a: _sign((a * h) // k), None, 1),
-        "s5": (lambda a: _sign(a + (a * h) // k), saw, 1),
+    nums, den = saw.ints
+    # (weight numerator of a, its denominator, sawtooth factor or None for
+    # S and s4, its multiplier); floor(a h/k) may be negative for h < 0,
+    # signs go through parity
+    weight, wden, f, hf = {
+        "S": (lambda a: _sign(a + 1 + (a * h) // k), 1, None, 1),
+        "s1": (lambda a: _sign((a * h) // k), 1, saw, 1),
+        "s2": (lambda a: _sign(a) * nums[a], den, saw, h),
+        "s3": (_sign, 1, saw, h),
+        "s4": (lambda a: _sign((a * h) // k), 1, None, 1),
+        "s5": (lambda a: _sign(a + (a * h) // k), 1, saw, 1),
     }[which]
-    table = _weights(weight, k, 0 if convention == INCLUDE_ZERO else 1)
+    table = _weights(weight, k, 0 if convention == INCLUDE_ZERO else 1, wden)
     return constrained_product_sum([table, f or periodic.constant_map(1, k)],
                                    (1, -hf))
 
@@ -251,7 +255,8 @@ def hardy_A(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """
     check((K_EVEN, H1_ODD, all_coprime), hs=hs, k=k)
     saw = periodic.sawtooth_map(k)
-    alt = _weights(lambda a: _sign(a) * saw(a * hs[0]), k)
+    nums, den = saw.ints
+    alt = _weights(lambda a: _sign(a) * nums[a * hs[0] % k], k, 0, den)
     return constrained_product_sum([alt] + [saw] * (len(hs) - 1),
                                    (1, *hs[1:]), work_limit)
 
@@ -291,7 +296,8 @@ def hardy_B_rhs(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
 def alt_pair_sum(h1: int, h2: int, k: int) -> Fraction:
     """sum_{a=1}^{k-1} (-1)^a ((a h1/k)) ((a h2/k)); equals s2 for h1 = 1."""
     saw = periodic.sawtooth_map(k)
-    alt = _weights(lambda a: _sign(a) * saw(a * h1), k, 1)
+    nums, den = saw.ints
+    alt = _weights(lambda a: _sign(a) * nums[a * h1 % k], k, 1, den)
     return constrained_product_sum([alt, saw], (1, -h2))
 
 
