@@ -13,7 +13,6 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
@@ -430,6 +429,9 @@ def _cmd_sweep(args) -> int:
             # one task per run of instances (they are ordered by k), so a
             # worker reuses its tables; 4 runs per worker balance the tail
             chunksize = -(-len(payloads) // (4 * jobs))
+            # imported here: a serial sweep never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = sorted(pool.map(_run_instance, payloads,
                                           chunksize=chunksize))

@@ -459,7 +459,8 @@ def test_sweep_jobs_clamped(monkeypatch, capsys, jobs, cores, started):
             chunks.append(chunksize)
             return map(fn, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # the sweep imports the pool class only when it starts workers
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     assert main(["sweep", "cor3", "--k", "3..6", "--h1", "all-coprime",
                  "--h2", "1", "--jobs", jobs]) == 0
@@ -467,6 +468,24 @@ def test_sweep_jobs_clamped(monkeypatch, capsys, jobs, cores, started):
     assert pools == started
     # the pool path hands each worker contiguous runs of ceil(n / 4 jobs)
     assert chunks == [math.ceil(10 / (4 * w)) for w in started]
+
+
+def test_serial_sweep_loads_no_multiprocessing():
+    """Importing the CLI and running a --jobs 1 sweep load neither
+    multiprocessing nor the process pool."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = ("import sys\n"
+              "from cotsums.cli import main\n"
+              "assert main(['sweep', 'cor3', '--k', '3..6', '--h1', "
+              "'all-coprime', '--h2', '1', '--jobs', '1']) == 0\n"
+              "print(sorted(m for m in sys.modules if m.startswith("
+              "('multiprocessing', 'concurrent.futures.process'))))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "10 instances, 10 pass" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_library_and_cli_read_terms_alike(capsys):
