@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
-from mpmath import mpf, workprec
+from mpmath import mpc, mpf, workprec
 
-from .hp import fmt, to_number
+from .hp import fmt, is_exact, to_number
 
 
 @dataclass
@@ -59,6 +60,25 @@ class IdentityReport:
                    rhs_micros=d.get("rhs_micros"))
 
 
+def _as_fraction(x: mpf) -> Fraction:
+    """The exact value of a finite mpf: (-1)^sign man 2^exp."""
+    sign, man, exp, _ = x._mpf_
+    man = -man if sign else man
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
+
+
+def _residual(lhs, rhs):
+    """|lhs - rhs| at the working precision. When lhs is exact and rhs a
+    finite mpf or mpc, lhs - Re(rhs) is taken exactly, so the one rounding
+    is of the residual itself, not of lhs (~2^-266 at |lhs| ~ 40 and 256
+    bits, above the closed side's own error)."""
+    re = rhs.real if isinstance(rhs, mpc) else rhs
+    if is_exact(lhs) and isinstance(re, mpf) and mpmath.isfinite(re):
+        gap = to_number(lhs - _as_fraction(re))
+        return abs(mpc(gap, rhs.imag) if isinstance(rhs, mpc) else gap)
+    return abs(to_number(lhs) - to_number(rhs))
+
+
 def build_report(identity_id: str, anchor: str, params: dict, lhs, rhs,
                  bits: int, tolerance, note: str = "",
                  residual=None) -> IdentityReport:
@@ -66,7 +86,7 @@ def build_report(identity_id: str, anchor: str, params: dict, lhs, rhs,
     a residual (e.g. a max over map indices) is supplied."""
     with workprec(bits + 16):
         if residual is None:
-            residual = abs(to_number(lhs) - to_number(rhs))
+            residual = _residual(lhs, rhs)
         residual = abs(to_number(residual))
         passed = bool(residual < tolerance or residual == 0)
     return IdentityReport(
