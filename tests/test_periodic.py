@@ -49,6 +49,25 @@ class TestPeriodicMap:
             with pytest.raises(NotOdd):
                 cot_form(f)
 
+    def test_integer_form(self):
+        f = PeriodicMap.over([-4, 0, 6], 8)
+        assert f.period == 3 and f.exact
+        assert f.values == (Fraction(-1, 2), Fraction(0), Fraction(3, 4))
+        assert f(-1) == Fraction(3, 4)
+        assert f.ints == ((-4, 0, 6), 8)
+        # from values: one denominator, the lcm
+        g = PeriodicMap([Fraction(1, 2), Fraction(-1, 3), 2])
+        assert g.ints == ((3, -2, 12), 6)
+        with pytest.raises(TypeError):
+            PeriodicMap([Fraction(1), mpf(2)]).ints
+
+    def test_over_refuses_bad_forms(self):
+        for den in (0, -3):
+            with pytest.raises(ValueError, match="denominator"):
+                PeriodicMap.over([1, 2], den)
+        with pytest.raises(ValueError, match="period"):
+            PeriodicMap.over([], 5)
+
     def test_exactness_flag(self):
         assert sawtooth_map(5).exact
         assert not sawtooth_dft_map(5).exact
@@ -264,6 +283,30 @@ class TestChainEqualsEnumeration:
             for hs in ([1, 1], [1, 1, 1, 1]):
                 with pytest.raises(OutOfRange, match="3 maps need 3"):
                     fn([sawtooth_map(5)] * 3, hs)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 6, 9, 12])
+    def test_integer_form_maps(self, k):
+        # over() maps against their Fraction twins: negative numerators,
+        # numerators sharing a factor with den, a den of 1, m up to 5
+        import random
+
+        rng = random.Random(31 * k)
+        for m in range(1, 6):
+            overs, twins = [], []
+            for _ in range(m):
+                den = rng.choice((1, 6, 12, 2 * k))
+                nums = [rng.randint(-9, 9) * rng.choice((1, 2, 3, 4))
+                        for _ in range(k)]
+                overs.append(PeriodicMap.over(nums, den))
+                twins.append(PeriodicMap([Fraction(n, den) for n in nums]))
+                assert overs[-1].values == twins[-1].values
+            hs = [rng.randint(-2 * k, 2 * k) for _ in range(m)]
+            mixed = [o if j % 2 else t
+                     for j, (o, t) in enumerate(zip(overs, twins))]
+            expected = enumerated_product_sum(twins, hs)
+            for fs in (overs, twins, mixed):
+                assert constrained_product_sum(fs, hs) == expected
+            assert enumerated_product_sum(overs, hs) == expected
 
     def test_refuses_numeric_maps(self):
         numeric = PeriodicMap([mpf(1), mpf(2), mpf(3)])

@@ -537,6 +537,35 @@ def test_exact_side_matches_enumeration(monkeypatch, identity, params):
     assert enumerated.lhs == chain.lhs
 
 
+# the exact sides whose maps are built in integer form, at k ~ 2000
+INTEGER_SIDES = [
+    (dedekind_sum, (3001, 2000)),
+    *((hardy_sum, (which, 3001, 2001)) for which in
+      ("S", "s1", "s2", "s3", "s4", "s5")),
+    (hardy_sum, ("s2", 7, 2000)),
+    (alt_pair_sum, (7, 3001, 2000)),
+    (floor_pair_sum, (7, 3001, 2001, True)),
+    (floor_pair_sum, (7, 3001, 2001, False)),
+    (alt_sign_pair_sum, (7, 3001, 2001)),
+    (hardy_A, ((7, 3001), 2000)),
+    (hardy_B, ((7, 3001), 2001)),
+]
+
+
+def test_exact_sides_never_read_fraction_values(monkeypatch):
+    """The chain reads every map of these sides in its integer form: with
+    PeriodicMap.values made to raise, each still returns its value."""
+    expected = [fn(*args) for fn, args in INTEGER_SIDES]
+
+    def refuse(self):
+        raise AssertionError("Fraction values were read")
+
+    monkeypatch.setattr(periodic.PeriodicMap, "values", property(refuse))
+    with pytest.raises(AssertionError, match="values were read"):
+        periodic.sawtooth_map(5)(1)
+    assert [fn(*args) for fn, args in INTEGER_SIDES] == expected
+
+
 @pytest.mark.parametrize("identity,params", [
     ("eq1", {"h": 3001, "k": 2000}), ("cor9-s3", {"h": 3001, "k": 2001}),
     ("cor7", {"h": 3001, "k": 2000}), ("tan-sq", {"k": 2001}),
