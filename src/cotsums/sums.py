@@ -256,7 +256,7 @@ def hardy_A(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     check((K_EVEN, H1_ODD, all_coprime), hs=hs, k=k)
     saw = periodic.sawtooth_map(k)
     nums, den = saw.ints
-    alt = _weights(lambda a: _sign(a) * nums[a * hs[0] % k], k, 0, den)
+    alt = _weights(lambda a: _sign(a) * nums[a * hs[0] % k], k, den=den)
     return constrained_product_sum([alt] + [saw] * (len(hs) - 1),
                                    (1, *hs[1:]), work_limit)
 
