@@ -1,14 +1,20 @@
 """The DFT algebra on k-periodic maps.
 
 A PeriodicMap stores one period of values, either exact (int/Fraction) or
-high-precision mpf/mpc. Exact maps stay exact through convolution and the
-zero-sum product sums; values are promoted to mpc only at the transform
-boundary. The zero-sum product sum is an integer cyclic-convolution chain
-(O((m-2)k^2 + k) products); its brute-force enumeration (O(k^(m-1))) is
-kept beside it as the reference. The transform is the
-direct O(k^2) sum, one rounded dot product per output: k is small at
-verification scale, every k (including primes) must work, and the error
-budget stays a simple k*2^(-bits) per output.
+high-precision mpf/mpc. An exact map also has an integer form: int
+numerators over one positive denominator. The named exact maps (sawtooth,
+alternating sawtooth and sign, constant) are made in that form by
+PeriodicMap.over and build their Fraction values only when those are read;
+a map made from values derives the form once, by lcm. Exact maps stay exact
+through convolution and the zero-sum product sums; values are promoted to
+mpc only at the transform boundary. The zero-sum product sum is a cyclic-
+convolution chain on the integer forms (O((m-2)k^2 + k) products, one
+division at the end); its brute-force enumeration (O(k^(m-1))) is kept
+beside it as the reference and as th2's definitional side, and multiplies
+the Fraction values, so that criterion 9 keeps timing the enumeration it
+names. The transform is the direct O(k^2) sum, one rounded dot product per
+output: k is small at verification scale, every k (including primes) must
+work, and the error budget stays a simple k*2^(-bits) per output.
 """
 
 from __future__ import annotations
