@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="list identity ids and preconditions")
     _common_flags(pv)
     row_params = [name for name in PARAMS
-                  if any(name in e.param_kinds for e in REGISTRY.values())]
+                  if any(name in e.param_names for e in REGISTRY.values())]
     _instance_flags(pv, row_params)
 
     ps = sub.add_parser("sweep", help="verify an identity over ranges")
@@ -284,7 +284,7 @@ def _cmd_verify(args) -> int:
     if not args.id:
         raise CotsumsError("verify needs an identity id (or --list)")
     rep = verify(args.id, {n: getattr(args, n)
-                           for n in REGISTRY[args.id].param_kinds},
+                           for n in REGISTRY[args.id].param_names},
                  _config_from(args))
     if args.json:
         print(rep.to_json())
@@ -359,12 +359,12 @@ def _expand_instances(args, entry) -> list[dict]:
     preconditions are skipped, not errors). A flag the row does not read
     is ignored; one it needs without a default must be given, except hs,
     whose tuples default to all-coprime pairs or random tuples."""
-    names = [n for n in _SWEEP_ORDER if n in entry.param_kinds]
+    names = [n for n in _SWEEP_ORDER if n in entry.param_names]
     check((given(args.id, [n for n in names if n not in entry.defaults
                            and PARAMS[n].form != TUPLE]),), **vars(args))
     ks = _parse_int_range(" ".join(args.k), "k")
     # default hs tuples are as long as the explicit rs they pair up with
-    rs = args.rs if "rs" in entry.param_kinds else None
+    rs = args.rs if "rs" in entry.param_names else None
     m = args.m if args.m is not None else len(rs) if rs else 2
     seed = _parse_int_range(" ".join(args.seed), "seed")[0] if args.seed else 1
     names.remove("k")

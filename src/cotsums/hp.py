@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import mpmath
-from mpmath import mpc, mpf, workprec
+from mpmath import mpf, workprec
 
 # the run defaults of RunConfig and the CLI
 DEFAULT_BITS = 256
@@ -26,17 +26,6 @@ GUARD_BITS = 16
 def guarded(bits: int, n: int = 0) -> int:
     """Working precision for a computation combining ~n rounded terms."""
     return bits + GUARD_BITS + max(0, n).bit_length()
-
-
-def to_number(x):
-    """Promote int/Fraction/float/complex to mpf/mpc; pass mp types through."""
-    if isinstance(x, (mpf, mpc)):
-        return x
-    if isinstance(x, Fraction):
-        return mpmath.mpmathify(x)
-    if isinstance(x, complex):
-        return mpc(x.real, x.imag)
-    return mpmath.mpmathify(x)
 
 
 def is_exact(x) -> bool:
@@ -58,9 +47,7 @@ def fmt(x, bits: int = DEFAULT_BITS) -> str:
     Exact rationals keep the lossless p/q form; mpf/mpc are printed with
     the number of digits the precision actually supports.
     """
-    if isinstance(x, int):
-        return str(x)
-    if isinstance(x, Fraction):
+    if is_exact(x):
         return str(x)
     digits = max(8, int(bits * 0.3010) - 2)
     return mpmath.nstr(x, digits)

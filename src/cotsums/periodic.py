@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, product, repeat
 from math import lcm
 from operator import mul
 
@@ -32,7 +32,7 @@ from . import trig
 from .errors import (K_EVEN, K_ODD, R_POSITIVE, OutOfRange, PeriodMismatch,
                      WorkLimitExceeded, check, choice)
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse
-from .hp import DEFAULT_BITS, DEFAULT_WORK_LIMIT, guarded, is_exact, to_number
+from .hp import DEFAULT_BITS, DEFAULT_WORK_LIMIT, guarded, is_exact
 
 
 class PeriodicMap:
@@ -120,7 +120,7 @@ def dft(f: PeriodicMap, bits: int = DEFAULT_BITS) -> PeriodicMap:
     with workprec(guarded(bits, 4 * k * k)):
         w = mpmath.expjpi(mpf(-2) / k) if k > 1 else mpc(1)
         roots = list(accumulate(repeat(w, k - 1), mul, initial=mpc(1)))
-        return root_sums([to_number(v) for v in f.values], roots)
+        return root_sums([mpmath.mpmathify(v) for v in f.values], roots)
 
 
 def root_sums(vals, roots) -> PeriodicMap:
@@ -205,23 +205,11 @@ def enumerated_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
 
     total = 0
     rest, last = tables[:-1], tables[-1]
-    idx = [0] * (m - 1)
-    while True:
-        s = 0
+    for idx in product(range(k), repeat=m - 1):
         p = 1
-        for j, a in enumerate(idx):
-            p = p * rest[j][a]
-            s += a
-        total = total + p * last[-s % k]
-        j = m - 2
-        while j >= 0:
-            idx[j] += 1
-            if idx[j] < k:
-                break
-            idx[j] = 0
-            j -= 1
-        else:
-            break
+        for row, a in zip(rest, idx):
+            p = p * row[a]
+        total = total + p * last[-sum(idx) % k]
     return total
 
 
@@ -246,15 +234,13 @@ def parseval_sides(f1: PeriodicMap, f2: PeriodicMap, bits: int = DEFAULT_BITS):
 
 
 def map_max_residual(f: PeriodicMap, g: PeriodicMap, bits: int = DEFAULT_BITS):
-    """(max_n |f(n) - g(n)|, argmax n)."""
+    """(max_n |f(n) - g(n)|, argmax n), the first such n on a tie."""
     k = _require_same_period(f, g)
     with workprec(guarded(bits, k)):
-        worst, where = mpf(-1), 0
-        for n in range(k):
-            d = abs(to_number(f.values[n]) - to_number(g.values[n]))
-            if d > worst:
-                worst, where = d, n
-        return worst, where
+        diffs = [abs(mpmath.mpmathify(a) - mpmath.mpmathify(b))
+                 for a, b in zip(f.values, g.values)]
+        where = max(range(k), key=diffs.__getitem__)
+        return diffs[where], where
 
 
 # ---------------------------------------------------------------------------
@@ -292,29 +278,29 @@ def constant_map(c, k: int) -> PeriodicMap:
     return PeriodicMap.over([c.numerator] * k, c.denominator)
 
 
-def random_rational_map(k: int, seed: int, span: int = 9) -> PeriodicMap:
+def random_rational_map(k: int, seed: int) -> PeriodicMap:
     rng = random.Random(seed)
-    vals = tuple(Fraction(rng.randint(-span, span), rng.randint(1, span))
+    vals = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
                  for _ in range(k))
     return PeriodicMap(vals)
 
 
-def random_odd_map(k: int, seed: int, span: int = 9) -> PeriodicMap:
+def random_odd_map(k: int, seed: int) -> PeriodicMap:
     """Random exact odd map: free on 1..floor((k-1)/2), reflected, 0 elsewhere."""
     rng = random.Random(seed)
     vals = [Fraction(0)] * k
     for a in range(1, (k - 1) // 2 + 1):
-        vals[a] = Fraction(rng.randint(-span, span), rng.randint(1, span))
+        vals[a] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         vals[k - a] = -vals[a]
     return PeriodicMap(vals)
 
 
-def random_even_map(k: int, seed: int, span: int = 9) -> PeriodicMap:
+def random_even_map(k: int, seed: int) -> PeriodicMap:
     rng = random.Random(seed)
     vals = [Fraction(0)] * k
-    vals[0] = Fraction(rng.randint(-span, span), rng.randint(1, span))
+    vals[0] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
     for a in range(1, k // 2 + 1):
-        vals[a] = Fraction(rng.randint(-span, span), rng.randint(1, span))
+        vals[a] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         vals[k - a] = vals[a]
     return PeriodicMap(vals)
 

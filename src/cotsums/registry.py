@@ -28,18 +28,21 @@ from .config import RunConfig
 from .errors import (K_EVEN, K_ODD, K_POSITIVE, R_POSITIVE, TERMS_POSITIVE,
                      OutOfRange, all_coprime, check, choice, coprime, given,
                      holds_ints, parity, require)
-from .hp import is_exact, to_number
+from .hp import is_exact
 from .periodic import (PeriodicMap, dft, map_max_residual, random_even_map,
                        random_odd_map, random_rational_map)
 from .report import IdentityReport, build_report
 from .trig import VALUES, trig_product_sum
+
+# the list parameters, each checked non-empty in this order
+_LISTS = ("rs", "hs")
 
 
 @dataclass(frozen=True)
 class IdentityEntry:
     id: str
     anchor: str
-    param_kinds: dict          # name -> "int" | "ints" | "s" | "choice:..."
+    param_names: tuple         # in the order of report params and CSV columns
     precondition: str
     rules: tuple = ()          # checked in order, after k >= 1, lists non-empty
     defaults: dict = field(default_factory=dict)
@@ -50,15 +53,11 @@ class IdentityEntry:
     # a report built differently: (entry, params, config) -> IdentityReport
     checker: Callable | None = None
 
-    @property
-    def param_names(self) -> tuple:
-        return tuple(self.param_kinds)
-
     def validate(self, params: dict) -> None:
         """Raise the first violated precondition, naming its condition."""
         K_POSITIVE(params)
-        for name, kind in self.param_kinds.items():
-            if kind == "ints":
+        for name in _LISTS:
+            if name in self.param_names:
                 check((holds_ints(name),), values=params[name],
                       text=params[name])
         check(self.rules, **params)
@@ -67,7 +66,7 @@ class IdentityEntry:
         """Run the identity on parameters that passed validate()."""
         if self.checker is not None:
             return self.checker(self, params, config)
-        args = {name: params[name] for name in self.param_kinds}
+        args = {name: params[name] for name in self.param_names}
         return _two_sided(self, params,
                           lambda: self.exact(config, **args),
                           lambda: self.closed(config, **args),
@@ -119,7 +118,7 @@ def _check_tail_bound(entry, params, config):
     """The row's finite side (exact) against its truncated series (closed,
     which returns the partial sum and its tail bound); the pass is against
     that bound, which the note names."""
-    args = {name: params[name] for name in entry.param_kinds}
+    args = {name: params[name] for name in entry.param_names}
     lhs = entry.exact(config, **args)
     value, bound = entry.closed(config, **args)
     return build_report(entry.id, entry.anchor, params, lhs, value,
@@ -187,8 +186,8 @@ def _check_remark1(entry, params, config):
     half = sums.s1_half_range(h, k, bits)
     full = sums.tan_cot_pair_rhs(h, 1, k, bits)
     with workprec(bits + 16):
-        residual = max(abs(to_number(exact) - half), abs(to_number(exact) - full),
-                       abs(half - full))
+        residual = max(abs(mpmath.mpmathify(exact) - half),
+                       abs(mpmath.mpmathify(exact) - full), abs(half - full))
     return build_report(entry.id, entry.anchor, params, exact, half,
                         bits, config.tolerance_value(), residual=residual,
                         note=f"full-range form = {mpmath.nstr(full, 12)}; "
@@ -222,21 +221,20 @@ def _check_gamma_dft(entry, params, config):
 # --- the identities ---------------------------------------------------------
 
 
-_PAIR = {"k": "int", "h1": "int", "h2": "int"}
-_ONE = {"k": "int", "h": "int"}
-_TUPLE = {"k": "int", "hs": "ints"}
-_SEEDED = {"k": "int", "seed": "int"}
-_CONVENTION = "choice:paper,corrected"
+_PAIR = ("k", "h1", "h2")
+_ONE = ("k", "h")
+_TUPLE = ("k", "hs")
+_SEEDED = ("k", "seed")
 
 REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "eq1", "s(h,k) = (1/4k) sum_{a=1}^{k-1} cot(pi a/k) cot(pi a h/k)",
-        {"h": "int", "k": "int"}, "gcd(h,k) = 1, k >= 1", (coprime("h"),),
+        ("h", "k"), "gcd(h,k) = 1, k >= 1", (coprime("h"),),
         exact=lambda c, h, k: sums.dedekind_sum(h, k),
         closed=lambda c, h, k: sums.dedekind_cot(h, k, c.precision)),
     IdentityEntry(
         "eq2", "s(h,k) = (1/2pi) sum_{r>=1, k !| r} cot(pi r h/k)/r",
-        {"h": "int", "k": "int", "terms": "int"},
+        ("h", "k", "terms"),
         "gcd(h,k) = 1; pass measured against the computed tail bound",
         (coprime("h"), TERMS_POSITIVE), {"terms": sums.TERMS},
         exact=lambda c, h, k, terms: sums.dedekind_sum(h, k),
@@ -251,7 +249,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "th1", "sum over a_1+...+a_m = 0 (mod k) of prod f_j(a_j h_j) "
                "= (1/k) sum_a prod DFT[f_j](a h_j')",
-        {"k": "int", "m": "int", "seed": "int"},
+        ("k", "m", "seed"),
         "k >= 1, 1 <= m <= 8; seeded maps and coprime multipliers",
         (require(lambda p: 1 <= p["m"] <= 8, OutOfRange,
                  "m must be in 1..8, got {m}"),),
@@ -259,23 +257,23 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "cor1", "sum_a f1(a h1) f2(a h2) "
                 "= (1/k) sum_a DFT[f1](-a h2) DFT[f2](a h1)",
-        {**_PAIR, "seed": "int"}, "gcd(h1,k) = gcd(h2,k) = 1",
+        (*_PAIR, "seed"), "gcd(h1,k) = gcd(h2,k) = 1",
         (coprime("h1", "h2"),), {"seed": 1}, checker=_check_cor1_cor2),
     IdentityEntry(
         "cor2", "sum_a f1(a h1) f2(a h2) "
                 "= ((-1)^s/k) sum_a DFT[f1](a h2) DFT[f2](a h1)",
-        {**_PAIR, "seed": "int", "parity": "choice:odd,even"},
+        (*_PAIR, "seed", "parity"),
         "gcd(h_i,k) = 1; both maps share the declared parity",
         (coprime("h1", "h2"), choice("parity", ("odd", "even"))),
         {"seed": 1, "parity": "odd"}, checker=_check_cor1_cor2),
     IdentityEntry(
         "lemma1-i", "DFT[((n/k))](n) = (i/2) cot(pi n/k) off multiples of k, "
                     "0 at them",
-        {"k": "int"}, "k >= 1", checker=_lemma1("sawtooth")),
+        ("k",), "k >= 1", checker=_lemma1("sawtooth")),
     IdentityEntry(
         "lemma1-ii", "DFT[B_r({n/k})](n) = r k^(1-r) (i/2)^r "
                      "cot^(r-1)(pi n/k) off multiples, B_r k^(1-r) at them",
-        {"k": "int", "r": "int", "convention": _CONVENTION},
+        ("k", "r", "convention"),
         "k >= 1, r >= 1; r = 1 exact only under convention=corrected",
         (R_POSITIVE,),
         {"r": 2, "convention": "corrected"}, checker=_lemma1("bernoulli"),
@@ -286,15 +284,15 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "lemma1-iii", "DFT[(-1)^n ((n/k))](n) = -(i/2) tan(pi n/k), "
                       "0 at n = k/2 (k even)",
-        {"k": "int"}, "k even", (K_EVEN,), checker=_lemma1("alt-sawtooth")),
+        ("k",), "k even", (K_EVEN,), checker=_lemma1("alt-sawtooth")),
     IdentityEntry(
         "lemma1-iv",
         "DFT[(-1)^(n mod k), 0 at k|n](n) = i tan(pi n/k) (k odd)",
-        {"k": "int"}, "k odd", (K_ODD,), checker=_lemma1("alt-sign")),
+        ("k",), "k odd", (K_ODD,), checker=_lemma1("alt-sign")),
     IdentityEntry(
         "lemma1-v", "DFT[F(s, n/k)](n) = k^(1-s) zeta(s,{n/k}) off "
                     "multiples, k^(1-s) zeta(s) at them",
-        {"k": "int", "s": "s"}, "k >= 1, Re s > 1",
+        ("k", "s"), "k >= 1, Re s > 1",
         (zeta.re_above_one("s"),),
         {"s": "2"}, checker=_lemma1("periodic-zeta")),
     IdentityEntry(
@@ -318,7 +316,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "th4", "zero-sum Bernoulli product sum = prod_j B_{r_j} / k^(A-m+1) "
                "+ ((-1)^(A/2) prod_j r_j/(2^A k^(A-m+1))) "
                "sum_a prod_j cot^(r_j-1)(pi a h_j'/k), A = sum r_j even",
-        {"k": "int", "rs": "ints", "hs": "ints", "convention": _CONVENTION},
+        ("k", "rs", "hs", "convention"),
         "A = sum r_j even; all gcd(h_j,k) = 1", sums.BERNOULLI_RHS,
         {"convention": "corrected"},
         exact=lambda c, k, rs, hs, convention: sums.bernoulli_dedekind_sum(
@@ -334,8 +332,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "cor5", "sum_{a mod k} B_r1({a h1/k}) B_r2({a h2/k}) = "
                 "B_r1 B_r2/k^(A-1) + ((-1)^((r1-r2)/2) r1 r2/(2^A k^(A-1))) "
                 "sum_a cot^(r1-1)(pi a h2/k) cot^(r2-1)(pi a h1/k)",
-        {"k": "int", "r1": "int", "r2": "int", "h1": "int", "h2": "int",
-         "convention": _CONVENTION},
+        ("k", "r1", "r2", "h1", "h2", "convention"),
         "r1 + r2 even; gcd(h_i,k) = 1", sums.BERNOULLI_PAIR_RHS,
         {"convention": "corrected"},
         exact=lambda c, k, r1, r2, h1, h2, convention: sums.bernoulli_pair_sum(
@@ -420,7 +417,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
              "(the transform-derived reading)"),
     IdentityEntry(
         "tan-sq", "sum_{a=1}^{k-1} tan^2(pi a/k) = k^2 - k (k odd)",
-        {"k": "int"}, "k odd", (K_ODD,),
+        ("k",), "k odd", (K_ODD,),
         exact=lambda c, k: k * k - k,
         closed=lambda c, k: sums.tan_square_sum(k, c.precision)),
     IdentityEntry(
@@ -432,14 +429,14 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "th9", "sum_{a=1}^{k-1} zeta(s1,{a h1/k}) zeta(s2,{a h2/k}) = "
                "(k^(s1+s2-1)-1) zeta(s1) zeta(s2) + k^(s1+s2-1) "
                "sum_a F(s1, a h2/k) F(s2, -a h1/k)",
-        {**_PAIR, "s1": "s", "s2": "s"},
+        (*_PAIR, "s1", "s2"),
         "gcd(h_i,k) = 1, Re s1 > 1, Re s2 > 1",
         (coprime("h1", "h2"), zeta.re_above_one("s1"), zeta.re_above_one("s2")),
         {"s1": "2", "s2": "3"}, checker=_check_th9),
     IdentityEntry(
         "lemma3-a", "S(f) = sum_{r>=1} f(r)/r "
                     "= (pi/2k) sum_{r=1}^{k-1} f(r) cot(pi r/k)",
-        {**_SEEDED, "terms": "int"},
+        (*_SEEDED, "terms"),
         "seeded random odd map; pass against the series tail bound",
         (TERMS_POSITIVE,), {"seed": 1, "terms": sums.TERMS},
         exact=lambda c, k, seed, terms: zeta.cot_form(random_odd_map(k, seed),
@@ -476,7 +473,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "gamma-dft", "DFT[r -> gamma(r,k)](n) = F(1, -n/k) off multiples of "
                      "k, Euler's constant at them",
-        {"k": "int"}, "k >= 1", checker=_check_gamma_dft),
+        ("k",), "k >= 1", checker=_check_gamma_dft),
 ]}
 
 
@@ -489,7 +486,7 @@ def verify(identity_id: str, params: dict, config: RunConfig | None = None
     config.validate()
     full = dict(entry.defaults)
     full.update({k: v for k, v in params.items() if v is not None})
-    check((given(identity_id, entry.param_kinds), entry.validate), **full)
+    check((given(identity_id, entry.param_names), entry.validate), **full)
     t0 = time.perf_counter()
     rep = entry.check(full, config)
     rep.micros = int((time.perf_counter() - t0) * 1e6)

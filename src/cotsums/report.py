@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-from mpmath import mpc, mpf, workprec
+from mpmath import mpc, mpf, mpmathify, workprec
 
-from .hp import fmt, is_exact, to_number
+from .hp import fmt, is_exact
 
 
 @dataclass
@@ -60,13 +60,6 @@ class IdentityReport:
                    rhs_micros=d.get("rhs_micros"))
 
 
-def _as_fraction(x: mpf) -> Fraction:
-    """The exact value of a finite mpf: (-1)^sign man 2^exp."""
-    sign, man, exp, _ = x._mpf_
-    man = -man if sign else man
-    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-
-
 def _residual(lhs, rhs):
     """|lhs - rhs| at the working precision. When lhs is exact and rhs a
     finite mpf or mpc, lhs - Re(rhs) is taken exactly, so the one rounding
@@ -74,9 +67,9 @@ def _residual(lhs, rhs):
     bits, above the closed side's own error)."""
     re = rhs.real if isinstance(rhs, mpc) else rhs
     if is_exact(lhs) and isinstance(re, mpf) and mpmath.isfinite(re):
-        gap = to_number(lhs - _as_fraction(re))
+        gap = mpmathify(lhs - Fraction(*mpmath.libmp.to_rational(re._mpf_)))
         return abs(mpc(gap, rhs.imag) if isinstance(rhs, mpc) else gap)
-    return abs(to_number(lhs) - to_number(rhs))
+    return abs(mpmathify(lhs) - mpmathify(rhs))
 
 
 def build_report(identity_id: str, anchor: str, params: dict, lhs, rhs,
@@ -87,7 +80,7 @@ def build_report(identity_id: str, anchor: str, params: dict, lhs, rhs,
     with workprec(bits + 16):
         if residual is None:
             residual = _residual(lhs, rhs)
-        residual = abs(to_number(residual))
+        residual = abs(mpmathify(residual))
         passed = bool(residual < tolerance or residual == 0)
     return IdentityReport(
         id=identity_id, params=params, lhs=fmt(lhs, bits), rhs=fmt(rhs, bits),

@@ -24,7 +24,7 @@ from mpmath import mpc, mpf, workprec
 from . import periodic, trig
 from .errors import (H1_ODD, K_EVEN, K_ODD, K_POSITIVE, M_EVEN, PAIRED_ORDERS,
                      all_coprime, check, choice, coprime, orders, parity)
-from .exact import mod_inverse, periodic_bernoulli
+from .exact import bernoulli_number, mod_inverse
 from .hp import DEFAULT_BITS, guarded
 from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap,
                        constrained_product_sum, enumerated_product_sum)
@@ -180,7 +180,7 @@ def _paper_form(rs, factors, sign: int, k: int, bits: int):
     """prod_j B_{r_j} / k^(A-m+1) + (sign prod_j r_j / (2^A k^(A-m+1)))
     * (the trig product sum of the factors), A = sum r_j."""
     m, A = len(rs), sum(rs)
-    first = (prod(periodic_bernoulli(r, Fraction(0)) for r in rs)
+    first = (prod(bernoulli_number(r) for r in rs)
              / Fraction(k) ** (A - m + 1))
     if k == 1:
         with workprec(guarded(bits)):

@@ -210,9 +210,9 @@ def trig_product_sum(factors, k: int, exclusions=(),
     Each factor is (kind, arg, h_j). Kind "cot-deriv" takes T_j(n) =
     cot^(arg)(pi*n/k) and "tan" takes tan(pi*n/k) (arg ignored), both
     from the int tables; "values" takes T_j = arg, a sequence indexed by
-    the residue mod k. residues defaults to 1..k-1. Exclusions must cover
-    every pole (n = 0 for cot, n = k/2 for tan with k even); an uncovered
-    pole raises.
+    the residue mod k. residues defaults to 1..k-1, less each a with a % k
+    in exclusions. Exclusions must cover every pole (n = 0 for cot, n = k/2
+    for tan with k even); an uncovered pole raises.
 
     With only cot/tan factors and no start, the int columns are multiplied
     and summed exactly and the sum is rounded once to guarded(bits, k).
@@ -226,13 +226,7 @@ def trig_product_sum(factors, k: int, exclusions=(),
         residues = range(1, k)
     idx = residues
     if exclusions:
-        # the runs of the range between the excluded residues
-        idx, lo = [], residues.start
-        for e in sorted({e % k for e in exclusions}):
-            if lo <= e < residues.stop:
-                idx += range(lo, e)
-                lo = e + 1
-        idx += range(lo, residues.stop)
+        idx = [a for a in residues if a % k not in exclusions]
     fixed = start is None and all(kind != VALUES for kind, _, _ in factors)
     with workprec(guarded(bits, k)):
         cols = []

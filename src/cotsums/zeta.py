@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 import mpmath
@@ -20,7 +21,7 @@ from .errors import (TERMS_POSITIVE, ConvergenceDomain, NonPositiveArgument,
                      NotOdd, OutOfRange, WorkLimitExceeded, check, coprime,
                      require)
 from .exact import bernoulli_number, frac
-from .hp import DEFAULT_BITS, guarded, to_number
+from .hp import DEFAULT_BITS, guarded
 from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap, dft, map_max_residual,
                        root_sums)
 from .trig import COT, VALUES, trig_product_sum
@@ -284,15 +285,10 @@ class SeriesForms:
                 self.zeta_form)
 
     def max_pairwise_residual(self, bits: int = DEFAULT_BITS) -> mpf:
-        vals = self.all_forms()
         with workprec(guarded(bits, 4)):
-            worst = mpf(0)
-            for i in range(len(vals)):
-                for j in range(i + 1, len(vals)):
-                    d = abs(to_number(vals[i]) - to_number(vals[j]))
-                    if d > worst:
-                        worst = d
-            return worst
+            return max((abs(mpmath.mpmathify(a) - mpmath.mpmathify(b))
+                        for a, b in combinations(self.all_forms(), 2)),
+                       default=mpf(0))
 
 
 def _check_odd(f: PeriodicMap, bits: int) -> None:
@@ -306,7 +302,8 @@ def _check_odd(f: PeriodicMap, bits: int) -> None:
     with workprec(guarded(bits, k)):
         tol = mpf(2) ** -(bits // 2)
         for a in range(k):
-            if abs(to_number(f.values[a]) + to_number(f.values[-a % k])) > tol:
+            if abs(mpmath.mpmathify(f.values[a])
+                   + mpmath.mpmathify(f.values[-a % k])) > tol:
                 raise NotOdd(f"map is not odd at n = {a}")
 
 
@@ -315,7 +312,7 @@ def cot_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
     _check_odd(f, bits)
     k = f.period
     with workprec(guarded(bits, k)):
-        vals = [to_number(v) for v in f.values]
+        vals = [mpmath.mpmathify(v) for v in f.values]
         acc = trig_product_sum([(VALUES, vals, 1), (COT, 0, 1)], k, bits=bits)
         return mpmath.pi / (2 * k) * acc
 
@@ -336,7 +333,7 @@ def lehmer_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
     _check_odd(f, bits)
     k = f.period
     with workprec(guarded(bits, k)):
-        vals = [to_number(v) for v in f.values]
+        vals = [mpmath.mpmathify(v) for v in f.values]
         # the table holds gamma(r,k) for r = 1..k; rotated, r mod k indexes it
         gtab = euler_gamma_table(k, bits)
         return trig_product_sum(
@@ -373,7 +370,7 @@ def series_partial(f: PeriodicMap, terms: int, bits: int = DEFAULT_BITS):
     k = f.period
     with workprec(guarded(bits, terms)):
         acc = mpf(0)
-        vals = [to_number(v) for v in f.values]
+        vals = [mpmath.mpmathify(v) for v in f.values]
         for r in range(1, terms + 1):
             v = vals[r % k]
             if v:

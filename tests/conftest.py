@@ -1,8 +1,6 @@
 import mpmath
 import pytest
-from mpmath import mpf, workprec
-
-from cotsums.hp import to_number
+from mpmath import mpf, mpmathify, workprec
 
 TOL_DEFAULT = mpf(2) ** -128
 TOL_100 = mpf(2) ** -100
@@ -10,7 +8,7 @@ TOL_100 = mpf(2) ** -100
 
 def residual(a, b, bits: int = 256) -> mpf:
     with workprec(bits + 16):
-        return abs(to_number(a) - to_number(b))
+        return abs(mpmathify(a) - mpmathify(b))
 
 
 def assert_close(a, b, tol=TOL_DEFAULT, bits: int = 256):

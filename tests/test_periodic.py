@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf, workprec
+from mpmath import mpf, mpmathify, workprec
 
 from conftest import TOL_DEFAULT, assert_close, residual
 from cotsums.errors import (NotCoprime, NotOdd, OutOfRange, ParityViolation,
@@ -18,7 +18,7 @@ from cotsums.periodic import (PeriodicMap, alt_sawtooth_map, alt_sign_map,
                               random_rational_map, sawtooth_dft_map,
                               sawtooth_map, spectral_product_sum)
 from cotsums.exact import mod_inverse, sawtooth
-from cotsums.hp import guarded, to_number
+from cotsums.hp import guarded
 from cotsums.zeta import cot_form
 
 
@@ -31,7 +31,7 @@ def involution_residual(f: PeriodicMap, bits: int = 256) -> mpf:
     k = f.period
     ff = dft(dft(f, bits), bits)
     with workprec(guarded(bits, k)):
-        return max(abs(ff(n) - k * to_number(f(-n))) for n in range(k))
+        return max(abs(ff(n) - k * mpmathify(f(-n))) for n in range(k))
 
 
 class TestPeriodicMap:

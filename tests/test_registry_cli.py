@@ -221,7 +221,7 @@ class TestCli:
                  for name, p in subparsers.choices.items()}
         targets = {f"--{n}" for _, names, _ in cli.COMPUTE_TARGETS.values()
                    for n in names}
-        rows = {f"--{n}" for e in REGISTRY.values() for n in e.param_kinds}
+        rows = {f"--{n}" for e in REGISTRY.values() for n in e.param_names}
         assert flags == {"compute": targets, "verify": rows, "sweep": rows}
         conventions = {name: next(a.choices for a in p._actions
                                   if a.dest == "convention")
