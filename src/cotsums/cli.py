@@ -54,8 +54,8 @@ class _Noted(NamedTuple):
     note: str
 
 
-def _dedekind_series(h, k, terms, bits):
-    value, bound = sums.dedekind_series(h, k, terms, bits)
+def _dedekind_series(h, k, terms, bits, work_limit):
+    value, bound = sums.dedekind_series(h, k, terms, bits, work_limit)
     return _Noted(value, f"tail bound {mpmath.nstr(bound, 6)}")
 
 
@@ -93,7 +93,7 @@ COMPUTE_TARGETS = {
     "dedekind": (sums.dedekind_sum, ("h", "k"), ()),
     "dedekind-cot": (sums.dedekind_cot, ("h", "k"), ("precision",)),
     "dedekind-series": (_dedekind_series, ("h", "k", "terms"),
-                        ("precision",)),
+                        ("precision", "work_limit")),
     "mod-inverse": (mod_inverse, ("h", "k"), ()),
     "cot": (trig.cot_at, ("a", "k"), ("precision",)),
     "tan": (trig.tan_at, ("a", "k"), ("precision",)),

@@ -238,8 +238,8 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "gcd(h,k) = 1; pass measured against the computed tail bound",
         (coprime("h"), TERMS_POSITIVE), {"terms": sums.TERMS},
         exact=lambda c, h, k, terms: sums.dedekind_sum(h, k),
-        closed=lambda c, h, k, terms: sums.dedekind_series(h, k, terms,
-                                                           c.precision),
+        closed=lambda c, h, k, terms: sums.dedekind_series(
+            h, k, terms, c.precision, c.work_limit),
         note="pass is against the computed tail bound C(k)/N",
         checker=_check_tail_bound),
     IdentityEntry(
@@ -442,7 +442,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         exact=lambda c, k, seed, terms: zeta.cot_form(random_odd_map(k, seed),
                                                       c.precision),
         closed=lambda c, k, seed, terms: zeta.series_partial(
-            random_odd_map(k, seed), terms, c.precision),
+            random_odd_map(k, seed), terms, c.precision, c.work_limit),
         note="truncated series vs finite form; pass is against the tail "
              "bound k*max|f|/N",
         checker=_check_tail_bound),

@@ -88,18 +88,19 @@ def dedekind_cot(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
 
 
 def dedekind_series(h: int, k: int, terms: int = TERMS,
-                    bits: int = DEFAULT_BITS):
+                    bits: int = DEFAULT_BITS,
+                    work_limit: int = DEFAULT_WORK_LIMIT):
     """Truncation of s(h,k) = (1/2pi) sum over r >= 1 with k not dividing r
     of cot(pi*r*h/k)/r: the series S(f) of the odd map f(r) = cot(pi*r*h/k)
     (0 at k | r), divided by 2pi.
 
-    Returns (partial_sum, tail_bound): series_partial's sum and its Abel
-    bound k * max|f| / N, both divided by 2pi.
+    Returns (partial_sum, tail_bound), both divided by 2pi: series_partial's
+    sum of N terms, charged to work_limit, and its Abel bound k*max|f|/N.
     """
     check((coprime("h"),), h=h, k=k)
     ct = trig.as_mpf(trig.cot_table(k, bits), k, bits)
     cot_map = PeriodicMap([0] + [ct[r * h % k] for r in range(1, k)])
-    value, bound = series_partial(cot_map, terms, bits)
+    value, bound = series_partial(cot_map, terms, bits, work_limit)
     with workprec(guarded(bits, terms)):
         two_pi = 2 * mpmath.pi
         return value / two_pi, bound / two_pi

@@ -363,10 +363,13 @@ def series_forms(f: PeriodicMap, bits: int = DEFAULT_BITS) -> SeriesForms:
                        lehmer_form(f, bits), zeta_form(f, bits))
 
 
-def series_partial(f: PeriodicMap, terms: int, bits: int = DEFAULT_BITS):
+def series_partial(f: PeriodicMap, terms: int, bits: int = DEFAULT_BITS,
+                   work_limit: int = DEFAULT_WORK_LIMIT):
     """Truncated S(f): sum_{r=1}^{N} f(r)/r, plus the Abel tail bound
-    k * max|f| / N."""
+    k * max|f| / N. The N terms count against work_limit."""
     check((TERMS_POSITIVE,), terms=terms)
+    if terms > work_limit:
+        raise WorkLimitExceeded(f"{terms} terms exceed the limit {work_limit}")
     k = f.period
     with workprec(guarded(bits, terms)):
         acc = mpf(0)

@@ -328,6 +328,13 @@ class TestCli:
      "jobs must be >= 1, got 0"),
     (["sweep", "th2", "--k", "7", "--hs", "random", "--seed", "5..1"],
      "--seed must hold at least one integer, got '5..1'"),
+    # the series terms count against the work limit, before any is summed
+    (["verify", "eq2", "--h", "1", "--k", "5", "--terms", "3000000000"],
+     "3000000000 terms exceed the limit 100000000"),
+    (["verify", "lemma3-a", "--k", "5", "--terms", "3000000000"],
+     "3000000000 terms exceed the limit 100000000"),
+    (["compute", "dedekind-series", "--h", "1", "--k", "5", "--terms",
+      "3000000000"], "3000000000 terms exceed the limit 100000000"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")

@@ -7,7 +7,7 @@ from mpmath import mpf, workprec
 
 from conftest import TOL_DEFAULT, assert_close, residual
 from cotsums.errors import (ConvergenceDomain, NonPositiveArgument,
-                            NotCoprime, NotOdd, OutOfRange)
+                            NotCoprime, NotOdd, OutOfRange, WorkLimitExceeded)
 from cotsums.periodic import (PeriodicMap, constant_map, dft, map_max_residual,
                               random_odd_map, sawtooth_map)
 from cotsums.zeta import (SeriesForms, digamma, euler_gamma_rk,
@@ -15,6 +15,7 @@ from cotsums.zeta import (SeriesForms, digamma, euler_gamma_rk,
                           mikolas_pair, periodic_zeta, periodic_zeta_dft_map,
                           periodic_zeta_map, riemann_zeta, series_forms,
                           series_partial)
+from cotsums.sums import dedekind_series
 
 
 def euler_gamma_partial(r: int, k: int, x: int) -> float:
@@ -286,6 +287,19 @@ class TestSeriesForms:
     def test_partial_refuses_no_terms(self, terms):
         with pytest.raises(OutOfRange, match=f"terms must be >= 1, got {terms}"):
             series_partial(random_odd_map(5, 1), terms)
+
+    def test_partial_refuses_terms_over_work_limit(self):
+        f = random_odd_map(5, 1)
+        with pytest.raises(WorkLimitExceeded,
+                           match="3000000000 terms exceed the limit 100000000"):
+            series_partial(f, 3_000_000_000)
+        with pytest.raises(WorkLimitExceeded, match="11 terms exceed the "
+                                                    "limit 10"):
+            series_partial(f, 11, work_limit=10)
+        with pytest.raises(WorkLimitExceeded, match="11 terms exceed the "
+                                                    "limit 10"):
+            dedekind_series(1, 5, 11, work_limit=10)
+        assert series_partial(f, 10, work_limit=10) == series_partial(f, 10)
 
     def test_refuses_non_odd(self):
         with pytest.raises(NotOdd):
