@@ -343,6 +343,12 @@ class TestClosedFormDfts:
             expected = mpmath.mpc(mpf(-1) / 2, mpmath.sqrt(3) / 6)
             assert_close(direct.values[1], expected)
 
+    def test_max_residual_keeps_the_first_index_of_a_tie(self):
+        f = PeriodicMap((Fraction(0), Fraction(2), Fraction(-2), Fraction(1)))
+        zero = constant_map(0, 4)
+        assert map_max_residual(f, zero) == (2, 1)
+        assert map_max_residual(zero, zero) == (0, 0)
+
     def test_bernoulli_r1_paper_gap_is_half(self):
         # the uncorrected form differs by exactly 1/2 off the multiples
         direct = dft(bernoulli_map(1, 5))

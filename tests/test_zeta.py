@@ -301,6 +301,10 @@ class TestSeriesForms:
             dedekind_series(1, 5, 11, work_limit=10)
         assert series_partial(f, 10, work_limit=10) == series_partial(f, 10)
 
+    def test_max_pairwise_residual_of_equal_forms_is_zero(self):
+        forms = SeriesForms(Fraction(1, 2), mpf(0.5), mpmath.mpc(0.5, 0), 0.5)
+        assert forms.max_pairwise_residual() == 0
+
     def test_refuses_non_odd(self):
         with pytest.raises(NotOdd):
             series_forms(constant_map(1, 4))
