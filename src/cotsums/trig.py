@@ -210,9 +210,9 @@ def trig_product_sum(factors, k: int, exclusions=(),
     Each factor is (kind, arg, h_j). Kind "cot-deriv" takes T_j(n) =
     cot^(arg)(pi*n/k) and "tan" takes tan(pi*n/k) (arg ignored), both
     from the int tables; "values" takes T_j = arg, a sequence indexed by
-    the residue mod k. residues defaults to 1..k-1, less each a with a % k
-    in exclusions. Exclusions must cover every pole (n = 0 for cot, n = k/2
-    for tan with k even); an uncovered pole raises.
+    the residue mod k. residues defaults to 1..k-1; a residue a with a % k
+    in exclusions is left out. Exclusions must cover every pole (n = 0 for
+    cot, n = k/2 for tan with k even); an uncovered pole raises.
 
     With only cot/tan factors and no start, the int columns are multiplied
     and summed exactly and the sum is rounded once to guarded(bits, k).
