@@ -16,7 +16,6 @@ import time
 from contextlib import nullcontext
 from fractions import Fraction
 from itertools import product
-from math import gcd
 from typing import NamedTuple
 
 import mpmath
@@ -25,7 +24,8 @@ from . import sums, trig, zeta
 from .config import RunConfig
 from .errors import (CotsumsError, OutOfRange, WorkLimitExceeded, check,
                      choice, given, holds_ints)
-from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
+from .exact import (bernoulli_number, bernoulli_poly, mod_inverse, sawtooth,
+                    units_mod)
 from .hp import fmt, is_exact
 from .registry import REGISTRY, verify
 from .report import IdentityReport, csv_header, csv_row
@@ -328,29 +328,35 @@ def _parse_int_range(text: str, name: str) -> list[int]:
     return values
 
 
-def _tuple_candidates(spec: str, units: list[int], k: int, m: int,
-                      samples: int, seed: int, work_limit: int) -> list[tuple]:
+def _tuple_candidates(spec: str, k: int, m: int, samples: int, seed: int,
+                      work_limit: int) -> list[tuple]:
     if spec is None:
         spec = "all-coprime" if (m or 2) <= 2 else "random"
     spec = spec.strip()
+    if spec not in ("all-coprime", "random"):
+        return [_ints_csv(spec)]
+    units = units_mod(k)
+    # the len(units)^m tuples, the power capped where 2^m passes the limit
+    every = len(units) ** min(m, work_limit.bit_length() + 1)
     if spec == "all-coprime":
-        return list(product(units, repeat=m))
-    if spec == "random":
-        if samples * m > work_limit:
+        if every > work_limit:
             raise WorkLimitExceeded(
-                f"--samples {samples} tuples x {m} multipliers = "
-                f"{samples * m} random draws exceed the work limit "
-                f"{work_limit}")
-        # repeated draws are verified once, in the order first drawn; the
-        # draws stop once all len(units)^m tuples have come up
-        rng = random.Random(seed * 99991 + k)
-        drawn, every = {}, len(units) ** m
-        for _ in range(samples):
-            drawn[tuple(rng.choice(units) for _ in range(m))] = None
-            if len(drawn) == every:
-                break
-        return list(drawn)
-    return [_ints_csv(spec)]
+                f"--hs all-coprime: {len(units)}^{m} multiplier tuples "
+                f"exceed the work limit {work_limit}")
+        return list(product(units, repeat=m))
+    if samples * m > work_limit:
+        raise WorkLimitExceeded(
+            f"--samples {samples} tuples x {m} multipliers = "
+            f"{samples * m} random draws exceed the work limit {work_limit}")
+    # repeated draws are verified once, in the order first drawn; the draws
+    # stop once all the tuples have come up
+    rng = random.Random(seed * 99991 + k)
+    drawn = {}
+    for _ in range(samples):
+        drawn[tuple(rng.choice(units) for _ in range(m))] = None
+        if len(drawn) == every:
+            break
+    return list(drawn)
 
 
 def _expand_instances(args, entry) -> list[dict]:
@@ -370,20 +376,20 @@ def _expand_instances(args, entry) -> list[dict]:
     names.remove("k")
     instances = []
     for k in ks:
-        units = [h for h in range(1, max(k, 2)) if gcd(h, k) == 1]
         per_k: list[dict] = [{"k": k}]
         for name in names:
             value, form = getattr(args, name), PARAMS[name].form
             if form == TUPLE:
-                cands = _tuple_candidates(value, units, k, m, args.samples,
-                                          seed, args.work_limit)
+                cands = _tuple_candidates(value, k, m, args.samples, seed,
+                                          args.work_limit)
             elif value is None:             # the row's default
                 continue
             elif form == ONE:
                 cands = [value]
             else:
                 text = " ".join(value).strip()
-                cands = (units if form == MULTIPLIER and text == "all-coprime"
+                cands = (units_mod(k) if form == MULTIPLIER
+                         and text == "all-coprime"
                          else _parse_int_range(text, name))
             per_k = [dict(p, **{name: c}) for p in per_k for c in cands]
         instances.extend(per_k)

@@ -7,9 +7,9 @@ rational can be compared structurally.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
+from typing import NamedTuple
 
 from .errors import K_POSITIVE, R_POSITIVE, check, coprime
 
@@ -51,8 +51,7 @@ def bernoulli_number(r: int) -> Fraction:
     return _BERNOULLI[r]
 
 
-@dataclass(frozen=True)
-class BernoulliPoly:
+class BernoulliPoly(NamedTuple):
     """B_r(x) with exact coefficients, ascending powers of x."""
 
     degree: int
@@ -81,6 +80,11 @@ def periodic_bernoulli(r: int, q: Fraction) -> Fraction:
     """
     check((R_POSITIVE,), r=r)
     return bernoulli_poly(r)(frac(q))
+
+
+def units_mod(k: int) -> list[int]:
+    """The multipliers 1..k-1 coprime to k, or [1] at k = 1."""
+    return [h for h in range(1, max(k, 2)) if gcd(h, k) == 1]
 
 
 def mod_inverse(h: int, k: int) -> int:

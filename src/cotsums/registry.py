@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import mpmath
 from mpmath import workprec
@@ -28,6 +26,7 @@ from .config import RunConfig
 from .errors import (K_EVEN, K_ODD, K_POSITIVE, R_POSITIVE, TERMS_POSITIVE,
                      OutOfRange, all_coprime, check, choice, coprime, given,
                      holds_ints, parity, require)
+from .exact import units_mod
 from .hp import is_exact
 from .periodic import (PeriodicMap, dft, map_max_residual, random_even_map,
                        random_odd_map, random_rational_map)
@@ -38,14 +37,13 @@ from .trig import VALUES, trig_product_sum
 _LISTS = ("rs", "hs")
 
 
-@dataclass(frozen=True)
-class IdentityEntry:
+class IdentityEntry(NamedTuple):
     id: str
     anchor: str
     param_names: tuple         # in the order of report params and CSV columns
     precondition: str
     rules: tuple = ()          # checked in order, after k >= 1, lists non-empty
-    defaults: dict = field(default_factory=dict)
+    defaults: dict = {}        # shared, never mutated: verify copies it
     # the two sides, (config, **params) -> lhs / rhs; a checker may read them
     exact: Callable | None = None
     closed: Callable | None = None
@@ -86,8 +84,8 @@ def _timed(fn):
 def _two_sided(entry, params, lhs_fn, rhs_fn, config, note=""):
     lhs, lhs_us = _timed(lhs_fn)
     rhs, rhs_us = _timed(rhs_fn)
-    rep = build_report(entry.id, entry.anchor, params, lhs, rhs,
-                       config.precision, config.tolerance_value(), note)
+    rep = build_report(entry.id, entry.anchor, params, lhs, rhs, config,
+                       note)
     if is_exact(lhs) and not is_exact(rhs):
         rep.lhs_micros, rep.rhs_micros = lhs_us, rhs_us
     return rep
@@ -95,12 +93,10 @@ def _two_sided(entry, params, lhs_fn, rhs_fn, config, note=""):
 
 def _map_check(entry, params, direct: PeriodicMap, closed: PeriodicMap,
                config, note=""):
-    bits = config.precision
-    residual, where = map_max_residual(direct, closed, bits)
+    residual, where = map_max_residual(direct, closed, config.precision)
     extra = f"worst index n={where}"
     return build_report(entry.id, entry.anchor, params,
-                        direct.values[where], closed.values[where], bits,
-                        config.tolerance_value(),
+                        direct.values[where], closed.values[where], config,
                         note=f"{note}; {extra}" if note else extra,
                         residual=residual)
 
@@ -121,23 +117,22 @@ def _check_tail_bound(entry, params, config):
     args = {name: params[name] for name in entry.param_names}
     lhs = entry.exact(config, **args)
     value, bound = entry.closed(config, **args)
-    return build_report(entry.id, entry.anchor, params, lhs, value,
-                        config.precision, tolerance=bound,
-                        note=f"{entry.note} = {mpmath.nstr(bound, 6)}")
+    return build_report(entry.id, entry.anchor, params, lhs, value, config,
+                        note=f"{entry.note} = {mpmath.nstr(bound, 6)}",
+                        tolerance=bound)
 
 
 def _check_parseval(entry, params, config):
     f1, f2 = _seeded_maps(params["k"], params["seed"], 2)
     lhs, rhs = periodic.parseval_sides(f1, f2, config.precision)
-    return build_report(entry.id, entry.anchor, params, lhs, rhs,
-                        config.precision, config.tolerance_value())
+    return build_report(entry.id, entry.anchor, params, lhs, rhs, config)
 
 
 def _check_th1(entry, params, config):
     k, m, seed = params["k"], params["m"], params["seed"]
     rng = random.Random(seed ^ 0x5EED)
     fs = _seeded_maps(k, seed, m)
-    units = [h for h in range(1, max(k, 2)) if gcd(h, k) == 1]
+    units = units_mod(k)
     hs = [rng.choice(units) for _ in range(m)]
     return _two_sided(
         entry, dict(params, hs=hs),
@@ -160,8 +155,8 @@ def _check_cor1_cor2(entry, params, config):
                            residues=range(k), divisor=sign * k)
     note = (f"sign (-1)^s with s=1 for odd maps, 0 for even; {parity} maps "
             f"used" if parity else "")
-    return build_report(entry.id, entry.anchor, params, lhs, rhs, bits,
-                        config.tolerance_value(), note=note)
+    return build_report(entry.id, entry.anchor, params, lhs, rhs, config,
+                        note=note)
 
 
 def _lemma1(kind):
@@ -188,8 +183,8 @@ def _check_remark1(entry, params, config):
     with workprec(bits + 16):
         residual = max(abs(mpmath.mpmathify(exact) - half),
                        abs(mpmath.mpmathify(exact) - full), abs(half - full))
-    return build_report(entry.id, entry.anchor, params, exact, half,
-                        bits, config.tolerance_value(), residual=residual,
+    return build_report(entry.id, entry.anchor, params, exact, half, config,
+                        residual=residual,
                         note=f"full-range form = {mpmath.nstr(full, 12)}; "
                              f"residual is the max over the three pairings")
 
@@ -198,8 +193,7 @@ def _check_th9(entry, params, config):
     lhs, rhs = zeta.mikolas_pair(params["s1"], params["s2"], params["h1"],
                                  params["h2"], params["k"], config.precision,
                                  config.work_limit)
-    return build_report(entry.id, entry.anchor, params, lhs, rhs,
-                        config.precision, config.tolerance_value())
+    return build_report(entry.id, entry.anchor, params, lhs, rhs, config)
 
 
 def _th2_note(params):
@@ -477,10 +471,13 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
 ]}
 
 
+_KNOWN_ID = choice("id", REGISTRY)
+
+
 def verify(identity_id: str, params: dict, config: RunConfig | None = None
            ) -> IdentityReport:
     """Validate parameters against the identity's preconditions and run it."""
-    check((choice("id", REGISTRY),), id=identity_id)
+    check((_KNOWN_ID,), id=identity_id)
     entry = REGISTRY[identity_id]
     config = config or RunConfig()
     config.validate()

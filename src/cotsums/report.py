@@ -3,16 +3,14 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
-from mpmath import mpc, mpf, mpmathify, workprec
+from mpmath import mp, mpc, mpf, mpmathify, workprec
+from mpmath.libmp import from_rational, to_rational
 
 from .hp import fmt, is_exact
 
 
-@dataclass
 class IdentityReport:
     """One verification instance: lhs vs rhs at a tolerance.
 
@@ -20,21 +18,19 @@ class IdentityReport:
     tolerance is the effective one for the instance (the configured
     tolerance, or the identity's own computed bound for truncated-series
     checks). An exactly zero residual passes even against a zero bound,
-    as for a series whose terms all vanish.
+    as for a series whose terms all vanish. Timings are set once built.
     """
 
-    id: str
-    params: dict
-    lhs: str
-    rhs: str
-    residual: str
-    tolerance: str
-    passed: bool
-    note: str = ""
-    anchor: str = ""
-    micros: int = 0
-    lhs_micros: int | None = None
-    rhs_micros: int | None = None
+    def __init__(self, id: str, params: dict, lhs: str, rhs: str,
+                 residual: str, tolerance: str, passed: bool, note: str = "",
+                 anchor: str = "", micros: int = 0,
+                 lhs_micros: int | None = None,
+                 rhs_micros: int | None = None):
+        self.id, self.params, self.lhs, self.rhs = id, params, lhs, rhs
+        self.residual, self.tolerance = residual, tolerance
+        self.passed, self.note, self.anchor = passed, note, anchor
+        self.micros = micros
+        self.lhs_micros, self.rhs_micros = lhs_micros, rhs_micros
 
     def to_dict(self) -> dict:
         out = {"id": self.id, "params": self.params, "lhs": self.lhs,
@@ -52,31 +48,37 @@ class IdentityReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IdentityReport":
-        return cls(id=d["id"], params=d["params"], lhs=d["lhs"], rhs=d["rhs"],
-                   residual=d["residual"], tolerance=d["tolerance"],
-                   passed=d["pass"], note=d.get("note", ""),
-                   anchor=d.get("anchor", ""), micros=d.get("micros", 0),
-                   lhs_micros=d.get("lhs_micros"),
-                   rhs_micros=d.get("rhs_micros"))
+        return cls(d["id"], d["params"], d["lhs"], d["rhs"], d["residual"],
+                   d["tolerance"], d["pass"], d.get("note", ""),
+                   d.get("anchor", ""), d.get("micros", 0),
+                   d.get("lhs_micros"), d.get("rhs_micros"))
 
 
 def _residual(lhs, rhs):
     """|lhs - rhs| at the working precision. When lhs is exact and rhs a
-    finite mpf or mpc, lhs - Re(rhs) is taken exactly, so the one rounding
-    is of the residual itself, not of lhs (~2^-266 at |lhs| ~ 40 and 256
-    bits, above the closed side's own error)."""
+    finite mpf or mpc, lhs - Re(rhs) is taken exactly, in integers, so the
+    one rounding is of the residual itself, not of lhs (~2^-266 at |lhs| ~ 40
+    and 256 bits, above the closed side's own error)."""
     re = rhs.real if isinstance(rhs, mpc) else rhs
     if is_exact(lhs) and isinstance(re, mpf) and mpmath.isfinite(re):
-        gap = mpmathify(lhs - Fraction(*mpmath.libmp.to_rational(re._mpf_)))
+        n, d = lhs.numerator, lhs.denominator
+        p, q = to_rational(re._mpf_)
+        # mpmathify of the Fraction gap rounds the same way (round_fast)
+        gap = mp.make_mpf(from_rational(n * q - p * d, d * q, mp.prec))
         return abs(mpc(gap, rhs.imag) if isinstance(rhs, mpc) else gap)
     return abs(mpmathify(lhs) - mpmathify(rhs))
 
 
 def build_report(identity_id: str, anchor: str, params: dict, lhs, rhs,
-                 bits: int, tolerance, note: str = "",
-                 residual=None) -> IdentityReport:
-    """Assemble a report, computing |lhs - rhs| at working precision unless
-    a residual (e.g. a max over map indices) is supplied."""
+                 config, note: str = "", residual=None,
+                 tolerance=None) -> IdentityReport:
+    """Assemble a report at the config's precision, computing |lhs - rhs|
+    unless a residual (e.g. a max over map indices) is supplied. The pass is
+    against the config's tolerance, or against tolerance when one is given
+    (a truncated series' tail bound)."""
+    bits = config.precision
+    tolerance, text = (config.validate() if tolerance is None
+                       else (tolerance, mpmath.nstr(mpf(tolerance), 10)))
     with workprec(bits + 16):
         if residual is None:
             residual = _residual(lhs, rhs)
@@ -84,8 +86,8 @@ def build_report(identity_id: str, anchor: str, params: dict, lhs, rhs,
         passed = bool(residual < tolerance or residual == 0)
     return IdentityReport(
         id=identity_id, params=params, lhs=fmt(lhs, bits), rhs=fmt(rhs, bits),
-        residual=mpmath.nstr(residual, 10), tolerance=mpmath.nstr(mpf(tolerance), 10),
-        passed=passed, note=note, anchor=anchor)
+        residual=mpmath.nstr(residual, 10), tolerance=text, passed=passed,
+        note=note, anchor=anchor)
 
 
 def csv_header(param_names) -> list[str]:

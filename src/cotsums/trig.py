@@ -34,10 +34,10 @@ cot_at, tan_at and cot_deriv_at evaluate one value each by cospi/sinpi.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import repeat
 from operator import mul
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpf, workprec
@@ -50,8 +50,7 @@ from .hp import DEFAULT_BITS, guarded
 COT, TAN, VALUES = "cot-deriv", "tan", "values"
 
 
-@dataclass(frozen=True)
-class CotPoly:
+class CotPoly(NamedTuple):
     """Q_m(t) with cot^(m)(x) = Q_m(cot x); integer coefficients, ascending."""
 
     order: int

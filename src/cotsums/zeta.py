@@ -8,11 +8,11 @@ continuation is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import factorial
+from typing import NamedTuple
 
 import mpmath
 from mpmath import mpc, mpf, workprec
@@ -271,8 +271,7 @@ def mikolas_pair(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS,
 # S(f) = sum f(r)/r for odd k-periodic maps: the four finite evaluations
 
 
-@dataclass(frozen=True)
-class SeriesForms:
+class SeriesForms(NamedTuple):
     """Finite evaluations of S(f); all four agree for odd k-periodic f."""
 
     cot_form: object       # (pi/2k) sum f(r) cot(pi r/k)
@@ -281,8 +280,7 @@ class SeriesForms:
     zeta_form: object      # -(1/k) sum fhat(r) F(1, -r/k)
 
     def all_forms(self):
-        return (self.cot_form, self.spectral_form, self.lehmer_form,
-                self.zeta_form)
+        return tuple(self)
 
     def max_pairwise_residual(self, bits: int = DEFAULT_BITS) -> mpf:
         with workprec(guarded(bits, 4)):

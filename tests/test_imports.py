@@ -33,3 +33,32 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+# ~11 ms of start-up per process: dataclasses imports inspect, which
+# imports ast, dis and tokenize
+SLOW_TO_IMPORT = {"dataclasses", "inspect"}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules that source imports."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_the_check_sees_a_slow_import():
+    source = ("import inspect as i, os.path\nfrom dataclasses import field\n"
+              "from . import report\n")
+    assert imported_modules(source) == {"inspect", "os", "dataclasses"}
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_no_slow_imports(module):
+    source = (PACKAGE / module).read_text()
+    assert imported_modules(source) & SLOW_TO_IMPORT == set()
