@@ -17,7 +17,7 @@ from .exact import (BernoulliPoly, bernoulli_number, bernoulli_poly, frac,
                     mod_inverse, periodic_bernoulli, sawtooth)
 from .periodic import (PeriodicMap, closed_form_dft, constrained_product_sum,
                        convolve, defining_map, dft, map_max_residual,
-                       parseval_sides, sawtooth_map, spectral_product_sum)
+                       sawtooth_map, spectral_product_sum)
 from .registry import REGISTRY, IdentityEntry, verify
 from .report import IdentityReport
 from .sums import (dedekind_cot, dedekind_series, dedekind_sum, hardy_A,

@@ -39,12 +39,16 @@ FAIL_EXIT = 1
 
 
 def _rational(text: str) -> Fraction:
-    """A --x argument such as 1/3, refused when its denominator is zero."""
+    """A --x argument such as 1/3, refused when it is not a rational or its
+    denominator is zero."""
     try:
         return Fraction(text)
     except ZeroDivisionError:
         raise OutOfRange(f"x must have a nonzero denominator, got {text}"
                          ) from None
+    except ValueError:
+        raise OutOfRange(f"x must be a rational such as 1/3, -2 or 0.25, "
+                         f"got {text!r}") from None
 
 
 class _Noted(NamedTuple):

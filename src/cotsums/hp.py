@@ -14,6 +14,8 @@ from fractions import Fraction
 import mpmath
 from mpmath import mpf, workprec
 
+from .errors import OutOfRange
+
 # the run defaults of RunConfig and the CLI
 DEFAULT_BITS = 256
 DEFAULT_TOLERANCE = "2^-128"
@@ -33,12 +35,19 @@ def is_exact(x) -> bool:
 
 
 def parse_tolerance(text: str) -> mpf:
-    """Parse '2^-128', '1e-30' or a plain decimal into an mpf tolerance."""
+    """Parse '2^-128', '1e-30' or a plain decimal into a finite mpf
+    tolerance; other text, inf and nan are refused naming these forms."""
     text = text.strip()
-    if text.startswith("2^"):
-        return mpf(2) ** int(text[2:])
-    with workprec(80):
-        return mpf(text)
+    try:
+        with workprec(80):      # 2^n is exact at any precision
+            value = (mpf(2) ** int(text[2:]) if text.startswith("2^")
+                     else mpf(text))
+    except ValueError:
+        value = mpmath.nan
+    if not mpmath.isfinite(value):
+        raise OutOfRange(f"tolerance must be a finite 2^n or decimal such as "
+                         f"2^-128 or 1e-30, got {text!r}")
+    return value
 
 
 def fmt(x, bits: int = DEFAULT_BITS) -> str:

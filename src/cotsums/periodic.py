@@ -222,17 +222,6 @@ def spectral_product_sum(fs, hs, bits: int = DEFAULT_BITS) -> mpc:
                                  start=mpc(1), divisor=k)
 
 
-def parseval_sides(f1: PeriodicMap, f2: PeriodicMap, bits: int = DEFAULT_BITS):
-    """Both sides of sum_a f1(a) f2(-a) = (1/k) sum_a f1hat(a) f2hat(a)."""
-    k = _require_same_period(f1, f2)
-    lhs = constrained_product_sum([f1, f2], (1, 1))
-    rhs = trig.trig_product_sum(
-        [(trig.VALUES, dft(f1, bits).values, 1),
-         (trig.VALUES, dft(f2, bits).values, 1)],
-        k, bits=bits, residues=range(k), divisor=k)
-    return lhs, rhs
-
-
 def map_max_residual(f: PeriodicMap, g: PeriodicMap, bits: int = DEFAULT_BITS):
     """(max_n |f(n) - g(n)|, argmax n), the first such n on a tie."""
     k = _require_same_period(f, g)

@@ -2,13 +2,14 @@
 
 Each identity is one data row: its id, the anchor (the formula under test,
 in ASCII), a parameter schema with defaults, the precondition text and the
-ordered rules that enforce it, and how to check it. A plain two-sided
-identity gives its exact and closed sides as callables; an identity whose
-report is built differently gives a checker, which may read those sides
-(the truncated series rows pass against the series' tail bound). A
-two-sided check whose exact side is exact and whose closed side is numeric
-records the time of each side, so sweeps report the exact-vs-closed cost
-ratio.
+ordered rules that enforce it, and its exact and closed sides as callables.
+One comparison builds the report from what the closed side returns: a
+PeriodicMap is compared with the exact map at the worst index; a (partial
+sum, tail bound) pair passes against that bound; any other value is
+compared with the exact value. A check whose exact side is exact and whose
+closed side is numeric records the time of each side, so sweeps report the
+exact-vs-closed cost ratio. th1 (its report gains the derived multipliers),
+remark1 (three sides) and th9 (one zeta call gives both) keep a checker.
 """
 
 from __future__ import annotations
@@ -44,11 +45,11 @@ class IdentityEntry(NamedTuple):
     precondition: str
     rules: tuple = ()          # checked in order, after k >= 1, lists non-empty
     defaults: dict = {}        # shared, never mutated: verify copies it
-    # the two sides, (config, **params) -> lhs / rhs; a checker may read them
+    # the two sides, (config, **params) -> lhs / rhs (see the module doc)
     exact: Callable | None = None
     closed: Callable | None = None
     note: str | Callable = ""  # the report note, or a function of the params
-    # a report built differently: (entry, params, config) -> IdentityReport
+    # a report the comparison cannot build: (entry, params, config) -> report
     checker: Callable | None = None
 
     def validate(self, params: dict) -> None:
@@ -84,21 +85,19 @@ def _timed(fn):
 def _two_sided(entry, params, lhs_fn, rhs_fn, config, note=""):
     lhs, lhs_us = _timed(lhs_fn)
     rhs, rhs_us = _timed(rhs_fn)
+    residual = tolerance = None
+    if isinstance(rhs, PeriodicMap):
+        residual, where = map_max_residual(lhs, rhs, config.precision)
+        lhs, rhs = lhs.values[where], rhs.values[where]
+        note = "; ".join(filter(None, (note, f"worst index n={where}")))
+    elif isinstance(rhs, tuple):            # (partial sum, tail bound)
+        rhs, tolerance = rhs
+        note = f"{note} = {mpmath.nstr(tolerance, 6)}"
     rep = build_report(entry.id, entry.anchor, params, lhs, rhs, config,
-                       note)
+                       note, residual, tolerance)
     if is_exact(lhs) and not is_exact(rhs):
         rep.lhs_micros, rep.rhs_micros = lhs_us, rhs_us
     return rep
-
-
-def _map_check(entry, params, direct: PeriodicMap, closed: PeriodicMap,
-               config, note=""):
-    residual, where = map_max_residual(direct, closed, config.precision)
-    extra = f"worst index n={where}"
-    return build_report(entry.id, entry.anchor, params,
-                        direct.values[where], closed.values[where], config,
-                        note=f"{note}; {extra}" if note else extra,
-                        residual=residual)
 
 
 def _seeded_maps(k, seed, count, kind="rational"):
@@ -107,25 +106,37 @@ def _seeded_maps(k, seed, count, kind="rational"):
     return [maker(k, seed * 1000003 + i) for i in range(count)]
 
 
-# --- checkers of the identities whose report is built differently ----------
+def _pair_exact(k, h1, h2, seed, kind="rational"):
+    """sum_a f1(a h1) f2(a h2) over the seeded maps (cor1, cor2, parseval)."""
+    return periodic.constrained_product_sum(
+        _seeded_maps(k, seed, 2, kind), (h1, -h2))
 
 
-def _check_tail_bound(entry, params, config):
-    """The row's finite side (exact) against its truncated series (closed,
-    which returns the partial sum and its tail bound); the pass is against
-    that bound, which the note names."""
-    args = {name: params[name] for name in entry.param_names}
-    lhs = entry.exact(config, **args)
-    value, bound = entry.closed(config, **args)
-    return build_report(entry.id, entry.anchor, params, lhs, value, config,
-                        note=f"{entry.note} = {mpmath.nstr(bound, 6)}",
-                        tolerance=bound)
+def _pair_transform(c, k, at, h1, seed, kind="rational", sign=1):
+    """(sign/k) sum_a DFT[f1](a at) DFT[f2](a h1) over the same maps."""
+    bits = c.precision
+    f1, f2 = _seeded_maps(k, seed, 2, kind)
+    return trig_product_sum([(VALUES, dft(f1, bits).values, at),
+                             (VALUES, dft(f2, bits).values, h1)], k, bits=bits,
+                            residues=range(k), divisor=sign * k)
 
 
-def _check_parseval(entry, params, config):
-    f1, f2 = _seeded_maps(params["k"], params["seed"], 2)
-    lhs, rhs = periodic.parseval_sides(f1, f2, config.precision)
-    return build_report(entry.id, entry.anchor, params, lhs, rhs, config)
+def _transform_sides(kind):
+    """The sides of a transform row: the DFT of the family's defining map,
+    and the family's stated closed form."""
+    def exact(c, k, convention=None, **order):
+        return dft(periodic.defining_map(kind, k, c.precision,
+                                         work_limit=c.work_limit, **order),
+                   c.precision)
+
+    def closed(c, k, convention="corrected", **order):
+        return periodic.closed_form_dft(kind, k, c.precision, **order,
+                                        variant=convention,
+                                        work_limit=c.work_limit)
+    return {"exact": exact, "closed": closed}
+
+
+# --- the checkers of the rows whose report the comparison cannot build -----
 
 
 def _check_th1(entry, params, config):
@@ -139,39 +150,6 @@ def _check_th1(entry, params, config):
         lambda: periodic.constrained_product_sum(fs, hs, config.work_limit),
         lambda: periodic.spectral_product_sum(fs, hs, config.precision),
         config)
-
-
-def _check_cor1_cor2(entry, params, config):
-    """cor1 on rational maps (DFT[f1] at -a h2); cor2 on maps of the declared
-    parity (DFT[f1] at a h2, sign (-1)^s)."""
-    k, h1, h2, seed = params["k"], params["h1"], params["h2"], params["seed"]
-    parity = params.get("parity")
-    f1, f2 = _seeded_maps(k, seed, 2, kind=parity or "rational")
-    bits = config.precision
-    sign, at = (-1 if parity == "odd" else 1), (h2 if parity else -h2)
-    lhs = periodic.constrained_product_sum([f1, f2], (h1, -h2))
-    rhs = trig_product_sum([(VALUES, dft(f1, bits).values, at),
-                            (VALUES, dft(f2, bits).values, h1)], k, bits=bits,
-                           residues=range(k), divisor=sign * k)
-    note = (f"sign (-1)^s with s=1 for odd maps, 0 for even; {parity} maps "
-            f"used" if parity else "")
-    return build_report(entry.id, entry.anchor, params, lhs, rhs, config,
-                        note=note)
-
-
-def _lemma1(kind):
-    """Checker of a transform closed form: DFT of the map against it."""
-    def run(entry, params, config):
-        k, bits = params["k"], config.precision
-        kw = {name: params[name] for name in ("r", "s") if name in params}
-        kw["work_limit"] = config.work_limit
-        direct = dft(periodic.defining_map(kind, k, bits, **kw), bits)
-        if "convention" in params:
-            kw["variant"] = params["convention"]
-        closed = periodic.closed_form_dft(kind, k, bits, **kw)
-        return _map_check(entry, params, direct, closed, config,
-                          entry.note_for(params))
-    return run
 
 
 def _check_remark1(entry, params, config):
@@ -204,14 +182,6 @@ def _th2_note(params):
             f"trig side {max(k - 1, 0)}")
 
 
-def _check_gamma_dft(entry, params, config):
-    k = params["k"]
-    bits = config.precision
-    direct = dft(zeta.gamma_map(k, bits), bits)
-    return _map_check(entry, params, direct, zeta.gamma_dft_map(k, bits),
-                      config)
-
-
 # --- the identities ---------------------------------------------------------
 
 
@@ -234,12 +204,13 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         exact=lambda c, h, k, terms: sums.dedekind_sum(h, k),
         closed=lambda c, h, k, terms: sums.dedekind_series(
             h, k, terms, c.precision, c.work_limit),
-        note="pass is against the computed tail bound C(k)/N",
-        checker=_check_tail_bound),
+        note="pass is against the computed tail bound C(k)/N"),
     IdentityEntry(
         "parseval", "sum_a f1(a) f2(-a) = (1/k) sum_a DFT[f1](a) DFT[f2](a)",
         _SEEDED, "k >= 1; seeded random exact maps", defaults={"seed": 1},
-        checker=_check_parseval),
+        # cor1 at (h1, h2) = (1, -1)
+        exact=lambda c, k, seed: _pair_exact(k, 1, -1, seed),
+        closed=lambda c, k, seed: _pair_transform(c, k, 1, 1, seed)),
     IdentityEntry(
         "th1", "sum over a_1+...+a_m = 0 (mod k) of prod f_j(a_j h_j) "
                "= (1/k) sum_a prod DFT[f_j](a h_j')",
@@ -252,25 +223,34 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "cor1", "sum_a f1(a h1) f2(a h2) "
                 "= (1/k) sum_a DFT[f1](-a h2) DFT[f2](a h1)",
         (*_PAIR, "seed"), "gcd(h1,k) = gcd(h2,k) = 1",
-        (coprime("h1", "h2"),), {"seed": 1}, checker=_check_cor1_cor2),
+        (coprime("h1", "h2"),), {"seed": 1},
+        exact=lambda c, k, h1, h2, seed: _pair_exact(k, h1, h2, seed),
+        closed=lambda c, k, h1, h2, seed: _pair_transform(c, k, -h2, h1,
+                                                          seed)),
     IdentityEntry(
         "cor2", "sum_a f1(a h1) f2(a h2) "
                 "= ((-1)^s/k) sum_a DFT[f1](a h2) DFT[f2](a h1)",
         (*_PAIR, "seed", "parity"),
         "gcd(h_i,k) = 1; both maps share the declared parity",
         (coprime("h1", "h2"), choice("parity", ("odd", "even"))),
-        {"seed": 1, "parity": "odd"}, checker=_check_cor1_cor2),
+        {"seed": 1, "parity": "odd"},
+        exact=lambda c, k, h1, h2, seed, parity: _pair_exact(k, h1, h2, seed,
+                                                             parity),
+        closed=lambda c, k, h1, h2, seed, parity: _pair_transform(
+            c, k, h2, h1, seed, parity, -1 if parity == "odd" else 1),
+        note=lambda p: "sign (-1)^s with s=1 for odd maps, 0 for even; "
+                       f"{p['parity']} maps used"),
     IdentityEntry(
         "lemma1-i", "DFT[((n/k))](n) = (i/2) cot(pi n/k) off multiples of k, "
                     "0 at them",
-        ("k",), "k >= 1", checker=_lemma1("sawtooth")),
+        ("k",), "k >= 1", **_transform_sides("sawtooth")),
     IdentityEntry(
         "lemma1-ii", "DFT[B_r({n/k})](n) = r k^(1-r) (i/2)^r "
                      "cot^(r-1)(pi n/k) off multiples, B_r k^(1-r) at them",
         ("k", "r", "convention"),
         "k >= 1, r >= 1; r = 1 exact only under convention=corrected",
         (R_POSITIVE,),
-        {"r": 2, "convention": "corrected"}, checker=_lemma1("bernoulli"),
+        {"r": 2, "convention": "corrected"}, **_transform_sides("bernoulli"),
         note=lambda p: (
             "stated closed form omits the constant -1/2 off multiples of k "
             "for r = 1; residual reported, not asserted"
@@ -278,17 +258,17 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "lemma1-iii", "DFT[(-1)^n ((n/k))](n) = -(i/2) tan(pi n/k), "
                       "0 at n = k/2 (k even)",
-        ("k",), "k even", (K_EVEN,), checker=_lemma1("alt-sawtooth")),
+        ("k",), "k even", (K_EVEN,), **_transform_sides("alt-sawtooth")),
     IdentityEntry(
         "lemma1-iv",
         "DFT[(-1)^(n mod k), 0 at k|n](n) = i tan(pi n/k) (k odd)",
-        ("k",), "k odd", (K_ODD,), checker=_lemma1("alt-sign")),
+        ("k",), "k odd", (K_ODD,), **_transform_sides("alt-sign")),
     IdentityEntry(
         "lemma1-v", "DFT[F(s, n/k)](n) = k^(1-s) zeta(s,{n/k}) off "
                     "multiples, k^(1-s) zeta(s) at them",
         ("k", "s"), "k >= 1, Re s > 1",
         (zeta.re_above_one("s"),),
-        {"s": "2"}, checker=_lemma1("periodic-zeta")),
+        {"s": "2"}, **_transform_sides("periodic-zeta")),
     IdentityEntry(
         "th2", "zero-sum sawtooth product sum = ((-1)^(m/2)/(2^m k)) "
                "sum_{a=1}^{k-1} prod_j cot(pi a h_j'/k)",
@@ -438,8 +418,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         closed=lambda c, k, seed, terms: zeta.series_partial(
             random_odd_map(k, seed), terms, c.precision, c.work_limit),
         note="truncated series vs finite form; pass is against the tail "
-             "bound k*max|f|/N",
-        checker=_check_tail_bound),
+             "bound k*max|f|/N"),
     IdentityEntry(
         "lemma3-b", "(pi/2k) sum_r f(r) cot(pi r/k) "
                     "= -(pi i/k^2) sum_{r=1}^{k-1} r DFT[f](r)",
@@ -467,7 +446,9 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "gamma-dft", "DFT[r -> gamma(r,k)](n) = F(1, -n/k) off multiples of "
                      "k, Euler's constant at them",
-        ("k",), "k >= 1", checker=_check_gamma_dft),
+        ("k",), "k >= 1",
+        exact=lambda c, k: dft(zeta.gamma_map(k, c.precision), c.precision),
+        closed=lambda c, k: zeta.gamma_dft_map(k, c.precision)),
 ]}
 
 

@@ -10,7 +10,7 @@ times against its closed form. A pair sum sum_a f1(a h1) f2(a h2) is the
 m = 2 case at multipliers (h1, -h2); a weight such as (-1)^a is a
 per-residue table taken at multiplier 1. Each
 trig side is one call of trig.trig_product_sum: its factor list, its
-residue range and exclusions, and its sign and scale.
+residues, and its sign and scale.
 """
 
 from __future__ import annotations
@@ -113,6 +113,7 @@ def dedekind_series(h: int, k: int, terms: int = TERMS,
 def zagier_sum(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum of ((a_1 h_1/k)) ... ((a_m h_m/k)) over tuples with sum = 0 (mod k),
     by brute-force enumeration (k^(m-1) terms)."""
+    check((K_POSITIVE,), k=k)
     maps = [periodic.sawtooth_map(k)] * len(hs)
     return enumerated_product_sum(maps, hs, work_limit)
 
@@ -147,7 +148,7 @@ def homogeneous_pair_cot(h1: int, h2: int, k: int,
 def bernoulli_dedekind_sum(rs, hs, k: int,
                            work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum of B_{r_1}({a_1 h_1/k}) ... B_{r_m}({a_m h_m/k}) over zero-sum tuples."""
-    check(PAIRED_ORDERS, rs=rs, hs=hs)
+    check((K_POSITIVE, *PAIRED_ORDERS), rs=rs, hs=hs, k=k)
     maps = [periodic.bernoulli_map(r, k) for r in rs]
     return constrained_product_sum(maps, hs, work_limit)
 
@@ -254,7 +255,7 @@ def hardy_A(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
 
     Needs k even (for periodicity of the weight) and h_1 odd.
     """
-    check((K_EVEN, H1_ODD, all_coprime), hs=hs, k=k)
+    check((K_POSITIVE, K_EVEN, H1_ODD, all_coprime), hs=hs, k=k)
     saw = periodic.sawtooth_map(k)
     nums, den = saw.ints
     alt = _weights(lambda a: _sign(a) * nums[a * hs[0] % k], k, den=den)
@@ -266,7 +267,8 @@ def hardy_A_rhs(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """((-1)^(m/2-1) / 2^m k) sum_{a != k/2} tan(pi*a*h_1'/k) prod cot(pi*a*h_j'/k)."""
     check(HARDY_A_RHS, hs=hs, k=k)
     m = len(hs)
-    return trig_product_sum(_tan_cots(hs, k), k, {k // 2}, bits,
+    return trig_product_sum(_tan_cots(hs, k), k, bits=bits,
+                            residues=[a for a in range(1, k) if 2 * a != k],
                             divisor=_sign(m // 2 - 1) * 2 ** m * k)
 
 
@@ -276,7 +278,7 @@ def hardy_B(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
 
     Needs k odd.
     """
-    check((K_ODD, all_coprime), hs=hs, k=k)
+    check((K_POSITIVE, K_ODD, all_coprime), hs=hs, k=k)
     h1, saw = hs[0], periodic.sawtooth_map(k)
     sign = _weights(lambda a: _sign(a * h1 + k * ((a * h1) // k)), k, 1)
     return constrained_product_sum([sign] + [saw] * (len(hs) - 1),
@@ -305,7 +307,8 @@ def alt_pair_sum(h1: int, h2: int, k: int) -> Fraction:
 def alt_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """-(1/4k) sum_{a != k/2} tan(pi*a*h2/k) cot(pi*a*h1/k); k even, h1 odd."""
     check(ALT_PAIR_RHS, h1=h1, h2=h2, k=k)
-    return trig_product_sum([(TAN, 0, h2), (COT, 0, h1)], k, {k // 2}, bits,
+    return trig_product_sum([(TAN, 0, h2), (COT, 0, h1)], k, bits=bits,
+                            residues=[a for a in range(1, k) if 2 * a != k],
                             divisor=-4 * k)
 
 

@@ -201,17 +201,16 @@ def as_mpf(values, k: int, bits: int = DEFAULT_BITS) -> tuple:
         return tuple(None if v is None else mpf((v, -p)) for v in values)
 
 
-def trig_product_sum(factors, k: int, exclusions=(),
-                     bits: int = DEFAULT_BITS, *, residues: range | None = None,
-                     start=None, divisor: int = 1):
-    """(1/divisor) sum_{a in residues, a not excluded} prod_j T_j((a*h_j) % k).
+def trig_product_sum(factors, k: int, bits: int = DEFAULT_BITS, *,
+                     residues=None, start=None, divisor: int = 1):
+    """(1/divisor) sum_{a in residues} prod_j T_j((a*h_j) % k).
 
     Each factor is (kind, arg, h_j). Kind "cot-deriv" takes T_j(n) =
     cot^(arg)(pi*n/k) and "tan" takes tan(pi*n/k) (arg ignored), both
     from the int tables; "values" takes T_j = arg, a sequence indexed by
-    the residue mod k. residues defaults to 1..k-1; a residue a with a % k
-    in exclusions is left out. Exclusions must cover every pole (n = 0 for
-    cot, n = k/2 for tan with k even); an uncovered pole raises.
+    the residue mod k. residues, a range or a list, defaults to 1..k-1 and
+    must leave out every pole (n = 0 for cot, n = k/2 for tan with k
+    even); a pole met raises.
 
     With only cot/tan factors and no start, the int columns are multiplied
     and summed exactly and the sum is rounded once to guarded(bits, k).
@@ -221,11 +220,7 @@ def trig_product_sum(factors, k: int, exclusions=(),
     working precision guarded(bits, k), at which the whole sum runs.
     """
     check((K_POSITIVE,), k=k)
-    if residues is None:
-        residues = range(1, k)
-    idx = residues
-    if exclusions:
-        idx = [a for a in residues if a % k not in exclusions]
+    idx = range(1, k) if residues is None else residues
     fixed = start is None and all(kind != VALUES for kind, _, _ in factors)
     with workprec(guarded(bits, k)):
         cols = []

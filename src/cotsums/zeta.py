@@ -29,27 +29,30 @@ from .trig import COT, VALUES, trig_product_sum
 _EM_GUARD = 32
 
 
-def _to_s(s, bits: int = DEFAULT_BITS) -> mpc:
+def _to_s(s, bits: int = DEFAULT_BITS, name: str = "s") -> mpc:
     """Normalize an exponent argument (int/Fraction/str/complex/mp) to mpc,
-    converting at full working precision."""
+    converting at full working precision; a value that is not a finite
+    number is refused, naming the parameter and the forms it takes."""
     with workprec(guarded(bits)):
-        if isinstance(s, str):
-            s = s.strip().replace("i", "j")
-            if "j" in s:
-                z = complex(s if s[-1] == "j" else s + "j")
-                return mpc(z.real, z.imag)
-            return mpc(mpmath.mpmathify(Fraction(s)))
-        if isinstance(s, Fraction):
-            return mpc(mpmath.mpmathify(s))
-        if isinstance(s, complex):
-            return mpc(s.real, s.imag)
-        return mpc(s)
+        try:
+            z = s
+            if isinstance(s, str):
+                z = s.strip().replace("i", "j")
+                z = (complex(z if z[-1] == "j" else z + "j") if "j" in z
+                     else Fraction(z))
+            z = mpc(mpmath.mpmathify(z))
+        except ValueError:
+            z = mpmath.nan
+        if not mpmath.isfinite(z):
+            raise OutOfRange(f"{name} must be a finite number such as 2, "
+                             f"5/2, 2.5 or 2+1i, got {s!r}")
+        return z
 
 
 def re_above_one(name: str):
     """The rule Re name > 1, the domain where the zeta-side series converge."""
-    return require(lambda p: _to_s(p[name]).real > 1, ConvergenceDomain,
-                   f"Re {name} must exceed 1")
+    return require(lambda p: _to_s(p[name], name=name).real > 1,
+                   ConvergenceDomain, f"Re {name} must exceed 1")
 
 
 def _em_cut(sc: mpc, bits: int) -> int:
@@ -133,7 +136,8 @@ def riemann_zeta(s, bits: int = DEFAULT_BITS):
 @lru_cache(maxsize=64)
 def hurwitz_row(s: mpc, k: int, bits: int = DEFAULT_BITS) -> tuple:
     """(None, zeta(s, 1/k), ..., zeta(s, (k-1)/k)), indexed by n mod k: the
-    lhs row of mikolas_pair, keyed by the normalized s."""
+    lhs row of mikolas_pair and the closed side of lemma1-v, keyed by the
+    normalized s."""
     return (None,) + tuple(hurwitz_zeta(s, Fraction(n, k), bits)
                            for n in range(1, k))
 
@@ -224,15 +228,14 @@ def _periodic_zeta_table(s: mpc, k: int, bits: int) -> PeriodicMap:
 def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS,
                           work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
     """Stated transform of n -> F(s, n/k): k^(1-s) zeta(s, {n/k}) off
-    multiples of k and k^(1-s) zeta(s) at them; charged k Hurwitz cuts."""
+    multiples of k (the cached hurwitz_row) and k^(1-s) zeta(s) at them;
+    charged k Hurwitz cuts."""
     sc = _to_s(s, bits)
     _charge_cut(sc, k, bits, work_limit)
+    zetas = (riemann_zeta(sc, bits), *hurwitz_row(sc, k, bits)[1:])
     with workprec(guarded(bits, k)):
         scale = mpf(k) ** (1 - sc)
-        vals = [scale * riemann_zeta(sc, bits)]
-        for n in range(1, k):
-            vals.append(scale * hurwitz_zeta(sc, Fraction(n, k), bits))
-    return PeriodicMap(vals)
+        return PeriodicMap(scale * v for v in zetas)
 
 
 def mikolas_pair(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS,
@@ -247,7 +250,7 @@ def mikolas_pair(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS,
     and the cached F maps; each s is charged k Hurwitz cuts for its row
     and zeta(s), and its F map k more.
     """
-    sc1, sc2 = _to_s(s1, bits), _to_s(s2, bits)
+    sc1, sc2 = _to_s(s1, bits, "s1"), _to_s(s2, bits, "s2")
     check((re_above_one("s1"), re_above_one("s2"), coprime("h1", "h2")),
           s1=sc1, s2=sc2, h1=h1, h2=h2, k=k)
     for sc in (sc1, sc2):

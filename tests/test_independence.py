@@ -5,6 +5,10 @@ direct transform disabled, every identity whose closed side is a finite
 trig sum or a product of closed-form transforms must still verify. A closed
 side rebuilt as dft(defining map) would raise here instead.
 
+The closed side of a transform row (lemma1-i..v, gamma-dft) is the stated
+transform map, built without dft: it returns the same map with dft
+disabled.
+
 No exact side may use the trig layer or a transform: with the closed-form
 kernel, the cot/tan tables and dft disabled, every exact side must still
 return its value.
@@ -22,6 +26,7 @@ from mpmath import mpf, workprec
 
 from cotsums import periodic, registry, sums, trig, zeta
 from cotsums.config import RunConfig
+from cotsums.hp import is_exact
 from cotsums.registry import REGISTRY, verify
 
 INSTANCES = {
@@ -45,13 +50,17 @@ INSTANCES = {
 }
 
 
-@pytest.fixture
-def no_dft(monkeypatch):
+def _refuse_dft(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a closed side called dft")
 
-    monkeypatch.setattr(periodic, "dft", refuse)
-    monkeypatch.setattr(registry, "dft", refuse)
+    for module in (periodic, registry, zeta):
+        monkeypatch.setattr(module, "dft", refuse)
+
+
+@pytest.fixture
+def no_dft(monkeypatch):
+    _refuse_dft(monkeypatch)
 
 
 @pytest.mark.parametrize("identity,params", INSTANCES.items(),
@@ -60,10 +69,33 @@ def test_closed_side_needs_no_dft(no_dft, identity, params):
     assert verify(identity, params).passed
 
 
-# exact parts of the identities whose report is built by a checker
+# the rows whose closed side is a transform map
+TRANSFORM_ROWS = {
+    "lemma1-i": {"k": 12}, "lemma1-ii": {"k": 7, "r": 3},
+    "lemma1-iii": {"k": 10}, "lemma1-iv": {"k": 9},
+    "lemma1-v": {"k": 5, "s": "2.5"}, "gamma-dft": {"k": 12},
+}
+
+
+@pytest.mark.parametrize("identity", TRANSFORM_ROWS)
+def test_transform_closed_side_needs_no_dft(monkeypatch, identity):
+    entry = REGISTRY[identity]
+    params = {**entry.defaults, **TRANSFORM_ROWS[identity]}
+    expected = entry.closed(RunConfig(), **params)
+    assert isinstance(expected, periodic.PeriodicMap)
+    _refuse_dft(monkeypatch)
+    assert entry.closed(RunConfig(), **params).values == expected.values
+
+
+# exact parts of the rows whose report is built by a checker
 CHECKER_EXACT = {
     "remark1": lambda: sums.hardy_sum("s1", 6, 13),
-    "eq2": lambda: sums.dedekind_sum(3, 7),
+}
+# rows whose closed side reads dft or a series, with an instance each
+EXACT_ONLY = {
+    "eq2": {"h": 3, "k": 7}, "parseval": {"k": 11},
+    "cor1": {"k": 11, "h1": 2, "h2": 3},
+    "cor2": {"k": 11, "h1": 2, "h2": 3, "parity": "even"},
 }
 
 
@@ -71,19 +103,22 @@ def _exact_side(identity):
     if identity in CHECKER_EXACT:
         return CHECKER_EXACT[identity]()
     entry = REGISTRY[identity]
-    return entry.exact(RunConfig(), **entry.defaults, **INSTANCES[identity])
+    params = {**INSTANCES, **EXACT_ONLY}[identity]
+    return entry.exact(RunConfig(), **{**entry.defaults, **params})
 
 
 @pytest.mark.parametrize("identity", [
     *(ident for ident in INSTANCES if REGISTRY[ident].exact is not None),
-    *CHECKER_EXACT])
+    *EXACT_ONLY, *CHECKER_EXACT])
 def test_exact_side_needs_no_trig(monkeypatch, identity):
     expected = _exact_side(identity)
+    assert is_exact(expected)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an exact side called the trig layer or dft")
 
     for module, name in [(trig, "trig_product_sum"), (sums, "trig_product_sum"),
+                         (registry, "trig_product_sum"),
                          (trig, "fixed_tables"),
                          (periodic, "dft"), (registry, "dft")]:
         monkeypatch.setattr(module, name, refuse)

@@ -14,7 +14,7 @@ from cotsums.periodic import (PeriodicMap, alt_sawtooth_map, alt_sign_map,
                               closed_form_dft, constant_map,
                               constrained_product_sum, convolve, defining_map,
                               dft, enumerated_product_sum, map_max_residual,
-                              parseval_sides, random_even_map, random_odd_map,
+                              random_even_map, random_odd_map,
                               random_rational_map, sawtooth_dft_map,
                               sawtooth_map, spectral_product_sum)
 from cotsums.exact import mod_inverse, sawtooth
@@ -405,16 +405,21 @@ class TestSignRule:
 
 class TestParseval:
     def test_sawtooth_both_sides(self):
-        lhs, rhs = parseval_sides(sawtooth_map(3), sawtooth_map(3))
+        f1 = f2 = sawtooth_map(3)
+        lhs = constrained_product_sum([f1, f2], (1, 1))
+        rhs = spectral_product_sum([f1, f2], (1, 1))
         assert lhs == Fraction(-1, 18)
         assert_close(rhs, Fraction(-1, 18))
 
     def test_odd_even_orthogonal(self):
-        lhs, rhs = parseval_sides(sawtooth_map(5), constant_map(1, 5))
+        f1, f2 = sawtooth_map(5), constant_map(1, 5)
+        lhs = constrained_product_sum([f1, f2], (1, 1))
+        rhs = spectral_product_sum([f1, f2], (1, 1))
         assert lhs == 0
         assert_close(rhs, 0)
 
     def test_random_maps(self):
         f1, f2 = random_rational_map(6, 21), random_rational_map(6, 22)
-        lhs, rhs = parseval_sides(f1, f2)
+        lhs = constrained_product_sum([f1, f2], (1, 1))
+        rhs = spectral_product_sum([f1, f2], (1, 1))
         assert residual(lhs, rhs) < TOL_DEFAULT

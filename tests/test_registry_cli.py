@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+from fractions import Fraction
+
 import mpmath
 import pytest
 
@@ -22,6 +24,7 @@ from cotsums.config import RunConfig
 from cotsums.errors import (ConvergenceDomain, CotsumsError, NotCoprime,
                             OutOfRange, ParityViolation)
 from cotsums.registry import REGISTRY, verify
+from cotsums.report import build_report
 
 SPEC_IDS = {
     "eq1", "eq2", "parseval", "th1", "cor1", "cor2",
@@ -75,10 +78,23 @@ class TestRegistry:
         assert again.lhs == payload["lhs"]
         assert again.rhs == payload["rhs"]
 
-    def test_two_sided_timings_recorded(self):
-        rep = verify("th2", {"k": 7, "hs": (1, 2, 3, 4)})
+    @pytest.mark.parametrize("identity,params", [
+        ("th2", {"k": 7, "hs": (1, 2, 3, 4)}),
+        ("eq2", {"h": 2, "k": 7, "terms": 300}),    # against its tail bound
+        ("parseval", {"k": 9, "seed": 3}),
+        ("cor1", {"k": 9, "h1": 2, "h2": 5}),
+    ], ids=["th2", "eq2", "parseval", "cor1"])
+    def test_two_sided_timings_recorded(self, identity, params):
+        rep = verify(identity, params)
         assert rep.lhs_micros is not None and rep.rhs_micros is not None
         assert rep.micros > 0
+
+    def test_only_three_rows_keep_a_checker(self):
+        # every other row gives its two sides, which one comparison reads
+        checked = {e.id for e in REGISTRY.values() if e.checker is not None}
+        assert checked == {"th1", "remark1", "th9"}
+        assert all(e.exact is not None and e.closed is not None
+                   for e in REGISTRY.values() if e.id not in checked)
 
     @pytest.mark.parametrize("identity,params", [
         ("th2", {"k": 7, "hs": (1, 2, 3)}),     # closed side is the literal 0
@@ -337,6 +353,27 @@ class TestCli:
      "3000000000 terms exceed the limit 100000000"),
     (["compute", "dedekind-series", "--h", "1", "--k", "5", "--terms",
       "3000000000"], "3000000000 terms exceed the limit 100000000"),
+    # a tolerance that is not a finite number, and text that is not a
+    # number, named by its flag with the forms it takes
+    *((["verify", "eq1", "--h", "1", "--k", "3", "--tolerance", text],
+      "error: tolerance must be a finite 2^n or decimal such as 2^-128 or "
+      f"1e-30, got {text!r}") for text in ("inf", "nan", "abc", "2^x")),
+    (["verify", "lemma1-v", "--k", "3", "--s", "abc"],
+     "error: s must be a finite number such as 2, 5/2, 2.5 or 2+1i, "
+     "got 'abc'"),
+    (["verify", "th9", "--k", "4", "--h1", "1", "--h2", "1", "--s1", "nan"],
+     "error: s1 must be a finite number"),
+    (["compute", "hurwitz", "--s", "inf"], "error: s must be a finite"),
+    (["compute", "sawtooth", "--x", "abc"],
+     "error: x must be a rational such as 1/3, -2 or 0.25, got 'abc'"),
+    # the zero-sum exact sides refuse k < 1 by name, as their closed twins
+    (["compute", "zagier", "--hs", "1", "--k", "0"], "k must be >= 1, got 0"),
+    (["compute", "hardy-a", "--hs", "1,1", "--k", "0"],
+     "k must be >= 1, got 0"),
+    (["compute", "hardy-b", "--hs", "1,1", "--k", "-1"],
+     "k must be >= 1, got -1"),
+    (["compute", "bernoulli-sum", "--rs", "2", "--hs", "1", "--k", "0"],
+     "k must be >= 1, got 0"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -422,6 +459,47 @@ def test_config_is_checked_once_per_value(monkeypatch):
     assert verify("eq1", {"h": 2, "k": 7},
                   RunConfig(tolerance="1e-30")).tolerance == "1.0e-30"
     assert parsed == ["2^-120", "1e-30"]
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "nan", "-inf", "abc", "2^x"])
+def test_tolerance_that_is_not_a_finite_number_is_refused(tolerance):
+    # "inf" once passed lhs 1 against rhs 7; a refusal is not cached
+    cfg = RunConfig(tolerance=tolerance)
+    for _ in range(3):
+        with pytest.raises(OutOfRange, match="^tolerance must be a finite"):
+            verify("eq1", {"h": 1, "k": 3}, cfg)
+        with pytest.raises(OutOfRange, match="^tolerance"):
+            build_report("eq1", "", {}, 1, 7, cfg)
+
+
+# text that is not a number, given to the last flag of argv: the library
+# and the CLI give one message, which names the flag (s1, not s) and the
+# forms it takes
+NOT_A_NUMBER = [
+    (lambda: RunConfig(tolerance="2^x").validate(),
+     ["verify", "eq1", "--h", "1", "--k", "3", "--tolerance", "2^x"]),
+    (lambda: verify("lemma1-v", {"k": 3, "s": "abc"}),
+     ["verify", "lemma1-v", "--k", "3", "--s", "abc"]),
+    (lambda: verify("th9", {"k": 4, "h1": 1, "h2": 1, "s1": "nan"}),
+     ["verify", "th9", "--k", "4", "--h1", "1", "--h2", "1", "--s1", "nan"]),
+    (lambda: zeta.mikolas_pair("2", "1e", 1, 1, 4),
+     ["verify", "th9", "--k", "4", "--h1", "1", "--h2", "1", "--s2", "1e"]),
+    (lambda: zeta.hurwitz_zeta("inf", Fraction(1, 2)),
+     ["compute", "hurwitz", "--x", "1/2", "--s", "inf"]),
+    (lambda: zeta.periodic_zeta("2+xi", Fraction(1, 3)),
+     ["compute", "periodic-zeta", "--x", "1/3", "--s", "2+xi"]),
+]
+
+
+@pytest.mark.parametrize("library,argv", NOT_A_NUMBER,
+                         ids=[" ".join(argv[-2:]) for _, argv in NOT_A_NUMBER])
+def test_library_and_cli_name_the_flag_alike(capsys, library, argv):
+    with pytest.raises(OutOfRange) as refused:
+        library()
+    flag = argv[-2].lstrip("-")
+    assert str(refused.value).startswith(f"{flag} must be a finite ")
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
 
 
 def test_invalid_config_is_refused_at_every_call():

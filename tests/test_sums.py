@@ -11,8 +11,8 @@ from cotsums import periodic, sums
 from cotsums.config import RunConfig
 from cotsums.errors import NotCoprime, OutOfRange, ParityViolation
 from cotsums.exact import periodic_bernoulli, sawtooth
-from cotsums.periodic import (enumerated_product_sum, parseval_sides,
-                              random_rational_map)
+from cotsums.periodic import (constrained_product_sum,
+                              enumerated_product_sum, random_rational_map)
 from cotsums.registry import verify
 from cotsums.sums import (EXCLUDE_ZERO, INCLUDE_ZERO, alt_pair_rhs,
                           alt_pair_sum, alt_sign_pair_sum,
@@ -482,8 +482,9 @@ LITERAL = {
         lambda k, h1, h2: sum(_sgn(a * h1 + k * ((a * h1) // k))
                               * _saw(-a * h2, k) for a in range(1, k)),
         lambda k: _pairs(k) if k % 2 else []),
+    # parseval's exact side, cor1's at (h1, h2) = (1, -1)
     "parseval_sides": (
-        lambda k, f1, f2: parseval_sides(f1, f2, bits=64)[0],
+        lambda k, f1, f2: constrained_product_sum([f1, f2], (1, 1)),
         lambda k, f1, f2: sum(f1(a) * f2(-a) for a in range(k)),
         lambda k: [(random_rational_map(k, k), random_rational_map(k, -k))]),
 }
@@ -581,3 +582,18 @@ def test_table_error_budget_scales_with_precision(identity, params):
         with workprec(bits):
             budget = mpf(2) ** (24 - bits) * max(1, abs(mpf(report.rhs)))
             assert mpf(report.residual) <= budget, (bits, report.residual)
+
+
+
+@pytest.mark.parametrize("k", [0, -1])
+@pytest.mark.parametrize("exact", [
+    lambda k: zagier_sum((1, 1), k), lambda k: hardy_A((1, 1), k),
+    lambda k: hardy_B((1, 1), k),
+    lambda k: bernoulli_dedekind_sum((2, 2), (1, 1), k)],
+    ids=["zagier_sum", "hardy_A", "hardy_B", "bernoulli_dedekind_sum"])
+def test_zero_sum_exact_sides_refuse_k_below_one(exact, k):
+    # k >= 1 is checked first, so the message names it, not the period of
+    # a map
+    with pytest.raises(OutOfRange) as refused:
+        exact(k)
+    assert str(refused.value) == f"k must be >= 1, got {k}"

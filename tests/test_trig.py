@@ -165,8 +165,8 @@ class TestProductSum:
 
     def test_exclusions_and_poles(self):
         val = trig_product_sum([("tan", 0, 1), ("cot-deriv", 0, 1)], 6,
-                               exclusions={3})
-        assert_close(val, 4)  # tan*cot = 1 at the four unexcluded residues
+                               residues=[1, 2, 4, 5])
+        assert_close(val, 4)  # tan*cot = 1 at the four residues off k/2
         with pytest.raises(PoleAtHalfPeriod):
             trig_product_sum([("tan", 0, 1)], 6)
 
@@ -191,8 +191,9 @@ def test_int_path_agrees_with_values_path(form, k):
                                      else cot_deriv_table(arg, k, bits),
                                      k, bits), h)
                      for kind, arg, h in factors]
-        fixed = trig_product_sum(factors, k, {k // 2}, bits)
-        folded = trig_product_sum(as_values, k, {k // 2}, bits)
+        off_half = [a for a in range(1, k) if 2 * a != k]
+        fixed = trig_product_sum(factors, k, bits, residues=off_half)
+        folded = trig_product_sum(as_values, k, bits, residues=off_half)
         with workprec(2 * bits):
             assert abs(fixed - folded) <= (mpf(2) ** -(bits + 8)
                                            * max(1, abs(fixed))), bits
