@@ -316,6 +316,24 @@ SWEEP = [
 ]
 
 
+# argv of any command whose flag text is not a number, or not a finite
+# one: each exits 2 naming the flag; their records follow all the others
+FLAG_TEXT_REFUSED = [
+    ["verify", "eq1", "--h", "1", "--k", "3", "--tolerance", "inf"],
+    ["verify", "eq1", "--h", "1", "--k", "3", "--tolerance", "nan"],
+    ["verify", "eq1", "--h", "1", "--k", "3", "--tolerance", "abc"],
+    ["verify", "eq1", "--h", "1", "--k", "3", "--tolerance", "2^x"],
+    ["sweep", "eq1", "--k", "3", "--h", "1", "--tolerance", "2^x"],
+    ["verify", "lemma1-v", "--k", "3", "--s", "abc"],
+    ["verify", "th9", "--k", "4", "--h1", "1", "--h2", "1", "--s1", "nan"],
+    ["verify", "th9", "--k", "4", "--h1", "1", "--h2", "1", "--s2", "abc"],
+    ["compute", "hurwitz", "--s", "abc", "--x", "1/2"],
+    ["compute", "hurwitz", "--s", "inf", "--x", "1/2"],
+    ["compute", "periodic-zeta", "--s", "nan", "--x", "1/3"],
+    ["compute", "sawtooth", "--x", "abc"],
+]
+
+
 def _argvs():
     for ident in PASSING:
         for args in PASSING[ident] + VIOLATING[ident]:
@@ -346,6 +364,7 @@ def _cli_argvs():
         yield ["compute", *args]
     for args in SWEEP:
         yield ["sweep", *args, "--json"]
+    yield from FLAG_TEXT_REFUSED
 
 
 def _run_cli(argv):
