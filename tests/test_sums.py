@@ -584,7 +584,6 @@ def test_table_error_budget_scales_with_precision(identity, params):
             assert mpf(report.residual) <= budget, (bits, report.residual)
 
 
-
 @pytest.mark.parametrize("k", [0, -1])
 @pytest.mark.parametrize("exact", [
     lambda k: zagier_sum((1, 1), k), lambda k: hardy_A((1, 1), k),
