@@ -11,6 +11,8 @@ every instance and every refusal must stay as recorded. Regenerate both
 files (only when an output is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each record it rewrites, the fields that moved.
 """
 
 import contextlib
@@ -430,8 +432,35 @@ def test_golden_cli_covers_every_target():
     assert modes == {target: {False, True} for target in COMPUTE_TARGETS}
 
 
+def _moved(old, new, path=""):
+    """The paths of the fields that differ between two records; JSON text
+    (a report, a sweep line) is compared field by field."""
+    if (isinstance(old, str) and isinstance(new, str)
+            and old.startswith("{") and new.startswith("{")):
+        old, new = json.loads(old), json.loads(new)
+    if isinstance(old, dict) and isinstance(new, dict):
+        return [field for key in {**old, **new}
+                for field in _moved(old.get(key), new.get(key),
+                                    f"{path}.{key}" if path else key)]
+    if isinstance(old, list) and isinstance(new, list) \
+            and len(old) == len(new):
+        return [field for i, (a, b) in enumerate(zip(old, new))
+                for field in _moved(a, b, f"{path}[{i}]")]
+    return [] if old == new else [path or "the record"]
+
+
+def _rewrite(path, records):
+    """Write the records to path, printing each one that moved and how."""
+    before = {json.dumps(r["argv"]): r for r in _load(path)}
+    for record in records:
+        old = before.get(json.dumps(record["argv"]))
+        moved = ["new record"] if old is None else _moved(old, record)
+        if moved:
+            print(f"{path.name}: {' '.join(record['argv'])}: "
+                  f"{', '.join(moved)}")
+    path.write_text(json.dumps(records, indent=1) + "\n")
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps([_run(argv) for argv in _argvs()],
-                                 indent=1) + "\n")
-    GOLDEN_CLI.write_text(json.dumps([_run_cli(argv) for argv in _cli_argvs()],
-                                     indent=1) + "\n")
+    _rewrite(GOLDEN, [_run(argv) for argv in _argvs()])
+    _rewrite(GOLDEN_CLI, [_run_cli(argv) for argv in _cli_argvs()])
