@@ -219,7 +219,7 @@ def spectral_product_sum(fs, hs, bits: int = DEFAULT_BITS) -> mpc:
     factors = [(trig.VALUES, dft(f, bits).values, mod_inverse(h, k))
                for f, h in zip(fs, hs)]
     return trig.trig_product_sum(factors, k, bits=bits, residues=range(k),
-                                 start=mpc(1), divisor=k)
+                                 divisor=k)
 
 
 def map_max_residual(f: PeriodicMap, g: PeriodicMap, bits: int = DEFAULT_BITS):

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import prod
 
 import mpmath
-from mpmath import mpc, mpf, workprec
+from mpmath import mpf, workprec
 
 from . import periodic, trig
 from .errors import (H1_ODD, K_EVEN, K_ODD, K_POSITIVE, M_EVEN, PAIRED_ORDERS,
@@ -173,7 +173,7 @@ def bernoulli_dedekind_rhs(rs, hs, k: int, bits: int = DEFAULT_BITS,
         factors = [(VALUES, periodic.bernoulli_dft_map(r, k, bits).values,
                     hp) for r, hp in zip(rs, invs)]
         return trig_product_sum(factors, k, bits=bits, residues=range(k),
-                                start=mpc(1), divisor=k)
+                                divisor=k)
     return _paper_form(rs, [(COT, r - 1, hp) for r, hp in zip(rs, invs)],
                        _sign(sum(rs) // 2), k, bits)
 

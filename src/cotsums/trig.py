@@ -22,11 +22,12 @@ error: a derivative table is Q_m over the cot ints by integer Horner at
 scale 2^P, one rounding shift per step, within
 (2m + 4) * 2^-guarded(bits, k) relative error for odd m.
 
-Kernel error bound. When every factor is a cot/tan table, trig_product_sum
-multiplies the int columns exactly, sums them exactly and rounds once: the
-sum of k m-fold products is within about m * k * max|T|^(m-1) * 2^-P of
-the true sum before that rounding. With a "values" factor the entries are
-read as mpf and folded at guarded(bits, k).
+Kernel error bound. trig_product_sum has one arithmetic path: every factor
+is an int column at scale 2^P (a "values" entry rounded once to it, an mpc
+entry as two ints), the columns are multiplied and summed exactly, and the
+sum is rounded once to guarded(bits, k). Each entry is within 2^-P of its
+value, so the sum of k m-fold products is within about
+m * k * max|T|^(m-1) * 2^-P of the true sum before that rounding.
 
 cot_at, tan_at and cot_deriv_at evaluate one value each by cospi/sinpi.
 """
@@ -34,13 +35,14 @@ cot_at, tan_at and cot_deriv_at evaluate one value each by cospi/sinpi.
 from __future__ import annotations
 
 import threading
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import repeat
 from operator import mul
 from typing import NamedTuple
 
 import mpmath
-from mpmath import mpf, workprec
+from mpmath import mpc, mpf, workprec
+from mpmath.libmp import mpf_shift, to_int
 
 from .errors import (K_POSITIVE, PoleAtHalfPeriod, PoleAtIntegerMultiple,
                      check)
@@ -201,56 +203,66 @@ def as_mpf(values, k: int, bits: int = DEFAULT_BITS) -> tuple:
         return tuple(None if v is None else mpf((v, -p)) for v in values)
 
 
+def _fixed(x, p: int) -> int:
+    """round(x * 2^p) of an int, Fraction or mpf x."""
+    return (to_int(mpf_shift(x._mpf_, p), "n") if isinstance(x, mpf)
+            else _ratio(x.numerator, x.denominator, p))
+
+
+def _times(x, y) -> tuple:
+    """The entrywise product of two columns, each (real ints, imaginary
+    ints or None)."""
+    (a, b), (c, d) = x, y
+    if b is None and d is None:
+        return list(map(mul, a, c)), None
+    terms = list(zip(a, b or repeat(0), c, d or repeat(0)))
+    return ([p * r - q * s for p, q, r, s in terms],
+            [p * s + q * r for p, q, r, s in terms])
+
+
 def trig_product_sum(factors, k: int, bits: int = DEFAULT_BITS, *,
-                     residues=None, start=None, divisor: int = 1):
+                     residues=None, divisor: int = 1):
     """(1/divisor) sum_{a in residues} prod_j T_j((a*h_j) % k).
 
     Each factor is (kind, arg, h_j). Kind "cot-deriv" takes T_j(n) =
     cot^(arg)(pi*n/k) and "tan" takes tan(pi*n/k) (arg ignored), both
-    from the int tables; "values" takes T_j = arg, a sequence indexed by
-    the residue mod k. residues, a range or a list, defaults to 1..k-1 and
-    must leave out every pole (n = 0 for cot, n = k/2 for tan with k
-    even); a pole met raises.
-
-    With only cot/tan factors and no start, the int columns are multiplied
-    and summed exactly and the sum is rounded once to guarded(bits, k).
-    Otherwise the table entries are read as mpf and each product is folded
-    left from start, or from its first factor when start is None (so at
-    least one factor is needed); start=mpc(1) rounds that factor into the
-    working precision guarded(bits, k), at which the whole sum runs.
+    from the int tables; "values" takes T_j = arg, a sequence of int,
+    Fraction, mpf or mpc entries indexed by the residue mod k, each
+    rounded once to the tables' scale 2^P (an mpc entry as a real and an
+    imaginary int). residues, a range or a list, defaults to 1..k-1 and
+    must leave out every pole (n = 0 for cot, n = k/2 for tan with k even,
+    a None entry of a values factor); a pole met raises. The int columns
+    are multiplied and summed exactly and the sum is rounded once to
+    guarded(bits, k): an mpc when some column is complex, else an mpf.
     """
     check((K_POSITIVE,), k=k)
+    if not factors:
+        raise ValueError("trig_product_sum needs at least one factor")
     idx = range(1, k) if residues is None else residues
-    fixed = start is None and all(kind != VALUES for kind, _, _ in factors)
+    p, cols = table_scale(k, bits), []
+    for kind, arg, h in factors:
+        if kind == VALUES:
+            table = arg
+        elif kind == TAN:
+            table = tan_table(k, bits)
+        elif kind == COT:
+            table = cot_deriv_table(arg, k, bits)
+        else:
+            raise ValueError(f"unknown trig factor kind {kind!r}")
+        col, im = [table[a * h % k] for a in idx], None
+        if None in col:
+            error = PoleAtHalfPeriod if kind == TAN else PoleAtIntegerMultiple
+            raise error(f"{kind} factor with multiplier {h} has a pole at "
+                        f"a = {idx[col.index(None)]} (mod {k})")
+        if kind == VALUES:
+            if any(isinstance(v, mpc) for v in col):
+                im = [_fixed(v.imag, p) for v in col]
+            col = [_fixed(v.real, p) for v in col]
+        cols.append((col, im))
+    re, im = reduce(_times, cols)
+    scale = -len(factors) * p
     with workprec(guarded(bits, k)):
-        cols = []
-        for kind, arg, h in factors:
-            if kind == VALUES:
-                table = arg
-            elif kind == TAN:
-                table = tan_table(k, bits)
-            elif kind == COT:
-                table = cot_deriv_table(arg, k, bits)
-            else:
-                raise ValueError(f"unknown trig factor kind {kind!r}")
-            col = [table[a * h % k] for a in idx]
-            cols.append(col if fixed or kind == VALUES
-                        else as_mpf(col, k, bits))
-        first, rest = ((cols[0], cols[1:]) if start is None
-                       else (repeat(start, len(idx)), cols))
-        try:
-            total = sum(reduce(partial(map, mul), rest, first),
-                        0 if fixed else mpf(0))
-        except TypeError:
-            # a product met a None slot: name the pole it marks
-            for (kind, _, h), col in zip(factors, cols):
-                for a, value in zip(idx, col):
-                    if value is None:
-                        error = (PoleAtHalfPeriod if kind == TAN
-                                 else PoleAtIntegerMultiple)
-                        raise error(f"{kind} factor with multiplier {h} has "
-                                    f"a pole at a = {a} (mod {k})") from None
-            raise
-        if fixed:
-            total = mpf((total, -len(factors) * table_scale(k, bits)))
+        total = mpf((sum(re), scale))
+        if im is not None:
+            total = mpc(total, mpf((sum(im), scale)))
         return total / divisor

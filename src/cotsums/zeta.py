@@ -312,9 +312,8 @@ def cot_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
     """S(f) = (pi/2k) sum_{r=1}^{k-1} f(r) cot(pi r/k) for odd f."""
     _check_odd(f, bits)
     k = f.period
+    acc = trig_product_sum([(VALUES, f.values, 1), (COT, 0, 1)], k, bits=bits)
     with workprec(guarded(bits, k)):
-        vals = [mpmath.mpmathify(v) for v in f.values]
-        acc = trig_product_sum([(VALUES, vals, 1), (COT, 0, 1)], k, bits=bits)
         return mpmath.pi / (2 * k) * acc
 
 
@@ -333,13 +332,11 @@ def lehmer_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
     """S(f) = sum_{r=1}^{k} f(r) gamma(r,k) for odd f (Lehmer's Theorem 8)."""
     _check_odd(f, bits)
     k = f.period
-    with workprec(guarded(bits, k)):
-        vals = [mpmath.mpmathify(v) for v in f.values]
-        # the table holds gamma(r,k) for r = 1..k; rotated, r mod k indexes it
-        gtab = euler_gamma_table(k, bits)
-        return trig_product_sum(
-            [(VALUES, vals, 1), (VALUES, gtab[-1:] + gtab[:-1], 1)], k,
-            bits=bits, residues=range(1, k + 1))
+    # the table holds gamma(r,k) for r = 1..k; rotated, r mod k indexes it
+    gtab = euler_gamma_table(k, bits)
+    return trig_product_sum(
+        [(VALUES, f.values, 1), (VALUES, gtab[-1:] + gtab[:-1], 1)], k,
+        bits=bits, residues=range(1, k + 1))
 
 
 def zeta_form(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpc:

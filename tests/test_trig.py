@@ -5,9 +5,10 @@ from mpmath import mpf, workprec
 from conftest import assert_close
 from cotsums.errors import PoleAtHalfPeriod, PoleAtIntegerMultiple
 from cotsums.hp import guarded
+from cotsums.periodic import random_odd_map, random_rational_map
 from cotsums.trig import (COT, TAN, VALUES, as_mpf, cot_at, cot_deriv_at,
-                          cot_deriv_table, cot_poly, cot_table, tan_at,
-                          tan_table, trig_product_sum)
+                          cot_deriv_table, cot_poly, cot_table, table_scale,
+                          tan_at, tan_table, trig_product_sum)
 
 
 class TestCotPoly:
@@ -163,6 +164,10 @@ class TestProductSum:
                                 ("tan", 0, 3)], 9)
         assert_close(val, 0)
 
+    def test_empty_factor_list_is_refused(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            trig_product_sum([], 5)
+
     def test_exclusions_and_poles(self):
         val = trig_product_sum([("tan", 0, 1), ("cot-deriv", 0, 1)], 6,
                                residues=[1, 2, 4, 5])
@@ -171,29 +176,76 @@ class TestProductSum:
             trig_product_sum([("tan", 0, 1)], 6)
 
 
-# the factor lists of eq1, cor7 and tan-sq; the sums below exclude k/2,
-# tan's pole at these even k
+# the factor lists of eq1, cor7 and tan-sq, whose columns are also passed
+# as VALUES read from the mpf view; real, complex and Fraction VALUES
+# columns; and the mixed list of zeta.cot_form. The sums leave out k/2,
+# tan's pole at even k.
+def _sqrt_column(k):
+    return [mpmath.sqrt(n + mpf(1) / 3) for n in range(k)]
+
+
+def _turned_column(k):
+    return [mpmath.expjpi(mpf(2 * n) / k) * v
+            for n, v in enumerate(_sqrt_column(k))]
+
+
 FACTOR_LISTS = {
-    "eq1": [(COT, 0, 1), (COT, 0, 7)],
-    "cor7": [(TAN, 0, 7), (COT, 0, 1)],
-    "tan-sq": [(TAN, 0, 1), (TAN, 0, 1)],
+    "eq1": lambda k: [(COT, 0, 1), (COT, 0, 7)],
+    "cor7": lambda k: [(TAN, 0, 7), (COT, 0, 1)],
+    "tan-sq": lambda k: [(TAN, 0, 1), (TAN, 0, 1)],
+    "values-real": lambda k: [(VALUES, _sqrt_column(k), 1),
+                              (VALUES, _sqrt_column(k), 7)],
+    "values-complex": lambda k: [(VALUES, _turned_column(k), 7),
+                                 (VALUES, _turned_column(k), 1),
+                                 (COT, 0, 1)],
+    "values-fraction": lambda k: [
+        (VALUES, random_rational_map(k, 3).values, 1),
+        (VALUES, random_rational_map(k, 4).values, 7)],
+    "cot_form": lambda k: [(VALUES, random_odd_map(k, 3).values, 1),
+                           (COT, 0, 1)],
 }
+
+
+def _reference_terms(factors, k, residues):
+    """The products of each residue, every entry at 800 bits."""
+    def entry(kind, arg, n):
+        if kind == COT:
+            return mpmath.cot(mpmath.pi * n / k)
+        if kind == TAN:
+            return mpmath.tan(mpmath.pi * n / k)
+        return mpmath.mpmathify(arg[n])
+
+    with workprec(800):
+        return [[entry(kind, arg, a * h % k) for kind, arg, h in factors]
+                for a in residues]
 
 
 @pytest.mark.parametrize("k", [60, 2000])
 @pytest.mark.parametrize("form", FACTOR_LISTS)
 def test_int_path_agrees_with_values_path(form, k):
-    # the same columns, once as cot/tan factors (exact int products, one
-    # rounding) and once as VALUES read from the mpf view (today's fold)
+    # within the kernel's stated bound, m*k*max|T|^(m-1)*2^-P before the one
+    # rounding to guarded(bits, k), of an 800-bit reference
+    off_half = [a for a in range(1, k) if 2 * a != k]
     for bits in (128, 256):
-        factors = FACTOR_LISTS[form]
+        with workprec(guarded(bits, k)):
+            factors = FACTOR_LISTS[form](k)
+        got = trig_product_sum(factors, k, bits, residues=off_half)
+        terms = _reference_terms(factors, k, off_half)
+        with workprec(800):
+            ref = mpmath.fsum(mpmath.fprod(t) for t in terms)
+            top = max(abs(v) for t in terms for v in t)
+            bound = (len(factors) * k * top ** (len(factors) - 1)
+                     * mpf(2) ** -table_scale(k, bits)
+                     + abs(ref) * mpf(2) ** -guarded(bits, k))
+            assert abs(got - ref) <= bound, bits
+        if any(kind == VALUES for kind, _, _ in factors):
+            continue
+        # the same columns as VALUES of the mpf view
         as_values = [(VALUES, as_mpf(tan_table(k, bits) if kind == TAN
                                      else cot_deriv_table(arg, k, bits),
                                      k, bits), h)
                      for kind, arg, h in factors]
-        off_half = [a for a in range(1, k) if 2 * a != k]
-        fixed = trig_product_sum(factors, k, bits, residues=off_half)
         folded = trig_product_sum(as_values, k, bits, residues=off_half)
         with workprec(2 * bits):
-            assert abs(fixed - folded) <= (mpf(2) ** -(bits + 8)
-                                           * max(1, abs(fixed))), bits
+            assert abs(got - folded) <= (mpf(2) ** -(bits + 8)
+                                         * max(1, abs(got))), bits
