@@ -51,6 +51,8 @@ class IdentityEntry(NamedTuple):
     note: str | Callable = ""  # the report note, or a function of the params
     # a report the comparison cannot build: (entry, params, config) -> report
     checker: Callable | None = None
+    # the row's inputs, built once for both sides: (**params) -> dict
+    inputs: Callable | None = None
 
     def validate(self, params: dict) -> None:
         """Raise the first violated precondition, naming its condition."""
@@ -66,6 +68,7 @@ class IdentityEntry(NamedTuple):
         if self.checker is not None:
             return self.checker(self, params, config)
         args = {name: params[name] for name in self.param_names}
+        args.update(self.inputs(**args) if self.inputs else ())
         return _two_sided(self, params,
                           lambda: self.exact(config, **args),
                           lambda: self.closed(config, **args),
@@ -106,18 +109,22 @@ def _seeded_maps(k, seed, count, kind="rational"):
     return [maker(k, seed * 1000003 + i) for i in range(count)]
 
 
-def _pair_exact(k, h1, h2, seed, kind="rational"):
-    """sum_a f1(a h1) f2(a h2) over the seeded maps (cor1, cor2, parseval)."""
-    return periodic.constrained_product_sum(
-        _seeded_maps(k, seed, 2, kind), (h1, -h2))
+def _pair_maps(k, seed, parity="rational", **_):
+    """The inputs of cor1, cor2 and parseval: two seeded maps, of cor2's
+    parity."""
+    return {"maps": _seeded_maps(k, seed, 2, parity)}
 
 
-def _pair_transform(c, k, at, h1, seed, kind="rational", sign=1):
-    """(sign/k) sum_a DFT[f1](a at) DFT[f2](a h1) over the same maps."""
-    bits = c.precision
-    f1, f2 = _seeded_maps(k, seed, 2, kind)
-    return trig_product_sum([(VALUES, dft(f1, bits).values, at),
-                             (VALUES, dft(f2, bits).values, h1)], k, bits=bits,
+def _pair_exact(c, maps, h1=1, h2=-1, **_):
+    """sum_a f1(a h1) f2(a h2) of the maps (f1, f2); parseval at (1, -1)."""
+    return periodic.constrained_product_sum(maps, (h1, -h2))
+
+
+def _pair_transform(c, maps, at, h1, sign=1):
+    """(sign/k) sum_a DFT[f1](a at) DFT[f2](a h1) of the maps (f1, f2)."""
+    bits, k = c.precision, maps[0].period
+    return trig_product_sum([(VALUES, dft(f, bits).values, h)
+                             for f, h in zip(maps, (at, h1))], k, bits=bits,
                             residues=range(k), divisor=sign * k)
 
 
@@ -209,8 +216,8 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "parseval", "sum_a f1(a) f2(-a) = (1/k) sum_a DFT[f1](a) DFT[f2](a)",
         _SEEDED, "k >= 1; seeded random exact maps", defaults={"seed": 1},
         # cor1 at (h1, h2) = (1, -1)
-        exact=lambda c, k, seed: _pair_exact(k, 1, -1, seed),
-        closed=lambda c, k, seed: _pair_transform(c, k, 1, 1, seed)),
+        inputs=_pair_maps, exact=_pair_exact,
+        closed=lambda c, maps, **_: _pair_transform(c, maps, 1, 1)),
     IdentityEntry(
         "th1", "sum over a_1+...+a_m = 0 (mod k) of prod f_j(a_j h_j) "
                "= (1/k) sum_a prod DFT[f_j](a h_j')",
@@ -224,20 +231,17 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                 "= (1/k) sum_a DFT[f1](-a h2) DFT[f2](a h1)",
         (*_PAIR, "seed"), "gcd(h1,k) = gcd(h2,k) = 1",
         (coprime("h1", "h2"),), {"seed": 1},
-        exact=lambda c, k, h1, h2, seed: _pair_exact(k, h1, h2, seed),
-        closed=lambda c, k, h1, h2, seed: _pair_transform(c, k, -h2, h1,
-                                                          seed)),
+        inputs=_pair_maps, exact=_pair_exact,
+        closed=lambda c, maps, h1, h2, **_: _pair_transform(c, maps, -h2, h1)),
     IdentityEntry(
         "cor2", "sum_a f1(a h1) f2(a h2) "
                 "= ((-1)^s/k) sum_a DFT[f1](a h2) DFT[f2](a h1)",
         (*_PAIR, "seed", "parity"),
         "gcd(h_i,k) = 1; both maps share the declared parity",
         (coprime("h1", "h2"), choice("parity", ("odd", "even"))),
-        {"seed": 1, "parity": "odd"},
-        exact=lambda c, k, h1, h2, seed, parity: _pair_exact(k, h1, h2, seed,
-                                                             parity),
-        closed=lambda c, k, h1, h2, seed, parity: _pair_transform(
-            c, k, h2, h1, seed, parity, -1 if parity == "odd" else 1),
+        {"seed": 1, "parity": "odd"}, inputs=_pair_maps, exact=_pair_exact,
+        closed=lambda c, maps, h1, h2, parity, **_: _pair_transform(
+            c, maps, h2, h1, -1 if parity == "odd" else 1),
         note=lambda p: "sign (-1)^s with s=1 for odd maps, 0 for even; "
                        f"{p['parity']} maps used"),
     IdentityEntry(

@@ -104,7 +104,9 @@ def _exact_side(identity):
         return CHECKER_EXACT[identity]()
     entry = REGISTRY[identity]
     params = {**INSTANCES, **EXACT_ONLY}[identity]
-    return entry.exact(RunConfig(), **{**entry.defaults, **params})
+    args = {**entry.defaults, **params}
+    args.update(entry.inputs(**args) if entry.inputs else ())
+    return entry.exact(RunConfig(), **args)
 
 
 @pytest.mark.parametrize("identity", [
