@@ -27,12 +27,14 @@ from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap, dft, map_max_residual,
 from .trig import COT, VALUES, trig_product_sum
 
 _EM_GUARD = 32
+# the largest |s| taken: lemma1-v fails at 1e100 and does not end at 1e400
+S_BOUND = 10 ** 30
 
 
 def _to_s(s, bits: int = DEFAULT_BITS, name: str = "s") -> mpc:
     """Normalize an exponent argument (int/Fraction/str/complex/mp) to mpc,
     converting at full working precision; a value that is not a finite
-    number is refused, naming the parameter and the forms it takes."""
+    number, or is above S_BOUND, is refused naming the parameter."""
     with workprec(guarded(bits)):
         try:
             z = s
@@ -46,6 +48,9 @@ def _to_s(s, bits: int = DEFAULT_BITS, name: str = "s") -> mpc:
         if not mpmath.isfinite(z):
             raise OutOfRange(f"{name} must be a finite number such as 2, "
                              f"5/2, 2.5 or 2+1i, got {s!r}")
+        if abs(z) > S_BOUND:
+            raise OutOfRange(f"|{name}| must be at most {S_BOUND:.0e}, "
+                             f"got {s!r}")
         return z
 
 

@@ -333,6 +333,10 @@ FLAG_TEXT_REFUSED = [
     ["compute", "hurwitz", "--s", "inf", "--x", "1/2"],
     ["compute", "periodic-zeta", "--s", "nan", "--x", "1/3"],
     ["compute", "sawtooth", "--x", "abc"],
+    ["sweep", "th9", "--k", "4", "--h1", "1", "--h2", "1", "--s1", "abc"],
+    ["sweep", "lemma1-v", "--k", "3..5", "--s", "inf"],
+    ["verify", "lemma1-v", "--k", "3", "--s", "1e400"],
+    ["sweep", "lemma1-v", "--k", "3..5", "--s", "1e400"],
 ]
 
 

@@ -488,6 +488,11 @@ NOT_A_NUMBER = [
      ["compute", "hurwitz", "--x", "1/2", "--s", "inf"]),
     (lambda: zeta.periodic_zeta("2+xi", Fraction(1, 3)),
      ["compute", "periodic-zeta", "--x", "1/3", "--s", "2+xi"]),
+    # a sweep names the flag too, not skipping each instance as inadmissible
+    (lambda: verify("th9", {"k": 4, "h1": 1, "h2": 1, "s1": "abc"}),
+     ["sweep", "th9", "--k", "4", "--h1", "1", "--h2", "1", "--s1", "abc"]),
+    (lambda: verify("lemma1-v", {"k": 3, "s": "inf"}),
+     ["sweep", "lemma1-v", "--k", "3..5", "--s", "inf"]),
 ]
 
 
@@ -500,6 +505,39 @@ def test_library_and_cli_name_the_flag_alike(capsys, library, argv):
     assert str(refused.value).startswith(f"{flag} must be a finite ")
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+
+# an exponent above zeta.S_BOUND, given to the last flag of argv: 1e400
+# once did not return
+ABOVE_BOUND = [
+    (lambda: verify("lemma1-v", {"k": 3, "s": "1e400"}),
+     ["verify", "lemma1-v", "--k", "3", "--s", "1e400"]),
+    (lambda: verify("lemma1-v", {"k": 3, "s": "1e400"}),
+     ["sweep", "lemma1-v", "--k", "3..5", "--s", "1e400"]),
+    (lambda: zeta.mikolas_pair("2", "2+1e31i", 1, 1, 4),
+     ["verify", "th9", "--k", "4", "--h1", "1", "--h2", "1", "--s2",
+      "2+1e31i"]),
+    (lambda: zeta.hurwitz_zeta("1e31", Fraction(1, 2)),
+     ["compute", "hurwitz", "--x", "1/2", "--s", "1e31"]),
+]
+
+
+@pytest.mark.parametrize("library,argv", ABOVE_BOUND,
+                         ids=[" ".join(argv[:2] + argv[-2:])
+                              for _, argv in ABOVE_BOUND])
+def test_exponent_above_the_bound_is_refused(capsys, library, argv):
+    flag, text = argv[-2].lstrip("-"), argv[-1]
+    message = f"|{flag}| must be at most 1e+30, got {text!r}"
+    with pytest.raises(OutOfRange) as refused:
+        library()
+    assert str(refused.value) == message
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_exponent_at_the_bound_is_taken():
+    assert zeta.S_BOUND == 10 ** 30
+    assert verify("lemma1-v", {"k": 3, "s": "1e30"}).passed
 
 
 def test_invalid_config_is_refused_at_every_call():
