@@ -373,8 +373,9 @@ def _expand_instances(args, entry) -> list[dict]:
     check((given(args.id, [n for n in names if n not in entry.defaults
                            and PARAMS[n].form != TUPLE]),), **vars(args))
     # a refused exponent is named, as verify names it, not skipped
-    for name in {"s", "s1", "s2"} & {n for n in names if getattr(args, n)}:
-        zeta._to_s(getattr(args, name), name=name)
+    for name in ("s", "s1", "s2"):
+        if name in names and getattr(args, name):
+            zeta._to_s(getattr(args, name), name=name)
     ks = _parse_int_range(" ".join(args.k), "k")
     # default hs tuples are as long as the explicit rs they pair up with
     rs = args.rs if "rs" in entry.param_names else None

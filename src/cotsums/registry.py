@@ -2,8 +2,9 @@
 
 Each identity is one data row: its id, the anchor (the formula under test,
 in ASCII), a parameter schema with defaults, the precondition text and the
-ordered rules that enforce it, and its exact and closed sides as callables.
-One comparison builds the report from what the closed side returns: a
+ordered rules that enforce it, and its exact and closed sides as callables
+(with the inputs both read, such as seeded maps, built once). One
+comparison builds the report from what the closed side returns: a
 PeriodicMap is compared with the exact map at the worst index; a (partial
 sum, tail bound) pair passes against that bound; any other value is
 compared with the exact value. A check whose exact side is exact and whose
