@@ -43,7 +43,7 @@ def _to_s(s, bits: int = DEFAULT_BITS, name: str = "s") -> mpc:
                 z = (complex(z if z[-1] == "j" else z + "j") if "j" in z
                      else Fraction(z))
             z = mpc(mpmath.mpmathify(z))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             z = mpmath.nan
         if not mpmath.isfinite(z):
             raise OutOfRange(f"{name} must be a finite number such as 2, "

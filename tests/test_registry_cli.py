@@ -491,8 +491,8 @@ NOT_A_NUMBER = [
     # a sweep names the flag too, not skipping each instance as inadmissible
     (lambda: verify("th9", {"k": 4, "h1": 1, "h2": 1, "s1": "abc"}),
      ["sweep", "th9", "--k", "4", "--h1", "1", "--h2", "1", "--s1", "abc"]),
-    (lambda: verify("lemma1-v", {"k": 3, "s": "inf"}),
-     ["sweep", "lemma1-v", "--k", "3..5", "--s", "inf"]),
+    (lambda: verify("lemma1-v", {"k": 3, "s": "1/0"}),
+     ["sweep", "lemma1-v", "--k", "3..5", "--s", "1/0"]),
 ]
 
 
