@@ -227,13 +227,11 @@ def trig_product_sum(factors, k: int, bits: int = DEFAULT_BITS, *,
     Each factor is (kind, arg, h_j). Kind "cot-deriv" takes T_j(n) =
     cot^(arg)(pi*n/k) and "tan" takes tan(pi*n/k) (arg ignored), both
     from the int tables; "values" takes T_j = arg, a sequence of int,
-    Fraction, mpf or mpc entries indexed by the residue mod k, each
-    rounded once to the tables' scale 2^P (an mpc entry as a real and an
-    imaginary int). residues, a range or a list, defaults to 1..k-1 and
-    must leave out every pole (n = 0 for cot, n = k/2 for tan with k even,
-    a None entry of a values factor); a pole met raises. The int columns
-    are multiplied and summed exactly and the sum is rounded once to
-    guarded(bits, k): an mpc when some column is complex, else an mpf.
+    Fraction, mpf or mpc entries indexed by the residue mod k. residues, a
+    range or a list, defaults to 1..k-1 and must leave out every pole (n = 0
+    for cot, n = k/2 for tan with k even, a None entry of a values factor);
+    a pole met raises. The result is an mpc when some values entry is, else
+    an mpf; the module doc gives its one arithmetic path and error bound.
     """
     check((K_POSITIVE,), k=k)
     if not factors:
