@@ -211,10 +211,11 @@ def _fixed(x, p: int) -> int:
 
 def _times(x, y) -> tuple:
     """The entrywise product of two columns, each (real ints, imaginary
-    ints or None)."""
+    ints or None); a real product is left lazy, so a sum of real columns
+    holds no list of products."""
     (a, b), (c, d) = x, y
     if b is None and d is None:
-        return list(map(mul, a, c)), None
+        return map(mul, a, c), None
     terms = list(zip(a, b or repeat(0), c, d or repeat(0)))
     return ([p * r - q * s for p, q, r, s in terms],
             [p * s + q * r for p, q, r, s in terms])
