@@ -245,7 +245,7 @@ def test_int_path_agrees_with_values_path(form, k):
                                      else cot_deriv_table(arg, k, bits),
                                      k, bits), h)
                      for kind, arg, h in factors]
-        folded = trig_product_sum(as_values, k, bits, residues=off_half)
+        from_view = trig_product_sum(as_values, k, bits, residues=off_half)
         with workprec(2 * bits):
-            assert abs(got - folded) <= (mpf(2) ** -(bits + 8)
-                                         * max(1, abs(got))), bits
+            assert abs(got - from_view) <= (mpf(2) ** -(bits + 8)
+                                            * max(1, abs(got))), bits
