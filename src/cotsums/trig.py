@@ -27,7 +27,10 @@ is an int column at scale 2^P (a "values" entry rounded once to it, an mpc
 entry as two ints), the columns are multiplied and summed exactly, and the
 sum is rounded once to guarded(bits, k). Each entry is within 2^-P of its
 value, so the sum of k m-fold products is within about
-m * k * max|T|^(m-1) * 2^-P of the true sum before that rounding.
+m * k * max|T|^(m-1) * 2^-P of the true sum before that rounding. A values
+column whose entries pass 2^P (zeta(s, 1/k) ~ k^s at large s) is rounded
+at 2^(2P - t) instead, t its largest entry's exponent: each of its entries
+is within 2^-2P of that entry, and no int grows past 2P bits.
 
 cot_at, tan_at and cot_deriv_at evaluate one value each by cospi/sinpi.
 """
@@ -203,10 +206,11 @@ def as_mpf(values, k: int, bits: int = DEFAULT_BITS) -> tuple:
         return tuple(None if v is None else mpf((v, -p)) for v in values)
 
 
-def _fixed(x, p: int) -> int:
-    """round(x * 2^p) of an int, Fraction or mpf x."""
-    return (to_int(mpf_shift(x._mpf_, p), "n") if isinstance(x, mpf)
-            else _ratio(x.numerator, x.denominator, p))
+def _fixed(x, q: int) -> int:
+    """round(x * 2^q) of an int, Fraction or mpf x."""
+    if isinstance(x, mpf):
+        return to_int(mpf_shift(x._mpf_, q), "n")
+    return _ratio(x.numerator << max(q, 0), x.denominator << max(-q, 0), 0)
 
 
 def _times(x, y) -> tuple:
@@ -238,7 +242,7 @@ def trig_product_sum(factors, k: int, bits: int = DEFAULT_BITS, *,
     if not factors:
         raise ValueError("trig_product_sum needs at least one factor")
     idx = range(1, k) if residues is None else residues
-    p, cols = table_scale(k, bits), []
+    p, cols, scale = table_scale(k, bits), [], 0
     for kind, arg, h in factors:
         if kind == VALUES:
             table = arg
@@ -248,18 +252,21 @@ def trig_product_sum(factors, k: int, bits: int = DEFAULT_BITS, *,
             table = cot_deriv_table(arg, k, bits)
         else:
             raise ValueError(f"unknown trig factor kind {kind!r}")
-        col, im = [table[a * h % k] for a in idx], None
+        col, im, shift = [table[a * h % k] for a in idx], None, p
         if None in col:
             error = PoleAtHalfPeriod if kind == TAN else PoleAtIntegerMultiple
             raise error(f"{kind} factor with multiplier {h} has a pole at "
                         f"a = {idx[col.index(None)]} (mod {k})")
         if kind == VALUES:
+            # a column past 2^P keeps 2P bits: its excess exponent goes to
+            # the scale, so no entry's int outgrows 2P bits
+            shift -= max(0, max(map(mpmath.mag, col), default=0) - p)
             if any(isinstance(v, mpc) for v in col):
-                im = [_fixed(v.imag, p) for v in col]
-            col = [_fixed(v.real, p) for v in col]
+                im = [_fixed(v.imag, shift) for v in col]
+            col = [_fixed(v.real, shift) for v in col]
         cols.append((col, im))
+        scale -= shift
     re, im = reduce(_times, cols)
-    scale = -len(factors) * p
     with workprec(guarded(bits, k)):
         total = mpf((sum(re), scale))
         if im is not None:

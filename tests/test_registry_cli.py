@@ -540,6 +540,24 @@ def test_exponent_at_the_bound_is_taken():
     assert verify("lemma1-v", {"k": 3, "s": "1e30"}).passed
 
 
+@pytest.mark.parametrize("s", ["1e6", "1e30"])
+def test_large_exponent_reaches_the_kernel(capsys, s):
+    # zeta(s, 1/4) ~ 4^s: th9's lhs and periodic_zeta pass such values to
+    # the kernel, which once built ints of ~s bits (OverflowError at 1e30)
+    lhs, rhs = zeta.mikolas_pair(s, "3", 1, 1, 4)
+    with mpmath.workprec(300):
+        assert abs(lhs - rhs) <= abs(lhs) * mpmath.mpf(2) ** -200
+        # F(s, 1/3) = e^(2 pi i/3) + O(2^-s); 3^-s at |s| = 1e30 costs
+        # ~100 of the working bits
+        value = zeta.periodic_zeta(s, Fraction(1, 3))
+        assert abs(value - mpmath.expjpi(mpmath.mpf(2) / 3)) < 2 ** -150
+    # an absolute tolerance cannot hold at |lhs| ~ 4^s: th9 returns FAIL
+    assert main(["verify", "th9", "--k", "4", "--h1", "1", "--h2", "1",
+                 "--s1", s]) in (0, 1)
+    assert main(["compute", "periodic-zeta", "--s", s, "--x", "1/3"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_invalid_config_is_refused_at_every_call():
     cfg = RunConfig(precision=64, tolerance="2^-128")
     for _ in range(3):

@@ -3,6 +3,7 @@ import pytest
 from mpmath import mpf, workprec
 
 from conftest import assert_close
+from cotsums import trig
 from cotsums.errors import PoleAtHalfPeriod, PoleAtIntegerMultiple
 from cotsums.hp import guarded
 from cotsums.periodic import random_odd_map, random_rational_map
@@ -167,6 +168,27 @@ class TestProductSum:
     def test_empty_factor_list_is_refused(self):
         with pytest.raises(ValueError, match="at least one factor"):
             trig_product_sum([], 5)
+
+    @pytest.mark.parametrize("exponent", [10 ** 6, 10 ** 30])
+    @pytest.mark.parametrize("turn", [False, True])
+    def test_values_past_the_table_scale(self, monkeypatch, exponent, turn):
+        # zeta(s, 1/k) ~ k^s: a column far past 2^P is rounded relative to
+        # its largest entry, and no entry's int grows past 2P bits
+        k, bits = 7, 256
+        with workprec(guarded(bits, k)):
+            big = [mpf(2) ** exponent * mpmath.sqrt(n + 1) for n in range(k)]
+            if turn:
+                big = [mpmath.expjpi(mpf(2 * n) / k) * v
+                       for n, v in enumerate(big)]
+        sizes, fixed = [], trig._fixed
+        monkeypatch.setattr(trig, "_fixed", lambda x, q: sizes.append(
+            fixed(x, q).bit_length()) or fixed(x, q))
+        got = trig_product_sum([(VALUES, big, 1), (COT, 0, 3)], k, bits)
+        assert max(sizes) <= 2 * table_scale(k, bits) + 1
+        with workprec(800):
+            ref = mpmath.fsum(big[a] * mpmath.cot(mpmath.pi * 3 * a / k)
+                              for a in range(1, k))
+            assert abs(got - ref) <= abs(ref) * mpf(2) ** -bits
 
     def test_exclusions_and_poles(self):
         val = trig_product_sum([("tan", 0, 1), ("cot-deriv", 0, 1)], 6,
