@@ -8,10 +8,11 @@ continuation is out of scope.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from math import factorial, inf
 from typing import NamedTuple
 
 import mpmath
@@ -34,16 +35,20 @@ S_BOUND = 10 ** 30
 def _to_s(s, bits: int = DEFAULT_BITS, name: str = "s") -> mpc:
     """Normalize an exponent argument (int/Fraction/str/complex/mp) to mpc,
     converting at full working precision; a value that is not a finite
-    number, or is above S_BOUND, is refused naming the parameter."""
+    number, or is above S_BOUND, is refused naming the parameter. Decimal
+    text is held to the bound as a Decimal, which keeps its exponent as
+    written, so 1e1000000 is refused before Fraction expands it."""
     with workprec(guarded(bits)):
         try:
             z = s
             if isinstance(s, str):
                 z = s.strip().replace("i", "j")
                 z = (complex(z if z[-1] == "j" else z + "j") if "j" in z
-                     else Fraction(z))
+                     else Fraction(z) if "/" in z
+                     or not S_BOUND < Decimal(z).copy_abs() < inf
+                     else 2 * S_BOUND)
             z = mpc(mpmath.mpmathify(z))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ArithmeticError):
             z = mpmath.nan
         if not mpmath.isfinite(z):
             raise OutOfRange(f"{name} must be a finite number such as 2, "
