@@ -2,9 +2,8 @@
 
 Each identity is one data row: its id, the anchor (the formula under test,
 in ASCII), a parameter schema with defaults, the precondition text and the
-ordered rules that enforce it, and its exact and closed sides as callables
-(with the inputs both read, such as seeded maps, built once). One
-comparison builds the report from what the closed side returns: a
+ordered rules that enforce it, and its exact and closed sides as callables.
+One comparison builds the report from what the closed side returns: a
 PeriodicMap is compared with the exact map at the worst index; a (partial
 sum, tail bound) pair passes against that bound; any other value is
 compared with the exact value. A check whose exact side is exact and whose
@@ -18,6 +17,7 @@ from __future__ import annotations
 import random
 import time
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import mpmath
@@ -52,8 +52,6 @@ class IdentityEntry(NamedTuple):
     note: str | Callable = ""  # the report note, or a function of the params
     # a report the comparison cannot build: (entry, params, config) -> report
     checker: Callable | None = None
-    # the row's inputs, built once for both sides: (**params) -> dict
-    inputs: Callable | None = None
 
     def validate(self, params: dict) -> None:
         """Raise the first violated precondition, naming its condition."""
@@ -69,7 +67,6 @@ class IdentityEntry(NamedTuple):
         if self.checker is not None:
             return self.checker(self, params, config)
         args = {name: params[name] for name in self.param_names}
-        args.update(self.inputs(**args) if self.inputs else ())
         return _two_sided(self, params,
                           lambda: self.exact(config, **args),
                           lambda: self.closed(config, **args),
@@ -104,29 +101,26 @@ def _two_sided(entry, params, lhs_fn, rhs_fn, config, note=""):
     return rep
 
 
+@lru_cache(maxsize=64)
 def _seeded_maps(k, seed, count, kind="rational"):
+    """Drawn once for both sides of a row; a PeriodicMap is immutable."""
     maker = {"rational": random_rational_map, "odd": random_odd_map,
              "even": random_even_map}[kind]
-    return [maker(k, seed * 1000003 + i) for i in range(count)]
+    return tuple(maker(k, seed * 1000003 + i) for i in range(count))
 
 
-def _pair_maps(k, seed, parity="rational", **_):
-    """The inputs of cor1, cor2 and parseval: two seeded maps, of cor2's
-    parity."""
-    return {"maps": _seeded_maps(k, seed, 2, parity)}
+def _pair_exact(k, h1, h2, seed, kind="rational"):
+    """sum_a f1(a h1) f2(a h2) over the seeded maps (cor1, cor2, parseval)."""
+    return periodic.constrained_product_sum(
+        _seeded_maps(k, seed, 2, kind), (h1, -h2))
 
 
-def _pair_exact(c, maps, h1=1, h2=-1, **_):
-    """sum_a f1(a h1) f2(a h2) of the maps (f1, f2); parseval at (1, -1)."""
-    return periodic.constrained_product_sum(maps, (h1, -h2))
-
-
-def _pair_transform(c, maps, at, h1, sign=1):
-    """(sign/k) sum_a DFT[f1](a at) DFT[f2](a h1) of the maps (f1, f2)."""
-    bits, k = c.precision, maps[0].period
-    return trig_product_sum([(VALUES, dft(f, bits).values, h)
-                             for f, h in zip(maps, (at, h1))], k, bits=bits,
-                            residues=range(k), divisor=sign * k)
+def _pair_transform(c, k, at, h1, seed, kind="rational", sign=1):
+    """(sign/k) sum_a DFT[f1](a at) DFT[f2](a h1) over the same maps."""
+    bits = c.precision
+    return trig_product_sum([(VALUES, dft(f, bits).values, h) for f, h in
+                             zip(_seeded_maps(k, seed, 2, kind), (at, h1))],
+                            k, bits=bits, residues=range(k), divisor=sign * k)
 
 
 def _transform_sides(kind):
@@ -217,8 +211,8 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "parseval", "sum_a f1(a) f2(-a) = (1/k) sum_a DFT[f1](a) DFT[f2](a)",
         _SEEDED, "k >= 1; seeded random exact maps", defaults={"seed": 1},
         # cor1 at (h1, h2) = (1, -1)
-        inputs=_pair_maps, exact=_pair_exact,
-        closed=lambda c, maps, **_: _pair_transform(c, maps, 1, 1)),
+        exact=lambda c, k, seed: _pair_exact(k, 1, -1, seed),
+        closed=lambda c, k, seed: _pair_transform(c, k, 1, 1, seed)),
     IdentityEntry(
         "th1", "sum over a_1+...+a_m = 0 (mod k) of prod f_j(a_j h_j) "
                "= (1/k) sum_a prod DFT[f_j](a h_j')",
@@ -232,17 +226,20 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                 "= (1/k) sum_a DFT[f1](-a h2) DFT[f2](a h1)",
         (*_PAIR, "seed"), "gcd(h1,k) = gcd(h2,k) = 1",
         (coprime("h1", "h2"),), {"seed": 1},
-        inputs=_pair_maps, exact=_pair_exact,
-        closed=lambda c, maps, h1, h2, **_: _pair_transform(c, maps, -h2, h1)),
+        exact=lambda c, k, h1, h2, seed: _pair_exact(k, h1, h2, seed),
+        closed=lambda c, k, h1, h2, seed: _pair_transform(c, k, -h2, h1,
+                                                          seed)),
     IdentityEntry(
         "cor2", "sum_a f1(a h1) f2(a h2) "
                 "= ((-1)^s/k) sum_a DFT[f1](a h2) DFT[f2](a h1)",
         (*_PAIR, "seed", "parity"),
         "gcd(h_i,k) = 1; both maps share the declared parity",
         (coprime("h1", "h2"), choice("parity", ("odd", "even"))),
-        {"seed": 1, "parity": "odd"}, inputs=_pair_maps, exact=_pair_exact,
-        closed=lambda c, maps, h1, h2, parity, **_: _pair_transform(
-            c, maps, h2, h1, -1 if parity == "odd" else 1),
+        {"seed": 1, "parity": "odd"},
+        exact=lambda c, k, h1, h2, seed, parity: _pair_exact(k, h1, h2, seed,
+                                                             parity),
+        closed=lambda c, k, h1, h2, seed, parity: _pair_transform(
+            c, k, h2, h1, seed, parity, -1 if parity == "odd" else 1),
         note=lambda p: "sign (-1)^s with s=1 for odd maps, 0 for even; "
                        f"{p['parity']} maps used"),
     IdentityEntry(
