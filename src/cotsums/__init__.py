@@ -13,8 +13,8 @@ from .errors import (ConvergenceDomain, CotsumsError, NonPositiveArgument,
                      NotCoprime, NotOdd, OutOfRange, ParityViolation,
                      PeriodMismatch, PoleAtHalfPeriod,
                      PoleAtIntegerMultiple, WorkLimitExceeded)
-from .exact import (BernoulliPoly, bernoulli_number, bernoulli_poly, frac,
-                    mod_inverse, periodic_bernoulli, sawtooth)
+from .exact import (Poly, bernoulli_number, bernoulli_poly, frac, mod_inverse,
+                    periodic_bernoulli, sawtooth)
 from .periodic import (PeriodicMap, closed_form_dft, constrained_product_sum,
                        convolve, defining_map, dft, map_max_residual,
                        sawtooth_map, spectral_product_sum)
@@ -23,7 +23,7 @@ from .report import IdentityReport
 from .sums import (dedekind_cot, dedekind_series, dedekind_sum, hardy_A,
                    hardy_A_rhs, hardy_B, hardy_B_rhs, hardy_sum, zagier_cot,
                    zagier_sum)
-from .trig import CotPoly, cot_at, cot_deriv_at, cot_poly, tan_at, trig_product_sum
+from .trig import cot_at, cot_deriv_at, cot_poly, tan_at, trig_product_sum
 from .zeta import (digamma, euler_gamma_rk, euler_gamma_table, hurwitz_zeta,
                    mikolas_pair, periodic_zeta, riemann_zeta, series_forms,
                    series_partial)

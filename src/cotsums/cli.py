@@ -473,12 +473,11 @@ def _cmd_sweep(args) -> int:
     print(f"max residual {mpmath.nstr(max_res, 6)}; total "
           f"{elapsed:.2f} s, mean "
           f"{1e3 * elapsed / len(reports):.2f} ms/instance")
-    if timed:
+    if timed:                   # each rhs_micros is positive
         lhs_us = sum(r.lhs_micros for r in timed)
         rhs_us = sum(r.rhs_micros for r in timed)
-        if rhs_us:
-            print(f"exact-side {lhs_us} us vs closed-form {rhs_us} us: "
-                  f"ratio {lhs_us / rhs_us:.1f}x")
+        print(f"exact-side {lhs_us} us vs closed-form {rhs_us} us: "
+              f"ratio {lhs_us / rhs_us:.1f}x")
     for r in failures[:10]:
         print(f"  FAIL {r.params}: residual {r.residual} "
               f"(tolerance {r.tolerance}){'; ' + r.note if r.note else ''}")

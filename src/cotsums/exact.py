@@ -23,9 +23,7 @@ def frac(q: Fraction) -> Fraction:
 def sawtooth(q: Fraction) -> Fraction:
     """((q)) = {q} - 1/2 for non-integer q, and 0 at integers."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return Fraction(0)
-    return frac(q) - Fraction(1, 2)
+    return Fraction(0) if q.denominator == 1 else frac(q) - Fraction(1, 2)
 
 
 _BERNOULLI: list[Fraction] = [Fraction(1)]
@@ -44,32 +42,30 @@ def bernoulli_number(r: int) -> Fraction:
         with _BERNOULLI_LOCK:
             while len(_BERNOULLI) <= r:
                 n = len(_BERNOULLI)
-                acc = Fraction(0)
-                for j in range(n):
-                    acc += comb(n + 1, j) * _BERNOULLI[j]
+                acc = sum(comb(n + 1, j) * _BERNOULLI[j] for j in range(n))
                 _BERNOULLI.append(-acc / (n + 1))
     return _BERNOULLI[r]
 
 
-class BernoulliPoly(NamedTuple):
-    """B_r(x) with exact coefficients, ascending powers of x."""
+class Poly(NamedTuple):
+    """A polynomial with exact coefficients, ascending powers of x: B_r(x)
+    here, and trig's cot-derivative polynomials."""
 
     degree: int
-    coefficients: tuple[Fraction, ...]
+    coefficients: tuple
 
-    def __call__(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        acc = Fraction(0)
+    def __call__(self, x):
+        acc = 0
         for c in reversed(self.coefficients):
             acc = acc * x + c
         return acc
 
 
-def bernoulli_poly(r: int) -> BernoulliPoly:
+def bernoulli_poly(r: int) -> Poly:
     """B_r(x) = sum_j C(r,j) B_j x^(r-j)."""
     bernoulli_number(r)  # refuses r < 0; fills the cache the loop reads
     coeffs = tuple(comb(r, r - j) * bernoulli_number(r - j) for j in range(r + 1))
-    return BernoulliPoly(r, coeffs)
+    return Poly(r, coeffs)
 
 
 def periodic_bernoulli(r: int, q: Fraction) -> Fraction:

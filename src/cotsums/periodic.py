@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, product, repeat
 from math import lcm
 from operator import mul
@@ -177,10 +178,7 @@ def constrained_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
     for f, h in zip(fs, hs):
         nums, den = f.ints
         gs.append(PeriodicMap.over([nums[a * h % k] for a in range(k)], den))
-    chain = gs[0]
-    for g in gs[1:-1]:
-        chain = convolve(chain, g)
-    nums, den = chain.ints
+    nums, den = reduce(convolve, gs[1:-1], gs[0]).ints
     if m == 1:
         return Fraction(nums[0], den)
     last, last_den = gs[-1].ints
@@ -195,14 +193,12 @@ def enumerated_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
     which the speed criterion times as the enumeration, and the reference
     the convolution chain is tested against.
     """
-    k = _common_period(fs, hs)
-    m = len(fs)
+    k, m = _common_period(fs, hs), len(fs)
     if k ** (m - 1) > work_limit:
         raise WorkLimitExceeded(f"{k}^{m - 1} terms exceed the limit {work_limit}")
     tables = [tuple(f.values[(a * h) % k] for a in range(k)) for f, h in zip(fs, hs)]
     if m == 1:
         return tables[0][0]
-
     total = 0
     rest, last = tables[:-1], tables[-1]
     for idx in product(range(k), repeat=m - 1):

@@ -70,11 +70,8 @@ class IdentityEntry(NamedTuple):
         return _two_sided(self, params,
                           lambda: self.exact(config, **args),
                           lambda: self.closed(config, **args),
-                          config, self.note_for(params))
-
-    def note_for(self, params: dict) -> str:
-        """The report note for these parameters."""
-        return self.note(params) if callable(self.note) else self.note
+                          config, self.note(params) if callable(self.note)
+                          else self.note)
 
 
 def _timed(fn):

@@ -41,7 +41,6 @@ import threading
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import mul
-from typing import NamedTuple
 
 import mpmath
 from mpmath import mpc, mpf, workprec
@@ -49,31 +48,19 @@ from mpmath.libmp import mpf_shift, to_int
 
 from .errors import (K_POSITIVE, PoleAtHalfPeriod, PoleAtIntegerMultiple,
                      check)
+from .exact import Poly
 from .hp import DEFAULT_BITS, guarded
 
 # factor kinds of trig_product_sum
 COT, TAN, VALUES = "cot-deriv", "tan", "values"
 
-
-class CotPoly(NamedTuple):
-    """Q_m(t) with cot^(m)(x) = Q_m(cot x); integer coefficients, ascending."""
-
-    order: int
-    coefficients: tuple[int, ...]
-
-    def __call__(self, t):
-        acc = 0
-        for c in reversed(self.coefficients):
-            acc = acc * t + c
-        return acc
-
-
-_COT_POLYS: list[CotPoly] = [CotPoly(0, (0, 1))]
+_COT_POLYS: list[Poly] = [Poly(1, (0, 1))]
 _COT_POLYS_LOCK = threading.Lock()
 
 
-def cot_poly(m: int) -> CotPoly:
-    """Q_m via Q_{m+1} = -(1 + t^2) Q_m', memoized."""
+def cot_poly(m: int) -> Poly:
+    """Q_m, with cot^(m)(x) = Q_m(cot x), by Q_{m+1} = -(1 + t^2) Q_m';
+    integer coefficients, memoized."""
     if m < 0:
         raise ValueError("derivative order must be >= 0")
     if m >= len(_COT_POLYS):
@@ -85,7 +72,7 @@ def cot_poly(m: int) -> CotPoly:
                 for i, c in enumerate(deriv):
                     out[i] -= c
                     out[i + 2] -= c
-                _COT_POLYS.append(CotPoly(len(_COT_POLYS), tuple(out)))
+                _COT_POLYS.append(Poly(len(out) - 1, tuple(out)))
     return _COT_POLYS[m]
 
 

@@ -120,8 +120,7 @@ def _em_tail(s, x, m_cut, target):
     rising = s
     wpow = w ** (-s - 1)
     w_m2 = 1 / (w * w)
-    prev = None
-    j = 1
+    prev, j = None, 1
     while 2 * j < 8 * mpmath.mp.prec:
         coeff = Fraction(bernoulli_number(2 * j), factorial(2 * j))
         term = mpmath.mpmathify(coeff) * rising * wpow
@@ -342,10 +341,8 @@ def lehmer_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
     """S(f) = sum_{r=1}^{k} f(r) gamma(r,k) for odd f (Lehmer's Theorem 8)."""
     _check_odd(f, bits)
     k = f.period
-    # the table holds gamma(r,k) for r = 1..k; rotated, r mod k indexes it
-    gtab = euler_gamma_table(k, bits)
     return trig_product_sum(
-        [(VALUES, f.values, 1), (VALUES, gtab[-1:] + gtab[:-1], 1)], k,
+        [(VALUES, f.values, 1), (VALUES, gamma_map(k, bits).values, 1)], k,
         bits=bits, residues=range(1, k + 1))
 
 
@@ -394,10 +391,8 @@ def gamma_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """Stated transform of r -> gamma(r,k): F(1, -n/k) off multiples of k,
     Euler's constant at them."""
     with workprec(guarded(bits, k)):
-        vals = [+mpmath.euler]
-        for n in range(1, k):
-            vals.append(periodic_zeta(1, Fraction(-n, k), bits))
-    return PeriodicMap(vals)
+        return PeriodicMap([+mpmath.euler] + [
+            periodic_zeta(1, Fraction(-n, k), bits) for n in range(1, k)])
 
 
 def gamma_dft_residual(k: int, bits: int = DEFAULT_BITS) -> mpf:
