@@ -96,8 +96,12 @@ def csv_header(param_names) -> list[str]:
 
 
 def csv_row(report: IdentityReport, param_names) -> list:
-    params = (report.params.get(name, "") for name in param_names)
-    return [report.id, *(",".join(map(str, v)) if isinstance(v, (list, tuple))
-                         else v for v in params),
-            report.lhs, report.rhs, report.residual, int(report.passed),
-            report.micros]
+    row = [report.id]
+    for name in param_names:
+        v = report.params.get(name, "")
+        if isinstance(v, (list, tuple)):
+            v = ",".join(str(x) for x in v)
+        row.append(v)
+    row += [report.lhs, report.rhs, report.residual,
+            int(report.passed), report.micros]
+    return row

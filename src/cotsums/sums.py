@@ -83,8 +83,7 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 def dedekind_cot(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     """s(h,k) = (1/4k) sum_{a=1}^{k-1} cot(pi*a/k) cot(pi*a*h/k)."""
     check((coprime("h"),), h=h, k=k)
-    return trig_product_sum([(COT, 0, 1), (COT, 0, h)], k, bits=bits,
-                            divisor=4 * k)
+    return homogeneous_pair_cot(1, h, k, bits)
 
 
 def dedekind_series(h: int, k: int, terms: int = TERMS,

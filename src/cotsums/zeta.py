@@ -120,7 +120,8 @@ def _em_tail(s, x, m_cut, target):
     rising = s
     wpow = w ** (-s - 1)
     w_m2 = 1 / (w * w)
-    prev, j = None, 1
+    prev = None
+    j = 1
     while 2 * j < 8 * mpmath.mp.prec:
         coeff = Fraction(bernoulli_number(2 * j), factorial(2 * j))
         term = mpmath.mpmathify(coeff) * rising * wpow
@@ -291,13 +292,10 @@ class SeriesForms(NamedTuple):
     lehmer_form: object    # sum f(r) gamma(r,k)
     zeta_form: object      # -(1/k) sum fhat(r) F(1, -r/k)
 
-    def all_forms(self):
-        return tuple(self)
-
     def max_pairwise_residual(self, bits: int = DEFAULT_BITS) -> mpf:
         with workprec(guarded(bits, 4)):
             return max((abs(mpmath.mpmathify(a) - mpmath.mpmathify(b))
-                        for a, b in combinations(self.all_forms(), 2)),
+                        for a, b in combinations(self, 2)),
                        default=mpf(0))
 
 

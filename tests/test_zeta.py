@@ -231,7 +231,7 @@ class TestSeriesForms:
         forms = series_forms(f)
         with workprec(300):
             expected = mpmath.pi / (3 * mpmath.sqrt(3))
-            for value in forms.all_forms():
+            for value in forms:
                 assert_close(value, expected, tol=mpf(2) ** -200)
 
     def test_cot_map_reproduces_dedekind_series(self):
