@@ -43,6 +43,7 @@ def _to_s(s, bits: int = DEFAULT_BITS, name: str = "s") -> mpc:
             z = s
             if isinstance(s, str):
                 z = s.strip().replace("i", "j")
+                # text past the bound stands in as 2 * S_BOUND, refused below
                 z = (complex(z if z[-1] == "j" else z + "j") if "j" in z
                      else Fraction(z) if "/" in z
                      or not S_BOUND < Decimal(z).copy_abs() < inf
