@@ -28,7 +28,7 @@ from .exact import (bernoulli_number, bernoulli_poly, mod_inverse, sawtooth,
                     units_mod)
 from .hp import fmt, is_exact
 from .registry import REGISTRY, verify
-from .report import IdentityReport, csv_header, csv_row
+from .report import csv_header, csv_row
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
@@ -372,10 +372,9 @@ def _expand_instances(args, entry) -> list[dict]:
     names = [n for n in _SWEEP_ORDER if n in entry.param_names]
     check((given(args.id, [n for n in names if n not in entry.defaults
                            and PARAMS[n].form != TUPLE]),), **vars(args))
-    # a refused exponent is named, as verify names it, not skipped
-    for name in ("s", "s1", "s2"):
-        if name in names and getattr(args, name):
-            zeta._to_s(getattr(args, name), name=name)
+    # an exponent no instance takes is refused by its rule, as verify does
+    check([zeta.re_above_one(n) for n in ("s", "s1", "s2")
+           if n in names and getattr(args, n) is not None], **vars(args))
     ks = _parse_int_range(" ".join(args.k), "k")
     # default hs tuples are as long as the explicit rs they pair up with
     rs = args.rs if "rs" in entry.param_names else None
@@ -412,23 +411,22 @@ def _expand_instances(args, entry) -> list[dict]:
 
 
 def _run_instance(payload):
-    index, identity_id, params, cfg = payload
-    rep = verify(identity_id, params, cfg)
-    return index, rep.to_dict()
+    return verify(*payload)
 
 
 def _cmd_sweep(args) -> int:
     cfg = _config_from(args)
-    if args.jobs < 1:
-        raise OutOfRange(f"jobs must be >= 1, got {args.jobs}")
+    for name, low in (("jobs", 1), ("samples", 1), ("m", 0)):
+        value = getattr(args, name)
+        if value is not None and value < low:
+            raise OutOfRange(f"{name} must be >= {low}, got {value}")
     entry = REGISTRY[args.id]
     instances = _expand_instances(args, entry)
     if not instances:
         print("no admissible instances in the requested ranges",
               file=sys.stderr)
         return USAGE_EXIT
-    payloads = [(i, args.id, params, cfg)
-                for i, params in enumerate(instances)]
+    payloads = [(args.id, params, cfg) for params in instances]
     # the pool forks every worker at once: no more than cores or instances
     jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
     # a bad --csv path is refused before the sweep runs, not after it
@@ -447,12 +445,11 @@ def _cmd_sweep(args) -> int:
             from concurrent.futures import ProcessPoolExecutor
 
             with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = sorted(pool.map(_run_instance, payloads,
-                                          chunksize=chunksize))
+                reports = list(pool.map(_run_instance, payloads,
+                                        chunksize=chunksize))
         else:
-            results = [_run_instance(p) for p in payloads]
+            reports = [_run_instance(p) for p in payloads]
         elapsed = time.perf_counter() - t0
-        reports = [IdentityReport.from_dict(d) for _, d in results]
         if fh is not None:
             names = [n for n in entry.param_names if n != "convention"]
             w = csv.writer(fh)

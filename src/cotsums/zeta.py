@@ -8,11 +8,12 @@ continuation is out of scope.
 
 from __future__ import annotations
 
-from decimal import Decimal
+import sys
+from contextlib import suppress
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import factorial, inf
+from math import factorial, isinf
 from typing import NamedTuple
 
 import mpmath
@@ -33,25 +34,26 @@ S_BOUND = 10 ** 30
 
 
 def _to_s(s, bits: int = DEFAULT_BITS, name: str = "s") -> mpc:
-    """Normalize an exponent argument (int/Fraction/str/complex/mp) to mpc,
-    converting at full working precision; a value that is not a finite
-    number, or is above S_BOUND, is refused naming the parameter. Decimal
-    text is held to the bound as a Decimal, which keeps its exponent as
-    written, so 1e1000000 is refused before Fraction expands it."""
+    """Normalize an exponent argument (int/Fraction/str/complex/mp) to mpc
+    with one mpmathify at the working precision, which reads text such as
+    2, 5/2, 2.5, 2.1+1i or 1e1000000 as written; a value that is not a
+    finite number, or is above S_BOUND, is refused naming the parameter."""
+    # mpmath counts an underscore after the point as a digit
+    text = (s.strip().replace("i", "j").replace("_", "")
+            if isinstance(s, str) else s)
     with workprec(guarded(bits)):
         try:
-            z = s
-            if isinstance(s, str):
-                z = s.strip().replace("i", "j")
-                # text past the bound stands in as 2 * S_BOUND, refused below
-                z = (complex(z if z[-1] == "j" else z + "j") if "j" in z
-                     else Fraction(z) if "/" in z
-                     or not S_BOUND < Decimal(z).copy_abs() < inf
-                     else 2 * S_BOUND)
-            z = mpc(mpmath.mpmathify(z))
-        except (ValueError, ArithmeticError):
-            z = mpmath.nan
-        if not mpmath.isfinite(z):
+            z = mpc(mpmath.mpmathify(text))
+            number = mpmath.isfinite(z)
+        except (ValueError, TypeError, AttributeError, ArithmeticError):
+            # what mpmath raises on text it cannot read; it reads digits
+            # through int, which takes at most 4,300: longer text that float
+            # reads as infinite is past the bound
+            z, number = mpmath.inf, False
+            with suppress(ValueError, TypeError):
+                number = (len(text) > sys.get_int_max_str_digits()
+                          and isinf(float(text)))
+        if not number:
             raise OutOfRange(f"{name} must be a finite number such as 2, "
                              f"5/2, 2.5 or 2+1i, got {s!r}")
         if abs(z) > S_BOUND:

@@ -1,6 +1,8 @@
 import argparse
 import ast
+import contextlib
 import importlib
+import io
 import itertools
 import json
 import math
@@ -17,6 +19,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cotsums import cli, config, sums, zeta
 from cotsums.cli import main
@@ -374,6 +378,18 @@ class TestCli:
      "k must be >= 1, got -1"),
     (["compute", "bernoulli-sum", "--rs", "2", "--hs", "1", "--k", "0"],
      "k must be >= 1, got 0"),
+    # sweep flags refused as --jobs 0 is (listed last, so that the ids of
+    # the cases above keep their numbers)
+    (["sweep", "th2", "--k", "7", "--hs", "random", "--m", "4",
+      "--samples", "0"], "samples must be >= 1, got 0"),
+    (["sweep", "th2", "--k", "7", "--hs", "random", "--m", "4",
+      "--samples", "-3"], "samples must be >= 1, got -3"),
+    (["sweep", "th2", "--k", "7", "--m", "-1"], "m must be >= 0, got -1"),
+    # an exponent no instance takes is named by its rule, as verify names it
+    (["sweep", "th9", "--k", "4", "--h1", "1", "--h2", "1", "--s1", "1"],
+     "error: Re s1 must exceed 1"),
+    (["sweep", "lemma1-v", "--k", "3..5", "--s", "0.5"],
+     "error: Re s must exceed 1"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -541,7 +557,7 @@ def test_exponent_at_the_bound_is_taken():
 
 
 def test_a_huge_exponent_is_refused_at_once(capsys):
-    # decimal text is held to the bound before Fraction would expand it:
+    # mpmath reads the exponent as written, so the value is never expanded:
     # 1e1000000 once took 16.8 s to be refused
     t0 = time.perf_counter()
     for text in ("1e1000000", "-1e4000000"):
@@ -550,6 +566,70 @@ def test_a_huge_exponent_is_refused_at_once(capsys):
         assert main(["compute", "hurwitz", "--x", "1/2", f"--s={text}"]) == 2
     assert time.perf_counter() - t0 < 2
     assert "|s| must be at most 1e+30, got '1e1000000'" in capsys.readouterr().err
+
+
+# exponent text whose value a parse could expand, and the refusal of each
+EXTREME_EXPONENTS = [
+    # 1e-1000000 once took 12.5 s in Fraction before Re s > 1 refused it
+    ("1e-1000000", "Re s must exceed 1"),
+    ("1e-1000000000000", "Re s must exceed 1"),
+    # more than the 4,300 digits int takes, and mpmath reads digits by int
+    ("9" * 100_000, f"|s| must be at most 1e+30, got {'9' * 100_000!r}"),
+]
+
+
+@pytest.mark.parametrize("text,refusal", EXTREME_EXPONENTS, ids=[
+    "1e-1000000", "1e-1000000000000", "100000 nines"])
+def test_an_extreme_exponent_is_refused_within_a_second(capsys, text,
+                                                        refusal):
+    t0 = time.perf_counter()
+    with pytest.raises(CotsumsError) as refused:
+        verify("lemma1-v", {"k": 3, "s": text})
+    assert str(refused.value) == refusal
+    assert main(["verify", "lemma1-v", "--k", "3", f"--s={text}"]) == 2
+    assert capsys.readouterr().err == f"error: {refusal}\n"
+    assert time.perf_counter() - t0 < 1
+
+
+def test_complex_exponent_is_read_at_full_precision(capsys):
+    # "2.1+1i" was once read through complex(), whose 53-bit 2.1 moved the
+    # printed value from its 16th significant digit on
+    assert main(["compute", "hurwitz", "--s", "2.1+1i", "--x", "1/2"]) == 0
+    printed = capsys.readouterr().out.strip()
+    with mpmath.workprec(300):
+        ref = mpmath.zeta(mpmath.mpc("2.1", "1"), mpmath.mpf(1) / 2)
+        assert printed == mpmath.nstr(ref, 75)
+
+
+# argv that read exponent text as their last flag's value; the work limit
+# keeps a drawn 2+99999i from summing 10^5-term Hurwitz cuts
+EXPONENT_ARGV = [["compute", "hurwitz", "--x", "1/2", "--s"],
+                 ["verify", "lemma1-v", "--k", "3", "--s"],
+                 ["sweep", "th9", "--k", "4", "--h1", "1", "--h2", "1",
+                  "--s1"]]
+EXPONENT_TEXT = st.lists(st.sampled_from(
+    [*"0123456789+-./eij ", "inf", "nan"]), max_size=10).map("".join)
+
+
+def test_exponent_text_exits_0_1_or_2_without_traceback():
+    t0 = time.perf_counter()
+
+    @given(argv=st.sampled_from(EXPONENT_ARGV), text=EXPONENT_TEXT)
+    @settings(max_examples=150, deadline=None)
+    def run(argv, text):
+        *argv, flag = argv
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                code = main([*argv, "--work-limit", "20000",
+                             f"{flag}={text}"])
+            except SystemExit as usage:         # argparse's own refusals
+                code = usage.code
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+
+    run()
+    assert time.perf_counter() - t0 < 10
 
 
 @pytest.mark.parametrize("s", ["1e6", "1e30"])

@@ -3,11 +3,16 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf, workprec
+from mpmath.libmp import to_rational
 
 from conftest import TOL_DEFAULT, assert_close, residual
+from cotsums import zeta
 from cotsums.errors import (ConvergenceDomain, NonPositiveArgument,
                             NotCoprime, NotOdd, OutOfRange, WorkLimitExceeded)
+from cotsums.hp import guarded
 from cotsums.periodic import (PeriodicMap, constant_map, dft, map_max_residual,
                               random_odd_map, sawtooth_map)
 from cotsums.zeta import (SeriesForms, digamma, euler_gamma_rk,
@@ -328,3 +333,70 @@ class TestGammaDft:
     @pytest.mark.parametrize("k", [3, 5, 7, 10])
     def test_small_periods(self, k):
         assert gamma_dft_residual(k) < mpf(10) ** -20
+
+
+@st.composite
+def decimal_text(draw, signed=True):
+    """Text m/10^n, m not a multiple of 5, so no binary float holds it:
+    '0.00123', '12.3' or '123e-1' style, |value| < 1e29, and its exact
+    value. mpmath scales by 10^n in one rounding up to n = 400 and in
+    three past it; both are drawn."""
+    m = draw(st.integers(1, 10 ** 450).filter(lambda m: m % 5))
+    digits = str(m)
+    n = draw(st.integers(max(1, len(digits) - 29), len(digits) + 450))
+    if draw(st.booleans()):
+        text = f"{digits}e-{n}"
+    elif n < len(digits):
+        text = f"{digits[:-n]}.{digits[-n:]}"
+    else:
+        text = "0." + "0" * (n - len(digits)) + digits
+    sign = draw(st.sampled_from(["", "-"] if signed else [""]))
+    return sign + text, Fraction(int(sign + "1") * m, 10 ** n)
+
+
+@st.composite
+def ratio_text(draw):
+    """Text p/q whose reduced denominator is not a power of 2, |p/q| <= 1e30,
+    and its exact value."""
+    p = draw(st.integers(-10 ** 40, 10 ** 40))
+    q = draw(st.integers(3, 10 ** 40))
+    value = Fraction(p, q)
+    assume(value.denominator & (value.denominator - 1)
+           and abs(value) <= 10 ** 30)
+    return f"{p}/{q}", value
+
+
+@st.composite
+def complex_text(draw):
+    """Text a+bi or a-bj with decimal parts, and the exact parts."""
+    (re_text, re), (im_text, im) = draw(decimal_text()), draw(
+        decimal_text(signed=False))
+    sign = draw(st.sampled_from("+-"))
+    return (f"{re_text}{sign}{im_text}{draw(st.sampled_from('ij'))}",
+            (re, im if sign == "+" else -im))
+
+
+def within_one_ulp(value: mpf, exact: Fraction, prec: int) -> bool:
+    """|value - exact| is at most one unit in the last place of exact at
+    prec bits."""
+    n, d = abs(exact.numerator), exact.denominator
+    top = n.bit_length() - d.bit_length()
+    top -= Fraction(n, d) < Fraction(2) ** top      # floor(log2 |exact|)
+    error = abs(Fraction(*to_rational(value._mpf_)) - exact)
+    return error <= Fraction(2) ** (top - prec + 1)
+
+
+@given(st.one_of(decimal_text(), ratio_text(), complex_text()),
+       st.sampled_from([64, 256, 1000]))
+@settings(max_examples=300, deadline=None)
+def test_exponent_text_is_read_to_one_ulp(drawn, bits):
+    """Every part of exponent text, imaginary parts included, is read at the
+    working precision, not through a 53-bit float."""
+    text, exact = drawn
+    re, im = exact if isinstance(exact, tuple) else (exact, Fraction(0))
+    s = zeta._to_s(text, bits)
+    assert within_one_ulp(s.real, re, guarded(bits))
+    if im:
+        assert within_one_ulp(s.imag, im, guarded(bits))
+    else:
+        assert s.imag == 0
