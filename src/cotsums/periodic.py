@@ -30,8 +30,8 @@ import mpmath
 from mpmath import mpc, mpf, workprec
 
 from . import trig
-from .errors import (K_EVEN, K_ODD, R_POSITIVE, OutOfRange, PeriodMismatch,
-                     WorkLimitExceeded, check, choice)
+from .errors import (K_EVEN, K_ODD, K_POSITIVE, R_POSITIVE, OutOfRange,
+                     PeriodMismatch, WorkLimitExceeded, check, choice)
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse
 from .hp import DEFAULT_BITS, DEFAULT_WORK_LIMIT, guarded, is_exact
 
@@ -294,11 +294,20 @@ def random_even_map(k: int, seed: int) -> PeriodicMap:
 # closed-form transforms
 
 
+def _table_map(table, k: int, bits: int, scale, at_pole,
+               shift=0) -> PeriodicMap:
+    """n -> scale * T(n) + shift over a trig table T of (k, bits), read as
+    mpf under guarded(bits, k); at_pole where T holds None."""
+    vals = trig.as_mpf(table, k, bits)
+    with workprec(guarded(bits, k)):
+        return PeriodicMap(at_pole if t is None else scale * t + shift
+                           for t in vals)
+
+
 def sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """Transform of ((n/k)): (i/2) cot(pi*n/k) off multiples of k, 0 at them."""
-    ct = trig.as_mpf(trig.cot_table(k, bits), k, bits)
-    with workprec(guarded(bits, k)):
-        return PeriodicMap([Fraction(0)] + [mpc(0, 1) / 2 * t for t in ct[1:]])
+    return _table_map(trig.cot_table(k, bits), k, bits, mpc(0, 1) / 2,
+                      Fraction(0))
 
 
 def bernoulli_dft_map(r: int, k: int, bits: int = DEFAULT_BITS,
@@ -313,45 +322,36 @@ def bernoulli_dft_map(r: int, k: int, bits: int = DEFAULT_BITS,
     value -1/2 is already right). variant="paper" keeps the uncorrected
     closed form so its residual can be reported.
     """
-    check((choice("variant", ("paper", "corrected"), ValueError),),
-          variant=variant)
-    at_multiples = bernoulli_number(r) * Fraction(k) ** (1 - r)
-    derivs = trig.as_mpf(trig.cot_deriv_table(r - 1, k, bits), k, bits)
+    check((choice("variant", ("paper", "corrected"), ValueError), R_POSITIVE),
+          variant=variant, r=r)
     with workprec(guarded(bits, k)):
         scale = mpf(r) * mpf(k) ** (1 - r) * (mpc(0, 1) / 2) ** r
-        shift = mpf(0)
-        if r == 1 and variant == "corrected":
-            shift = mpf(-1) / 2
-        return PeriodicMap([at_multiples]
-                           + [scale * t + shift for t in derivs[1:]])
+    return _table_map(trig.cot_deriv_table(r - 1, k, bits), k, bits, scale,
+                      bernoulli_number(r) * Fraction(k) ** (1 - r),
+                      mpf(-1) / 2 if r == 1 and variant == "corrected" else 0)
 
 
 def alt_sawtooth_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     """Transform of (-1)^n ((n/k)) (k even): -(i/2) tan(pi*n/k), 0 at n = k/2."""
     check((K_EVEN,), k=k)
-    tt = trig.as_mpf(trig.tan_table(k, bits), k, bits)
-    with workprec(guarded(bits, k)):
-        return PeriodicMap(mpc(0) if t is None else mpc(0, -1) / 2 * t
-                           for t in tt)
+    return _table_map(trig.tan_table(k, bits), k, bits, mpc(0, -1) / 2, mpc(0))
 
 
 def alt_sign_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
-    """Transform of the odd-k alternating-sign map: i tan(pi*n/k)."""
+    """Transform of the odd-k alternating-sign map: i tan(pi*n/k), no pole."""
     check((K_ODD,), k=k)
-    tt = trig.as_mpf(trig.tan_table(k, bits), k, bits)
-    with workprec(guarded(bits, k)):
-        return PeriodicMap(mpc(0, 1) * t for t in tt)
+    return _table_map(trig.tan_table(k, bits), k, bits, mpc(0, 1), None)
 
 
 def closed_form_dft(kind: str, k: int, bits: int = DEFAULT_BITS, *,
-                    r: int | None = None, s=None, variant: str = "corrected",
-                    work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
+                    r: int | None = None,
+                    variant: str = "corrected") -> PeriodicMap:
     """Dispatch the closed-form transform of a named map family.
 
     kind: "sawtooth" | "bernoulli" (needs r) | "alt-sawtooth" (k even)
-          | "alt-sign" (k odd) | "periodic-zeta" (needs s, Re s > 1;
-          its Hurwitz cuts count against work_limit).
+          | "alt-sign" (k odd); F's transform is zeta.periodic_zeta_dft_map.
     """
+    check((K_POSITIVE,), k=k)
     if kind == "sawtooth":
         return sawtooth_dft_map(k, bits)
     if kind == "bernoulli":
@@ -362,19 +362,12 @@ def closed_form_dft(kind: str, k: int, bits: int = DEFAULT_BITS, *,
         return alt_sawtooth_dft_map(k, bits)
     if kind == "alt-sign":
         return alt_sign_dft_map(k, bits)
-    if kind == "periodic-zeta":
-        from .zeta import periodic_zeta_dft_map
-
-        if s is None:
-            raise ValueError("periodic-zeta transform needs s")
-        return periodic_zeta_dft_map(s, k, bits, work_limit)
     raise ValueError(f"unknown closed-form kind {kind!r}")
 
 
-def defining_map(kind: str, k: int, bits: int = DEFAULT_BITS, *,
-                 r: int | None = None, s=None,
-                 work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
+def defining_map(kind: str, k: int, *, r: int | None = None) -> PeriodicMap:
     """The map whose transform closed_form_dft(kind, ...) claims to be."""
+    check((K_POSITIVE,), k=k)
     if kind == "sawtooth":
         return sawtooth_map(k)
     if kind == "bernoulli":
@@ -385,10 +378,4 @@ def defining_map(kind: str, k: int, bits: int = DEFAULT_BITS, *,
         return alt_sawtooth_map(k)
     if kind == "alt-sign":
         return alt_sign_map(k)
-    if kind == "periodic-zeta":
-        from .zeta import periodic_zeta_map
-
-        if s is None:
-            raise ValueError("periodic-zeta map needs s")
-        return periodic_zeta_map(s, k, bits, work_limit)
     raise ValueError(f"unknown map kind {kind!r}")

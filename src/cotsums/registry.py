@@ -124,14 +124,11 @@ def _transform_sides(kind):
     """The sides of a transform row: the DFT of the family's defining map,
     and the family's stated closed form."""
     def exact(c, k, convention=None, **order):
-        return dft(periodic.defining_map(kind, k, c.precision,
-                                         work_limit=c.work_limit, **order),
-                   c.precision)
+        return dft(periodic.defining_map(kind, k, **order), c.precision)
 
     def closed(c, k, convention="corrected", **order):
         return periodic.closed_form_dft(kind, k, c.precision, **order,
-                                        variant=convention,
-                                        work_limit=c.work_limit)
+                                        variant=convention)
     return {"exact": exact, "closed": closed}
 
 
@@ -267,7 +264,12 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                     "multiples, k^(1-s) zeta(s) at them",
         ("k", "s"), "k >= 1, Re s > 1",
         (zeta.re_above_one("s"),),
-        {"s": "2"}, **_transform_sides("periodic-zeta")),
+        {"s": "2"},
+        exact=lambda c, k, s: dft(
+            zeta.periodic_zeta_map(s, k, c.precision, c.work_limit),
+            c.precision),
+        closed=lambda c, k, s: zeta.periodic_zeta_dft_map(
+            s, k, c.precision, c.work_limit)),
     IdentityEntry(
         "th2", "zero-sum sawtooth product sum = ((-1)^(m/2)/(2^m k)) "
                "sum_{a=1}^{k-1} prod_j cot(pi a h_j'/k)",

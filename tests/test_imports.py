@@ -62,3 +62,42 @@ def test_the_check_sees_a_slow_import():
 def test_no_slow_imports(module):
     source = (PACKAGE / module).read_text()
     assert imported_modules(source) & SLOW_TO_IMPORT == set()
+
+
+# the layers below zeta read no module above them: the transform maps of
+# periodic take tables from trig, and F's pair is zeta's own
+LOWER = ["errors.py", "exact.py", "hp.py", "trig.py", "periodic.py"]
+UPPER = {"zeta", "sums", "registry", "report", "config", "cli"}
+
+
+def package_imports(source: str) -> set[str]:
+    """The modules of the package that source imports, relatively or as
+    cotsums.name, at any depth of the tree (function bodies too)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("cotsums.")}
+        elif isinstance(node, ast.ImportFrom):
+            top, _, module = (node.module or "").partition(".")
+            if node.level:                      # from . or from .name
+                module = top
+            elif top != "cotsums":
+                continue
+            names |= ({module} if module else {a.name for a in node.names})
+    return names
+
+
+def test_the_check_sees_a_package_import():
+    source = ("import os, cotsums.sums\nfrom . import trig as t, hp\n"
+              "from .exact import frac\nfrom cotsums import cli\n"
+              "def f():\n    from .zeta import periodic_zeta_map\n"
+              "    from cotsums.report import fmt\n")
+    assert package_imports(source) == {"sums", "trig", "hp", "exact", "cli",
+                                       "zeta", "report"}
+
+
+@pytest.mark.parametrize("module", LOWER)
+def test_lower_layers_import_no_upper_one(module):
+    source = (PACKAGE / module).read_text()
+    assert package_imports(source) & UPPER == set()

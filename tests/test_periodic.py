@@ -316,6 +316,18 @@ class TestChainEqualsEnumeration:
                                         + [numeric], [1] * m)
 
 
+# arguments no family takes, and the one refusal both sides give: they once
+# refused k = 0 with ZeroDivisionError, "period must be positive" or "k must
+# be odd", and r = 0 with two different texts
+BAD_FAMILY_ARGS = [
+    *((kind, k, {"r": 2} if kind == "bernoulli" else {},
+       f"k must be >= 1, got {k}")
+      for kind in ("sawtooth", "bernoulli", "alt-sawtooth", "alt-sign")
+      for k in (0, -1)),
+    ("bernoulli", 5, {"r": 0}, "r must be >= 1"),
+]
+
+
 class TestClosedFormDfts:
     @pytest.mark.parametrize("kind,k,kw", [
         ("sawtooth", 3, {}),
@@ -327,12 +339,28 @@ class TestClosedFormDfts:
         ("alt-sawtooth", 10, {}),
         ("alt-sign", 7, {}),
         ("alt-sign", 9, {}),
-        ("periodic-zeta", 5, {"s": "2.5"}),
     ])
     def test_matches_direct_transform(self, kind, k, kw):
         direct = dft(defining_map(kind, k, **kw))
         closed = closed_form_dft(kind, k, **kw)
         assert map_max_residual(direct, closed)[0] < TOL_DEFAULT
+
+    def test_periodic_zeta_is_not_a_kind(self):
+        # F's pair is zeta's own (periodic_zeta_map, periodic_zeta_dft_map),
+        # checked in test_zeta
+        with pytest.raises(ValueError, match="unknown closed-form kind"):
+            closed_form_dft("periodic-zeta", 5)
+        with pytest.raises(ValueError, match="unknown map kind"):
+            defining_map("periodic-zeta", 5)
+
+    @pytest.mark.parametrize("kind,k,order,message", BAD_FAMILY_ARGS,
+                             ids=[f"{kind}-k{k}-r{order.get('r')}"
+                                  for kind, k, order, _ in BAD_FAMILY_ARGS])
+    def test_both_sides_refuse_alike(self, kind, k, order, message):
+        for side in (closed_form_dft, defining_map):
+            with pytest.raises(OutOfRange) as refused:
+                side(kind, k, **order)
+            assert str(refused.value) == message
 
     def test_bernoulli_r1_corrected_exact(self):
         direct = dft(bernoulli_map(1, 3))
