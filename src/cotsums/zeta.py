@@ -38,11 +38,14 @@ def _to_s(s, bits: int = DEFAULT_BITS, name: str = "s") -> mpc:
     with one mpmathify at the working precision, which reads text such as
     2, 5/2, 2.5, 2.1+1i or 1e1000000 as written; a value that is not a
     finite number, or is above S_BOUND, is refused naming the parameter."""
-    # mpmath counts an underscore after the point as a digit
+    # mpmath counts an underscore after the point as a digit, and drops the
+    # spaces inside complex text: 2+12 3.j would read as 2+123i
     text = (s.strip().replace("i", "j").replace("_", "")
             if isinstance(s, str) else s)
     with workprec(guarded(bits)):
         try:
+            if isinstance(text, str) and len(text.split()) > 1:
+                raise ValueError("whitespace inside the number")
             z = mpc(mpmath.mpmathify(text))
             number = mpmath.isfinite(z)
         except (ValueError, TypeError, AttributeError, ArithmeticError):

@@ -633,6 +633,32 @@ def test_exponent_text_exits_0_1_or_2_without_traceback():
     assert time.perf_counter() - t0 < 10
 
 
+# mpmath drops the spaces inside complex text, which once read 2+12 3.j as
+# 2+123i and 2 + 1j as 2+1i; text with inner whitespace is no number
+@pytest.mark.parametrize("text", ["2+12 3.j", "2 + 1j", "2 +1i"])
+def test_exponent_text_with_inner_space_is_refused(capsys, text):
+    def refusal(name):
+        return (f"{name} must be a finite number such as 2, 5/2, 2.5 or "
+                f"2+1i, got {text!r}")
+
+    for library in (zeta._to_s,
+                    lambda s: zeta.hurwitz_zeta(s, Fraction(1, 2))):
+        with pytest.raises(OutOfRange) as refused:
+            library(text)
+        assert str(refused.value) == refusal("s")
+    for *argv, flag in EXPONENT_ARGV:
+        assert main([*argv, flag, text]) == 2
+        assert capsys.readouterr().err == f"error: {refusal(flag[2:])}\n"
+
+
+def test_exponent_text_with_outer_space_is_read(capsys):
+    assert zeta._to_s(" 2+1i ") == mpmath.mpc(2, 1)
+    assert main(["compute", "hurwitz", "--x", "1/2", "--s", " 2+1i "]) == 0
+    read = capsys.readouterr().out
+    assert main(["compute", "hurwitz", "--x", "1/2", "--s", "2+1i"]) == 0
+    assert capsys.readouterr().out == read
+
+
 @pytest.mark.parametrize("s", ["1e6", "1e30"])
 def test_large_exponent_reaches_the_kernel(capsys, s):
     # zeta(s, 1/4) ~ 4^s: th9's lhs and periodic_zeta pass such values to
