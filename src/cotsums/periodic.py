@@ -31,7 +31,7 @@ from mpmath import mpc, mpf, workprec
 
 from . import trig
 from .errors import (K_EVEN, K_ODD, K_POSITIVE, R_POSITIVE, OutOfRange,
-                     PeriodMismatch, WorkLimitExceeded, check, choice)
+                     PeriodMismatch, WorkLimitExceeded, check, choice, require)
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse
 from .hp import DEFAULT_BITS, DEFAULT_WORK_LIMIT, guarded, is_exact
 
@@ -343,6 +343,11 @@ def alt_sign_dft_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
     return _table_map(trig.tan_table(k, bits), k, bits, mpc(0, 1), None)
 
 
+_ORDER_GIVEN = require(
+    lambda p: p["kind"] != "bernoulli" or p["r"] is not None, OutOfRange,
+    "the bernoulli family needs the order r")
+
+
 def closed_form_dft(kind: str, k: int, bits: int = DEFAULT_BITS, *,
                     r: int | None = None,
                     variant: str = "corrected") -> PeriodicMap:
@@ -351,12 +356,10 @@ def closed_form_dft(kind: str, k: int, bits: int = DEFAULT_BITS, *,
     kind: "sawtooth" | "bernoulli" (needs r) | "alt-sawtooth" (k even)
           | "alt-sign" (k odd); F's transform is zeta.periodic_zeta_dft_map.
     """
-    check((K_POSITIVE,), k=k)
+    check((K_POSITIVE, _ORDER_GIVEN), k=k, kind=kind, r=r)
     if kind == "sawtooth":
         return sawtooth_dft_map(k, bits)
     if kind == "bernoulli":
-        if r is None:
-            raise ValueError("bernoulli transform needs the order r")
         return bernoulli_dft_map(r, k, bits, variant)
     if kind == "alt-sawtooth":
         return alt_sawtooth_dft_map(k, bits)
@@ -367,12 +370,10 @@ def closed_form_dft(kind: str, k: int, bits: int = DEFAULT_BITS, *,
 
 def defining_map(kind: str, k: int, *, r: int | None = None) -> PeriodicMap:
     """The map whose transform closed_form_dft(kind, ...) claims to be."""
-    check((K_POSITIVE,), k=k)
+    check((K_POSITIVE, _ORDER_GIVEN), k=k, kind=kind, r=r)
     if kind == "sawtooth":
         return sawtooth_map(k)
     if kind == "bernoulli":
-        if r is None:
-            raise ValueError("bernoulli map needs the order r")
         return bernoulli_map(r, k)
     if kind == "alt-sawtooth":
         return alt_sawtooth_map(k)

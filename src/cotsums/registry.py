@@ -8,8 +8,10 @@ PeriodicMap is compared with the exact map at the worst index; a (partial
 sum, tail bound) pair passes against that bound; any other value is
 compared with the exact value. A check whose exact side is exact and whose
 closed side is numeric records the time of each side, so sweeps report the
-exact-vs-closed cost ratio. th1 (its report gains the derived multipliers),
-remark1 (three sides) and th9 (one zeta call gives both) keep a checker.
+exact-vs-closed cost ratio. A row's `more` gives further closed sides
+(remark1's full-range form), and the residual is then the max over every
+pair of sides; its `derived` gives the params its report adds (th1's
+drawn multipliers).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import mpmath
-from mpmath import workprec
 
 from . import periodic, sums, zeta
 from .config import RunConfig
@@ -49,9 +50,9 @@ class IdentityEntry(NamedTuple):
     # the two sides, (config, **params) -> lhs / rhs (see the module doc)
     exact: Callable | None = None
     closed: Callable | None = None
-    note: str | Callable = ""  # the report note, or a function of the params
-    # a report the comparison cannot build: (entry, params, config) -> report
-    checker: Callable | None = None
+    note: str | Callable = ""  # or a function of (params, *more values)
+    more: tuple = ()           # further closed sides, as exact and closed
+    derived: Callable = lambda params: {}   # the params the report adds
 
     def validate(self, params: dict) -> None:
         """Raise the first violated precondition, naming its condition."""
@@ -63,15 +64,27 @@ class IdentityEntry(NamedTuple):
         check(self.rules, **params)
 
     def check(self, params: dict, config: RunConfig) -> IdentityReport:
-        """Run the identity on parameters that passed validate()."""
-        if self.checker is not None:
-            return self.checker(self, params, config)
+        """Run the identity on parameters that passed validate(): the one
+        comparison of its sides (see the module doc)."""
         args = {name: params[name] for name in self.param_names}
-        return _two_sided(self, params,
-                          lambda: self.exact(config, **args),
-                          lambda: self.closed(config, **args),
-                          config, self.note(params) if callable(self.note)
-                          else self.note)
+        params = {**params, **self.derived(params)}
+        lhs, lhs_us = _timed(lambda: self.exact(config, **args))
+        rhs, rhs_us = _timed(lambda: self.closed(config, **args))
+        more = [side(config, **args) for side in self.more]
+        note = self.note(params, *more) if callable(self.note) else self.note
+        residual = tolerance = None
+        if isinstance(rhs, PeriodicMap):
+            residual, where = map_max_residual(lhs, rhs, config.precision)
+            lhs, rhs = lhs.values[where], rhs.values[where]
+            note = "; ".join(filter(None, (note, f"worst index n={where}")))
+        elif isinstance(rhs, tuple):            # (partial sum, tail bound)
+            rhs, tolerance = rhs
+            note = f"{note} = {mpmath.nstr(tolerance, 6)}"
+        rep = build_report(self.id, self.anchor, params, lhs, rhs, config,
+                           note, residual, tolerance, more)
+        if is_exact(lhs) and not is_exact(rhs):
+            rep.lhs_micros, rep.rhs_micros = lhs_us, rhs_us
+        return rep
 
 
 def _timed(fn):
@@ -80,30 +93,20 @@ def _timed(fn):
     return value, int((time.perf_counter() - t0) * 1e6)
 
 
-def _two_sided(entry, params, lhs_fn, rhs_fn, config, note=""):
-    lhs, lhs_us = _timed(lhs_fn)
-    rhs, rhs_us = _timed(rhs_fn)
-    residual = tolerance = None
-    if isinstance(rhs, PeriodicMap):
-        residual, where = map_max_residual(lhs, rhs, config.precision)
-        lhs, rhs = lhs.values[where], rhs.values[where]
-        note = "; ".join(filter(None, (note, f"worst index n={where}")))
-    elif isinstance(rhs, tuple):            # (partial sum, tail bound)
-        rhs, tolerance = rhs
-        note = f"{note} = {mpmath.nstr(tolerance, 6)}"
-    rep = build_report(entry.id, entry.anchor, params, lhs, rhs, config,
-                       note, residual, tolerance)
-    if is_exact(lhs) and not is_exact(rhs):
-        rep.lhs_micros, rep.rhs_micros = lhs_us, rhs_us
-    return rep
-
-
 @lru_cache(maxsize=64)
 def _seeded_maps(k, seed, count, kind="rational"):
     """Drawn once for both sides of a row; a PeriodicMap is immutable."""
     maker = {"rational": random_rational_map, "odd": random_odd_map,
              "even": random_even_map}[kind]
     return tuple(maker(k, seed * 1000003 + i) for i in range(count))
+
+
+@lru_cache(maxsize=64)
+def _seeded_units(k, m, seed):
+    """th1's m multipliers, units mod k, drawn once for both sides."""
+    rng = random.Random(seed ^ 0x5EED)
+    units = units_mod(k)
+    return tuple(rng.choice(units) for _ in range(m))
 
 
 def _pair_exact(k, h1, h2, seed, kind="rational"):
@@ -130,44 +133,6 @@ def _transform_sides(kind):
         return periodic.closed_form_dft(kind, k, c.precision, **order,
                                         variant=convention)
     return {"exact": exact, "closed": closed}
-
-
-# --- the checkers of the rows whose report the comparison cannot build -----
-
-
-def _check_th1(entry, params, config):
-    k, m, seed = params["k"], params["m"], params["seed"]
-    rng = random.Random(seed ^ 0x5EED)
-    fs = _seeded_maps(k, seed, m)
-    units = units_mod(k)
-    hs = [rng.choice(units) for _ in range(m)]
-    return _two_sided(
-        entry, dict(params, hs=hs),
-        lambda: periodic.constrained_product_sum(fs, hs, config.work_limit),
-        lambda: periodic.spectral_product_sum(fs, hs, config.precision),
-        config)
-
-
-def _check_remark1(entry, params, config):
-    h, k = params["h"], params["k"]
-    bits = config.precision
-    exact = sums.hardy_sum("s1", h, k)
-    half = sums.s1_half_range(h, k, bits)
-    full = sums.tan_cot_pair_rhs(h, 1, k, bits)
-    with workprec(bits + 16):
-        residual = max(abs(mpmath.mpmathify(exact) - half),
-                       abs(mpmath.mpmathify(exact) - full), abs(half - full))
-    return build_report(entry.id, entry.anchor, params, exact, half, config,
-                        residual=residual,
-                        note=f"full-range form = {mpmath.nstr(full, 12)}; "
-                             f"residual is the max over the three pairings")
-
-
-def _check_th9(entry, params, config):
-    lhs, rhs = zeta.mikolas_pair(params["s1"], params["s2"], params["h1"],
-                                 params["h2"], params["k"], config.precision,
-                                 config.work_limit)
-    return build_report(entry.id, entry.anchor, params, lhs, rhs, config)
 
 
 def _th2_note(params):
@@ -214,7 +179,14 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "k >= 1, 1 <= m <= 8; seeded maps and coprime multipliers",
         (require(lambda p: 1 <= p["m"] <= 8, OutOfRange,
                  "m must be in 1..8, got {m}"),),
-        {"m": 2, "seed": 1}, checker=_check_th1),
+        {"m": 2, "seed": 1},
+        exact=lambda c, k, m, seed: periodic.constrained_product_sum(
+            _seeded_maps(k, seed, m), _seeded_units(k, m, seed),
+            c.work_limit),
+        closed=lambda c, k, m, seed: periodic.spectral_product_sum(
+            _seeded_maps(k, seed, m), _seeded_units(k, m, seed),
+            c.precision),
+        derived=lambda p: {"hs": _seeded_units(p["k"], p["m"], p["seed"])}),
     IdentityEntry(
         "cor1", "sum_a f1(a h1) f2(a h2) "
                 "= (1/k) sum_a DFT[f1](-a h2) DFT[f2](a h1)",
@@ -399,7 +371,11 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "remark1", "s1(h,k) = (1/k) sum_{j=1}^{(k-1)/2} tan(pi j/k) "
                    "cot(pi h j/k) = full-range form",
         _ONE, "k odd, h even, gcd(h,k) = 1", sums.S1_HALF_RANGE,
-        checker=_check_remark1),
+        exact=lambda c, k, h: sums.hardy_sum("s1", h, k),
+        closed=lambda c, k, h: sums.s1_half_range(h, k, c.precision),
+        more=(lambda c, k, h: sums.tan_cot_pair_rhs(h, 1, k, c.precision),),
+        note=lambda p, full: f"full-range form = {mpmath.nstr(full, 12)}; "
+                             "residual is the max over the three pairings"),
     IdentityEntry(
         "th9", "sum_{a=1}^{k-1} zeta(s1,{a h1/k}) zeta(s2,{a h2/k}) = "
                "(k^(s1+s2-1)-1) zeta(s1) zeta(s2) + k^(s1+s2-1) "
@@ -407,7 +383,11 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         (*_PAIR, "s1", "s2"),
         "gcd(h_i,k) = 1, Re s1 > 1, Re s2 > 1",
         (coprime("h1", "h2"), zeta.re_above_one("s1"), zeta.re_above_one("s2")),
-        {"s1": "2", "s2": "3"}, checker=_check_th9),
+        {"s1": "2", "s2": "3"},
+        exact=lambda c, k, h1, h2, s1, s2: zeta.mikolas_lhs(
+            s1, s2, h1, h2, k, c.precision, c.work_limit),
+        closed=lambda c, k, h1, h2, s1, s2: zeta.mikolas_rhs(
+            s1, s2, h1, h2, k, c.precision, c.work_limit)),
     IdentityEntry(
         "lemma3-a", "S(f) = sum_{r>=1} f(r)/r "
                     "= (pi/2k) sum_{r=1}^{k-1} f(r) cot(pi r/k)",

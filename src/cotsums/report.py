@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations
 
 import mpmath
 from mpmath import mp, mpc, mpf, mpmathify, workprec
@@ -70,9 +71,10 @@ def _residual(lhs, rhs):
 
 
 def build_report(identity_id: str, anchor: str, params: dict, lhs, rhs,
-                 config, note: str = "", residual=None,
-                 tolerance=None) -> IdentityReport:
-    """Assemble a report at the config's precision, computing |lhs - rhs|
+                 config, note: str = "", residual=None, tolerance=None,
+                 more=()) -> IdentityReport:
+    """Assemble a report at the config's precision, computing |lhs - rhs|,
+    or its max over every pair of lhs, rhs and the further sides more,
     unless a residual (e.g. a max over map indices) is supplied. The pass is
     against the config's tolerance, or against tolerance when one is given
     (a truncated series' tail bound)."""
@@ -81,7 +83,8 @@ def build_report(identity_id: str, anchor: str, params: dict, lhs, rhs,
                        else (tolerance, mpmath.nstr(mpf(tolerance), 10)))
     with workprec(bits + 16):
         if residual is None:
-            residual = _residual(lhs, rhs)
+            residual = max(_residual(a, b) for a, b in
+                           combinations((lhs, rhs, *more), 2))
         residual = abs(mpmathify(residual))
         passed = bool(residual < tolerance or residual == 0)
     return IdentityReport(

@@ -152,7 +152,7 @@ def riemann_zeta(s, bits: int = DEFAULT_BITS):
 @lru_cache(maxsize=64)
 def hurwitz_row(s: mpc, k: int, bits: int = DEFAULT_BITS) -> tuple:
     """(None, zeta(s, 1/k), ..., zeta(s, (k-1)/k)), indexed by n mod k: the
-    lhs row of mikolas_pair and the closed side of lemma1-v, keyed by the
+    row of mikolas_lhs and the closed side of lemma1-v, keyed by the
     normalized s."""
     return (None,) + tuple(hurwitz_zeta(s, Fraction(n, k), bits)
                            for n in range(1, k))
@@ -233,7 +233,7 @@ def periodic_zeta_map(s, k: int, bits: int = DEFAULT_BITS,
 @lru_cache(maxsize=64)
 def _periodic_zeta_table(s: mpc, k: int, bits: int) -> PeriodicMap:
     """F(s, n/k) = k^(-s) sum_a e^(2*pi*i*a*n/k) zeta(s, a/k), a = 1..k: the
-    rhs map of mikolas_pair, built apart from hurwitz_row."""
+    map of mikolas_rhs, built apart from hurwitz_row."""
     with workprec(guarded(bits, k * k)):
         hz = [hurwitz_zeta(s, Fraction(a or k, k), bits) for a in range(k)]
         roots = [mpmath.expjpi(mpf(2 * j) / k) for j in range(k)]
@@ -254,27 +254,35 @@ def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS,
         return PeriodicMap(scale * v for v in zetas)
 
 
-def mikolas_pair(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS,
-                 work_limit: int = DEFAULT_WORK_LIMIT):
-    """Both sides of the Hurwitz-zeta analogue of the Dedekind sum:
-
-    lhs = sum_{a=1}^{k-1} zeta(s1, {a h1/k}) zeta(s2, {a h2/k})
-    rhs = (k^(s1+s2-1) - 1) zeta(s1) zeta(s2)
-          + k^(s1+s2-1) sum_{a=1}^{k-1} F(s1, a h2/k) F(s2, -a h1/k)
-
-    The lhs reads the cached hurwitz_row of each s, the rhs riemann_zeta
-    and the cached F maps; each s is charged k Hurwitz cuts for its row
-    and zeta(s), and its F map k more.
-    """
+def _mikolas_args(s1, s2, h1, h2, k, bits, work_limit) -> tuple:
+    """The normalized (s1, s2) of a th9 side, once the rules of both sides
+    hold and each s is charged k Hurwitz cuts: before any term is summed."""
     sc1, sc2 = _to_s(s1, bits, "s1"), _to_s(s2, bits, "s2")
     check((re_above_one("s1"), re_above_one("s2"), coprime("h1", "h2")),
           s1=sc1, s2=sc2, h1=h1, h2=h2, k=k)
     for sc in (sc1, sc2):
         _charge_cut(sc, k, bits, work_limit)
+    return sc1, sc2
+
+
+def mikolas_lhs(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS,
+                work_limit: int = DEFAULT_WORK_LIMIT) -> mpc:
+    """The lhs of the Hurwitz-zeta analogue of the Dedekind sum, read from
+    hurwitz_row: sum_{a=1}^{k-1} zeta(s1, {a h1/k}) zeta(s2, {a h2/k})."""
+    sc1, sc2 = _mikolas_args(s1, s2, h1, h2, k, bits, work_limit)
     with workprec(guarded(bits, k)):
-        lhs = mpc(trig_product_sum(
+        return mpc(trig_product_sum(
             [(VALUES, hurwitz_row(sc1, k, bits), h1),
              (VALUES, hurwitz_row(sc2, k, bits), h2)], k, bits=bits))
+
+
+def mikolas_rhs(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS,
+                work_limit: int = DEFAULT_WORK_LIMIT) -> mpc:
+    """Its rhs, (k^(s1+s2-1) - 1) zeta(s1) zeta(s2)
+    + k^(s1+s2-1) sum_{a=1}^{k-1} F(s1, a h2/k) F(s2, -a h1/k), read from
+    riemann_zeta and the cached F maps; each F map is charged k more cuts."""
+    sc1, sc2 = _mikolas_args(s1, s2, h1, h2, k, bits, work_limit)
+    with workprec(guarded(bits, k)):
         kp = mpf(k) ** (sc1 + sc2 - 1)
         rhs = (kp - 1) * riemann_zeta(sc1, bits) * riemann_zeta(sc2, bits)
         if k > 1:
@@ -283,7 +291,14 @@ def mikolas_pair(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS,
             rhs += kp * trig_product_sum(
                 [(VALUES, f1.values, h2), (VALUES, f2.values, -h1)], k,
                 bits=bits)
-        return lhs, rhs
+        return rhs
+
+
+def mikolas_pair(s1, s2, h1: int, h2: int, k: int, bits: int = DEFAULT_BITS,
+                 work_limit: int = DEFAULT_WORK_LIMIT) -> tuple:
+    """Both sides of the Hurwitz-zeta analogue of the Dedekind sum."""
+    return (mikolas_lhs(s1, s2, h1, h2, k, bits, work_limit),
+            mikolas_rhs(s1, s2, h1, h2, k, bits, work_limit))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module; no
+slow module is imported; the lower layers import no upper one; and one
+place builds every report."""
 
 import ast
 from pathlib import Path
@@ -101,3 +103,38 @@ def test_the_check_sees_a_package_import():
 def test_lower_layers_import_no_upper_one(module):
     source = (PACKAGE / module).read_text()
     assert package_imports(source) & UPPER == set()
+
+
+def callers(source: str, name: str) -> list[str]:
+    """The dotted names of the functions of source that call name, as a
+    bare name or an attribute, once per call."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == name:
+                    found.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_the_check_sees_a_caller():
+    source = ("build_report(1)\nclass A:\n    def f(self):\n"
+              "        return report.build_report(lambda: build_report())\n"
+              "def g():\n    build = build_report\n")
+    assert callers(source, "build_report") == ["<module>", "A.f", "A.f"]
+
+
+def test_one_place_builds_every_report():
+    # a row with its own report path would call build_report beside it
+    found = [f"{module}:{caller}" for module in MODULES for caller in
+             callers((PACKAGE / module).read_text(), "build_report")]
+    assert found == ["registry.py:IdentityEntry.check"]

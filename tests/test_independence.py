@@ -19,6 +19,9 @@ fail.
 
 th9 reads two cached zeta tables, one per side: scaling either the Hurwitz
 row of its lhs or the F map of its rhs makes it fail.
+
+remark1's full-range form is a third side: scaling it alone, while its lhs
+and rhs stay as they are, makes remark1 fail.
 """
 
 import pytest
@@ -87,29 +90,22 @@ def test_transform_closed_side_needs_no_dft(monkeypatch, identity):
     assert entry.closed(RunConfig(), **params).values == expected.values
 
 
-# exact parts of the rows whose report is built by a checker
-CHECKER_EXACT = {
-    "remark1": lambda: sums.hardy_sum("s1", 6, 13),
-}
 # rows whose closed side reads dft or a series, with an instance each
 EXACT_ONLY = {
     "eq2": {"h": 3, "k": 7}, "parseval": {"k": 11},
+    "th1": {"k": 7, "m": 4},
     "cor1": {"k": 11, "h1": 2, "h2": 3},
     "cor2": {"k": 11, "h1": 2, "h2": 3, "parity": "even"},
 }
 
 
 def _exact_side(identity):
-    if identity in CHECKER_EXACT:
-        return CHECKER_EXACT[identity]()
     entry = REGISTRY[identity]
     params = {**INSTANCES, **EXACT_ONLY}[identity]
     return entry.exact(RunConfig(), **{**entry.defaults, **params})
 
 
-@pytest.mark.parametrize("identity", [
-    *(ident for ident in INSTANCES if REGISTRY[ident].exact is not None),
-    *EXACT_ONLY, *CHECKER_EXACT])
+@pytest.mark.parametrize("identity", [*INSTANCES, *EXACT_ONLY])
 def test_exact_side_needs_no_trig(monkeypatch, identity):
     expected = _exact_side(identity)
     assert is_exact(expected)
@@ -246,3 +242,19 @@ def test_th9_sides_read_separate_zeta_tables(monkeypatch, cold_zeta_caches,
     monkeypatch.setattr(zeta, name, scaled)
     assert not verify("th9", params).passed
     assert other(s) == before
+
+
+def test_remark1_sees_its_full_range_side(monkeypatch):
+    params = {"k": 13, "h": 6}
+    before = verify("remark1", params)
+    assert before.passed
+    full_range = sums.tan_cot_pair_rhs
+
+    def scaled(*args):
+        with workprec(RunConfig().precision):
+            return full_range(*args) * (1 + mpf(2) ** -100)
+
+    monkeypatch.setattr(sums, "tan_cot_pair_rhs", scaled)
+    after = verify("remark1", params)
+    assert not after.passed
+    assert (after.lhs, after.rhs) == (before.lhs, before.rhs)

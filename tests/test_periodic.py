@@ -318,13 +318,14 @@ class TestChainEqualsEnumeration:
 
 # arguments no family takes, and the one refusal both sides give: they once
 # refused k = 0 with ZeroDivisionError, "period must be positive" or "k must
-# be odd", and r = 0 with two different texts
+# be odd", and r = 0 and a missing r each with two different texts
 BAD_FAMILY_ARGS = [
     *((kind, k, {"r": 2} if kind == "bernoulli" else {},
        f"k must be >= 1, got {k}")
       for kind in ("sawtooth", "bernoulli", "alt-sawtooth", "alt-sign")
       for k in (0, -1)),
     ("bernoulli", 5, {"r": 0}, "r must be >= 1"),
+    ("bernoulli", 5, {}, "the bernoulli family needs the order r"),
 ]
 
 

@@ -27,7 +27,7 @@ from cotsums.cli import main
 from cotsums.config import RunConfig
 from cotsums.errors import (ConvergenceDomain, CotsumsError, NotCoprime,
                             OutOfRange, ParityViolation)
-from cotsums.registry import REGISTRY, verify
+from cotsums.registry import REGISTRY, IdentityEntry, verify
 from cotsums.report import build_report
 
 SPEC_IDS = {
@@ -87,18 +87,18 @@ class TestRegistry:
         ("eq2", {"h": 2, "k": 7, "terms": 300}),    # against its tail bound
         ("parseval", {"k": 9, "seed": 3}),
         ("cor1", {"k": 9, "h1": 2, "h2": 5}),
-    ], ids=["th2", "eq2", "parseval", "cor1"])
+        ("remark1", {"k": 13, "h": 6}),         # and a third side
+    ], ids=["th2", "eq2", "parseval", "cor1", "remark1"])
     def test_two_sided_timings_recorded(self, identity, params):
         rep = verify(identity, params)
         assert rep.lhs_micros is not None and rep.rhs_micros is not None
         assert rep.micros > 0
 
-    def test_only_three_rows_keep_a_checker(self):
-        # every other row gives its two sides, which one comparison reads
-        checked = {e.id for e in REGISTRY.values() if e.checker is not None}
-        assert checked == {"th1", "remark1", "th9"}
+    def test_every_row_gives_its_sides(self):
+        # one comparison reads them: no row builds its own report
+        assert "checker" not in IdentityEntry._fields
         assert all(e.exact is not None and e.closed is not None
-                   for e in REGISTRY.values() if e.id not in checked)
+                   for e in REGISTRY.values())
 
     @pytest.mark.parametrize("identity,params", [
         ("th2", {"k": 7, "hs": (1, 2, 3)}),     # closed side is the literal 0

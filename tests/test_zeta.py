@@ -17,7 +17,8 @@ from cotsums.periodic import (PeriodicMap, constant_map, dft, map_max_residual,
                               random_odd_map, sawtooth_map)
 from cotsums.zeta import (SeriesForms, digamma, euler_gamma_rk,
                           euler_gamma_table, gamma_dft_residual, hurwitz_zeta,
-                          mikolas_pair, periodic_zeta, periodic_zeta_dft_map,
+                          mikolas_lhs, mikolas_pair, mikolas_rhs,
+                          periodic_zeta, periodic_zeta_dft_map,
                           periodic_zeta_map, riemann_zeta, series_forms,
                           series_partial)
 from cotsums.sums import dedekind_series
@@ -228,6 +229,38 @@ class TestMikolas:
             mikolas_pair(1, 2, 1, 1, 3)
         with pytest.raises(NotCoprime):
             mikolas_pair(2, 2, 2, 1, 4)
+
+    @pytest.mark.parametrize("s1,s2,h1,h2,k", [
+        (2, 3, 1, 2, 5), ("2.5", 2, 2, 3, 7), (2, 3, 1, 1, 1)])
+    def test_pair_is_its_two_sides(self, s1, s2, h1, h2, k):
+        assert mikolas_pair(s1, s2, h1, h2, k) == (
+            mikolas_lhs(s1, s2, h1, h2, k), mikolas_rhs(s1, s2, h1, h2, k))
+
+    @pytest.mark.parametrize("args,kw,error,message", [
+        (("1", "3", 1, 1, 5), {}, ConvergenceDomain, "Re s1 must exceed 1"),
+        (("3", "1", 1, 1, 5), {}, ConvergenceDomain, "Re s2 must exceed 1"),
+        ((2, 2, 2, 1, 4), {}, NotCoprime,
+         "h1 must be coprime to k: gcd(2, 4) = 2"),
+        ((2, 2, 1, 2, 4), {}, NotCoprime,
+         "h2 must be coprime to k: gcd(2, 4) = 2"),
+        ((2, 3, 1, 1, 5), {"work_limit": 100}, WorkLimitExceeded,
+         "Hurwitz cut 121 terms x 5 values = 605 terms exceed the work "
+         "limit 100"),
+    ], ids=["re-s1", "re-s2", "h1", "h2", "work-limit"])
+    @pytest.mark.parametrize("side", [mikolas_lhs, mikolas_rhs],
+                             ids=["lhs", "rhs"])
+    def test_each_side_refuses_before_summing(self, monkeypatch, side, args,
+                                              kw, error, message):
+        # the refusal comes before any Hurwitz value or product is summed
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a side summed before its checks")
+
+        for name in ("hurwitz_row", "riemann_zeta", "periodic_zeta_map",
+                     "trig_product_sum"):
+            monkeypatch.setattr(zeta, name, refuse)
+        with pytest.raises(error) as refused:
+            side(*args, **kw)
+        assert str(refused.value) == message
 
 
 class TestSeriesForms:
