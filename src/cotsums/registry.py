@@ -11,7 +11,7 @@ closed side is numeric records the time of each side, so sweeps report the
 exact-vs-closed cost ratio. A row's `more` gives further closed sides
 (remark1's full-range form), and the residual is then the max over every
 pair of sides; its `derived` gives the params its report adds (th1's
-drawn multipliers).
+drawn multipliers). parseval, cor1 and cor2 are th1's two sides at m = 2.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .hp import is_exact
 from .periodic import (PeriodicMap, dft, map_max_residual, random_even_map,
                        random_odd_map, random_rational_map)
 from .report import IdentityReport, build_report
-from .trig import VALUES, trig_product_sum
 
 # the list parameters, each checked non-empty in this order
 _LISTS = ("rs", "hs")
@@ -109,18 +108,16 @@ def _seeded_units(k, m, seed):
     return tuple(rng.choice(units) for _ in range(m))
 
 
-def _pair_exact(k, h1, h2, seed, kind="rational"):
-    """sum_a f1(a h1) f2(a h2) over the seeded maps (cor1, cor2, parseval)."""
+def _chain(c, k, seed, hs, kind="rational"):
+    """th1's exact side over the seeded maps at the multipliers hs."""
     return periodic.constrained_product_sum(
-        _seeded_maps(k, seed, 2, kind), (h1, -h2))
+        _seeded_maps(k, seed, len(hs), kind), hs, c.work_limit)
 
 
-def _pair_transform(c, k, at, h1, seed, kind="rational", sign=1):
-    """(sign/k) sum_a DFT[f1](a at) DFT[f2](a h1) over the same maps."""
-    bits = c.precision
-    return trig_product_sum([(VALUES, dft(f, bits).values, h) for f, h in
-                             zip(_seeded_maps(k, seed, 2, kind), (at, h1))],
-                            k, bits=bits, residues=range(k), divisor=sign * k)
+def _spectral(c, k, seed, hs, kind="rational"):
+    """th1's transform side over the same maps and multipliers."""
+    return periodic.spectral_product_sum(
+        _seeded_maps(k, seed, len(hs), kind), hs, c.precision)
 
 
 def _transform_sides(kind):
@@ -169,9 +166,9 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "parseval", "sum_a f1(a) f2(-a) = (1/k) sum_a DFT[f1](a) DFT[f2](a)",
         _SEEDED, "k >= 1; seeded random exact maps", defaults={"seed": 1},
-        # cor1 at (h1, h2) = (1, -1)
-        exact=lambda c, k, seed: _pair_exact(k, 1, -1, seed),
-        closed=lambda c, k, seed: _pair_transform(c, k, 1, 1, seed)),
+        # th1 at hs = (1, 1)
+        exact=lambda c, k, seed: _chain(c, k, seed, (1, 1)),
+        closed=lambda c, k, seed: _spectral(c, k, seed, (1, 1))),
     IdentityEntry(
         "th1", "sum over a_1+...+a_m = 0 (mod k) of prod f_j(a_j h_j) "
                "= (1/k) sum_a prod DFT[f_j](a h_j')",
@@ -180,21 +177,19 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         (require(lambda p: 1 <= p["m"] <= 8, OutOfRange,
                  "m must be in 1..8, got {m}"),),
         {"m": 2, "seed": 1},
-        exact=lambda c, k, m, seed: periodic.constrained_product_sum(
-            _seeded_maps(k, seed, m), _seeded_units(k, m, seed),
-            c.work_limit),
-        closed=lambda c, k, m, seed: periodic.spectral_product_sum(
-            _seeded_maps(k, seed, m), _seeded_units(k, m, seed),
-            c.precision),
+        exact=lambda c, k, m, seed: _chain(c, k, seed,
+                                           _seeded_units(k, m, seed)),
+        closed=lambda c, k, m, seed: _spectral(c, k, seed,
+                                               _seeded_units(k, m, seed)),
         derived=lambda p: {"hs": _seeded_units(p["k"], p["m"], p["seed"])}),
     IdentityEntry(
         "cor1", "sum_a f1(a h1) f2(a h2) "
                 "= (1/k) sum_a DFT[f1](-a h2) DFT[f2](a h1)",
         (*_PAIR, "seed"), "gcd(h1,k) = gcd(h2,k) = 1",
         (coprime("h1", "h2"),), {"seed": 1},
-        exact=lambda c, k, h1, h2, seed: _pair_exact(k, h1, h2, seed),
-        closed=lambda c, k, h1, h2, seed: _pair_transform(c, k, -h2, h1,
-                                                          seed)),
+        # th1 at hs = (h1, -h2); a -> -a h1 h2 gives the stated form
+        exact=lambda c, k, h1, h2, seed: _chain(c, k, seed, (h1, -h2)),
+        closed=lambda c, k, h1, h2, seed: _spectral(c, k, seed, (h1, -h2))),
     IdentityEntry(
         "cor2", "sum_a f1(a h1) f2(a h2) "
                 "= ((-1)^s/k) sum_a DFT[f1](a h2) DFT[f2](a h1)",
@@ -202,10 +197,13 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "gcd(h_i,k) = 1; both maps share the declared parity",
         (coprime("h1", "h2"), choice("parity", ("odd", "even"))),
         {"seed": 1, "parity": "odd"},
-        exact=lambda c, k, h1, h2, seed, parity: _pair_exact(k, h1, h2, seed,
-                                                             parity),
-        closed=lambda c, k, h1, h2, seed, parity: _pair_transform(
-            c, k, h2, h1, seed, parity, -1 if parity == "odd" else 1),
+        # cor1 with fhat(-n) = (-1)^s fhat(n): (-1)^s times th1's
+        # transform side at (h1, h2), the sign applied without rounding
+        exact=lambda c, k, h1, h2, seed, parity: _chain(c, k, seed, (h1, -h2),
+                                                        parity),
+        closed=lambda c, k, h1, h2, seed, parity: mpmath.fmul(
+            _spectral(c, k, seed, (h1, h2), parity),
+            -1 if parity == "odd" else 1, exact=True),
         note=lambda p: "sign (-1)^s with s=1 for odd maps, 0 for even; "
                        f"{p['parity']} maps used"),
     IdentityEntry(

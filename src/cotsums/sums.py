@@ -8,9 +8,10 @@ zagier_sum alone keeps the brute-force enumeration
 (periodic.enumerated_product_sum, k^(m-1) terms), which the speed criterion
 times against its closed form. A pair sum sum_a f1(a h1) f2(a h2) is the
 m = 2 case at multipliers (h1, -h2); a weight such as (-1)^a is a
-per-residue table taken at multiplier 1. Each
-trig side is one call of trig.trig_product_sum: its factor list, its
-residues, and its sign and scale.
+per-residue table taken at multiplier 1. Each pair closed form is likewise
+its theorem's tuple form at (h1, -h2); every other trig side is one call
+of trig.trig_product_sum: its factor list, its residues, and its sign and
+scale.
 """
 
 from __future__ import annotations
@@ -134,10 +135,9 @@ def homogeneous_pair_sum(h1: int, h2: int, k: int) -> Fraction:
 
 def homogeneous_pair_cot(h1: int, h2: int, k: int,
                          bits: int = DEFAULT_BITS) -> mpf:
-    """(1/4k) sum_{a=1}^{k-1} cot(pi*a*h1/k) cot(pi*a*h2/k), no inverses."""
+    """(1/4k) sum_{a=1}^{k-1} cot(pi*a*h1/k) cot(pi*a*h2/k): th2 at m = 2."""
     check((coprime("h1", "h2"),), h1=h1, h2=h2, k=k)
-    return trig_product_sum([(COT, 0, h1), (COT, 0, h2)], k, bits=bits,
-                            divisor=4 * k)
+    return zagier_cot((h1, -h2), k, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -173,22 +173,16 @@ def bernoulli_dedekind_rhs(rs, hs, k: int, bits: int = DEFAULT_BITS,
                     hp) for r, hp in zip(rs, invs)]
         return trig_product_sum(factors, k, bits=bits, residues=range(k),
                                 divisor=k)
-    return _paper_form(rs, [(COT, r - 1, hp) for r, hp in zip(rs, invs)],
-                       _sign(sum(rs) // 2), k, bits)
-
-
-def _paper_form(rs, factors, sign: int, k: int, bits: int):
-    """prod_j B_{r_j} / k^(A-m+1) + (sign prod_j r_j / (2^A k^(A-m+1)))
-    * (the trig product sum of the factors), A = sum r_j."""
-    m, A = len(rs), sum(rs)
-    first = (prod(bernoulli_number(r) for r in rs)
-             / Fraction(k) ** (A - m + 1))
+    A = sum(rs)
+    e = A - len(rs) + 1                     # the power of k in both terms
+    first = prod(bernoulli_number(r) for r in rs) / Fraction(k) ** e
     if k == 1:
         with workprec(guarded(bits)):
             return mpmath.mpmathify(first)
-    acc = trig_product_sum(factors, k, bits=bits)
+    acc = trig_product_sum([(COT, r - 1, hp) for r, hp in zip(rs, invs)], k,
+                           bits=bits)
     with workprec(guarded(bits, k)):
-        coeff = mpf(sign * prod(rs)) / (mpf(2) ** A * mpf(k) ** (A - m + 1))
+        coeff = mpf(_sign(A // 2) * prod(rs)) / (mpf(2) ** A * mpf(k) ** e)
         return mpmath.mpmathify(first) + coeff * acc
 
 
@@ -199,21 +193,15 @@ def bernoulli_pair_sum(r1: int, r2: int, h1: int, h2: int, k: int) -> Fraction:
 
 def bernoulli_pair_rhs(r1: int, r2: int, h1: int, h2: int, k: int,
                        bits: int = DEFAULT_BITS, convention: str = "corrected"):
-    """Closed form for bernoulli_pair_sum, r1 + r2 even, no inverses.
+    """Closed form for bernoulli_pair_sum, r1 + r2 even: th4 at (h1, -h2).
 
-    The cot-derivative of order r1 - 1 is attached to h2 (and r2 - 1 to
-    h1): that is the pairing the transform derivation produces, and the
-    one that matches the exact side for r1 != r2 (brute-force checked).
-
-    convention="corrected" routes through the zero-sum evaluator with the
-    exact r = 1 transforms, using multiplier pair (h1, -h2).
+    a -> a*h1*h2 turns th4's paper form into (-1)^((r1-r2)/2) times the sum
+    of cot^(r1-1)(pi*a*h2/k) cot^(r2-1)(pi*a*h1/k): the order r1 - 1 falls
+    on h2. The printed pairing r1 <-> h1 fails for r1 != r2.
     """
     check((*BERNOULLI_PAIR_RHS, _CONVENTION), r1=r1, r2=r2, h1=h1, h2=h2,
           k=k, convention=convention)
-    if convention == "corrected":
-        return bernoulli_dedekind_rhs((r1, r2), (h1, -h2), k, bits, "corrected")
-    return _paper_form((r1, r2), [(COT, r1 - 1, h2), (COT, r2 - 1, h1)],
-                       _sign((r1 - r2) // 2), k, bits)
+    return bernoulli_dedekind_rhs((r1, r2), (h1, -h2), k, bits, convention)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +292,10 @@ def alt_pair_sum(h1: int, h2: int, k: int) -> Fraction:
 
 
 def alt_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
-    """-(1/4k) sum_{a != k/2} tan(pi*a*h2/k) cot(pi*a*h1/k); k even, h1 odd."""
+    """-(1/4k) sum_{a != k/2} tan(pi*a*h2/k) cot(pi*a*h1/k); k even, h1 odd:
+    th5 at m = 2."""
     check(ALT_PAIR_RHS, h1=h1, h2=h2, k=k)
-    return trig_product_sum([(TAN, 0, h2), (COT, 0, h1)], k, bits=bits,
-                            residues=[a for a in range(1, k) if 2 * a != k],
-                            divisor=-4 * k)
+    return hardy_A_rhs((h1, -h2), k, bits)
 
 
 def floor_pair_sum(h1: int, h2: int, k: int, with_alt: bool) -> Fraction:
@@ -320,10 +307,10 @@ def floor_pair_sum(h1: int, h2: int, k: int, with_alt: bool) -> Fraction:
 
 
 def tan_cot_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
-    """(1/2k) sum_{a=1}^{k-1} tan(pi*a*h2/k) cot(pi*a*h1/k); k odd."""
+    """(1/2k) sum_{a=1}^{k-1} tan(pi*a*h2/k) cot(pi*a*h1/k); k odd: th7 at
+    m = 2."""
     check(ODD_PAIR, h1=h1, h2=h2, k=k)
-    return trig_product_sum([(TAN, 0, h2), (COT, 0, h1)], k, bits=bits,
-                            divisor=2 * k)
+    return hardy_B_rhs((h1, -h2), k, bits)
 
 
 def alt_sign_pair_sum(h1: int, h2: int, k: int) -> Fraction:

@@ -211,9 +211,9 @@ def periodic_zeta(s, x, bits: int = DEFAULT_BITS,
                        mpmath.pi * (mpf(1) / 2 - xv))
     q, p = xq.denominator, xq.numerator
     _charge_cut(sc, q, bits, work_limit)
-    if q == 1:
-        return mpc(riemann_zeta(sc, bits))
     with workprec(guarded(bits, q)):
+        if q == 1:
+            return mpc(riemann_zeta(sc, bits))
         phases = [mpmath.expjpi(mpf(2 * n) / q) for n in range(q)]
         zetas = [hurwitz_zeta(sc, Fraction(n or q, q), bits) for n in range(q)]
         acc = trig_product_sum(

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module; no
-slow module is imported; the lower layers import no upper one; and one
-place builds every report."""
+slow module is imported; the lower layers import no upper one; one place
+builds every report; and each pair closed form is its theorem's."""
 
 import ast
 from pathlib import Path
@@ -138,3 +138,37 @@ def test_one_place_builds_every_report():
     found = [f"{module}:{caller}" for module in MODULES for caller in
              callers((PACKAGE / module).read_text(), "build_report")]
     assert found == ["registry.py:IdentityEntry.check"]
+
+
+# the functions that call the kernel themselves: each tuple form of a
+# theorem and each sum that is no theorem's pair case. A pair form is its
+# theorem's tuple form at (h1, -h2), and the registry's seeded pair rows
+# read th1's two sides, so a factor list typed beside them shows here.
+KERNEL_CALLERS = {
+    "sums.py": ["bernoulli_dedekind_rhs", "hardy_A_rhs", "hardy_B_rhs",
+                "s1_half_range", "tan_pair_mean", "tan_square_sum",
+                "zagier_cot"],
+    "registry.py": [],
+}
+
+
+def kernel_callers(source: str) -> list[str]:
+    return sorted(set(callers(source, "trig_product_sum")))
+
+
+def test_the_check_sees_a_kernel_call():
+    source = ("def alt_pair_rhs(h1, h2, k):\n"
+              "    return trig.trig_product_sum([(TAN, 0, h2)], k)\n"
+              "def hardy_A_rhs(hs, k):\n"
+              "    return trig_product_sum(f, k) + trig_product_sum(g, k)\n"
+              "def tan_cot_pair_rhs(h1, h2, k):\n"
+              "    return hardy_B_rhs((h1, -h2), k)\n"
+              "ROW = lambda c: trig_product_sum(f, c.k)\n")
+    assert kernel_callers(source) == ["<module>", "alt_pair_rhs",
+                                      "hardy_A_rhs"]
+
+
+@pytest.mark.parametrize("module", sorted(KERNEL_CALLERS))
+def test_pair_closed_forms_call_their_theorems(module):
+    assert (kernel_callers((PACKAGE / module).read_text())
+            == KERNEL_CALLERS[module])

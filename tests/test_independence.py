@@ -114,7 +114,7 @@ def test_exact_side_needs_no_trig(monkeypatch, identity):
         raise AssertionError("an exact side called the trig layer or dft")
 
     for module, name in [(trig, "trig_product_sum"), (sums, "trig_product_sum"),
-                         (registry, "trig_product_sum"),
+                         (periodic, "spectral_product_sum"),
                          (trig, "fixed_tables"),
                          (periodic, "dft"), (registry, "dft")]:
         monkeypatch.setattr(module, name, refuse)

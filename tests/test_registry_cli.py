@@ -199,9 +199,13 @@ class TestCli:
         (["th4", "--k", "101", "--rs", "2,2,2,2,2,2,2,2",
           "--hs", "1,2,3,4,5,6,7,8"], 6 * 101 ** 2 + 101),
         (["th1", "--k", "101", "--m", "8"], 6 * 101 ** 2 + 101),
+        (["cor1", "--k", "101", "--h1", "2", "--h2", "3"], 101),
+        (["cor2", "--k", "101", "--h1", "2", "--h2", "3"], 101),
+        (["parseval", "--k", "101"], 101),
     ])
     def test_convolution_chain_opens_large_m(self, capsys, argv, products):
-        # 101^7 terms by enumeration; (m-2)k^2 + k products by the chain
+        # 101^7 terms by enumeration; (m-2)k^2 + k products by the chain,
+        # charged to --work-limit, th1's pair rows at m = 2 included
         assert main(["verify", *argv]) == 0
         assert main(["verify", *argv, "--work-limit", str(products - 1)]) == 2
         assert f"{products} products" in capsys.readouterr().err
@@ -413,6 +417,9 @@ SHARED_RULES = [
     ("s1_half_range", (1, 9), "remark1", {"k": 9, "h": 1}),
     ("homogeneous_pair_cot", (3, 1, 9), "cor3", {"k": 9, "h1": 3, "h2": 1}),
     ("hardy_B_rhs", ((1, 2, 4), 9), "th7", {"k": 9, "hs": (1, 2, 4)}),
+    # a pair form names h1 and h2, not the hs[j] of the tuple form it calls
+    ("alt_pair_rhs", (2, 1, 4), "cor6", {"k": 4, "h1": 2, "h2": 1}),
+    ("tan_cot_pair_rhs", (3, 1, 9), "cor8", {"k": 9, "h1": 3, "h2": 1}),
 ]
 
 

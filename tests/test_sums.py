@@ -217,6 +217,12 @@ class TestBernoulliPair:
         rhs = bernoulli_pair_rhs(1, 1, 1, 1, 3, convention="corrected")
         assert residual(lhs, rhs) < TOL_DEFAULT
 
+    @pytest.mark.parametrize("convention", ["paper", "corrected"])
+    def test_k_below_one_refused_by_name(self, convention):
+        # the paper form divides by k^(A-1), so k >= 1 is checked first
+        with pytest.raises(OutOfRange, match="k must be >= 1, got 0"):
+            bernoulli_pair_rhs(2, 2, 1, 1, 0, convention=convention)
+
 
 class TestHardySums:
     @pytest.mark.parametrize("which,h,k,expected", [

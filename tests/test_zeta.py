@@ -103,6 +103,13 @@ class TestPeriodicZeta:
         with workprec(300):
             assert_close(periodic_zeta(2, Fraction(1)), mpmath.pi ** 2 / 6)
 
+    @pytest.mark.parametrize("s,x", [(2, 0), (2 + 1j, 3), (3, -2), (2.5, 1)])
+    def test_integer_x_keeps_the_working_precision(self, s, x):
+        # F(s, n) = zeta(s) at 256 bits, not at mpmath's default 53
+        value = periodic_zeta(s, Fraction(x), 256)
+        with workprec(300):
+            assert abs(value - mpmath.zeta(s)) < mpf(2) ** -240
+
     def test_direct_series_oracle(self):
         # brute partial sums of sum e^(2 pi i n x)/n^s, geometric-free check
         with workprec(120):
