@@ -12,9 +12,10 @@ convolution chain on the integer forms (O((m-2)k^2 + k) products, one
 division at the end); its brute-force enumeration (O(k^(m-1))) is kept
 beside it as the reference and as th2's definitional side, and multiplies
 the Fraction values, so that criterion 9 keeps timing the enumeration it
-names. The transform is the direct O(k^2) sum, one rounded dot product per
-output: k is small at verification scale, every k (including primes) must
-work, and the error budget stays a simple k*2^(-bits) per output.
+names. The transform is the direct O(k^2) sum in ints, charged to the
+work limit, with one rounding per output: k is small at verification
+scale, every k (including primes) must work, and the error budget stays a
+simple k*2^(2-bits) per output (dft).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, product, repeat
+from itertools import product
 from math import lcm
 from operator import mul
 
@@ -32,7 +33,7 @@ from mpmath import mpc, mpf, workprec
 from . import trig
 from .errors import (K_EVEN, K_ODD, K_POSITIVE, R_POSITIVE, OutOfRange,
                      PeriodMismatch, WorkLimitExceeded, check, choice, require)
-from .exact import bernoulli_number, bernoulli_poly, mod_inverse
+from .exact import Poly, bernoulli_number, bernoulli_poly, mod_inverse
 from .hp import DEFAULT_BITS, DEFAULT_WORK_LIMIT, guarded, is_exact
 
 
@@ -108,20 +109,52 @@ def _require_same_period(f: PeriodicMap, g: PeriodicMap) -> int:
     return f.period
 
 
-def dft(f: PeriodicMap, bits: int = DEFAULT_BITS) -> PeriodicMap:
-    """fhat(n) = sum_a f(a) e^(-2*pi*i*a*n/k), direct evaluation.
+def dft(f: PeriodicMap, bits: int = DEFAULT_BITS,
+        work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
+    """fhat(n) = sum_a f(a) e^(-2*pi*i*a*n/k), direct evaluation in ints.
 
-    The k roots of unity are built from one evaluation of e^(-2*pi*i/k)
-    by repeated multiplication; each output is one mpmath.fdot, whose
-    products are exact and whose sum is rounded once. The guard bits absorb
-    the O(k) drift of the root table, keeping the final error within
-    k*2^(2-bits) of the requested precision.
+    The k^2 products are charged to work_limit first. The roots are dft's
+    own, as the lemma1-i..iv closed forms read the trig tables: powers of
+    one rounded e^(-2*pi*i/k) as Gaussian ints at 2^q, q = w + bitlen(k),
+    w = guarded(bits, 4k^2), each product shifted back with rounding, and
+    their conjugates past k/2. An exact map's numerators multiply them
+    exactly and each output divides by the denominator once; an mpf/mpc
+    map is rounded once to ints at 2^q by trig.fixed_column. Each output
+    is an exact sum rounded once to w, within k*2^(2-bits)*max(1, max|f|).
     """
     k = f.period
-    with workprec(guarded(bits, 4 * k * k)):
-        w = mpmath.expjpi(mpf(-2) / k) if k > 1 else mpc(1)
-        roots = list(accumulate(repeat(w, k - 1), mul, initial=mpc(1)))
-        return root_sums([mpmath.mpmathify(v) for v in f.values], roots)
+    if k * k > work_limit:
+        raise WorkLimitExceeded(f"k^2 = {k * k} products at k={k} exceed "
+                                f"the limit {work_limit}")
+    w = guarded(bits, 4 * k * k)
+    q = w + k.bit_length()
+    with workprec(q + 8):
+        (wr,), (wi,), _ = trig.fixed_column([mpmath.expjpi(mpf(-2) / k)], q)
+    half, c, s, cos, sin = 1 << (q - 1), 1 << q, 0, [1 << q], [0]
+    for _ in range(k // 2):
+        c, s = (c * wr - s * wi + half) >> q, (c * wi + s * wr + half) >> q
+        cos.append(c)
+        sin.append(s)
+    cos += cos[(k - 1) // 2:0:-1]
+    sin += [-v for v in sin[(k - 1) // 2:0:-1]]
+    if f.exact:
+        (re, den), im, scale = f.ints, None, q
+    else:
+        re, im, shift = trig.fixed_column(f.values, q)
+        den, scale = 1, q + shift
+    real, sums = im is None, []
+    for n in range(k // 2 + 1 if real else k):
+        at = [a * n % k for a in range(k)]
+        c, s = list(map(cos.__getitem__, at)), list(map(sin.__getitem__, at))
+        x, y = sum(map(mul, re, c)), sum(map(mul, re, s))
+        if not real:
+            x, y = x - sum(map(mul, im, s)), y + sum(map(mul, im, c))
+        sums.append((x, y))
+    if real:    # fhat(k - n) is the conjugate of fhat(n)
+        sums += [(x, -y) for x, y in reversed(sums[1:(k + 1) // 2])]
+    with workprec(w):
+        return PeriodicMap(mpc(mpf((x, -scale)) / den, mpf((y, -scale)) / den)
+                           for x, y in sums)
 
 
 def root_sums(vals, roots) -> PeriodicMap:
@@ -209,10 +242,13 @@ def enumerated_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
     return total
 
 
-def spectral_product_sum(fs, hs, bits: int = DEFAULT_BITS) -> mpc:
-    """(1/k) sum_a prod_j fhat_j(a * h_j'): the transform side of the same sum."""
+def spectral_product_sum(fs, hs, bits: int = DEFAULT_BITS,
+                         work_limit: int = DEFAULT_WORK_LIMIT) -> mpc:
+    """(1/k) sum_a prod_j fhat_j(a * h_j'): the transform side of the same
+    sum; each transform is charged its k^2 products."""
     k = _common_period(fs, hs)
-    factors = [(trig.VALUES, dft(f, bits).values, mod_inverse(h, k))
+    factors = [(trig.VALUES, dft(f, bits, work_limit).values,
+                mod_inverse(h, k))
                for f, h in zip(fs, hs)]
     return trig.trig_product_sum(factors, k, bits=bits, residues=range(k),
                                  divisor=k)
@@ -238,10 +274,15 @@ def sawtooth_map(k: int) -> PeriodicMap:
 
 
 def bernoulli_map(r: int, k: int) -> PeriodicMap:
-    """a -> B_r({a/k}), evaluating one Bernoulli polynomial over the period."""
+    """a -> B_r({a/k}) = sum_i c_i (a/k)^i in its integer form: over
+    k^r * L, L the lcm of the denominators of the c_i, the numerator at a
+    is the integer polynomial sum_i (L c_i k^(r-i)) a^i."""
     check((R_POSITIVE,), r=r)
-    poly = bernoulli_poly(r)
-    return PeriodicMap(tuple(poly(Fraction(a, k)) for a in range(k)))
+    coeffs = bernoulli_poly(r).coefficients
+    den = lcm(*(c.denominator for c in coeffs))
+    poly = Poly(r, tuple(int(c * den) * k ** (r - i)
+                         for i, c in enumerate(coeffs)))
+    return PeriodicMap.over(map(poly, range(k)), k ** r * den)
 
 
 def alt_sawtooth_map(k: int) -> PeriodicMap:

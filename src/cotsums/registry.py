@@ -117,14 +117,15 @@ def _chain(c, k, seed, hs, kind="rational"):
 def _spectral(c, k, seed, hs, kind="rational"):
     """th1's transform side over the same maps and multipliers."""
     return periodic.spectral_product_sum(
-        _seeded_maps(k, seed, len(hs), kind), hs, c.precision)
+        _seeded_maps(k, seed, len(hs), kind), hs, c.precision, c.work_limit)
 
 
 def _transform_sides(kind):
     """The sides of a transform row: the DFT of the family's defining map,
     and the family's stated closed form."""
     def exact(c, k, convention=None, **order):
-        return dft(periodic.defining_map(kind, k, **order), c.precision)
+        return dft(periodic.defining_map(kind, k, **order), c.precision,
+                   c.work_limit)
 
     def closed(c, k, convention="corrected", **order):
         return periodic.closed_form_dft(kind, k, c.precision, **order,
@@ -237,7 +238,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         {"s": "2"},
         exact=lambda c, k, s: dft(
             zeta.periodic_zeta_map(s, k, c.precision, c.work_limit),
-            c.precision),
+            c.precision, c.work_limit),
         closed=lambda c, k, s: zeta.periodic_zeta_dft_map(
             s, k, c.precision, c.work_limit)),
     IdentityEntry(
@@ -426,7 +427,8 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "gamma-dft", "DFT[r -> gamma(r,k)](n) = F(1, -n/k) off multiples of "
                      "k, Euler's constant at them",
         ("k",), "k >= 1",
-        exact=lambda c, k: dft(zeta.gamma_map(k, c.precision), c.precision),
+        exact=lambda c, k: dft(zeta.gamma_map(k, c.precision), c.precision,
+                               c.work_limit),
         closed=lambda c, k: zeta.gamma_dft_map(k, c.precision)),
 ]}
 

@@ -30,7 +30,8 @@ value, so the sum of k m-fold products is within about
 m * k * max|T|^(m-1) * 2^-P of the true sum before that rounding. A values
 column whose entries pass 2^P (zeta(s, 1/k) ~ k^s at large s) is rounded
 at 2^(2P - t) instead, t its largest entry's exponent: each of its entries
-is within 2^-2P of that entry, and no int grows past 2P bits.
+is within 2^-2P of that entry, and no int grows past 2P bits. That rule
+is fixed_column's, which periodic.dft also uses.
 
 cot_at, tan_at and cot_deriv_at evaluate one value each by cospi/sinpi.
 """
@@ -200,6 +201,17 @@ def _fixed(x, q: int) -> int:
     return _ratio(x.numerator << max(q, 0), x.denominator << max(-q, 0), 0)
 
 
+def fixed_column(col, p: int) -> tuple:
+    """(real ints, imaginary ints or None if no entry is an mpc, shift):
+    int, Fraction, mpf or mpc entries rounded once to 2^-shift, shift = p,
+    or 2p - t past 2^p (t the largest entry's exponent, the module doc's
+    block exponent)."""
+    shift = p - max(0, max(map(mpmath.mag, col), default=0) - p)
+    im = ([_fixed(v.imag, shift) for v in col]
+          if any(isinstance(v, mpc) for v in col) else None)
+    return [_fixed(v.real, shift) for v in col], im, shift
+
+
 def _times(x, y) -> tuple:
     """The entrywise product of two columns, each (real ints, imaginary
     ints or None); a real product is left lazy, so a sum of real columns
@@ -239,18 +251,13 @@ def trig_product_sum(factors, k: int, bits: int = DEFAULT_BITS, *,
             table = cot_deriv_table(arg, k, bits)
         else:
             raise ValueError(f"unknown trig factor kind {kind!r}")
-        col, im, shift = [table[a * h % k] for a in idx], None, p
+        col = [table[a * h % k] for a in idx]
         if None in col:
             error = PoleAtHalfPeriod if kind == TAN else PoleAtIntegerMultiple
             raise error(f"{kind} factor with multiplier {h} has a pole at "
                         f"a = {idx[col.index(None)]} (mod {k})")
-        if kind == VALUES:
-            # a column past 2^P keeps 2P bits: its excess exponent goes to
-            # the scale, so no entry's int outgrows 2P bits
-            shift -= max(0, max(map(mpmath.mag, col), default=0) - p)
-            if any(isinstance(v, mpc) for v in col):
-                im = [_fixed(v.imag, shift) for v in col]
-            col = [_fixed(v.real, shift) for v in col]
+        col, im, shift = (fixed_column(col, p) if kind == VALUES
+                          else (col, None, p))
         cols.append((col, im))
         scale -= shift
     re, im = reduce(_times, cols)

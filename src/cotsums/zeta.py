@@ -95,8 +95,9 @@ def hurwitz_zeta(s, x, bits: int = DEFAULT_BITS):
     Euler-Maclaurin: direct sum of the first M terms, the integral and
     half-term corrections at the cut, then Bernoulli corrections of
     increasing order until the first omitted term falls under the target
-    2^-(bits+8); M doubles if the asymptotic tail stalls first. Returns
-    mpf for real s, mpc otherwise.
+    2^-(bits+8); M doubles if the asymptotic tail stalls first. The tail is
+    mpf work; _add_direct adds the direct part. Returns mpf for real s,
+    mpc otherwise.
     """
     sc = _to_s(s, bits)
     check((re_above_one("s"),), s=sc)
@@ -112,11 +113,34 @@ def hurwitz_zeta(s, x, bits: int = DEFAULT_BITS):
         for _ in range(8):
             value = _em_tail(se, xv, m_cut, target)
             if value is not None:
-                for n in range(m_cut):
-                    value += (n + xv) ** -se
-                return value
+                return _add_direct(value, se, xq, m_cut)
             m_cut *= 2
         raise ConvergenceDomain("Euler-Maclaurin failed to converge")  # pragma: no cover
+
+
+def _add_direct(tail, s, x: Fraction, m_cut: int):
+    """tail + sum_{n<M} (n+x)^(-s). An integer 2 <= s <= the working
+    precision takes (n + a/k)^(-s) = k^s/(nk+a)^s, each term rounded to an
+    int at 2^Q, Q = precision + bitlen(M), summed exactly: an error
+    relative to zeta(s, x) >= 1. Any other s adds mpf terms; a larger s
+    would build ints of ~s bits."""
+    prec = mpmath.mp.prec
+    if s.imag or not 2 <= s <= prec or s != int(s):
+        xv = mpmath.mpmathify(x)
+        for n in range(m_cut):
+            tail += (n + xv) ** -s
+        return tail
+    e, a, k, q = int(s), x.numerator, x.denominator, prec + m_cut.bit_length()
+    top = k ** e << (q + 1)
+    return tail + mpf((sum((top + d) // (2 * d) for d in (
+        (n * k + a) ** e for n in range(m_cut))), -q))
+
+
+@lru_cache(maxsize=1024)
+def _em_coefficient(j: int, prec: int) -> mpf:
+    """B_2j / (2j)! rounded to prec bits."""
+    with workprec(prec):
+        return mpmath.mpmathify(bernoulli_number(2 * j) / factorial(2 * j))
 
 
 def _em_tail(s, x, m_cut, target):
@@ -129,8 +153,7 @@ def _em_tail(s, x, m_cut, target):
     prev = None
     j = 1
     while 2 * j < 8 * mpmath.mp.prec:
-        coeff = Fraction(bernoulli_number(2 * j), factorial(2 * j))
-        term = mpmath.mpmathify(coeff) * rising * wpow
+        term = _em_coefficient(j, mpmath.mp.prec) * rising * wpow
         total += term
         size = abs(term)
         if size < target:

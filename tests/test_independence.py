@@ -20,6 +20,9 @@ fail.
 th9 reads two cached zeta tables, one per side: scaling either the Hurwitz
 row of its lhs or the F map of its rhs makes it fail.
 
+dft builds its roots of unity itself: with the trig tables and their
+rotation disabled, it still returns.
+
 remark1's full-range form is a third side: scaling it alone, while its lhs
 and rhs stay as they are, makes remark1 fail.
 """
@@ -197,6 +200,20 @@ def test_table_perturbation_is_seen(wrap_tables, identity):
 
     wrap_tables(scale)
     assert not verify(identity, params).passed
+
+
+def test_dft_builds_its_own_roots(monkeypatch):
+    # lemma1-i..iv compare dft with maps built from the trig tables, so dft
+    # must not take its roots from the rotation behind them
+    def refuse(*args):
+        raise AssertionError("dft read the trig tables' rotation")
+
+    maps = [periodic.sawtooth_map(12), zeta.gamma_map(7),
+            periodic.sawtooth_dft_map(9)]
+    for name in ("fixed_tables", "_half_turn"):
+        monkeypatch.setattr(trig, name, refuse)
+    for f in maps:
+        assert periodic.dft(f).period == f.period
 
 
 @pytest.fixture

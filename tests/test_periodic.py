@@ -1,14 +1,18 @@
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mpf, mpmathify, workprec
+from mpmath.libmp import to_rational
 
 from conftest import TOL_DEFAULT, assert_close, residual
 from cotsums.errors import (NotCoprime, NotOdd, OutOfRange, ParityViolation,
                             PeriodMismatch, WorkLimitExceeded)
+from cotsums import trig
 from cotsums.periodic import (PeriodicMap, alt_sawtooth_map, alt_sign_map,
                               bernoulli_dft_map, bernoulli_map,
                               closed_form_dft, constant_map,
@@ -17,7 +21,7 @@ from cotsums.periodic import (PeriodicMap, alt_sawtooth_map, alt_sign_map,
                               random_even_map, random_odd_map,
                               random_rational_map, sawtooth_dft_map,
                               sawtooth_map, spectral_product_sum)
-from cotsums.exact import mod_inverse, sawtooth
+from cotsums.exact import bernoulli_poly, mod_inverse, sawtooth
 from cotsums.hp import guarded
 from cotsums.zeta import cot_form
 
@@ -32,6 +36,50 @@ def involution_residual(f: PeriodicMap, bits: int = 256) -> mpf:
     ff = dft(dft(f, bits), bits)
     with workprec(guarded(bits, k)):
         return max(abs(ff(n) - k * mpmathify(f(-n))) for n in range(k))
+
+
+def reference_input(kind: str, k: int, bits: int) -> PeriodicMap:
+    """A map of each kind dft reads: exact; mpf or mpc entries at bits
+    precision; and mpf entries past 2^q, q dft's root scale, which take
+    the kernel's block exponent."""
+    if kind == "exact":
+        return random_rational_map(k, 7)
+    with workprec(bits):
+        vals = [(-1) ** a * mpmath.sqrt(a + 2) for a in range(k)]
+        if kind == "mpc":
+            vals = [mpmath.mpc(v, mpmath.cbrt(a + 1))
+                    for a, v in enumerate(vals)]
+        if kind == "past-2^q":
+            vals = [v * mpf(2) ** (guarded(bits, k) + 2 * bits) for v in vals]
+    return PeriodicMap(vals)
+
+
+def as_fraction(x) -> Fraction:
+    return Fraction(*to_rational(x._mpf_)) if isinstance(x, mpf) else Fraction(x)
+
+
+def reference_dft(f: PeriodicMap, r: int) -> list:
+    """The transform, from the exact entries times roots taken one by one
+    from cospi and sinpi and rounded to 2^-r, summed exactly and rounded
+    once to the working precision: within k * 2^(1-r) * max|f| of it."""
+    k = f.period
+    with workprec(r + 16):
+        turns = [mpf(2 * j) / k for j in range(k)]
+        cos, sin = ([int(mpmath.nint(mpmath.ldexp(g(t), r))) for t in turns]
+                    for g in (mpmath.cospi, mpmath.sinpi))
+    (re, re_den), (im, im_den) = (
+        PeriodicMap(as_fraction(getattr(v, part)) for v in f.values).ints
+        for part in ("real", "imag"))
+    den = lcm(re_den, im_den)
+    re, im = ([v * (den // d) for v in vals]
+              for vals, d in ((re, re_den), (im, im_den)))
+    out = []
+    for n in range(k):
+        c, s = zip(*((cos[a * n % k], sin[a * n % k]) for a in range(k)))
+        x = sum(map(mul, re, c)) + sum(map(mul, im, s))
+        y = sum(map(mul, im, c)) - sum(map(mul, re, s))
+        out.append(mpmath.mpc(mpf(x), mpf(y)) / (den << r))
+    return out
 
 
 class TestPeriodicMap:
@@ -81,6 +129,14 @@ class TestPeriodicMap:
                 assert alt_sawtooth_map(k).values == tuple(
                     (-1) ** a * v for a, v in enumerate(defined))
 
+    def test_bernoulli_map_matches_the_polynomial(self):
+        # built in its integer form; the values are B_r at each a/k
+        for r in range(1, 9):
+            poly = bernoulli_poly(r)
+            for k in range(1, 41):
+                assert bernoulli_map(r, k).values == tuple(
+                    poly(Fraction(a, k)) for a in range(k))
+
     def test_sawtooth_map_needs_a_positive_period(self):
         for k in (0, -4):
             with pytest.raises(ValueError):
@@ -117,6 +173,35 @@ class TestDft:
             with workprec(4 * bits):
                 err = max(abs(a - b) for a, b in zip(fhat.values, ref.values))
                 assert err < k * mpf(2) ** (2 - bits)
+
+    @pytest.mark.parametrize("bits", [64, 256, 1000])
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 96, 97, 256])
+    @pytest.mark.parametrize("kind", ["exact", "mpf", "mpc", "past-2^q"])
+    def test_agrees_with_a_reference_of_independent_roots(self, kind, k, bits):
+        # a systematic error of dft's rotation, which comparing dft with
+        # itself at 2*bits cannot see, shows here; the bound is the
+        # docstring's
+        f = reference_input(kind, k, bits)
+        fhat = dft(f, bits)
+        with workprec(3 * bits):
+            top = max(1, max(abs(mpmathify(v)) for v in f.values))
+            for n, ref in enumerate(reference_dft(f, 3 * bits)):
+                assert abs(fhat(n) - ref) < k * mpf(2) ** (2 - bits) * top
+
+    def test_work_limit_is_charged_before_any_product(self, monkeypatch):
+        # k^2 products, refused by name before the first root is rounded
+        def refuse(*args):
+            raise AssertionError("dft rounded a root")
+
+        monkeypatch.setattr(trig, "fixed_column", refuse)
+        with pytest.raises(WorkLimitExceeded,
+                           match=r"k\^2 = 10000 products at k=100 exceed "
+                                 r"the limit 9999"):
+            dft(sawtooth_map(100), 256, 9999)
+        with pytest.raises(WorkLimitExceeded, match="k=100"):
+            spectral_product_sum([sawtooth_map(100)] * 2, (1, 1), 256, 9999)
+        monkeypatch.undo()
+        assert dft(sawtooth_map(100), 256, 10000).period == 100
 
     @pytest.mark.parametrize("make,k", [
         (sawtooth_map, 5),

@@ -10,6 +10,7 @@ from mpmath.libmp import to_rational
 
 from conftest import TOL_DEFAULT, assert_close, residual
 from cotsums import zeta
+from cotsums.config import RunConfig
 from cotsums.errors import (ConvergenceDomain, NonPositiveArgument,
                             NotCoprime, NotOdd, OutOfRange, WorkLimitExceeded)
 from cotsums.hp import guarded
@@ -21,6 +22,7 @@ from cotsums.zeta import (SeriesForms, digamma, euler_gamma_rk,
                           periodic_zeta, periodic_zeta_dft_map,
                           periodic_zeta_map, riemann_zeta, series_forms,
                           series_partial)
+from cotsums.registry import verify
 from cotsums.sums import dedekind_series
 
 
@@ -59,6 +61,36 @@ class TestHurwitzZeta:
             ref = mpmath.zeta(mpmath.mpmathify(Fraction(str(s))),
                               mpmath.mpmathify(x))
             assert_close(mine, ref, tol=mpf(2) ** -240)
+
+    @pytest.mark.parametrize("bits", [64, 256, 1000])
+    @pytest.mark.parametrize("s", [2, 3, 7, 40, "edge", "past", "2.5", "2+1i"])
+    def test_agrees_with_mpmath_at_every_precision(self, s, bits):
+        # integer 2 <= s <= the working precision takes the int direct part,
+        # "edge" is the largest such s and "past" the first mpf one
+        edge = guarded(bits) + zeta._EM_GUARD
+        s = {"edge": edge, "past": edge + 1}.get(s, s)
+        with workprec(bits + 64):
+            sc = mpmath.mpmathify(str(s).replace("i", "j"))
+            for x in (Fraction(1), Fraction(1, 2), Fraction(2, 7),
+                      Fraction(1, 97), Fraction(48, 97), Fraction(96, 97)):
+                ref = mpmath.zeta(sc, mpmath.mpmathify(x))
+                err = abs(hurwitz_zeta(s, x, bits) - ref) / abs(ref)
+                assert err < mpf(2) ** -(bits + 8), (x, err)
+
+    def test_th9_residual_shrinks_with_precision(self):
+        # th9's sides are Hurwitz rows: at b bits the residual (|rhs| ~ 2^11)
+        # is within 2^(16-b), and doubling b shrinks it by about 2^-b
+        before = None
+        for bits in (128, 256, 512):
+            report = verify("th9", {"k": 7, "h1": 2, "h2": 3},
+                            RunConfig(precision=bits,
+                                      tolerance=f"2^-{bits - 16}"))
+            with workprec(bits):
+                res = mpf(report.residual)
+                assert res <= mpf(2) ** (16 - bits)
+                if before is not None:
+                    assert res <= before * mpf(2) ** (8 - bits // 2)
+            before = res
 
     @pytest.mark.parametrize("s", ["2+1i", "3+2i", "1.5+0.5i"])
     def test_complex_s_against_mpmath(self, s):
