@@ -157,15 +157,6 @@ def dft(f: PeriodicMap, bits: int = DEFAULT_BITS,
                            for x, y in sums)
 
 
-def root_sums(vals, roots) -> PeriodicMap:
-    """n -> sum_a vals[a] roots[a*n mod k], given the k powers of a k-th root
-    of unity: one mpmath.fdot per n, whose products are exact and whose sum
-    is rounded once at the working precision."""
-    k = len(vals)
-    return PeriodicMap(mpmath.fdot(vals, [roots[a * n % k] for a in range(k)])
-                       for n in range(k))
-
-
 def convolve(f: PeriodicMap, g: PeriodicMap) -> PeriodicMap:
     """Cauchy convolution (f*g)(n) = sum_a f(a) g(n-a), in the integer
     forms: the numerators convolve and the denominators multiply."""

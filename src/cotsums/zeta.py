@@ -24,8 +24,7 @@ from .errors import (TERMS_POSITIVE, ConvergenceDomain, NonPositiveArgument,
                      require)
 from .exact import bernoulli_number, frac
 from .hp import DEFAULT_BITS, guarded
-from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap, dft, map_max_residual,
-                       root_sums)
+from .periodic import DEFAULT_WORK_LIMIT, PeriodicMap, dft, map_max_residual
 from .trig import COT, VALUES, trig_product_sum
 
 _EM_GUARD = 32
@@ -216,12 +215,11 @@ def periodic_zeta(s, x, bits: int = DEFAULT_BITS,
                   work_limit: int = DEFAULT_WORK_LIMIT):
     """F(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for rational x.
 
-    For Re s > 1 and x = p/q this is assembled from the finite Hurwitz
-    combination F(s, p/q) = q^(-s) sum_{a=1}^{q} e^(2*pi*i*a*p/q) zeta(s, a/q),
-    which is exact on the stated domain and avoids the conditionally
-    convergent direct series; it is charged q Hurwitz cuts. For s = 1 and
-    non-integer x the closed form -log(2 sin(pi {x})) + i*pi*(1/2 - {x}) is
-    used.
+    For Re s > 1 and x = p/q this is F's one builder, the finite Hurwitz
+    combination at n = p (_hurwitz_combination), which is exact on the
+    stated domain and avoids the conditionally convergent direct series; it
+    is charged q Hurwitz cuts. For s = 1 and non-integer x the closed form
+    -log(2 sin(pi {x})) + i*pi*(1/2 - {x}) is used.
     """
     sc = _to_s(s, bits)
     xq = frac(Fraction(x))
@@ -234,15 +232,7 @@ def periodic_zeta(s, x, bits: int = DEFAULT_BITS,
                        mpmath.pi * (mpf(1) / 2 - xv))
     q, p = xq.denominator, xq.numerator
     _charge_cut(sc, q, bits, work_limit)
-    with workprec(guarded(bits, q)):
-        if q == 1:
-            return mpc(riemann_zeta(sc, bits))
-        phases = [mpmath.expjpi(mpf(2 * n) / q) for n in range(q)]
-        zetas = [hurwitz_zeta(sc, Fraction(n or q, q), bits) for n in range(q)]
-        acc = trig_product_sum(
-            [(VALUES, phases, p), (VALUES, zetas, 1)], q, bits=bits,
-            residues=range(1, q + 1))
-        return acc * mpf(q) ** -sc
+    return _hurwitz_combination(sc, q, (p,), bits)[0]
 
 
 def periodic_zeta_map(s, k: int, bits: int = DEFAULT_BITS,
@@ -255,13 +245,21 @@ def periodic_zeta_map(s, k: int, bits: int = DEFAULT_BITS,
 
 @lru_cache(maxsize=64)
 def _periodic_zeta_table(s: mpc, k: int, bits: int) -> PeriodicMap:
-    """F(s, n/k) = k^(-s) sum_a e^(2*pi*i*a*n/k) zeta(s, a/k), a = 1..k: the
-    map of mikolas_rhs, built apart from hurwitz_row."""
+    """The map of mikolas_rhs and lemma1-v, built apart from hurwitz_row."""
+    return PeriodicMap(_hurwitz_combination(s, k, range(k), bits))
+
+
+def _hurwitz_combination(s: mpc, k: int, ns, bits: int) -> list:
+    """[F(s, n/k) for n in ns], F's one builder at Re s > 1: each is
+    k^(-s) sum_{a=1}^{k} e^(2*pi*i*a*n/k) zeta(s, a/k), one mpmath.fdot of
+    k Hurwitz values of its own with k roots of its own, whose products are
+    exact and whose sum is rounded once at guarded(bits, k^2)."""
     with workprec(guarded(bits, k * k)):
         hz = [hurwitz_zeta(s, Fraction(a or k, k), bits) for a in range(k)]
         roots = [mpmath.expjpi(mpf(2 * j) / k) for j in range(k)]
         scale = mpf(k) ** -s
-        return PeriodicMap(scale * v for v in root_sums(hz, roots).values)
+        return [scale * mpmath.fdot(hz, [roots[a * n % k] for a in range(k)])
+                for n in ns]
 
 
 def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS,
@@ -389,15 +387,16 @@ def lehmer_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
 
 
 def zeta_form(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpc:
-    """S(f) = -(1/k) sum_{r=1}^{k-1} fhat(r) F(1, -r/k) for odd f."""
+    """S(f) = -(1/k) sum_{r=1}^{k-1} fhat(r) F(1, -r/k) for odd f, the F
+    values read from gamma_dft_map (the kernel's residues 1..k-1 leave out
+    its Euler constant at r = 0)."""
     _check_odd(f, bits)
     k = f.period
     fhat = dft(f, bits)
     with workprec(guarded(bits, k)):
-        pz = [None] + [periodic_zeta(1, Fraction(-r, k), bits)
-                       for r in range(1, k)]
         return -mpc(trig_product_sum(
-            [(VALUES, fhat.values, 1), (VALUES, pz, 1)], k, bits=bits)) / k
+            [(VALUES, fhat.values, 1),
+             (VALUES, gamma_dft_map(k, bits).values, 1)], k, bits=bits)) / k
 
 
 def series_forms(f: PeriodicMap, bits: int = DEFAULT_BITS) -> SeriesForms:

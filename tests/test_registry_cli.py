@@ -668,8 +668,8 @@ def test_exponent_text_with_outer_space_is_read(capsys):
 
 @pytest.mark.parametrize("s", ["1e6", "1e30"])
 def test_large_exponent_reaches_the_kernel(capsys, s):
-    # zeta(s, 1/4) ~ 4^s: th9's lhs and periodic_zeta pass such values to
-    # the kernel, which once built ints of ~s bits (OverflowError at 1e30)
+    # zeta(s, 1/4) ~ 4^s: th9's lhs passes such values to the kernel, which
+    # once built ints of ~s bits (OverflowError at 1e30); F sums them in mpf
     lhs, rhs = zeta.mikolas_pair(s, "3", 1, 1, 4)
     with mpmath.workprec(300):
         assert abs(lhs - rhs) <= abs(lhs) * mpmath.mpf(2) ** -200
