@@ -308,9 +308,11 @@ def _cmd_verify(args) -> int:
 # sweep expansion
 
 
-def _parse_int_range(text: str, name: str) -> list[int]:
-    """'1..50' | 'odd 3..49' | 'even 4..48' | '3,5,7' | '7', given to --name;
-    any other text is refused naming the flag and these forms."""
+def _parse_int_range(args, name: str) -> list[int]:
+    """The values of --name: '1..50' | 'odd 3..49' | 'even 4..48' | '3,5,7'
+    | '7'; any other text is refused naming the flag and these forms, and a
+    range of more values than --work-limit before it is listed."""
+    text = " ".join(getattr(args, name))
     spec = text.strip()
     parity = next((p for p in ("odd", "even") if spec.startswith(p)), None)
     if parity:
@@ -318,7 +320,7 @@ def _parse_int_range(text: str, name: str) -> list[int]:
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
-            values = list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         else:
             values = [int(t) for t in spec.split(",")]
     except ValueError:
@@ -326,10 +328,15 @@ def _parse_int_range(text: str, name: str) -> list[int]:
         if PARAMS[name].form == MULTIPLIER:
             forms = forms.replace(" or", ",") + " or all-coprime"
         raise OutOfRange(f"--{name} takes {forms}, got {text!r}") from None
-    if parity:
-        values = [v for v in values if v % 2 == (parity == "odd")]
+    if parity:      # a range is sliced: its len is counted, not listed
+        values = (values[values.start % 2 != (parity == "odd")::2]
+                  if isinstance(values, range)
+                  else [v for v in values if v % 2 == (parity == "odd")])
+    if len(values) > args.work_limit:
+        raise WorkLimitExceeded(f"--{name} {text.strip()}: {len(values)} "
+                                f"values exceed the limit {args.work_limit}")
     check((holds_ints(f"--{name}"),), values=values, text=text)
-    return values
+    return list(values)
 
 
 def _tuple_candidates(spec: str, k: int, m: int, samples: int, seed: int,
@@ -375,11 +382,11 @@ def _expand_instances(args, entry) -> list[dict]:
     # an exponent no instance takes is refused by its rule, as verify does
     check([zeta.re_above_one(n) for n in ("s", "s1", "s2")
            if n in names and getattr(args, n) is not None], **vars(args))
-    ks = _parse_int_range(" ".join(args.k), "k")
+    ks = _parse_int_range(args, "k")
     # default hs tuples are as long as the explicit rs they pair up with
     rs = args.rs if "rs" in entry.param_names else None
     m = args.m if args.m is not None else len(rs) if rs else 2
-    seed = _parse_int_range(" ".join(args.seed), "seed")[0] if args.seed else 1
+    seed = _parse_int_range(args, "seed")[0] if args.seed else 1
     names.remove("k")
     instances = []
     for k in ks:
@@ -397,7 +404,7 @@ def _expand_instances(args, entry) -> list[dict]:
                 text = " ".join(value).strip()
                 cands = (units_mod(k) if form == MULTIPLIER
                          and text == "all-coprime"
-                         else _parse_int_range(text, name))
+                         else _parse_int_range(args, name))
             per_k = [dict(p, **{name: c}) for p in per_k for c in cands]
         instances.extend(per_k)
     admissible = []

@@ -109,6 +109,14 @@ def _require_same_period(f: PeriodicMap, g: PeriodicMap) -> int:
     return f.period
 
 
+def charge_dft(k: int, work_limit: int) -> int:
+    """k, once the k^2 products of a transform (or an F map) fit the limit."""
+    if k * k > work_limit:
+        raise WorkLimitExceeded(f"k^2 = {k * k} products at k={k} exceed "
+                                f"the limit {work_limit}")
+    return k
+
+
 def dft(f: PeriodicMap, bits: int = DEFAULT_BITS,
         work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
     """fhat(n) = sum_a f(a) e^(-2*pi*i*a*n/k), direct evaluation in ints.
@@ -122,10 +130,7 @@ def dft(f: PeriodicMap, bits: int = DEFAULT_BITS,
     map is rounded once to ints at 2^q by trig.fixed_column. Each output
     is an exact sum rounded once to w, within k*2^(2-bits)*max(1, max|f|).
     """
-    k = f.period
-    if k * k > work_limit:
-        raise WorkLimitExceeded(f"k^2 = {k * k} products at k={k} exceed "
-                                f"the limit {work_limit}")
+    k = charge_dft(f.period, work_limit)
     w = guarded(bits, 4 * k * k)
     q = w + k.bit_length()
     with workprec(q + 8):

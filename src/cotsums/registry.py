@@ -427,8 +427,9 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "gamma-dft", "DFT[r -> gamma(r,k)](n) = F(1, -n/k) off multiples of "
                      "k, Euler's constant at them",
         ("k",), "k >= 1",
-        exact=lambda c, k: dft(zeta.gamma_map(k, c.precision), c.precision,
-                               c.work_limit),
+        # the k^2 products are charged before the k digammas are made
+        exact=lambda c, k: dft(zeta.gamma_map(periodic.charge_dft(
+            k, c.work_limit), c.precision), c.precision, c.work_limit),
         closed=lambda c, k: zeta.gamma_dft_map(k, c.precision)),
 ]}
 

@@ -24,7 +24,8 @@ from .errors import (TERMS_POSITIVE, ConvergenceDomain, NonPositiveArgument,
                      require)
 from .exact import bernoulli_number, frac
 from .hp import DEFAULT_BITS, guarded
-from .periodic import DEFAULT_WORK_LIMIT, PeriodicMap, dft, map_max_residual
+from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap, charge_dft, dft,
+                       map_max_residual)
 from .trig import COT, VALUES, trig_product_sum
 
 _EM_GUARD = 32
@@ -213,13 +214,9 @@ def gamma_map(k: int, bits: int = DEFAULT_BITS) -> PeriodicMap:
 
 def periodic_zeta(s, x, bits: int = DEFAULT_BITS,
                   work_limit: int = DEFAULT_WORK_LIMIT):
-    """F(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for rational x.
-
-    For Re s > 1 and x = p/q this is F's one builder, the finite Hurwitz
-    combination at n = p (_hurwitz_combination), which is exact on the
-    stated domain and avoids the conditionally convergent direct series; it
-    is charged q Hurwitz cuts. For s = 1 and non-integer x the closed form
-    -log(2 sin(pi {x})) + i*pi*(1/2 - {x}) is used.
+    """F(s, x) = sum_{n>=1} e^(2*pi*i*n*x) / n^s for rational x: at Re s > 1
+    and x = p/q, F's one builder at n = p, charged q Hurwitz cuts; at s = 1
+    and non-integer x, the closed form -log(2 sin(pi {x})) + i*pi*(1/2 - {x}).
     """
     sc = _to_s(s, bits)
     xq = frac(Fraction(x))
@@ -230,16 +227,16 @@ def periodic_zeta(s, x, bits: int = DEFAULT_BITS,
             xv = mpmath.mpmathify(xq)
             return mpc(-mpmath.log(2 * mpmath.sinpi(xv)),
                        mpmath.pi * (mpf(1) / 2 - xv))
-    q, p = xq.denominator, xq.numerator
-    _charge_cut(sc, q, bits, work_limit)
-    return _hurwitz_combination(sc, q, (p,), bits)[0]
+    _charge_cut(sc, xq.denominator, bits, work_limit)
+    return _hurwitz_combination(sc, xq.denominator, (xq.numerator,), bits)[0]
 
 
 def periodic_zeta_map(s, k: int, bits: int = DEFAULT_BITS,
                       work_limit: int = DEFAULT_WORK_LIMIT) -> PeriodicMap:
-    """n -> F(s, n/k) as a k-periodic map, charged k Hurwitz cuts."""
+    """n -> F(s, n/k), a k-periodic map charged k cuts and k^2 products."""
     sc = _to_s(s, bits)
     _charge_cut(sc, k, bits, work_limit)
+    charge_dft(k, work_limit)
     return _periodic_zeta_table(sc, k, bits)
 
 
@@ -250,10 +247,12 @@ def _periodic_zeta_table(s: mpc, k: int, bits: int) -> PeriodicMap:
 
 
 def _hurwitz_combination(s: mpc, k: int, ns, bits: int) -> list:
-    """[F(s, n/k) for n in ns], F's one builder at Re s > 1: each is
-    k^(-s) sum_{a=1}^{k} e^(2*pi*i*a*n/k) zeta(s, a/k), one mpmath.fdot of
-    k Hurwitz values of its own with k roots of its own, whose products are
-    exact and whose sum is rounded once at guarded(bits, k^2)."""
+    """[F(s, n/k) for n in ns], F's one builder at Re s > 1: the finite
+    Hurwitz combination k^(-s) sum_{a=1}^{k} e^(2*pi*i*a*n/k) zeta(s, a/k),
+    exact there, with no conditionally convergent series. Each is one
+    mpmath.fdot of k Hurwitz values and k roots, both its own, whose
+    products are exact and whose sum is rounded once at guarded(bits, k^2).
+    """
     with workprec(guarded(bits, k * k)):
         hz = [hurwitz_zeta(s, Fraction(a or k, k), bits) for a in range(k)]
         roots = [mpmath.expjpi(mpf(2 * j) / k) for j in range(k)]
@@ -276,13 +275,14 @@ def periodic_zeta_dft_map(s, k: int, bits: int = DEFAULT_BITS,
 
 
 def _mikolas_args(s1, s2, h1, h2, k, bits, work_limit) -> tuple:
-    """The normalized (s1, s2) of a th9 side, once the rules of both sides
-    hold and each s is charged k Hurwitz cuts: before any term is summed."""
+    """The normalized (s1, s2) of a th9 side, once both sides' rules hold
+    and k cuts per s and k^2 F products are charged: before any sum."""
     sc1, sc2 = _to_s(s1, bits, "s1"), _to_s(s2, bits, "s2")
     check((re_above_one("s1"), re_above_one("s2"), coprime("h1", "h2")),
           s1=sc1, s2=sc2, h1=h1, h2=h2, k=k)
     for sc in (sc1, sc2):
         _charge_cut(sc, k, bits, work_limit)
+    charge_dft(k, work_limit)
     return sc1, sc2
 
 
@@ -341,26 +341,26 @@ class SeriesForms(NamedTuple):
                        default=mpf(0))
 
 
-def _check_odd(f: PeriodicMap, bits: int) -> None:
-    """Refuse a map that is not odd: exactly for exact values, to within
-    2^-(bits/2) for numeric ones."""
+def _check_odd(f: PeriodicMap, bits: int) -> int:
+    """The period k of an odd map; refuse one that is not odd: exactly for
+    exact values, to within 2^-(bits/2) for numeric ones."""
     k = f.period
     if f.exact:
         if any(f.values[a] + f.values[-a % k] for a in range(k)):
             raise NotOdd("map is not odd over its period")
-        return
+        return k
     with workprec(guarded(bits, k)):
         tol = mpf(2) ** -(bits // 2)
         for a in range(k):
             if abs(mpmath.mpmathify(f.values[a])
                    + mpmath.mpmathify(f.values[-a % k])) > tol:
                 raise NotOdd(f"map is not odd at n = {a}")
+    return k
 
 
 def cot_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
     """S(f) = (pi/2k) sum_{r=1}^{k-1} f(r) cot(pi r/k) for odd f."""
-    _check_odd(f, bits)
-    k = f.period
+    k = _check_odd(f, bits)
     acc = trig_product_sum([(VALUES, f.values, 1), (COT, 0, 1)], k, bits=bits)
     with workprec(guarded(bits, k)):
         return mpmath.pi / (2 * k) * acc
@@ -368,8 +368,7 @@ def cot_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
 
 def spectral_form(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpc:
     """S(f) = -(pi i/k^2) sum_{r=1}^{k-1} r fhat(r) for odd f."""
-    _check_odd(f, bits)
-    k = f.period
+    k = _check_odd(f, bits)
     fhat = dft(f, bits)
     with workprec(guarded(bits, k)):
         acc = trig_product_sum(
@@ -379,8 +378,7 @@ def spectral_form(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpc:
 
 def lehmer_form(f: PeriodicMap, bits: int = DEFAULT_BITS):
     """S(f) = sum_{r=1}^{k} f(r) gamma(r,k) for odd f (Lehmer's Theorem 8)."""
-    _check_odd(f, bits)
-    k = f.period
+    k = _check_odd(f, bits)
     return trig_product_sum(
         [(VALUES, f.values, 1), (VALUES, gamma_map(k, bits).values, 1)], k,
         bits=bits, residues=range(1, k + 1))
@@ -390,12 +388,10 @@ def zeta_form(f: PeriodicMap, bits: int = DEFAULT_BITS) -> mpc:
     """S(f) = -(1/k) sum_{r=1}^{k-1} fhat(r) F(1, -r/k) for odd f, the F
     values read from gamma_dft_map (the kernel's residues 1..k-1 leave out
     its Euler constant at r = 0)."""
-    _check_odd(f, bits)
-    k = f.period
-    fhat = dft(f, bits)
+    k = _check_odd(f, bits)
     with workprec(guarded(bits, k)):
         return -mpc(trig_product_sum(
-            [(VALUES, fhat.values, 1),
+            [(VALUES, dft(f, bits).values, 1),
              (VALUES, gamma_dft_map(k, bits).values, 1)], k, bits=bits)) / k
 
 

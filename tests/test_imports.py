@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module; no
 slow module is imported; the lower layers import no upper one; one place
-builds every report; and each pair closed form is its theorem's."""
+builds every report; each independent side builds its own roots of unity;
+and each pair closed form is its theorem's."""
 
 import ast
 from pathlib import Path
@@ -138,6 +139,32 @@ def test_one_place_builds_every_report():
     found = [f"{module}:{caller}" for module in MODULES for caller in
              callers((PACKAGE / module).read_text(), "build_report")]
     assert found == ["registry.py:IdentityEntry.check"]
+
+
+# the roots of unity each independent side builds for itself: the
+# transform's, the trig tables' rotation and F's, which alone sums by fdot
+ROOT_SOURCES = {
+    "expjpi": ["periodic.py:dft", "trig.py:_half_turn",
+               "zeta.py:_hurwitz_combination"],
+    "fdot": ["zeta.py:_hurwitz_combination"],
+}
+
+
+def test_the_check_sees_a_root_source():
+    source = ("def roots(k):\n"
+              "    return [mpmath.expjpi(2 * j / k) for j in range(k)]\n"
+              "class F:\n    def row(self, v, w):\n"
+              "        return fdot(v, [expjpi(x) for x in w])\n"
+              "ONE = expjpi(0)\n")
+    assert callers(source, "expjpi") == ["roots", "F.row", "<module>"]
+    assert callers(source, "fdot") == ["F.row"]
+
+
+@pytest.mark.parametrize("name", sorted(ROOT_SOURCES))
+def test_each_side_builds_its_own_roots(name):
+    found = sorted(f"{module}:{caller}" for module in MODULES for caller in
+                   callers((PACKAGE / module).read_text(), name))
+    assert found == ROOT_SOURCES[name]
 
 
 # the functions that call the kernel themselves: each tuple form of a

@@ -20,12 +20,18 @@ fail.
 th9 reads two cached zeta tables, one per side: scaling either the Hurwitz
 row of its lhs or the F map of its rhs makes it fail.
 
+F is built apart from th9's lhs row and from lemma1-v's transform: with
+the Hurwitz row, the Riemann zeta cache, dft and the trig tables disabled,
+the F map and a value of F still return.
+
 dft builds its roots of unity itself: with the trig tables and their
 rotation disabled, it still returns.
 
 remark1's full-range form is a third side: scaling it alone, while its lhs
 and rhs stay as they are, makes remark1 fail.
 """
+
+from fractions import Fraction
 
 import pytest
 from mpmath import mpf, workprec
@@ -259,6 +265,20 @@ def test_th9_sides_read_separate_zeta_tables(monkeypatch, cold_zeta_caches,
     monkeypatch.setattr(zeta, name, scaled)
     assert not verify("th9", params).passed
     assert other(s) == before
+
+
+@pytest.mark.parametrize("s", ["2", "2.5", "2+1i"])
+def test_f_is_built_apart(monkeypatch, cold_zeta_caches, s):
+    def refuse(*args):
+        raise AssertionError("F read a table of another side")
+
+    for module, name in ((zeta, "hurwitz_row"), (zeta, "riemann_zeta"),
+                         (zeta, "dft"), (periodic, "dft"),
+                         (trig, "fixed_tables")):
+        monkeypatch.setattr(module, name, refuse)
+    assert zeta.periodic_zeta_map(s, 7).period == 7
+    assert zeta.periodic_zeta(s, Fraction(3, 7)) is not None
+    assert zeta.periodic_zeta(s, 0) is not None
 
 
 def test_remark1_sees_its_full_range_side(monkeypatch):

@@ -10,6 +10,7 @@ import os
 import pickle
 import random
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -26,7 +27,7 @@ from cotsums import cli, config, sums, zeta
 from cotsums.cli import main
 from cotsums.config import RunConfig
 from cotsums.errors import (ConvergenceDomain, CotsumsError, NotCoprime,
-                            OutOfRange, ParityViolation)
+                            OutOfRange, ParityViolation, WorkLimitExceeded)
 from cotsums.registry import REGISTRY, IdentityEntry, verify
 from cotsums.report import build_report
 
@@ -760,6 +761,76 @@ def test_random_draws_are_charged_to_the_work_limit(counted_draws, capsys):
                  "--samples", "2000000", "--work-limit", "1000"]) == 2
     assert "draws exceed the work limit 1000" in capsys.readouterr().err
     assert not counted_draws
+
+
+@pytest.mark.parametrize("text,limit,values", [
+    ("3..6", 4, [3, 4, 5, 6]), ("odd 3..9", 4, [3, 5, 7, 9]),
+    ("even 3..9", 3, [4, 6, 8]), ("odd -3..3", 4, [-3, -1, 1, 3]),
+    ("even 4..4", 1, [4]), ("odd 3,4,5", 2, [3, 5]),
+])
+def test_a_range_is_counted_after_its_parity(text, limit, values):
+    args = argparse.Namespace(k=text.split(), work_limit=limit)
+    assert cli._parse_int_range(args, "k") == values
+    args = argparse.Namespace(k=text.split(), work_limit=limit - 1)
+    with pytest.raises(WorkLimitExceeded, match=re.escape(
+            f"--k {text}: {limit} values exceed the limit {limit - 1}")):
+        cli._parse_int_range(args, "k")
+
+
+def run_capped(argv):
+    """argv run by the CLI in a child process whose address space is capped
+    at 2 GB, so that a list built at a refused size ends in a MemoryError
+    rather than in the host's memory; stdout is the time spent in main."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = ("import sys, time\nfrom cotsums.cli import main\n"
+              "t0 = time.perf_counter()\ncode = main(sys.argv[1:])\n"
+              "print(time.perf_counter() - t0)\nsys.exit(code)\n")
+    cap = 2 << 30
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
+@pytest.mark.parametrize("argv,refusal", [
+    (["sweep", "eq1", "--k", "1..1000000000", "--h", "1"],
+     "--k 1..1000000000: 1000000000 values"),
+    (["sweep", "eq1", "--k", "5", "--h", "1..1000000000"],
+     "--h 1..1000000000: 1000000000 values"),
+    (["sweep", "cor12", "--k", "5", "--seed", "1..1000000000"],
+     "--seed 1..1000000000: 1000000000 values"),
+    (["sweep", "eq1", "--k", "odd", "1..200000001", "--h", "1"],
+     "--k odd 1..200000001: 100000001 values"),
+    # the k^2 products of the transform, charged before its input is built
+    (["verify", "lemma1-v", "--k", "20000"],
+     "k^2 = 400000000 products at k=20000"),
+    (["verify", "gamma-dft", "--k", "20000"],
+     "k^2 = 400000000 products at k=20000"),
+])
+def test_a_size_over_the_work_limit_is_refused_within_a_second(argv,
+                                                               refusal):
+    proc = run_capped(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{refusal} exceed the limit 100000000" in proc.stderr
+    assert float(proc.stdout) < 1
+
+
+@pytest.mark.parametrize("identity,inputs", [
+    ("gamma-dft", ("gamma_map", "euler_gamma_table", "digamma")),
+    ("lemma1-v", ("_periodic_zeta_table", "hurwitz_row", "hurwitz_zeta")),
+])
+def test_transform_rows_charge_k_squared_before_their_input(
+        monkeypatch, identity, inputs):
+    def refuse(*args):
+        raise AssertionError("an input map was built before the k^2 charge")
+
+    for name in inputs:
+        monkeypatch.setattr(zeta, name, refuse)
+    with pytest.raises(WorkLimitExceeded, match=re.escape(
+            "k^2 = 40000 products at k=200 exceed the limit 39999")):
+        verify(identity, {"k": 200}, RunConfig(work_limit=39999))
 
 
 # cor3 at k = 3..6 with h1 all-coprime and h2 = 1 expands to 10 instances

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -162,6 +163,25 @@ class TestPeriodicZeta:
     def test_transform_closed_form(self, s, k):
         assert periodic_zeta_dft_residual(s, k) < TOL_DEFAULT
 
+    # every q <= 30 at 64 bits; fewer at higher precision, where a complex
+    # s costs ~0.15 s per Hurwitz value at 1000 bits
+    @pytest.mark.parametrize("bits,qs", [(64, range(1, 31)),
+                                         (256, (1, 2, 3, 4, 6, 7, 12, 30)),
+                                         (1000, (1, 2, 3, 5))],
+                             ids=["64-bits", "256-bits", "1000-bits"])
+    @pytest.mark.parametrize("s", ["2", "3", "2.5", "2+1i"])
+    def test_one_value_is_its_map_entry(self, monkeypatch, s, bits, qs):
+        # F(s, p/q) and the map's entry p come from one builder, bit for
+        # bit; the Hurwitz values are memoized here, which they do not move
+        monkeypatch.setattr(zeta, "hurwitz_zeta",
+                            functools.lru_cache(None)(zeta.hurwitz_zeta))
+        for q in qs:
+            row = periodic_zeta_map(s, q, bits).values
+            for p in range(q):
+                if math.gcd(p, q) == 1:
+                    value = periodic_zeta(s, Fraction(p, q), bits)
+                    assert value._mpc_ == row[p]._mpc_, (q, p)
+
 
 class TestDigamma:
     def test_classical_values(self):
@@ -285,7 +305,10 @@ class TestMikolas:
         ((2, 3, 1, 1, 5), {"work_limit": 100}, WorkLimitExceeded,
          "Hurwitz cut 121 terms x 5 values = 605 terms exceed the work "
          "limit 100"),
-    ], ids=["re-s1", "re-s2", "h1", "h2", "work-limit"])
+        # 200 cuts of 121 terms fit; the F maps' 200^2 products do not
+        ((2, 3, 1, 1, 200), {"work_limit": 30000}, WorkLimitExceeded,
+         "k^2 = 40000 products at k=200 exceed the limit 30000"),
+    ], ids=["re-s1", "re-s2", "h1", "h2", "work-limit", "k-squared"])
     @pytest.mark.parametrize("side", [mikolas_lhs, mikolas_rhs],
                              ids=["lhs", "rhs"])
     def test_each_side_refuses_before_summing(self, monkeypatch, side, args,
