@@ -13,9 +13,12 @@ import os
 import random
 import sys
 import time
-from contextlib import nullcontext
+from collections.abc import Iterable, Iterator
+from contextlib import ExitStack, suppress
 from fractions import Fraction
-from itertools import product
+from functools import partial
+from itertools import chain, islice, product
+from math import gcd, isqrt, prod
 from typing import NamedTuple
 
 import mpmath
@@ -308,7 +311,7 @@ def _cmd_verify(args) -> int:
 # sweep expansion
 
 
-def _parse_int_range(args, name: str) -> list[int]:
+def _parse_int_range(args, name: str) -> range | list[int]:
     """The values of --name: '1..50' | 'odd 3..49' | 'even 4..48' | '3,5,7'
     | '7'; any other text is refused naming the flag and these forms, and a
     range of more values than --work-limit before it is listed."""
@@ -336,16 +339,12 @@ def _parse_int_range(args, name: str) -> list[int]:
         raise WorkLimitExceeded(f"--{name} {text.strip()}: {len(values)} "
                                 f"values exceed the limit {args.work_limit}")
     check((holds_ints(f"--{name}"),), values=values, text=text)
-    return list(values)
+    return values
 
 
 def _tuple_candidates(spec: str, k: int, m: int, samples: int, seed: int,
-                      work_limit: int) -> list[tuple]:
-    if spec is None:
-        spec = "all-coprime" if (m or 2) <= 2 else "random"
-    spec = spec.strip()
-    if spec not in ("all-coprime", "random"):
-        return [_ints_csv(spec)]
+                      work_limit: int) -> tuple[int, Iterable[tuple]]:
+    """The count and the hs tuples at k: all-coprime or random."""
     units = units_mod(k)
     # the len(units)^m tuples, the power capped where 2^m passes the limit
     every = len(units) ** min(m, work_limit.bit_length() + 1)
@@ -354,7 +353,7 @@ def _tuple_candidates(spec: str, k: int, m: int, samples: int, seed: int,
             raise WorkLimitExceeded(
                 f"--hs all-coprime: {len(units)}^{m} multiplier tuples "
                 f"exceed the work limit {work_limit}")
-        return list(product(units, repeat=m))
+        return every, product(units, repeat=m)
     if samples * m > work_limit:
         raise WorkLimitExceeded(
             f"--samples {samples} tuples x {m} multipliers = "
@@ -367,15 +366,28 @@ def _tuple_candidates(spec: str, k: int, m: int, samples: int, seed: int,
         drawn[tuple(rng.choice(units) for _ in range(m))] = None
         if len(drawn) == every:
             break
-    return list(drawn)
+    return len(drawn), list(drawn)
 
 
-def _expand_instances(args, entry) -> list[dict]:
-    """Cartesian product of the requested ranges, k-major, filtered to
-    admissible parameter sets (instances violating the identity's
-    preconditions are skipped, not errors). A flag the row does not read
-    is ignored; one it needs without a default must be given, except hs,
-    whose tuples default to all-coprime pairs or random tuples."""
+def _units(k: int) -> tuple[int, Iterable[int]]:
+    """phi(k) = len(units_mod(k)), from the primes of k, and units_mod(k)
+    made as it is read: an all-coprime multiplier's count and values."""
+    phi = n = max(k, 1)
+    for p in range(2, isqrt(n) + 1):
+        if n % p == 0:
+            phi -= phi // p
+            while n % p == 0:
+                n //= p
+    return (phi - phi // n if n > 1 else phi,
+            (h for h in range(1, max(k, 2)) if gcd(h, k) == 1))
+
+
+def _expand_instances(args, entry) -> tuple[int, Iterator[dict]]:
+    """The count and the admissible instances of the ranges, k-major; each
+    flag is parsed once, to a sequence or to a function of k giving (count,
+    values). A flag the row does not read is ignored; one it needs without
+    a default must be given, except hs, whose tuples default to all-coprime
+    pairs or random tuples."""
     names = [n for n in _SWEEP_ORDER if n in entry.param_names]
     check((given(args.id, [n for n in names if n not in entry.defaults
                            and PARAMS[n].form != TUPLE]),), **vars(args))
@@ -386,35 +398,57 @@ def _expand_instances(args, entry) -> list[dict]:
     # default hs tuples are as long as the explicit rs they pair up with
     rs = args.rs if "rs" in entry.param_names else None
     m = args.m if args.m is not None else len(rs) if rs else 2
-    seed = _parse_int_range(args, "seed")[0] if args.seed else 1
-    names.remove("k")
-    instances = []
-    for k in ks:
-        per_k: list[dict] = [{"k": k}]
-        for name in names:
-            value, form = getattr(args, name), PARAMS[name].form
-            if form == TUPLE:
-                cands = _tuple_candidates(value, k, m, args.samples, seed,
-                                          args.work_limit)
-            elif value is None:             # the row's default
-                continue
-            elif form == ONE:
-                cands = [value]
-            else:
-                text = " ".join(value).strip()
-                cands = (units_mod(k) if form == MULTIPLIER
-                         and text == "all-coprime"
-                         else _parse_int_range(args, name))
-            per_k = [dict(p, **{name: c}) for p in per_k for c in cands]
-        instances.extend(per_k)
-    admissible = []
-    for params in instances:
-        try:
-            entry.validate({**entry.defaults, **params})
-        except CotsumsError:
+    seeds = _parse_int_range(args, "seed") if args.seed else [1]
+    flags = []
+    for name in names:
+        value, form = getattr(args, name), PARAMS[name].form
+        if form == TUPLE:
+            spec = value.strip() if value is not None \
+                else "all-coprime" if m <= 2 else "random"
+            values = ([_ints_csv(spec)] if spec not in ("all-coprime",
+                                                        "random")
+                      else partial(_tuple_candidates, spec, m=m,
+                                   samples=args.samples, seed=seeds[0],
+                                   work_limit=args.work_limit))
+        elif name == "k" or value is None:      # None: the row's default
             continue
-        admissible.append(params)
-    return admissible
+        elif form == ONE:
+            values = [value]
+        elif form == MULTIPLIER and " ".join(value).strip() == "all-coprime":
+            values = _units
+        else:
+            values = seeds if name == "seed" else _parse_int_range(args, name)
+        flags.append((name, values))
+    # counted before any is made: k by k only while some values depend on
+    # k, and then up to the k past the limit
+    per_k = [v for _, v in flags if callable(v)]
+    fixed = prod(len(v) for _, v in flags if not callable(v))
+    count = 0 if per_k else len(ks) * fixed
+    for k in ks if per_k else ():
+        count += fixed * prod(v(k)[0] for v in per_k)
+        if count > args.work_limit:
+            break
+    if count > args.work_limit:
+        swept = " x ".join(f"--{n}" for n, v in [("k", ks), *flags]
+                           if callable(v) or len(v) > 1)
+        raise WorkLimitExceeded(
+            f"{swept}: {f'more than {args.work_limit}' if per_k else count}"
+            f" instances exceed the limit {args.work_limit}")
+    return count, (p for k in ks for p in _nested(entry, flags, {"k": k}))
+
+
+def _nested(entry, flags, params: dict) -> Iterator[dict]:
+    """The admissible instances extending params, the first flag varying
+    slowest (instances violating the identity's preconditions are skipped,
+    not errors)."""
+    if flags:
+        (name, values), *rest = flags
+        for value in values(params["k"])[1] if callable(values) else values:
+            yield from _nested(entry, rest, {**params, name: value})
+        return
+    with suppress(CotsumsError):
+        entry.validate({**entry.defaults, **params})
+        yield params
 
 
 def _run_instance(payload):
@@ -428,64 +462,71 @@ def _cmd_sweep(args) -> int:
         if value is not None and value < low:
             raise OutOfRange(f"{name} must be >= {low}, got {value}")
     entry = REGISTRY[args.id]
-    instances = _expand_instances(args, entry)
-    if not instances:
+    count, instances = _expand_instances(args, entry)
+    first = next(instances, None)
+    if first is None:
         print("no admissible instances in the requested ranges",
               file=sys.stderr)
         return USAGE_EXIT
-    payloads = [(args.id, params, cfg) for params in instances]
+    payloads = ((args.id, p, cfg) for p in chain([first], instances))
     # the pool forks every worker at once: no more than cores or instances
-    jobs = min(args.jobs, os.cpu_count() or 1, len(payloads))
-    # a bad --csv path is refused before the sweep runs, not after it
-    try:
-        out = open(args.csv, "w", newline="") if args.csv else nullcontext()
-    except OSError as exc:
-        raise CotsumsError(f"cannot write {args.csv}: "
-                           f"{exc.strerror or exc}") from None
-    with out as fh:
+    jobs = min(args.jobs, os.cpu_count() or 1, count)
+    names = [n for n in entry.param_names if n != "convention"]
+    n = fails = lhs_us = rhs_us = 0
+    failures = []
+    with ExitStack() as stack:
+        # a bad --csv path is refused before the sweep runs, not after it
+        try:
+            rows = args.csv and csv.writer(
+                stack.enter_context(open(args.csv, "w", newline="")))
+        except OSError as exc:
+            raise CotsumsError(f"cannot write {args.csv}: "
+                               f"{exc.strerror or exc}") from None
+        if rows:
+            rows.writerow(csv_header(names))
         t0 = time.perf_counter()
+        reports = map(_run_instance, payloads)
         if jobs > 1:
-            # one task per run of instances (they are ordered by k), so a
-            # worker reuses its tables; 4 runs per worker balance the tail
-            chunksize = -(-len(payloads) // (4 * jobs))
             # imported here: a serial sweep never loads multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                reports = list(pool.map(_run_instance, payloads,
-                                        chunksize=chunksize))
-        else:
-            reports = [_run_instance(p) for p in payloads]
-        elapsed = time.perf_counter() - t0
-        if fh is not None:
-            names = [n for n in entry.param_names if n != "convention"]
-            w = csv.writer(fh)
-            w.writerow(csv_header(names))
-            for r in reports:
-                w.writerow(csv_row(r, names))
-    failures = [r for r in reports if not r.passed]
-    max_res = max((mpmath.mpf(r.residual) for r in reports), default=0)
-    if args.verbose or args.json:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            # a task is a run of at most 256 instances (ordered by k), so a
+            # worker reuses its tables; a batch of 4 per worker balances the
+            # tail and is the most the pool holds at once
+            chunk = min(-(-count // (4 * jobs)), 256)
+            batches = iter(lambda: list(islice(payloads, 4 * jobs * chunk)),
+                           [])
+            reports = chain.from_iterable(
+                pool.map(_run_instance, b, chunksize=chunk) for b in batches)
+        # each report is written, printed and tallied as it arrives
         for r in reports:
-            print(r.to_json() if args.json else
-                  f"[{'PASS' if r.passed else 'FAIL'}] {r.id} {r.params} "
-                  f"residual={r.residual} ({r.micros} us)")
-    timed = [r for r in reports
-             if r.lhs_micros is not None and r.rhs_micros]
-    print(f"sweep {args.id}: {len(reports)} instances, "
-          f"{len(reports) - len(failures)} pass, {len(failures)} fail")
+            n += 1
+            if rows:
+                rows.writerow(csv_row(r, names))
+            if args.verbose or args.json:
+                print(r.to_json() if args.json else
+                      f"[{'PASS' if r.passed else 'FAIL'}] {r.id} "
+                      f"{r.params} residual={r.residual} ({r.micros} us)")
+            fails += not r.passed
+            if not r.passed and fails <= 10:
+                failures.append(r)
+            residual = mpmath.mpf(r.residual)
+            max_res = residual if n == 1 else max(max_res, residual)
+            if r.lhs_micros is not None and r.rhs_micros:
+                lhs_us += r.lhs_micros
+                rhs_us += r.rhs_micros
+        elapsed = time.perf_counter() - t0
+    print(f"sweep {args.id}: {n} instances, {n - fails} pass, {fails} fail")
     print(f"max residual {mpmath.nstr(max_res, 6)}; total "
-          f"{elapsed:.2f} s, mean "
-          f"{1e3 * elapsed / len(reports):.2f} ms/instance")
-    if timed:                   # each rhs_micros is positive
-        lhs_us = sum(r.lhs_micros for r in timed)
-        rhs_us = sum(r.rhs_micros for r in timed)
+          f"{elapsed:.2f} s, mean {1e3 * elapsed / n:.2f} ms/instance")
+    if rhs_us:                  # each timed rhs_micros is positive
         print(f"exact-side {lhs_us} us vs closed-form {rhs_us} us: "
               f"ratio {lhs_us / rhs_us:.1f}x")
-    for r in failures[:10]:
+    for r in failures:
         print(f"  FAIL {r.params}: residual {r.residual} "
               f"(tolerance {r.tolerance}){'; ' + r.note if r.note else ''}")
-    return FAIL_EXIT if failures else 0
+    return FAIL_EXIT if fails else 0
 
 
 def main(argv=None) -> int:

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cotsums import cli, config, sums, zeta
+from cotsums import cli, config, exact, sums, zeta
 from cotsums.cli import main
 from cotsums.config import RunConfig
 from cotsums.errors import (ConvergenceDomain, CotsumsError, NotCoprime,
@@ -641,6 +641,47 @@ def test_exponent_text_exits_0_1_or_2_without_traceback():
     assert time.perf_counter() - t0 < 10
 
 
+SMALL = st.integers(-2, 12)
+# sweep's range text: each valid form (a range is empty at times), malformed
+# text, empty, all-coprime
+SPAN = st.builds(lambda lo, n: f"{lo}..{lo + n}", SMALL, st.integers(-1, 6))
+RANGE_TEXT = st.one_of(
+    SPAN, st.builds("{} {}".format, st.sampled_from(["odd", "even"]), SPAN),
+    st.lists(SMALL, min_size=1, max_size=3).map(
+        lambda values: ",".join(map(str, values))),
+    st.sampled_from(["", "all-coprime", "5..", "x", "1..2..3", "odd", ",",
+                     "3,,5", "odd all-coprime"]))
+SWEEP_FLAGS = st.fixed_dictionaries({"k": RANGE_TEXT}, optional={
+    **dict.fromkeys(("h", "h1", "h2", "seed"), RANGE_TEXT),
+    "hs": st.one_of(st.lists(st.integers(-3, 12), max_size=4).map(
+        lambda values: ",".join(map(str, values))),
+        st.sampled_from(["all-coprime", "random"])),
+    "m": st.integers(0, 4), "samples": st.integers(0, 5)})
+
+
+def test_sweep_flags_exit_0_1_or_2_without_traceback():
+    """Any exception but argparse's exit would end in a traceback: it fails
+    the draw."""
+    t0 = time.perf_counter()
+
+    @given(identity=st.sampled_from(["eq1", "cor3", "th2", "cor12", "th1"]),
+           flags=SWEEP_FLAGS)
+    @settings(max_examples=150, deadline=None)
+    def run(identity, flags):
+        argv = ["sweep", identity, "--work-limit", "2000",
+                *(f"--{name}={value}" for name, value in flags.items())]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as usage:         # argparse's own refusals
+                code = usage.code
+        assert code in (0, 1, 2)
+
+    run()
+    assert time.perf_counter() - t0 < 10
+
+
 # mpmath drops the spaces inside complex text, which once read 2+12 3.j as
 # 2+123i and 2 + 1j as 2+1i; text with inner whitespace is no number
 @pytest.mark.parametrize("text", ["2+12 3.j", "2 + 1j", "2 +1i"])
@@ -724,7 +765,9 @@ def test_random_tuples_stop_once_every_tuple_is_drawn(counted_draws):
     # k = 7 has 6 units, so 6^3 = 216 tuples of m = 3: the draws stop at the
     # last new one, which keeps the order of the full run of draws
     units = [1, 2, 3, 4, 5, 6]
-    tuples = cli._tuple_candidates("random", 7, 3, 2_000_000, 1, 10 ** 8)
+    count, tuples = cli._tuple_candidates("random", 7, 3, 2_000_000, 1,
+                                          10 ** 8)
+    assert count == len(tuples)
     assert sorted(tuples) == sorted(itertools.product(units, repeat=3))
     assert len(counted_draws) < 30_000
     rng = random.Random(99991 + 7)
@@ -750,6 +793,13 @@ def test_all_coprime_tuples_are_charged_to_the_work_limit(capsys, argv,
     assert refusal in capsys.readouterr().err
 
 
+def test_all_coprime_multipliers_are_counted_from_the_primes_of_k():
+    for k in range(-1, 400):
+        count, values = cli._units(k)
+        assert count == len(exact.units_mod(k))
+        assert list(values) == exact.units_mod(k)
+
+
 def test_all_coprime_tuples_at_the_work_limit(capsys):
     assert main(["sweep", "th2", "--k", "7", "--hs", "all-coprime", "--m",
                  "3", "--work-limit", "216"]) == 0
@@ -770,21 +820,24 @@ def test_random_draws_are_charged_to_the_work_limit(counted_draws, capsys):
 ])
 def test_a_range_is_counted_after_its_parity(text, limit, values):
     args = argparse.Namespace(k=text.split(), work_limit=limit)
-    assert cli._parse_int_range(args, "k") == values
+    assert list(cli._parse_int_range(args, "k")) == values
     args = argparse.Namespace(k=text.split(), work_limit=limit - 1)
     with pytest.raises(WorkLimitExceeded, match=re.escape(
             f"--k {text}: {limit} values exceed the limit {limit - 1}")):
         cli._parse_int_range(args, "k")
 
 
-def run_capped(argv):
-    """argv run by the CLI in a child process whose address space is capped
-    at 2 GB, so that a list built at a refused size ends in a MemoryError
-    rather than in the host's memory; stdout is the time spent in main."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    script = ("import sys, time\nfrom cotsums.cli import main\n"
+TIMED_MAIN = ("import sys, time\nfrom cotsums.cli import main\n"
               "t0 = time.perf_counter()\ncode = main(sys.argv[1:])\n"
               "print(time.perf_counter() - t0)\nsys.exit(code)\n")
+
+
+def run_capped(argv, script=TIMED_MAIN):
+    """argv run by the script (by default the CLI, printing the time spent
+    in main) in a child process whose address space is capped at 2 GB, so
+    that a list built at a refused size ends in a MemoryError rather than
+    in the host's memory."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
     cap = 2 << 30
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
@@ -807,6 +860,12 @@ def run_capped(argv):
      "k^2 = 400000000 products at k=20000"),
     (["verify", "gamma-dft", "--k", "20000"],
      "k^2 = 400000000 products at k=20000"),
+    # ranges each under the limit whose product is over it: counted before
+    # any instance is made, sum(phi(k)) = 121590396 for the second
+    (["sweep", "eq1", "--k", "1..20000", "--h", "1..20000"],
+     "--k x --h: 400000000 instances"),
+    (["sweep", "eq1", "--k", "1..20000", "--h", "all-coprime"],
+     "--k x --h: more than 100000000 instances"),
 ])
 def test_a_size_over_the_work_limit_is_refused_within_a_second(argv,
                                                                refusal):
@@ -815,6 +874,79 @@ def test_a_size_over_the_work_limit_is_refused_within_a_second(argv,
     assert "Traceback" not in proc.stderr
     assert f"{refusal} exceed the limit 100000000" in proc.stderr
     assert float(proc.stdout) < 1
+
+
+# the CLI with its instances run by a stub that returns one fixed report and
+# stops the sweep after 1,000: prints the instances run and the peak of the
+# traced allocations
+STUBBED_MAIN = """
+import sys, tracemalloc
+from cotsums import cli
+from cotsums.registry import verify
+
+report, runs = verify("eq1", {"h": 1, "k": 5}), []
+
+
+class Stop(Exception):
+    pass
+
+
+def run(payload):
+    runs.append(payload[1])
+    if len(runs) > 1000:
+        raise Stop
+    return report
+
+
+cli._run_instance = run
+tracemalloc.start()
+try:
+    cli.main(sys.argv[1:])
+except Stop:
+    print(len(runs), tracemalloc.get_traced_memory()[1])
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["eq1", "--k", "1..100000000", "--h", "1"],
+    ["eq1", "--k", "5", "--h", "1..100000000"],
+    # 96^4 = 84934656 tuples, under the default limit
+    ["th2", "--k", "97", "--hs", "all-coprime", "--m", "4"],
+])
+def test_a_sweep_at_the_work_limit_runs_in_bounded_memory(argv):
+    """Admitted sweeps of ~10^8 instances start at once and hold no list
+    that grows with the instance count."""
+    proc = run_capped(["sweep", *argv], STUBBED_MAIN)
+    assert proc.returncode == 0, proc.stderr
+    runs, peak = map(int, proc.stdout.split())
+    assert runs == 1001
+    assert peak < 50 << 20
+
+
+def test_each_range_flag_is_parsed_once(monkeypatch, capsys):
+    parsed = []
+    parse = cli._parse_int_range
+    monkeypatch.setattr(cli, "_parse_int_range",
+                        lambda args, name: parsed.append(name)
+                        or parse(args, name))
+    assert main(["sweep", "eq1", "--k", "1..30", "--h", "1..5"]) == 0
+    assert parsed == ["k", "h"]
+
+
+def test_a_refusal_mid_sweep_keeps_the_reports_before_it(capsys, tmp_path):
+    """Reports are printed and written as they arrive: those before an
+    instance the work limit refuses stay on stdout and in the CSV."""
+    path = tmp_path / "th2.csv"
+    assert main(["sweep", "th2", "--k", "5..30", "--hs", "1,1,1,1",
+                 "--work-limit", "10000", "--json", "--csv",
+                 str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: 22^3 terms exceed the limit 10000\n"
+    assert [json.loads(line)["params"]["k"]
+            for line in out.splitlines()] == list(range(5, 22))
+    rows = path.read_text().splitlines()
+    assert rows[0] == "id,k,hs,lhs,rhs,residual,pass,micros"
+    assert len(rows) == 18
 
 
 @pytest.mark.parametrize("identity,inputs", [
@@ -833,22 +965,13 @@ def test_transform_rows_charge_k_squared_before_their_input(
         verify(identity, {"k": 200}, RunConfig(work_limit=39999))
 
 
-# cor3 at k = 3..6 with h1 all-coprime and h2 = 1 expands to 10 instances
-@pytest.mark.parametrize("jobs,cores,started", [
-    ("1000", 4, [4]),      # capped at the cores
-    ("1000", 64, [10]),    # capped at the instances
-    ("3", 8, [3]),
-    ("1000", None, []),    # core count unknown: serial
-    ("2", 1, []),
-    ("2", 2, [2]),         # chunks of ceil(10 / 8) = 2 instances
-])
-def test_sweep_jobs_clamped(monkeypatch, capsys, jobs, cores, started):
-    pools, chunks = [], []
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stands in for the process pool: records the worker counts asked for
+    and each map's (batch length, chunk size), and runs the sweep in-line."""
+    pools, maps = [], []
 
     class SerialPool:
-        """Records the worker count and chunk size asked for and runs the
-        sweep in-line."""
-
         def __init__(self, max_workers):
             pools.append(max_workers)
 
@@ -859,18 +982,48 @@ def test_sweep_jobs_clamped(monkeypatch, capsys, jobs, cores, started):
             return False
 
         def map(self, fn, items, chunksize=1):
-            chunks.append(chunksize)
+            maps.append((len(items), chunksize))
             return map(fn, items)
 
     # the sweep imports the pool class only when it starts workers
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    return pools, maps
+
+
+# cor3 at k = 3..6 with h1 all-coprime and h2 = 1 expands to 10 instances
+@pytest.mark.parametrize("jobs,cores,started", [
+    ("1000", 4, [4]),      # capped at the cores
+    ("1000", 64, [10]),    # capped at the instances
+    ("3", 8, [3]),
+    ("1000", None, []),    # core count unknown: serial
+    ("2", 1, []),
+    ("2", 2, [2]),         # chunks of ceil(10 / 8) = 2 instances
+])
+def test_sweep_jobs_clamped(monkeypatch, capsys, serial_pool, jobs, cores,
+                            started):
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     assert main(["sweep", "cor3", "--k", "3..6", "--h1", "all-coprime",
                  "--h2", "1", "--jobs", jobs]) == 0
     assert "10 instances, 10 pass" in capsys.readouterr().out
+    pools, maps = serial_pool
     assert pools == started
     # the pool path hands each worker contiguous runs of ceil(n / 4 jobs)
-    assert chunks == [math.ceil(10 / (4 * w)) for w in started]
+    assert [chunk for _, chunk in maps] == [math.ceil(10 / (4 * w))
+                                            for w in started]
+
+
+def test_the_pool_is_fed_in_bounded_batches(monkeypatch, capsys,
+                                            serial_pool):
+    """A sweep of more instances than one batch of 4 chunks per worker
+    hands the pool one batch at a time."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    report = verify("eq1", {"h": 1, "k": 5})
+    monkeypatch.setattr(cli, "_run_instance", lambda payload: report)
+    assert main(["sweep", "eq1", "--k", "3", "--h", "1..5000",
+                 "--jobs", "2"]) == 0
+    # 3334 of the 5000 h are prime to 3, in batches of 8 x 256
+    assert "3334 instances, 3334 pass" in capsys.readouterr().out
+    assert serial_pool == ([2], [(2048, 256), (1286, 256)])
 
 
 def test_serial_sweep_loads_no_multiprocessing():

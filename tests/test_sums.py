@@ -578,7 +578,9 @@ def test_exact_sides_never_read_fraction_values(monkeypatch):
     ("cor7", {"h": 3001, "k": 2000}), ("tan-sq", {"k": 2001}),
     # the paper form is a kernel call on the order-1 and order-3 tables
     ("th4", {"k": 2000, "rs": (2, 4), "hs": (3001, 7),
-             "convention": "paper"})])
+             "convention": "paper"}),
+    # the zero-sum product identity at m = 4
+    ("th2", {"k": 40, "hs": (1, 3, 7, 9)})])
 def test_table_error_budget_scales_with_precision(identity, params):
     # the closed sides read O(k) table entries; at b bits the residual stays
     # within 2^(24-b) of max(1, |rhs|) at every precision
