@@ -14,10 +14,10 @@ import random
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, closing, suppress
 from fractions import Fraction
 from functools import partial
-from itertools import chain, islice, product
+from itertools import chain, cycle, product
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -27,8 +27,7 @@ from . import sums, trig, zeta
 from .config import RunConfig
 from .errors import (CotsumsError, OutOfRange, WorkLimitExceeded, check,
                      choice, given, holds_ints)
-from .exact import (bernoulli_number, bernoulli_poly, mod_inverse, sawtooth,
-                    units_mod)
+from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
 from .hp import fmt, is_exact
 from .registry import REGISTRY, verify
 from .report import csv_header, csv_row
@@ -344,16 +343,21 @@ def _parse_int_range(args, name: str) -> range | list[int]:
 
 def _tuple_candidates(spec: str, k: int, m: int, samples: int, seed: int,
                       work_limit: int) -> tuple[int, Iterable[tuple]]:
-    """The count and the hs tuples at k: all-coprime or random."""
-    units = units_mod(k)
-    # the len(units)^m tuples, the power capped where 2^m passes the limit
-    every = len(units) ** min(m, work_limit.bit_length() + 1)
+    """The count and the hs tuples at k: all-coprime (counted from phi(k),
+    the tuples made as they are read) or random."""
+    phi, units = _units(k)
+    # the phi^m tuples, the power capped where 2^m passes the limit
+    every = phi ** min(m, work_limit.bit_length() + 1)
     if spec == "all-coprime":
         if every > work_limit:
             raise WorkLimitExceeded(
-                f"--hs all-coprime: {len(units)}^{m} multiplier tuples "
+                f"--hs all-coprime: {phi}^{m} multiplier tuples "
                 f"exceed the work limit {work_limit}")
-        return every, product(units, repeat=m)
+        # product lists its input when it is called, so it is called only
+        # when the tuples are read
+        return every, chain.from_iterable(
+            map(partial(product, repeat=m), [units]))
+    units = list(units)
     if samples * m > work_limit:
         raise WorkLimitExceeded(
             f"--samples {samples} tuples x {m} multipliers = "
@@ -455,6 +459,66 @@ def _run_instance(payload):
     return verify(*payload)
 
 
+def _forked(payloads: Iterator, jobs: int, chunk: int) -> Iterator:
+    """The reports of payloads in their order, from `jobs` forked workers.
+    Worker w walks its own copy of the stream (validating every instance,
+    ~3 us each) and pickles to its pipe the reports of chunks w, w + jobs,
+    ... of `chunk` payloads, a chunk cut short with its error, then None.
+    A pipe that ends early fails the sweep; every worker is reaped."""
+    import pickle                       # here: a serial sweep loads neither
+    import signal
+
+    workers = {}                        # pid -> the read end of its pipe
+    try:
+        for w in range(jobs):
+            read, write = os.pipe()
+            if (pid := os.fork()) == 0:
+                code, reports, error = 1, [], None
+                try:    # os._exit: no buffer of the parent is flushed twice
+                    os.close(read)      # else a full pipe outlives the parent
+                    out = open(write, "wb")
+                    try:
+                        for i, payload in enumerate(payloads):
+                            if i // chunk % jobs == w:
+                                reports.append(_run_instance(payload))
+                                if len(reports) == chunk:
+                                    out.write(pickle.dumps((reports, None)))
+                                    out.flush()
+                                    reports = []
+                    except Exception as exc:    # raised by the parent
+                        import traceback
+                        exc.add_note(traceback.format_exc())
+                        error = exc
+                    if reports or error is not None:
+                        out.write(pickle.dumps((reports, error)))
+                    out.write(pickle.dumps(None))
+                    out.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            workers[pid] = open(read, "rb")
+        for pid in cycle(list(workers)):
+            try:
+                message = pickle.load(workers[pid])
+            except (EOFError, pickle.UnpicklingError):
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                workers.pop(pid).close()
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise CotsumsError("a sweep worker ended before its last "
+                                   f"report ({how})") from None
+            if message is None:
+                return
+            yield from message[0]
+            if message[1] is not None:
+                raise message[1]
+    finally:
+        for pid, pipe in workers.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _cmd_sweep(args) -> int:
     cfg = _config_from(args)
     for name, low in (("jobs", 1), ("samples", 1), ("m", 0)):
@@ -469,7 +533,7 @@ def _cmd_sweep(args) -> int:
               file=sys.stderr)
         return USAGE_EXIT
     payloads = ((args.id, p, cfg) for p in chain([first], instances))
-    # the pool forks every worker at once: no more than cores or instances
+    # every worker is forked at once: no more than cores or instances
     jobs = min(args.jobs, os.cpu_count() or 1, count)
     names = [n for n in entry.param_names if n != "convention"]
     n = fails = lhs_us = rhs_us = 0
@@ -486,19 +550,12 @@ def _cmd_sweep(args) -> int:
             rows.writerow(csv_header(names))
         t0 = time.perf_counter()
         reports = map(_run_instance, payloads)
-        if jobs > 1:
-            # imported here: a serial sweep never loads multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            # a task is a run of at most 256 instances (ordered by k), so a
-            # worker reuses its tables; a batch of 4 per worker balances the
-            # tail and is the most the pool holds at once
+        if jobs > 1 and hasattr(os, "fork"):
+            # a chunk is a run of at most 256 instances (ordered by k), so a
+            # worker reuses its tables; 4 per worker balance the tail
             chunk = min(-(-count // (4 * jobs)), 256)
-            batches = iter(lambda: list(islice(payloads, 4 * jobs * chunk)),
-                           [])
-            reports = chain.from_iterable(
-                pool.map(_run_instance, b, chunksize=chunk) for b in batches)
+            reports = stack.enter_context(
+                closing(_forked(payloads, jobs, chunk)))
         # each report is written, printed and tallied as it arrives
         for r in reports:
             n += 1

@@ -11,6 +11,7 @@ import pickle
 import random
 import re
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -266,17 +267,25 @@ class TestCli:
         code = main(["sweep", "cor11", "--k", "4..4", "--h", "all-coprime"])
         assert code == 2
 
-    def test_sweep_jobs_matches_serial(self, capsys, tmp_path):
+    def test_sweep_jobs_matches_serial(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
         serial_csv = tmp_path / "serial.csv"
         parallel_csv = tmp_path / "parallel.csv"
         # eq1 expands to 278 instances in chunks of 35: each spans several k
+        def reports(text):
+            return [{k: v for k, v in json.loads(line).items()
+                     if not k.endswith("micros")}
+                    for line in text.splitlines() if line.startswith("{")]
+
         for argv in (["cor3", "--k", "3..6", "--h1", "all-coprime",
                       "--h2", "1"],
                      ["eq1", "--k", "1..30", "--h", "all-coprime"]):
-            assert main(["sweep", *argv, "--csv", str(serial_csv)]) == 0
-            assert main(["sweep", *argv, "--csv", str(parallel_csv),
-                         "--jobs", "2"]) == 0
-            capsys.readouterr()
+            assert main(["sweep", *argv, "--json", "--csv",
+                         str(serial_csv)]) == 0
+            serial_reports = reports(capsys.readouterr().out)
+            assert main(["sweep", *argv, "--json", "--csv",
+                         str(parallel_csv), "--jobs", "2"]) == 0
+            assert reports(capsys.readouterr().out) == serial_reports
             serial_rows = serial_csv.read_text()
             parallel_rows = parallel_csv.read_text()
             # identical rows in identical (deterministic) order, timings aside
@@ -866,6 +875,9 @@ def run_capped(argv, script=TIMED_MAIN):
      "--k x --h: 400000000 instances"),
     (["sweep", "eq1", "--k", "1..20000", "--h", "all-coprime"],
      "--k x --h: more than 100000000 instances"),
+    # all-coprime tuples are counted from phi(k), not listed
+    (["sweep", "th2", "--k", "1..20000", "--hs", "all-coprime", "--m", "1"],
+     "--k x --hs: more than 100000000 instances"),
 ])
 def test_a_size_over_the_work_limit_is_refused_within_a_second(argv,
                                                                refusal):
@@ -876,11 +888,12 @@ def test_a_size_over_the_work_limit_is_refused_within_a_second(argv,
     assert float(proc.stdout) < 1
 
 
-# the CLI with its instances run by a stub that returns one fixed report and
-# stops the sweep after 1,000: prints the instances run and the peak of the
-# traced allocations
+# the CLI on two cores with its instances run by a stub that returns one
+# fixed report and stops the sweep at the 1,001st instance a process runs:
+# prints the instances that process ran and its peak of traced allocations
+# (a worker's, under --jobs 2), then the peak of the process running main
 STUBBED_MAIN = """
-import sys, tracemalloc
+import os, sys, tracemalloc
 from cotsums import cli
 from cotsums.registry import verify
 
@@ -894,16 +907,17 @@ class Stop(Exception):
 def run(payload):
     runs.append(payload[1])
     if len(runs) > 1000:
-        raise Stop
+        raise Stop(len(runs), tracemalloc.get_traced_memory()[1])
     return report
 
 
 cli._run_instance = run
+os.cpu_count = lambda: 2
 tracemalloc.start()
 try:
     cli.main(sys.argv[1:])
-except Stop:
-    print(len(runs), tracemalloc.get_traced_memory()[1])
+except Stop as stop:
+    print(*stop.args, tracemalloc.get_traced_memory()[1])
 """
 
 
@@ -912,15 +926,19 @@ except Stop:
     ["eq1", "--k", "5", "--h", "1..100000000"],
     # 96^4 = 84934656 tuples, under the default limit
     ["th2", "--k", "97", "--hs", "all-coprime", "--m", "4"],
+    # each forked worker walks its own copy of the stream, and the parent
+    # holds no more than the chunks its pipes deliver
+    ["eq1", "--k", "5", "--h", "1..100000000", "--jobs", "2"],
 ])
 def test_a_sweep_at_the_work_limit_runs_in_bounded_memory(argv):
     """Admitted sweeps of ~10^8 instances start at once and hold no list
     that grows with the instance count."""
     proc = run_capped(["sweep", *argv], STUBBED_MAIN)
     assert proc.returncode == 0, proc.stderr
-    runs, peak = map(int, proc.stdout.split())
+    runs, peak, main_peak = map(int, proc.stdout.split())
     assert runs == 1001
     assert peak < 50 << 20
+    assert main_peak < 50 << 20
 
 
 def test_each_range_flag_is_parsed_once(monkeypatch, capsys):
@@ -933,20 +951,81 @@ def test_each_range_flag_is_parsed_once(monkeypatch, capsys):
     assert parsed == ["k", "h"]
 
 
-def test_a_refusal_mid_sweep_keeps_the_reports_before_it(capsys, tmp_path):
+def test_a_refusal_mid_sweep_keeps_the_reports_before_it(monkeypatch, capsys,
+                                                         tmp_path):
     """Reports are printed and written as they arrive: those before an
-    instance the work limit refuses stay on stdout and in the CSV."""
+    instance the work limit refuses stay on stdout and in the CSV, under
+    forked workers too, whose chunk ends at the refusal."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     path = tmp_path / "th2.csv"
-    assert main(["sweep", "th2", "--k", "5..30", "--hs", "1,1,1,1",
-                 "--work-limit", "10000", "--json", "--csv",
-                 str(path)]) == 2
+    for jobs in ("1", "2"):
+        assert main(["sweep", "th2", "--k", "5..30", "--hs", "1,1,1,1",
+                     "--work-limit", "10000", "--json", "--csv", str(path),
+                     "--jobs", jobs]) == 2
+        out, err = capsys.readouterr()
+        assert err == "error: 22^3 terms exceed the limit 10000\n"
+        assert [json.loads(line)["params"]["k"]
+                for line in out.splitlines()] == list(range(5, 22))
+        rows = path.read_text().splitlines()
+        assert rows[0] == "id,k,hs,lhs,rhs,residual,pass,micros"
+        assert len(rows) == 18
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that os.fork returns to the parent."""
+    pids, fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: pids.append(pid := fork()) or pid)
+    return pids
+
+
+def assert_reaped(pids):
+    assert pids
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_a_worker_that_dies_fails_the_sweep(monkeypatch, capsys, forks):
+    """A worker killed mid-sweep ends the sweep with exit 2 and its status,
+    never a summary of the instances that did arrive."""
+    run = cli._run_instance
+
+    def run_or_die(payload):
+        if payload[1]["k"] == 20:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return run(payload)
+
+    monkeypatch.setattr(cli, "_run_instance", run_or_die)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["sweep", "eq1", "--k", "1..30", "--h", "all-coprime",
+                 "--jobs", "2"]) == 2
     out, err = capsys.readouterr()
-    assert err == "error: 22^3 terms exceed the limit 10000\n"
-    assert [json.loads(line)["params"]["k"]
-            for line in out.splitlines()] == list(range(5, 22))
-    rows = path.read_text().splitlines()
-    assert rows[0] == "id,k,hs,lhs,rhs,residual,pass,micros"
-    assert len(rows) == 18
+    assert err == ("error: a sweep worker ended before its last report "
+                   "(signal 9)\n")
+    assert out == ""
+    assert len(forks) == 2
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["eq1", "--k", "1..30", "--h", "all-coprime"], 0),
+    (["th2", "--k", "5..30", "--hs", "1,1,1,1", "--work-limit", "10000"], 2),
+])
+def test_no_worker_outlives_the_sweep(monkeypatch, capsys, forks, argv,
+                                      code):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["sweep", *argv, "--jobs", "2"]) == code
+    assert_reaped(forks)
+
+
+def test_no_worker_outlives_an_interrupt(forks):
+    payloads = (("eq1", {"h": 1, "k": k}, RunConfig()) for k in range(1, 90))
+    reports = cli._forked(payloads, 2, 4)
+    assert next(reports).params == {"h": 1, "k": 1}
+    with pytest.raises(KeyboardInterrupt):
+        reports.throw(KeyboardInterrupt)
+    assert_reaped(forks)
 
 
 @pytest.mark.parametrize("identity,inputs", [
@@ -966,28 +1045,17 @@ def test_transform_rows_charge_k_squared_before_their_input(
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    """Stands in for the process pool: records the worker counts asked for
-    and each map's (batch length, chunk size), and runs the sweep in-line."""
-    pools, maps = [], []
+def serial_forks(monkeypatch):
+    """Stands in for the forked workers: records each (workers, chunk size)
+    asked for, and runs the sweep in-line."""
+    started = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            pools.append(max_workers)
+    def forked(payloads, jobs, chunk):
+        started.append((jobs, chunk))
+        yield from map(cli._run_instance, payloads)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            maps.append((len(items), chunksize))
-            return map(fn, items)
-
-    # the sweep imports the pool class only when it starts workers
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    return pools, maps
+    monkeypatch.setattr(cli, "_forked", forked)
+    return started
 
 
 # cor3 at k = 3..6 with h1 all-coprime and h2 = 1 expands to 10 instances
@@ -999,51 +1067,37 @@ def serial_pool(monkeypatch):
     ("2", 1, []),
     ("2", 2, [2]),         # chunks of ceil(10 / 8) = 2 instances
 ])
-def test_sweep_jobs_clamped(monkeypatch, capsys, serial_pool, jobs, cores,
+def test_sweep_jobs_clamped(monkeypatch, capsys, serial_forks, jobs, cores,
                             started):
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     assert main(["sweep", "cor3", "--k", "3..6", "--h1", "all-coprime",
                  "--h2", "1", "--jobs", jobs]) == 0
     assert "10 instances, 10 pass" in capsys.readouterr().out
-    pools, maps = serial_pool
-    assert pools == started
-    # the pool path hands each worker contiguous runs of ceil(n / 4 jobs)
-    assert [chunk for _, chunk in maps] == [math.ceil(10 / (4 * w))
-                                            for w in started]
-
-
-def test_the_pool_is_fed_in_bounded_batches(monkeypatch, capsys,
-                                            serial_pool):
-    """A sweep of more instances than one batch of 4 chunks per worker
-    hands the pool one batch at a time."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    report = verify("eq1", {"h": 1, "k": 5})
-    monkeypatch.setattr(cli, "_run_instance", lambda payload: report)
-    assert main(["sweep", "eq1", "--k", "3", "--h", "1..5000",
-                 "--jobs", "2"]) == 0
-    # 3334 of the 5000 h are prime to 3, in batches of 8 x 256
-    assert "3334 instances, 3334 pass" in capsys.readouterr().out
-    assert serial_pool == ([2], [(2048, 256), (1286, 256)])
+    # each worker runs contiguous chunks of ceil(n / 4 jobs)
+    assert serial_forks == [(w, math.ceil(10 / (4 * w))) for w in started]
 
 
 def test_serial_sweep_loads_no_multiprocessing():
     """Importing the CLI and running a --jobs 1 sweep load neither
     multiprocessing nor the process pool, nor dataclasses or inspect (~11 ms
-    of start-up)."""
+    of start-up); a --jobs 2 sweep forks its workers without them."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    script = ("import sys\n"
+    script = ("import os, sys\n"
               "from cotsums.cli import main\n"
-              "assert main(['sweep', 'cor3', '--k', '3..6', '--h1', "
-              "'all-coprime', '--h2', '1', '--jobs', '1']) == 0\n"
-              "print(sorted(m for m in sys.modules if m.startswith("
-              "('multiprocessing', 'concurrent.futures.process', "
-              "'dataclasses', 'inspect'))))\n")
+              "os.cpu_count = lambda: 2\n"
+              "for jobs in ('1', '2'):\n"
+              "    assert main(['sweep', 'cor3', '--k', '3..6', '--h1', "
+              "'all-coprime', '--h2', '1', '--jobs', jobs]) == 0\n"
+              "    print(sorted(m for m in sys.modules if m.startswith("
+              "('multiprocessing', 'concurrent', 'dataclasses', "
+              "'inspect'))))\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "10 instances, 10 pass" in proc.stdout
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.count("10 instances, 10 pass") == 2
+    assert [line for line in proc.stdout.splitlines()
+            if line.startswith("[")] == ["[]", "[]"]
 
 
 def test_library_and_cli_read_terms_alike(capsys):
