@@ -271,12 +271,13 @@ class TestCli:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         serial_csv = tmp_path / "serial.csv"
         parallel_csv = tmp_path / "parallel.csv"
-        # eq1 expands to 278 instances in chunks of 35: each spans several k
+
         def reports(text):
             return [{k: v for k, v in json.loads(line).items()
                      if not k.endswith("micros")}
                     for line in text.splitlines() if line.startswith("{")]
 
+        # eq1 expands to 278 instances in chunks of 35: each spans several k
         for argv in (["cor3", "--k", "3..6", "--h1", "all-coprime",
                       "--h2", "1"],
                      ["eq1", "--k", "1..30", "--h", "all-coprime"]):
