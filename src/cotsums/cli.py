@@ -25,8 +25,8 @@ import mpmath
 
 from . import sums, trig, zeta
 from .config import RunConfig
-from .errors import (CotsumsError, OutOfRange, WorkLimitExceeded, check,
-                     choice, given, holds_ints)
+from .errors import (CotsumsError, OutOfRange, charge, check, choice, given,
+                     holds_ints)
 from .exact import bernoulli_number, bernoulli_poly, mod_inverse, sawtooth
 from .hp import fmt, is_exact
 from .registry import REGISTRY, verify
@@ -201,7 +201,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tolerance", default=defaults.tolerance,
                    help=f"pass tolerance, e.g. {defaults.tolerance} or 1e-30")
     p.add_argument("--work-limit", type=int, default=defaults.work_limit,
-                   help="exact-side product budget")
+                   help="work budget")
     p.add_argument("--json", action="store_true", help="emit JSON")
 
 
@@ -334,9 +334,8 @@ def _parse_int_range(args, name: str) -> range | list[int]:
         values = (values[values.start % 2 != (parity == "odd")::2]
                   if isinstance(values, range)
                   else [v for v in values if v % 2 == (parity == "odd")])
-    if len(values) > args.work_limit:
-        raise WorkLimitExceeded(f"--{name} {text.strip()}: {len(values)} "
-                                f"values exceed the limit {args.work_limit}")
+    charge(len(values), args.work_limit,
+           f"--{name} {text.strip()}: {len(values)} values")
     check((holds_ints(f"--{name}"),), values=values, text=text)
     return values
 
@@ -349,19 +348,15 @@ def _tuple_candidates(spec: str, k: int, m: int, samples: int, seed: int,
     # the phi^m tuples, the power capped where 2^m passes the limit
     every = phi ** min(m, work_limit.bit_length() + 1)
     if spec == "all-coprime":
-        if every > work_limit:
-            raise WorkLimitExceeded(
-                f"--hs all-coprime: {phi}^{m} multiplier tuples "
-                f"exceed the work limit {work_limit}")
+        charge(every, work_limit,
+               f"--hs all-coprime: {phi}^{m} multiplier tuples")
         # product lists its input when it is called, so it is called only
         # when the tuples are read
         return every, chain.from_iterable(
             map(partial(product, repeat=m), [units]))
     units = list(units)
-    if samples * m > work_limit:
-        raise WorkLimitExceeded(
-            f"--samples {samples} tuples x {m} multipliers = "
-            f"{samples * m} random draws exceed the work limit {work_limit}")
+    charge(samples * m, work_limit, f"--samples {samples} tuples x {m} "
+           f"multipliers = {samples * m} random draws")
     # repeated draws are verified once, in the order first drawn; the draws
     # stop once all the tuples have come up
     rng = random.Random(seed * 99991 + k)
@@ -402,17 +397,19 @@ def _expand_instances(args, entry) -> tuple[int, Iterator[dict]]:
     # default hs tuples are as long as the explicit rs they pair up with
     rs = args.rs if "rs" in entry.param_names else None
     m = args.m if args.m is not None else len(rs) if rs else 2
-    seeds = _parse_int_range(args, "seed") if args.seed else [1]
     flags = []
     for name in names:
         value, form = getattr(args, name), PARAMS[name].form
         if form == TUPLE:
             spec = value.strip() if value is not None \
                 else "all-coprime" if m <= 2 else "random"
+            # random tuples are drawn from the first --seed
+            seed = (_parse_int_range(args, "seed")[0]
+                    if spec == "random" and args.seed else 1)
             values = ([_ints_csv(spec)] if spec not in ("all-coprime",
                                                         "random")
                       else partial(_tuple_candidates, spec, m=m,
-                                   samples=args.samples, seed=seeds[0],
+                                   samples=args.samples, seed=seed,
                                    work_limit=args.work_limit))
         elif name == "k" or value is None:      # None: the row's default
             continue
@@ -421,7 +418,7 @@ def _expand_instances(args, entry) -> tuple[int, Iterator[dict]]:
         elif form == MULTIPLIER and " ".join(value).strip() == "all-coprime":
             values = _units
         else:
-            values = seeds if name == "seed" else _parse_int_range(args, name)
+            values = _parse_int_range(args, name)
         flags.append((name, values))
     # counted before any is made: k by k only while some values depend on
     # k, and then up to the k past the limit
@@ -432,12 +429,10 @@ def _expand_instances(args, entry) -> tuple[int, Iterator[dict]]:
         count += fixed * prod(v(k)[0] for v in per_k)
         if count > args.work_limit:
             break
-    if count > args.work_limit:
-        swept = " x ".join(f"--{n}" for n, v in [("k", ks), *flags]
-                           if callable(v) or len(v) > 1)
-        raise WorkLimitExceeded(
-            f"{swept}: {f'more than {args.work_limit}' if per_k else count}"
-            f" instances exceed the limit {args.work_limit}")
+    swept = " x ".join(f"--{n}" for n, v in [("k", ks), *flags]
+                       if callable(v) or len(v) > 1)
+    charge(count, args.work_limit, f"{swept}: "
+           f"{f'more than {args.work_limit}' if per_k else count} instances")
     return count, (p for k in ks for p in _nested(entry, flags, {"k": k}))
 
 

@@ -18,7 +18,7 @@ class RunConfig(NamedTuple):
 
     precision: int = DEFAULT_BITS               # bits
     tolerance: str = DEFAULT_TOLERANCE
-    work_limit: int = DEFAULT_WORK_LIMIT        # exact-side product budget
+    work_limit: int = DEFAULT_WORK_LIMIT        # the work budget
 
     @lru_cache(maxsize=64)
     def validate(self) -> tuple[mpf, str]:

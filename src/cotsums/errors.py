@@ -48,13 +48,19 @@ class NotOdd(CotsumsError):
 
 
 class WorkLimitExceeded(CotsumsError):
-    """An exact side would exceed the configured product budget."""
+    """A user-sized loop would exceed the configured work budget."""
 
 
 def check(rules, **params) -> None:
     """Raise the first of the rules that the parameters violate."""
     for rule in rules:
         rule(params)
+
+
+def charge(count: int, work_limit: int, what: str) -> None:
+    """Refuse count units of work (what names them) over work_limit."""
+    if count > work_limit:
+        raise WorkLimitExceeded(f"{what} exceed the work limit {work_limit}")
 
 
 def require(test, error, message: str):

@@ -20,7 +20,7 @@ from .errors import OutOfRange
 # the run defaults of RunConfig and the CLI
 DEFAULT_BITS = 256
 DEFAULT_TOLERANCE = "2^-128"
-DEFAULT_WORK_LIMIT = 10 ** 8        # exact-side product budget
+DEFAULT_WORK_LIMIT = 10 ** 8        # the work budget
 
 # extra working bits on top of the requested precision
 GUARD_BITS = 16

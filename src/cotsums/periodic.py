@@ -32,7 +32,7 @@ from mpmath import mpc, mpf, workprec
 
 from . import trig
 from .errors import (K_EVEN, K_ODD, K_POSITIVE, R_POSITIVE, OutOfRange,
-                     PeriodMismatch, WorkLimitExceeded, check, choice, require)
+                     PeriodMismatch, charge, check, choice, require)
 from .exact import Poly, bernoulli_number, bernoulli_poly, mod_inverse
 from .hp import DEFAULT_BITS, DEFAULT_WORK_LIMIT, guarded, is_exact
 
@@ -111,9 +111,7 @@ def _require_same_period(f: PeriodicMap, g: PeriodicMap) -> int:
 
 def charge_dft(k: int, work_limit: int) -> int:
     """k, once the k^2 products of a transform (or an F map) fit the limit."""
-    if k * k > work_limit:
-        raise WorkLimitExceeded(f"k^2 = {k * k} products at k={k} exceed "
-                                f"the limit {work_limit}")
+    charge(k * k, work_limit, f"k^2 = {k * k} products at k={k}")
     return k
 
 
@@ -199,10 +197,8 @@ def constrained_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
     """
     k, m = _common_period(fs, hs), len(fs)
     products = (m - 2) * k * k + k
-    if products > work_limit:
-        raise WorkLimitExceeded(
-            f"(m-2)k^2 + k = {products} products at k={k}, m={m} exceed the "
-            f"limit {work_limit}")
+    charge(products, work_limit,
+           f"(m-2)k^2 + k = {products} products at k={k}, m={m}")
     gs = []
     for f, h in zip(fs, hs):
         nums, den = f.ints
@@ -223,8 +219,7 @@ def enumerated_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
     the convolution chain is tested against.
     """
     k, m = _common_period(fs, hs), len(fs)
-    if k ** (m - 1) > work_limit:
-        raise WorkLimitExceeded(f"{k}^{m - 1} terms exceed the limit {work_limit}")
+    charge(k ** (m - 1), work_limit, f"{k}^{m - 1} terms")
     tables = [tuple(f.values[(a * h) % k] for a in range(k)) for f, h in zip(fs, hs)]
     if m == 1:
         return tables[0][0]

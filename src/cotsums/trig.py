@@ -137,7 +137,7 @@ def _period(first, half: list, k: int) -> tuple:
     return (first, *half, *(-v for v in reversed(half[:(k - 1) // 2])))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1)
 def fixed_tables(k: int, bits: int = DEFAULT_BITS) -> tuple:
     """(cot table, tan table) of (k, bits), both from one rotation."""
     check((K_POSITIVE,), k=k)

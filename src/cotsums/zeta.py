@@ -20,8 +20,7 @@ import mpmath
 from mpmath import mpc, mpf, workprec
 
 from .errors import (TERMS_POSITIVE, ConvergenceDomain, NonPositiveArgument,
-                     NotOdd, OutOfRange, WorkLimitExceeded, check, coprime,
-                     require)
+                     NotOdd, OutOfRange, charge, check, coprime, require)
 from .exact import bernoulli_number, frac
 from .hp import DEFAULT_BITS, guarded
 from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap, charge_dft, dft,
@@ -83,10 +82,8 @@ def _charge_cut(sc: mpc, count: int, bits: int, work_limit: int) -> None:
     work_limit terms: both before any term is summed."""
     check((re_above_one("s"),), s=sc)
     cut = _em_cut(sc, bits)
-    if cut * count > work_limit:
-        raise WorkLimitExceeded(
-            f"Hurwitz cut {cut} terms x {count} values = {cut * count} "
-            f"terms exceed the work limit {work_limit}")
+    charge(cut * count, work_limit, f"Hurwitz cut {cut} terms x {count} "
+           f"values = {cut * count} terms")
 
 
 def hurwitz_zeta(s, x, bits: int = DEFAULT_BITS):
@@ -401,8 +398,7 @@ def series_partial(f: PeriodicMap, terms: int, bits: int = DEFAULT_BITS,
     """Truncated S(f): sum_{r=1}^{N} f(r)/r, plus the Abel tail bound
     k * max|f| / N. The N terms count against work_limit."""
     check((TERMS_POSITIVE,), terms=terms)
-    if terms > work_limit:
-        raise WorkLimitExceeded(f"{terms} terms exceed the limit {work_limit}")
+    charge(terms, work_limit, f"{terms} terms")
     k = f.period
     with workprec(guarded(bits, terms)):
         acc = mpf(0)

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module; no
 slow module is imported; the lower layers import no upper one; one place
 builds every report; each independent side builds its own roots of unity;
-B_r has one source; and each pair closed form is its theorem's."""
+B_r has one source; each pair closed form is its theorem's; and one rule
+raises every work-limit refusal."""
 
 import ast
 from pathlib import Path
@@ -215,3 +216,10 @@ def test_the_check_sees_a_kernel_call():
 def test_pair_closed_forms_call_their_theorems(module):
     assert (kernel_callers((PACKAGE / module).read_text())
             == KERNEL_CALLERS[module])
+
+
+def test_one_rule_raises_every_work_limit_refusal():
+    found = sorted(f"{module}:{caller}" for module in ["__init__.py", *MODULES]
+                   for caller in callers((PACKAGE / module).read_text(),
+                                         "WorkLimitExceeded"))
+    assert found == ["errors.py:charge"]

@@ -196,7 +196,7 @@ class TestDft:
         monkeypatch.setattr(trig, "fixed_column", refuse)
         with pytest.raises(WorkLimitExceeded,
                            match=r"k\^2 = 10000 products at k=100 exceed "
-                                 r"the limit 9999"):
+                                 r"the work limit 9999"):
             dft(sawtooth_map(100), 256, 9999)
         with pytest.raises(WorkLimitExceeded, match="k=100"):
             spectral_product_sum([sawtooth_map(100)] * 2, (1, 1), 256, 9999)

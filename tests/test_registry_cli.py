@@ -375,11 +375,11 @@ class TestCli:
      "--seed must hold at least one integer, got '5..1'"),
     # the series terms count against the work limit, before any is summed
     (["verify", "eq2", "--h", "1", "--k", "5", "--terms", "3000000000"],
-     "3000000000 terms exceed the limit 100000000"),
+     "3000000000 terms exceed the work limit 100000000"),
     (["verify", "lemma3-a", "--k", "5", "--terms", "3000000000"],
-     "3000000000 terms exceed the limit 100000000"),
+     "3000000000 terms exceed the work limit 100000000"),
     (["compute", "dedekind-series", "--h", "1", "--k", "5", "--terms",
-      "3000000000"], "3000000000 terms exceed the limit 100000000"),
+      "3000000000"], "3000000000 terms exceed the work limit 100000000"),
     # a tolerance that is not a finite number, and text that is not a
     # number, named by its flag with the forms it takes
     *((["verify", "eq1", "--h", "1", "--k", "3", "--tolerance", text],
@@ -844,7 +844,7 @@ def test_a_range_is_counted_after_its_parity(text, limit, values):
     assert list(cli._parse_int_range(args, "k")) == values
     args = argparse.Namespace(k=text.split(), work_limit=limit - 1)
     with pytest.raises(WorkLimitExceeded, match=re.escape(
-            f"--k {text}: {limit} values exceed the limit {limit - 1}")):
+            f"--k {text}: {limit} values exceed the work limit {limit - 1}")):
         cli._parse_int_range(args, "k")
 
 
@@ -896,8 +896,56 @@ def test_a_size_over_the_work_limit_is_refused_within_a_second(argv,
     proc = run_capped(argv)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert f"{refusal} exceed the limit 100000000" in proc.stderr
+    assert f"{refusal} exceed the work limit 100000000" in proc.stderr
     assert float(proc.stdout) < 1
+
+
+# one argv per place that charges the work budget, each refused by the one
+# rule in errors.py: (argv, the words naming the work, the limit)
+CHARGES = {
+    "range": (["sweep", "eq1", "--k", "1..1000000000", "--h", "1"],
+              "1000000000 values", 100000000),
+    "all-coprime": (["sweep", "th2", "--hs", "all-coprime", "--k", "7",
+                     "--m", "3", "--work-limit", "215"],
+                    "6^3 multiplier tuples", 215),
+    "random-draws": (["sweep", "th2", "--k", "7", "--hs", "random", "--m",
+                      "3", "--samples", "2000000", "--work-limit", "1000"],
+                     "6000000 random draws", 1000),
+    "instances": (["sweep", "eq1", "--k", "1..20000", "--h", "1..20000"],
+                  "400000000 instances", 100000000),
+    "dft": (["verify", "gamma-dft", "--k", "20000"],
+            "k^2 = 400000000 products at k=20000", 100000000),
+    "convolution": (["verify", "th1", "--k", "101", "--m", "8",
+                     "--work-limit", "61306"],
+                    "(m-2)k^2 + k = 61307 products at k=101, m=8", 61306),
+    "enumeration": (["sweep", "th2", "--k", "5..30", "--hs", "1,1,1,1",
+                     "--work-limit", "10000"], "22^3 terms", 10000),
+    "hurwitz-cut": (["compute", "hurwitz", "--s", "2+1e9i", "--x", "1/2"],
+                    "= 2000000000 terms", 100000000),
+    "series": (["verify", "eq2", "--h", "1", "--k", "5", "--terms",
+                "3000000000"], "3000000000 terms", 100000000),
+}
+
+
+@pytest.mark.parametrize("argv,what,limit", CHARGES.values(), ids=CHARGES)
+def test_every_charge_is_refused_in_one_wording(argv, what, limit):
+    proc = run_capped(argv)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.endswith(f"{what} exceed the work limit {limit}\n")
+
+
+@pytest.mark.parametrize("seed", ["abc", "1..1000000000"])
+def test_a_seed_no_instance_reads_is_ignored(capsys, seed):
+    """--seed is parsed only by rows that read it and by random hs."""
+    outs = []
+    for argv in ([], ["--seed", seed]):
+        assert main(["sweep", "eq1", "--k", "5", "--h", "1", "--json",
+                     *argv]) == 0
+        # the same stdout, timings aside
+        outs.append(re.sub(r"\d+(\.\d+)?(?= ?(s|ms|us|x)\b)|(?<=micros\": )"
+                           r"\d+", "#", capsys.readouterr().out))
+    assert outs[0] == outs[1]
 
 
 # the CLI on two cores with its instances run by a stub that returns one
@@ -975,7 +1023,7 @@ def test_a_refusal_mid_sweep_keeps_the_reports_before_it(monkeypatch, capsys,
                      "--work-limit", "10000", "--json", "--csv", str(path),
                      "--jobs", jobs]) == 2
         out, err = capsys.readouterr()
-        assert err == "error: 22^3 terms exceed the limit 10000\n"
+        assert err == "error: 22^3 terms exceed the work limit 10000\n"
         assert [json.loads(line)["params"]["k"]
                 for line in out.splitlines()] == list(range(5, 22))
         rows = path.read_text().splitlines()
@@ -1052,7 +1100,7 @@ def test_transform_rows_charge_k_squared_before_their_input(
     for name in inputs:
         monkeypatch.setattr(zeta, name, refuse)
     with pytest.raises(WorkLimitExceeded, match=re.escape(
-            "k^2 = 40000 products at k=200 exceed the limit 39999")):
+            "k^2 = 40000 products at k=200 exceed the work limit 39999")):
         verify(identity, {"k": 200}, RunConfig(work_limit=39999))
 
 

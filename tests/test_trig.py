@@ -1,9 +1,12 @@
+import tracemalloc
+
 import mpmath
 import pytest
 from mpmath import mpf, workprec
 
 from conftest import assert_close
 from cotsums import trig
+from cotsums.cli import main
 from cotsums.errors import PoleAtHalfPeriod, PoleAtIntegerMultiple
 from cotsums.exact import bernoulli_number
 from cotsums.hp import guarded
@@ -280,3 +283,16 @@ def test_int_path_agrees_with_values_path(form, k):
         with workprec(2 * bits):
             assert abs(got - from_view) <= (mpf(2) ** -(bits + 8)
                                             * max(1, abs(got))), bits
+
+
+def test_a_k_major_sweep_keeps_one_table_pair(capsys):
+    """Every table reader walks k in order, so the cache holds the one
+    (cot, tan) pair in use, not a pair per k swept."""
+    tracemalloc.start()
+    try:
+        assert main(["sweep", "eq1", "--k", "odd", "4001..4061",
+                     "--h", "3"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

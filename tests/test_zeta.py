@@ -336,7 +336,7 @@ class TestMikolas:
          "limit 100"),
         # 200 cuts of 121 terms fit; the F maps' 200^2 products do not
         ((2, 3, 1, 1, 200), {"work_limit": 30000}, WorkLimitExceeded,
-         "k^2 = 40000 products at k=200 exceed the limit 30000"),
+         "k^2 = 40000 products at k=200 exceed the work limit 30000"),
     ], ids=["re-s1", "re-s2", "h1", "h2", "work-limit", "k-squared"])
     @pytest.mark.parametrize("side", [mikolas_lhs, mikolas_rhs],
                              ids=["lhs", "rhs"])
@@ -419,14 +419,14 @@ class TestSeriesForms:
 
     def test_partial_refuses_terms_over_work_limit(self):
         f = random_odd_map(5, 1)
-        with pytest.raises(WorkLimitExceeded,
-                           match="3000000000 terms exceed the limit 100000000"):
+        with pytest.raises(WorkLimitExceeded, match="3000000000 terms exceed "
+                                                    "the work limit 100000000"):
             series_partial(f, 3_000_000_000)
         with pytest.raises(WorkLimitExceeded, match="11 terms exceed the "
-                                                    "limit 10"):
+                                                    "work limit 10"):
             series_partial(f, 11, work_limit=10)
         with pytest.raises(WorkLimitExceeded, match="11 terms exceed the "
-                                                    "limit 10"):
+                                                    "work limit 10"):
             dedekind_series(1, 5, 11, work_limit=10)
         assert series_partial(f, 10, work_limit=10) == series_partial(f, 10)
 
