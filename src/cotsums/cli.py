@@ -34,6 +34,8 @@ from .report import csv_header, csv_row
 
 USAGE_EXIT = 2
 FAIL_EXIT = 1
+# a fork costs ~4 ms: eq1 sweeps at --jobs 2 broke even near 128 instances
+_PER_WORKER = 64
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +530,8 @@ def _cmd_sweep(args) -> int:
               file=sys.stderr)
         return USAGE_EXIT
     payloads = ((args.id, p, cfg) for p in chain([first], instances))
-    # every worker is forked at once: no more than cores or instances
-    jobs = min(args.jobs, os.cpu_count() or 1, count)
+    # every worker is forked at once, each for _PER_WORKER instances or more
+    jobs = max(1, min(args.jobs, os.cpu_count() or 1, count // _PER_WORKER))
     names = [n for n in entry.param_names if n != "convention"]
     n = fails = lhs_us = rhs_us = 0
     failures = []

@@ -33,4 +33,4 @@ class RunConfig(NamedTuple):
                 f"raise precision or loosen tolerance")
         if self.work_limit < 1:
             raise OutOfRange(f"work limit must be >= 1, got {self.work_limit}")
-        return tolerance, mpmath.nstr(mpf(tolerance), 10)
+        return tolerance, mpmath.nstr(tolerance, 10)

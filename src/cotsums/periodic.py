@@ -9,13 +9,13 @@ a map made from values derives the form once, by lcm. Exact maps stay exact
 through convolution and the zero-sum product sums; values are promoted to
 mpc only at the transform boundary. The zero-sum product sum is a cyclic-
 convolution chain on the integer forms (O((m-2)k^2 + k) products, one
-division at the end); its brute-force enumeration (O(k^(m-1))) is kept
-beside it as the reference and as th2's definitional side, and multiplies
-the Fraction values, so that criterion 9 keeps timing the enumeration it
-names. The transform is the direct O(k^2) sum in ints, charged to the
-work limit, with one rounding per output: k is small at verification
-scale, every k (including primes) must work, and the error budget stays a
-simple k*2^(2-bits) per output (dft).
+division at the end); its brute-force enumeration is kept beside it as
+the reference and as th2's definitional side, and multiplies the Fraction
+values of all k^(m-1) terms (each prefix product once), so that criterion
+9 keeps timing the enumeration it names. The transform is the direct
+O(k^2) sum in ints, charged to the work limit, with one rounding per
+output: k is small at verification scale, every k (including primes) must
+work, and the error budget stays a simple k*2^(2-bits) per output (dft).
 """
 
 from __future__ import annotations
@@ -213,23 +213,29 @@ def constrained_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
 
 def enumerated_product_sum(fs, hs, work_limit: int = DEFAULT_WORK_LIMIT):
     """The same sum as constrained_product_sum, by brute force over
-    (a_1, ..., a_{m-1}) with a_m determined mod k: O(k^(m-1)) products of m
-    factors, exact when the maps are exact. It is th2's definitional side,
-    which the speed criterion times as the enumeration, and the reference
-    the convolution chain is tested against.
+    (a_1, ..., a_{m-1}) with a_m determined mod k: k^(m-1) terms, exact when
+    the maps are exact. It is th2's definitional side, which the speed
+    criterion times as the enumeration, and the reference the convolution
+    chain is tested against. A prefix product is kept while its prefix
+    lasts: a term is prefix * f_{m-1} * f_m, in O(m + k) memory at any m.
     """
     k, m = _common_period(fs, hs), len(fs)
     charge(k ** (m - 1), work_limit, f"{k}^{m - 1} terms")
     tables = [tuple(f.values[(a * h) % k] for a in range(k)) for f, h in zip(fs, hs)]
     if m == 1:
         return tables[0][0]
-    total = 0
-    rest, last = tables[:-1], tables[-1]
-    for idx in product(range(k), repeat=m - 1):
-        p = 1
-        for row, a in zip(rest, idx):
-            p = p * row[a]
-        total = total + p * last[-sum(idx) % k]
+    *outer, row, last = tables
+    back = [last[-a % k] for a in range(k)] * 2     # last[-(s + a)]
+    total, prefix = 0, [1] * (m - 1)    # prefix[j]: the product of j factors
+    for idx in product(range(k), repeat=m - 2):
+        j = m - 3   # product order zeroes the indices after the one that moved
+        while j > 0 and not idx[j]:
+            j -= 1
+        for j in range(max(j, 0), m - 2):
+            prefix[j + 1] = prefix[j] * outer[j][idx[j]]
+        s = sum(idx) % k
+        for v, w in zip(row, back[s:s + k]):
+            total = total + prefix[-1] * v * w
     return total
 
 

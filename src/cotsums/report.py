@@ -79,9 +79,9 @@ def build_report(identity_id: str, anchor: str, params: dict, lhs, rhs,
     against the config's tolerance, or against tolerance when one is given
     (a truncated series' tail bound)."""
     bits = config.precision
-    tolerance, text = (config.validate() if tolerance is None
-                       else (tolerance, mpmath.nstr(mpf(tolerance), 10)))
-    with workprec(bits + 16):
+    with workprec(bits + 16):   # a given bound is printed unrounded
+        tolerance, text = (config.validate() if tolerance is None else
+                           (tolerance, mpmath.nstr(mpmathify(tolerance), 10)))
         if residual is None:
             residual = max(_residual(a, b) for a, b in
                            combinations((lhs, rhs, *more), 2))

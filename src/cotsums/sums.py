@@ -5,13 +5,13 @@ Each exact side is one call of periodic.constrained_product_sum: the zero-
 sum product sum over the defining exact maps and their multipliers, as an
 integer convolution chain ((m-2)k^2 + k products, optional work limit).
 zagier_sum alone keeps the brute-force enumeration
-(periodic.enumerated_product_sum, k^(m-1) terms), which the speed criterion
-times against its closed form. A pair sum sum_a f1(a h1) f2(a h2) is the
-m = 2 case at multipliers (h1, -h2); a weight such as (-1)^a is a
-per-residue table taken at multiplier 1. Each pair closed form is likewise
-its theorem's tuple form at (h1, -h2); every other trig side is one call
-of trig.trig_product_sum: its factor list, its residues, and its sign and
-scale.
+(periodic.enumerated_product_sum: k^(m-1) Fraction terms, each prefix
+product formed once), which the speed criterion times against its closed
+form. A pair sum sum_a f1(a h1) f2(a h2) is the m = 2 case at multipliers
+(h1, -h2); a weight such as (-1)^a is a per-residue table taken at
+multiplier 1. Each pair closed form is likewise its theorem's tuple form
+at (h1, -h2); every other trig side is one call of trig.trig_product_sum:
+its factor list, its residues, and its sign and scale.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def dedekind_series(h: int, k: int, terms: int = TERMS,
 
 def zagier_sum(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum of ((a_1 h_1/k)) ... ((a_m h_m/k)) over tuples with sum = 0 (mod k),
-    by brute-force enumeration (k^(m-1) terms)."""
+    by brute-force enumeration (k^(m-1) Fraction terms, prefixes shared)."""
     check((K_POSITIVE,), k=k)
     maps = [periodic.sawtooth_map(k)] * len(hs)
     return enumerated_product_sum(maps, hs, work_limit)

@@ -38,7 +38,6 @@ cot_at, tan_at and cot_deriv_at evaluate one value each by cospi/sinpi.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import mul
@@ -56,7 +55,6 @@ from .hp import DEFAULT_BITS, guarded
 COT, TAN, VALUES = "cot-deriv", "tan", "values"
 
 _COT_POLYS: list[Poly] = [Poly(1, (0, 1))]
-_COT_POLYS_LOCK = threading.Lock()
 
 
 def cot_poly(m: int) -> Poly:
@@ -64,16 +62,14 @@ def cot_poly(m: int) -> Poly:
     integer coefficients, memoized."""
     if m < 0:
         raise ValueError("derivative order must be >= 0")
-    if m >= len(_COT_POLYS):
-        with _COT_POLYS_LOCK:
-            while len(_COT_POLYS) <= m:
-                prev = _COT_POLYS[-1].coefficients
-                deriv = tuple(i * c for i, c in enumerate(prev))[1:]
-                out = [0] * (len(deriv) + 2)
-                for i, c in enumerate(deriv):
-                    out[i] -= c
-                    out[i + 2] -= c
-                _COT_POLYS.append(Poly(len(out) - 1, tuple(out)))
+    while len(_COT_POLYS) <= m:
+        prev = _COT_POLYS[-1].coefficients
+        deriv = tuple(i * c for i, c in enumerate(prev))[1:]
+        out = [0] * (len(deriv) + 2)
+        for i, c in enumerate(deriv):
+            out[i] -= c
+            out[i + 2] -= c
+        _COT_POLYS.append(Poly(len(out) - 1, tuple(out)))
     return _COT_POLYS[m]
 
 

@@ -22,6 +22,7 @@ import os
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import pytest
 
 from cotsums.cli import main
@@ -406,6 +407,39 @@ def _load(path=GOLDEN):
                          ids=lambda case: " ".join(case["argv"][1:-1]))
 def test_golden(expected):
     assert _run(expected["argv"]) == expected
+
+
+def _clear_caches():
+    import sys
+
+    from cotsums.config import RunConfig
+
+    RunConfig.validate.cache_clear()
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cotsums."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
+# the two records whose tolerance is a computed tail bound
+@pytest.mark.parametrize("argv", [
+    ["verify", "eq2", "--h", "2", "--k", "5", "--terms", "5000", "--json"],
+    ["verify", "lemma3-a", "--k", "7", "--seed", "3", "--terms", "2000",
+     "--json"]], ids=["eq2", "lemma3-a"])
+def test_ambient_precision_moves_no_record(argv):
+    """Only --precision moves a printed digit: at mpmath's global 20, 53
+    and 1000 bits, with every cache cleared, the record is the golden one."""
+    expected, = [case for case in _load() if case["argv"] == argv]
+    prec = mpmath.mp.prec
+    try:
+        for bits in (20, 53, 1000):
+            _clear_caches()
+            mpmath.mp.prec = bits
+            assert _run(argv) == expected, bits
+    finally:
+        mpmath.mp.prec = prec
+        _clear_caches()
 
 
 def test_golden_covers_every_id():

@@ -1,3 +1,5 @@
+import itertools
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from operator import mul
@@ -13,6 +15,7 @@ from conftest import TOL_DEFAULT, assert_close, residual
 from cotsums.errors import (NotCoprime, NotOdd, OutOfRange, ParityViolation,
                             PeriodMismatch, WorkLimitExceeded)
 from cotsums import trig
+from cotsums.cli import main
 from cotsums.periodic import (PeriodicMap, alt_sawtooth_map, alt_sign_map,
                               bernoulli_dft_map, bernoulli_map,
                               closed_form_dft, constant_map,
@@ -339,6 +342,60 @@ class TestChainEqualsEnumeration:
             chain = constrained_product_sum(fs, hs)
             assert chain == enumerated_product_sum(fs, hs)
             assert isinstance(chain, Fraction)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_walk_equals_every_tuple_product(self, data):
+        """The enumeration, which carries each prefix product down, equals
+        the chain and the plain loop that multiplies every tuple's m
+        factors from 1: mixed denominators, negative numerators and
+        multipliers, k <= 12 and m <= 6."""
+        k = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(1, 6 if k <= 6 else 4))
+        value = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        fs = [PeriodicMap(data.draw(st.lists(value, min_size=k, max_size=k)))
+              for _ in range(m)]
+        hs = data.draw(st.lists(st.integers(-3 * k, 3 * k), min_size=m,
+                                max_size=m))
+        tables = [[f.values[a * h % k] for a in range(k)]
+                  for f, h in zip(fs, hs)]
+        plain = 0
+        for idx in itertools.product(range(k), repeat=m - 1):
+            p = 1
+            for row, a in zip(tables, idx):
+                p = p * row[a]
+            plain = plain + p * tables[-1][-sum(idx) % k]
+        enumerated = enumerated_product_sum(fs, hs)
+        assert enumerated == constrained_product_sum(fs, hs)
+        assert enumerated == (plain if m > 1 else tables[0][0])
+
+    def test_enumeration_memory_does_not_grow_with_the_terms(self):
+        """k = 2, m = 21: 2^20 terms under 1 MiB of traced allocations,
+        so no list of the 2^19 prefixes is kept (small ints keep it fast)."""
+        fs, hs = [PeriodicMap([1, -1])] * 21, [1] * 21
+        tracemalloc.start()
+        try:
+            value = enumerated_product_sum(fs, hs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == constrained_product_sum(fs, hs)
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv,out", [
+        (["compute", "zagier"], "0\n"),
+        (["verify", "th2"], None)], ids=["compute", "verify"])
+    def test_k_1_with_1500_multipliers(self, capsys, argv, out):
+        """One term at any m: the prefix products sit in a list, not on
+        the call stack, so 1,500 multipliers need no recursion."""
+        assert main([*argv, "--k", "1", "--hs", ",".join(["1"] * 1500)]) == 0
+        printed, err = capsys.readouterr()
+        assert err == ""
+        if out is not None:
+            assert printed == out
+        else:
+            assert printed.startswith("[PASS] th2 ")
+            assert "\n  lhs      = 0\n" in printed
 
     def test_int_and_zero_maps(self):
         ints = PeriodicMap([3, -1, 0, 2, 5, -4])

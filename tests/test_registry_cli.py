@@ -935,6 +935,12 @@ def test_every_charge_is_refused_in_one_wording(argv, what, limit):
     assert proc.stderr.endswith(f"{what} exceed the work limit {limit}\n")
 
 
+def _untimed(out):
+    """A sweep's stdout with every timing masked."""
+    return re.sub(r"\d+(\.\d+)?(?= ?(s|ms|us|x)\b)|(?<=micros\": )\d+", "#",
+                  out)
+
+
 @pytest.mark.parametrize("seed", ["abc", "1..1000000000"])
 def test_a_seed_no_instance_reads_is_ignored(capsys, seed):
     """--seed is parsed only by rows that read it and by random hs."""
@@ -942,9 +948,7 @@ def test_a_seed_no_instance_reads_is_ignored(capsys, seed):
     for argv in ([], ["--seed", seed]):
         assert main(["sweep", "eq1", "--k", "5", "--h", "1", "--json",
                      *argv]) == 0
-        # the same stdout, timings aside
-        outs.append(re.sub(r"\d+(\.\d+)?(?= ?(s|ms|us|x)\b)|(?<=micros\": )"
-                           r"\d+", "#", capsys.readouterr().out))
+        outs.append(_untimed(capsys.readouterr().out))
     assert outs[0] == outs[1]
 
 
@@ -1017,6 +1021,7 @@ def test_a_refusal_mid_sweep_keeps_the_reports_before_it(monkeypatch, capsys,
     instance the work limit refuses stay on stdout and in the CSV, under
     forked workers too, whose chunk ends at the refusal."""
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_PER_WORKER", 1)      # 26 instances fork
     path = tmp_path / "th2.csv"
     for jobs in ("1", "2"):
         assert main(["sweep", "th2", "--k", "5..30", "--hs", "1,1,1,1",
@@ -1075,6 +1080,7 @@ def test_a_worker_that_dies_fails_the_sweep(monkeypatch, capsys, forks):
 def test_no_worker_outlives_the_sweep(monkeypatch, capsys, forks, argv,
                                       code):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(cli, "_PER_WORKER", 1)      # 26 th2 instances fork
     assert main(["sweep", *argv, "--jobs", "2"]) == code
     assert_reaped(forks)
 
@@ -1130,11 +1136,44 @@ def serial_forks(monkeypatch):
 def test_sweep_jobs_clamped(monkeypatch, capsys, serial_forks, jobs, cores,
                             started):
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(cli, "_PER_WORKER", 1)      # the floor is tested below
     assert main(["sweep", "cor3", "--k", "3..6", "--h1", "all-coprime",
                  "--h2", "1", "--jobs", jobs]) == 0
     assert "10 instances, 10 pass" in capsys.readouterr().out
     # each worker runs contiguous chunks of ceil(n / 4 jobs)
     assert serial_forks == [(w, math.ceil(10 / (4 * w))) for w in started]
+
+
+def test_a_tiny_sweep_forks_no_worker(monkeypatch, capsys):
+    """Forking costs more than a few instances: a 4-instance sweep at
+    --jobs 2 runs serially, and prints what the --jobs 1 run prints."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["sweep", "eq1", "--k", "5", "--h", "all-coprime", "--json"]
+    assert main(argv) == 0
+    serial = _untimed(capsys.readouterr().out)
+
+    def refuse():
+        raise AssertionError("a 4-instance sweep forked a worker")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert main([*argv, "--jobs", "2"]) == 0
+    assert _untimed(capsys.readouterr().out) == serial
+    assert "sweep eq1: 4 instances, 4 pass, 0 fail" in serial
+
+
+def test_benchmark_sweeps_still_fork_two_workers(monkeypatch, capsys,
+                                                 serial_forks):
+    """Each pair-sweep command (~370 to ~1,100 instances) is long enough
+    for both workers under the instances-per-worker floor."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    workloads = importlib.import_module("perfbench.workloads")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spec = workloads.WORKLOADS["pair-sweep"]
+    for argv in workloads.all_commands("pair-sweep"):
+        serial_forks.clear()
+        assert main([*argv, "--jobs", str(spec["jobs"])]) == 0
+        capsys.readouterr()
+        assert [jobs for jobs, _ in serial_forks] == [2]
 
 
 def test_serial_sweep_loads_no_multiprocessing():
@@ -1143,8 +1182,10 @@ def test_serial_sweep_loads_no_multiprocessing():
     of start-up); a --jobs 2 sweep forks its workers without them."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     script = ("import os, sys\n"
+              "from cotsums import cli\n"
               "from cotsums.cli import main\n"
               "os.cpu_count = lambda: 2\n"
+              "cli._PER_WORKER = 1\n"
               "for jobs in ('1', '2'):\n"
               "    assert main(['sweep', 'cor3', '--k', '3..6', '--h1', "
               "'all-coprime', '--h2', '1', '--jobs', jobs]) == 0\n"
