@@ -594,6 +594,13 @@ def main(argv=None) -> int:
     except (CotsumsError, ValueError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except (MemoryError, OverflowError) as exc:
+        # the backstop for a size no work-limit charge counts yet
+        name = getattr(args, "target", None) or args.id
+        cause = ("ran out of memory" if isinstance(exc, MemoryError)
+                 else f"overflowed: {exc}")
+        print(f"error: {args.command} {name} {cause}", file=sys.stderr)
+        return USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -8,10 +8,10 @@ zagier_sum alone keeps the brute-force enumeration
 (periodic.enumerated_product_sum: k^(m-1) Fraction terms, each prefix
 product formed once), which the speed criterion times against its closed
 form. A pair sum sum_a f1(a h1) f2(a h2) is the m = 2 case at multipliers
-(h1, -h2); a weight such as (-1)^a is a per-residue table taken at
-multiplier 1. Each pair closed form is likewise its theorem's tuple form
-at (h1, -h2); every other trig side is one call of trig.trig_product_sum:
-its factor list, its residues, and its sign and scale.
+(h1, -h2), a weight such as (-1)^a a table at multiplier 1, and a classical
+Hardy sum its corollary's pair sum. Each pair closed form is likewise its
+theorem's tuple form at (h1, -h2); every other trig side is one call of
+trig.trig_product_sum: its factor list, its residues, and its sign and scale.
 """
 
 from __future__ import annotations
@@ -63,6 +63,13 @@ def _weights(w, k: int, start: int = 0, den: int = 1) -> PeriodicMap:
     start; w gives integer numerators."""
     return PeriodicMap.over([0] * start + [w(a) for a in range(start, k)],
                             den)
+
+
+def _floor_signs(h: int, k: int, alt: bool, start: int = 1) -> PeriodicMap:
+    """a -> (-1)^(alt*a + floor(a h/k)) for start (0 or 1) <= a < k, 0 below
+    it; & 1 reads the parity of a negative floor too (h < 0)."""
+    return PeriodicMap.over([0] * start + [
+        1 - 2 * ((alt * a + a * h // k) & 1) for a in range(start, k)], 1)
 
 
 def _tan_cots(hs, k: int) -> list:
@@ -210,7 +217,8 @@ def bernoulli_pair_rhs(r1: int, r2: int, h1: int, h2: int, k: int,
 
 def hardy_sum(which: str, h: int, k: int,
               convention: str = EXCLUDE_ZERO) -> Fraction:
-    """The six classical Hardy sums, exact.
+    """The six classical Hardy sums, exact: s2 is alt_pair_sum at (1, h), s3
+    and s1, s5 floor_pair_sum at (1, h) and (h, 1); S and s4 its sign table.
 
     The a = 0 residue contributes only to S (a -1) and s4 (a +1); the
     convention argument selects whether it is included. The finite trig
@@ -219,22 +227,14 @@ def hardy_sum(which: str, h: int, k: int,
     check((choice("which", HARDY_KINDS, ValueError), K_POSITIVE,
            choice("convention", (EXCLUDE_ZERO, INCLUDE_ZERO), ValueError)),
           which=which, k=k, convention=convention)
-    saw = periodic.sawtooth_map(k)
-    nums, den = saw.ints
-    # (weight numerator of a, its denominator, sawtooth factor or None for
-    # S and s4, its multiplier); floor(a h/k) may be negative for h < 0,
-    # signs go through parity
-    weight, wden, f, hf = {
-        "S": (lambda a: _sign(a + 1 + (a * h) // k), 1, None, 1),
-        "s1": (lambda a: _sign((a * h) // k), 1, saw, 1),
-        "s2": (lambda a: _sign(a) * nums[a], den, saw, h),
-        "s3": (_sign, 1, saw, h),
-        "s4": (lambda a: _sign((a * h) // k), 1, None, 1),
-        "s5": (lambda a: _sign(a + (a * h) // k), 1, saw, 1),
-    }[which]
-    table = _weights(weight, k, 0 if convention == INCLUDE_ZERO else 1, wden)
-    return constrained_product_sum([table, f or periodic.constant_map(1, k)],
-                                   (1, -hf))
+    if which in ("S", "s4"):
+        signs = _floor_signs(h, k, which == "S", convention == EXCLUDE_ZERO)
+        one = periodic.constant_map(-1 if which == "S" else 1, k)
+        return constrained_product_sum([signs, one], (1, -1))
+    if which == "s2":
+        return alt_pair_sum(1, h, k)
+    h1, h2 = (1, h) if which == "s3" else (h, 1)
+    return floor_pair_sum(h1, h2, k, with_alt=which != "s1")
 
 
 def hardy_A(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
@@ -301,9 +301,8 @@ def alt_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
 def floor_pair_sum(h1: int, h2: int, k: int, with_alt: bool) -> Fraction:
     """sum_{a=1}^{k-1} (-1)^(a + floor(a h1/k)) ((a h2/k)) when with_alt,
     else sum (-1)^floor(a h1/k) ((a h2/k))."""
-    sign = _weights(lambda a: _sign((a if with_alt else 0) + (a * h1) // k),
-                    k, 1)
-    return constrained_product_sum([sign, periodic.sawtooth_map(k)], (1, -h2))
+    return constrained_product_sum(
+        [_floor_signs(h1, k, with_alt), periodic.sawtooth_map(k)], (1, -h2))
 
 
 def tan_cot_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:

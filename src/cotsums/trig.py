@@ -8,7 +8,7 @@ relative precision in the smallest entries, ~pi/(2k) next to n = k/2. Each
 table holds one whole period, indexed by the residue n = 0..k-1, with None
 at a pole (cot at n = 0, tan at n = k/2) and the exact 0 of cot at
 n = k/2. fixed_tables builds both from one rotation and keeps them in the
-layer's only cache, one entry per (k, bits): the powers of
+layer's only cache, which holds the last (k, bits) built: the powers of
 w = round(e^(i*pi/k) * 2^Q) as Gaussian-int products with a rounding
 shift, at Q = guarded(bits, k) + 2*bitlen(k) + 40 (the drift is O(k)
 units of 2^-Q, and cos near pi/2 is O(1/k)); then cot = round((c << P) / s)

@@ -34,9 +34,9 @@ S_BOUND = 10 ** 30
 
 def _to_s(s, bits: int = DEFAULT_BITS, name: str = "s") -> mpc:
     """Normalize an exponent argument (int/Fraction/str/complex/mp) to mpc
-    with one mpmathify at the working precision, which reads text such as
-    2, 5/2, 2.5, 2.1+1i or 1e1000000 as written; a value that is not a
-    finite number, or is above S_BOUND, is refused naming the parameter."""
+    with one mpmathify at guarded(bits), which reads text such as 2, 5/2,
+    2.1+1i or 1e1000000 and rounds it there once (as 129.86 must be); a
+    value not finite, or above S_BOUND, is refused naming the parameter."""
     # mpmath counts an underscore after the point as a digit, and drops the
     # spaces inside complex text: 2+12 3.j would read as 2+123i
     text = (s.strip().replace("i", "j").replace("_", "")
@@ -72,9 +72,9 @@ def re_above_one(name: str):
 
 def _em_cut(sc: mpc, bits: int) -> int:
     """The Euler-Maclaurin cut M of hurwitz_zeta: at least 2|Im s|, so the
-    tail expansion converges."""
+    tail converges; 2|Im s| is exact (ldexp), whatever mp.prec is."""
     return max(16, int(0.4 * (guarded(bits, 0) + _EM_GUARD)),
-               int(2 * abs(sc.imag)))
+               abs(int(mpmath.ldexp(sc.imag, 1))))
 
 
 def _charge_cut(sc: mpc, count: int, bits: int, work_limit: int) -> None:

@@ -422,21 +422,18 @@ def _clear_caches():
                     value.cache_clear()
 
 
-# the two records whose tolerance is a computed tail bound
-@pytest.mark.parametrize("argv", [
-    ["verify", "eq2", "--h", "2", "--k", "5", "--terms", "5000", "--json"],
-    ["verify", "lemma3-a", "--k", "7", "--seed", "3", "--terms", "2000",
-     "--json"]], ids=["eq2", "lemma3-a"])
-def test_ambient_precision_moves_no_record(argv):
-    """Only --precision moves a printed digit: at mpmath's global 20, 53
-    and 1000 bits, with every cache cleared, the record is the golden one."""
-    expected, = [case for case in _load() if case["argv"] == argv]
+@pytest.mark.parametrize("bits", [20, 1000])
+def test_ambient_precision_moves_no_record(bits):
+    """Only --precision moves a printed digit: at mpmath's global 20 and
+    1000 bits, with every cache cleared before each argv, every record of
+    both golden files is the golden one."""
     prec = mpmath.mp.prec
     try:
-        for bits in (20, 53, 1000):
-            _clear_caches()
-            mpmath.mp.prec = bits
-            assert _run(argv) == expected, bits
+        for path, run in ((GOLDEN, _run), (GOLDEN_CLI, _run_cli)):
+            for expected in _load(path):
+                _clear_caches()
+                mpmath.mp.prec = bits
+                assert run(expected["argv"]) == expected, expected["argv"]
     finally:
         mpmath.mp.prec = prec
         _clear_caches()

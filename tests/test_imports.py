@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module; no
 slow module is imported; the lower layers import no upper one; one place
 builds every report; each independent side builds its own roots of unity;
-B_r has one source; each pair closed form is its theorem's; and one rule
-raises every work-limit refusal."""
+B_r has one source; each pair closed form is its theorem's; each Hardy sum
+is its corollary's pair sum; and one rule raises every work-limit
+refusal."""
 
 import ast
 from pathlib import Path
@@ -216,6 +217,20 @@ def test_the_check_sees_a_kernel_call():
 def test_pair_closed_forms_call_their_theorems(module):
     assert (kernel_callers((PACKAGE / module).read_text())
             == KERNEL_CALLERS[module])
+
+
+# each classical Hardy sum is its corollary's pair sum at fixed multipliers
+# (cor7 is cor6's, cor9 and cor11 are cor8's and cor10's), so hardy_sum
+# calls the pair sums and builds no sawtooth table beside them
+HARDY_SUM_CALLS = {"alt_pair_sum": True, "floor_pair_sum": True,
+                   "sawtooth_map": False}
+
+
+@pytest.mark.parametrize("name,called", HARDY_SUM_CALLS.items(),
+                         ids=HARDY_SUM_CALLS)
+def test_each_hardy_sum_is_its_corollarys_pair_sum(name, called):
+    found = callers((PACKAGE / "sums.py").read_text(), name)
+    assert ("hardy_sum" in found) == called
 
 
 def test_one_rule_raises_every_work_limit_refusal():

@@ -416,6 +416,10 @@ class TestCli:
     # B_3000's numerator has 6,762 digits, past Python's int-to-text limit
     (["compute", "bernoulli-number", "--r", "3000"],
      "error: an exact value of more than 4300 digits is too long to print"),
+    # the cut is floor(2|Im s|) exactly, as hurwitz_zeta takes it, not
+    # rounded at mpmath's global 53 bits (which gives ...691367936)
+    (["compute", "hurwitz", "--s", "2+123456789012345678901i", "--x", "1/2"],
+     "Hurwitz cut 246913578024691357802 terms x 1 values"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -853,13 +857,12 @@ TIMED_MAIN = ("import sys, time\nfrom cotsums.cli import main\n"
               "print(time.perf_counter() - t0)\nsys.exit(code)\n")
 
 
-def run_capped(argv, script=TIMED_MAIN):
+def run_capped(argv, script=TIMED_MAIN, cap=2 << 30):
     """argv run by the script (by default the CLI, printing the time spent
-    in main) in a child process whose address space is capped at 2 GB, so
-    that a list built at a refused size ends in a MemoryError rather than
-    in the host's memory."""
+    in main) in a child process whose address space is capped at cap bytes
+    (2 GB), so that a list built at a refused size ends in a MemoryError
+    rather than in the host's memory."""
     src = str(Path(__file__).resolve().parent.parent / "src")
-    cap = 2 << 30
     return subprocess.run(
         [sys.executable, "-c", script, *argv],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
@@ -933,6 +936,27 @@ def test_every_charge_is_refused_in_one_wording(argv, what, limit):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.endswith(f"{what} exceed the work limit {limit}\n")
+
+
+def test_running_out_of_memory_exits_2_naming_the_command():
+    """A size no charge counts yet (the cot^(3000) polynomial) ends in the
+    backstop's exit 2, not a traceback; 256 MB is reached in ~0.3 s."""
+    proc = run_capped(["compute", "cot-deriv", "--order", "3000", "--a", "1",
+                       "--k", "3"], cap=256 << 20)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: compute cot-deriv ran out of memory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "bernoulli-number", "--r", str(10 ** 30)],
+    ["verify", "lemma3-a", "--k", str(10 ** 30), "--seed", "5", "--terms",
+     "3"],
+])
+def test_an_overflowing_size_exits_2_naming_the_command(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {argv[0]} {argv[1]} overflowed: ")
+    assert "Traceback" not in err
 
 
 def _untimed(out):
