@@ -73,14 +73,15 @@ def _bernoulli_sum_rhs(rs, hs, k, bits, convention):
                   f"convention={conv}")
 
 
-def _hardy(which, h, k, convention):
+def _hardy(which, h, k, work_limit, convention):
     """The sum at the zero-residue convention asked for (exclude-zero by
     default); for S and s4 the note gives the other one where it differs."""
     conv, other = sums.EXCLUDE_ZERO, sums.INCLUDE_ZERO
     if convention == "include-zero":
         conv, other = other, conv
-    value = sums.hardy_sum(which, h, k, conv)
-    alt = sums.hardy_sum(which, h, k, other) if which in ("S", "s4") else value
+    value = sums.hardy_sum(which, h, k, conv, work_limit)
+    alt = (sums.hardy_sum(which, h, k, other, work_limit)
+           if which in ("S", "s4") else value)
     return _Noted(value, f"{other} value: {alt}" if alt != value else "")
 
 
@@ -98,7 +99,7 @@ def _bernoulli_poly(r):
 # them: precision, work_limit, convention); the compute flags are added in
 # the order the rows first name them
 COMPUTE_TARGETS = {
-    "dedekind": (sums.dedekind_sum, ("h", "k"), ()),
+    "dedekind": (sums.dedekind_sum, ("h", "k"), ("work_limit",)),
     "dedekind-cot": (sums.dedekind_cot, ("h", "k"), ("precision",)),
     "dedekind-series": (_dedekind_series, ("h", "k", "terms"),
                         ("precision", "work_limit")),
@@ -124,7 +125,7 @@ COMPUTE_TARGETS = {
                       ("precision", "work_limit")),
     "digamma": (zeta.digamma, ("x",), ("precision",)),
     "sawtooth": (sawtooth, ("x",), ()),
-    "hardy": (_hardy, ("which", "h", "k"), ("convention",)),
+    "hardy": (_hardy, ("which", "h", "k"), ("work_limit", "convention")),
 }
 # the --convention values of the targets that read one, in CLI spelling
 CONVENTIONS = {"bernoulli-sum-rhs": ("paper", "corrected"),

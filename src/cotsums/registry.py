@@ -110,6 +110,7 @@ def _seeded_units(k, m, seed):
 
 def _chain(c, k, seed, hs, kind="rational"):
     """th1's exact side over the seeded maps at the multipliers hs."""
+    k = periodic.charge_chain(k, len(hs), c.work_limit)     # before the maps
     return periodic.constrained_product_sum(
         _seeded_maps(k, seed, len(hs), kind), hs, c.work_limit)
 
@@ -153,14 +154,14 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
     IdentityEntry(
         "eq1", "s(h,k) = (1/4k) sum_{a=1}^{k-1} cot(pi a/k) cot(pi a h/k)",
         ("h", "k"), "gcd(h,k) = 1, k >= 1", (coprime("h"),),
-        exact=lambda c, h, k: sums.dedekind_sum(h, k),
+        exact=lambda c, h, k: sums.dedekind_sum(h, k, c.work_limit),
         closed=lambda c, h, k: sums.dedekind_cot(h, k, c.precision)),
     IdentityEntry(
         "eq2", "s(h,k) = (1/2pi) sum_{r>=1, k !| r} cot(pi r h/k)/r",
         ("h", "k", "terms"),
         "gcd(h,k) = 1; pass measured against the computed tail bound",
         (coprime("h"), TERMS_POSITIVE), {"terms": sums.TERMS},
-        exact=lambda c, h, k, terms: sums.dedekind_sum(h, k),
+        exact=lambda c, h, k, terms: sums.dedekind_sum(h, k, c.work_limit),
         closed=lambda c, h, k, terms: sums.dedekind_series(
             h, k, terms, c.precision, c.work_limit),
         note="pass is against the computed tail bound C(k)/N"),
@@ -255,7 +256,8 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "cor3", "sum_{a=1}^{k-1} ((a h1/k))((a h2/k)) "
                 "= (1/4k) sum_a cot(pi a h1/k) cot(pi a h2/k)",
         _PAIR, "gcd(h_i,k) = 1", (coprime("h1", "h2"),),
-        exact=lambda c, k, h1, h2: sums.homogeneous_pair_sum(h1, h2, k),
+        exact=lambda c, k, h1, h2: sums.homogeneous_pair_sum(
+            h1, h2, k, c.work_limit),
         closed=lambda c, k, h1, h2: sums.homogeneous_pair_cot(
             h1, h2, k, c.precision)),
     IdentityEntry(
@@ -282,7 +284,7 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "r1 + r2 even; gcd(h_i,k) = 1", sums.BERNOULLI_PAIR_RHS,
         {"convention": "corrected"},
         exact=lambda c, k, r1, r2, h1, h2, convention: sums.bernoulli_pair_sum(
-            r1, r2, h1, h2, k),
+            r1, r2, h1, h2, k, c.work_limit),
         closed=lambda c, k, r1, r2, h1, h2, convention: (
             sums.bernoulli_pair_rhs(r1, r2, h1, h2, k, c.precision,
                                     convention)),
@@ -303,13 +305,15 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "cor6", "sum_{a=1}^{k-1} (-1)^a ((a h1/k))((a h2/k)) = -(1/4k) "
                 "sum_{a != k/2} tan(pi a h2/k) cot(pi a h1/k)",
         _PAIR, "k even, h1 odd, gcd(h_i,k) = 1", sums.ALT_PAIR_RHS,
-        exact=lambda c, k, h1, h2: sums.alt_pair_sum(h1, h2, k),
+        exact=lambda c, k, h1, h2: sums.alt_pair_sum(h1, h2, k,
+                                                     c.work_limit),
         closed=lambda c, k, h1, h2: sums.alt_pair_rhs(h1, h2, k,
                                                       c.precision)),
     IdentityEntry(
         "cor7", "s2(h,k) = -(1/4k) sum_{a != k/2} tan(pi a h/k) cot(pi a/k)",
         _ONE, "k even, gcd(h,k) = 1", (K_EVEN, coprime("h")),
-        exact=lambda c, k, h: sums.hardy_sum("s2", h, k),
+        exact=lambda c, k, h: sums.hardy_sum("s2", h, k,
+                                              work_limit=c.work_limit),
         closed=lambda c, k, h: sums.alt_pair_rhs(1, h, k, c.precision)),
     IdentityEntry(
         "th7", "B(h_1,...,h_m; k) = ((-1)^(m/2)/(2^(m-1) k)) "
@@ -322,41 +326,45 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
                 "= (1/2k) sum_a tan(pi a h2/k) cot(pi a h1/k)",
         _PAIR, "k odd, h1 odd, gcd(h_i,k) = 1",
         (K_ODD, parity("h1", "odd"), coprime("h1", "h2")),
-        exact=lambda c, k, h1, h2: sums.floor_pair_sum(h1, h2, k,
-                                                       with_alt=True),
+        exact=lambda c, k, h1, h2: sums.floor_pair_sum(h1, h2, k, True,
+                                                       c.work_limit),
         closed=lambda c, k, h1, h2: sums.tan_cot_pair_rhs(h1, h2, k,
                                                           c.precision)),
     IdentityEntry(
         "cor9-s3", "s3(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a h/k) cot(pi a/k)",
         _ONE, "k odd, gcd(h,k) = 1", (K_ODD, coprime("h")),
-        exact=lambda c, k, h: sums.hardy_sum("s3", h, k),
+        exact=lambda c, k, h: sums.hardy_sum("s3", h, k,
+                                              work_limit=c.work_limit),
         closed=lambda c, k, h: sums.tan_cot_pair_rhs(1, h, k, c.precision)),
     IdentityEntry(
         "cor9-s5", "s5(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a/k) cot(pi a h/k)",
         _ONE, "k odd, h odd, gcd(h,k) = 1",
         (K_ODD, coprime("h"), parity("h", "odd")),
-        exact=lambda c, k, h: sums.hardy_sum("s5", h, k),
+        exact=lambda c, k, h: sums.hardy_sum("s5", h, k,
+                                              work_limit=c.work_limit),
         closed=lambda c, k, h: sums.tan_cot_pair_rhs(h, 1, k, c.precision)),
     IdentityEntry(
         "cor10", "sum_{a=1}^{k-1} (-1)^floor(a h1/k) ((a h2/k)) "
                  "= (1/2k) sum_a tan(pi a h2/k) cot(pi a h1/k)",
         _PAIR, "k odd, h1 even, gcd(h_i,k) = 1",
         (K_ODD, parity("h1", "even"), coprime("h1", "h2")),
-        exact=lambda c, k, h1, h2: sums.floor_pair_sum(h1, h2, k,
-                                                       with_alt=False),
+        exact=lambda c, k, h1, h2: sums.floor_pair_sum(h1, h2, k, False,
+                                                       c.work_limit),
         closed=lambda c, k, h1, h2: sums.tan_cot_pair_rhs(h1, h2, k,
                                                           c.precision)),
     IdentityEntry(
         "cor11", "s1(h,k) = (1/2k) sum_{a=1}^{k-1} tan(pi a/k) cot(pi a h/k)",
         _ONE, "k odd, h even, gcd(h,k) = 1",
         (K_ODD, parity("h", "even"), coprime("h")),
-        exact=lambda c, k, h: sums.hardy_sum("s1", h, k),
+        exact=lambda c, k, h: sums.hardy_sum("s1", h, k,
+                                              work_limit=c.work_limit),
         closed=lambda c, k, h: sums.tan_cot_pair_rhs(h, 1, k, c.precision)),
     IdentityEntry(
         "eq14", "sum_{a=1}^{k-1} (-1)^((a h1 mod k)+(a h2 mod k)) "
                 "= (1/k) sum_a tan(pi a h1/k) tan(pi a h2/k)",
         _PAIR, "k odd, gcd(h_i,k) = 1", sums.ODD_PAIR,
-        exact=lambda c, k, h1, h2: sums.alt_sign_pair_sum(h1, h2, k),
+        exact=lambda c, k, h1, h2: sums.alt_sign_pair_sum(h1, h2, k,
+                                                          c.work_limit),
         closed=lambda c, k, h1, h2: sums.tan_pair_mean(h1, h2, k,
                                                        c.precision),
         note="exponent reduces each a*h_i mod k separately "
@@ -370,7 +378,8 @@ REGISTRY: dict[str, IdentityEntry] = {e.id: e for e in [
         "remark1", "s1(h,k) = (1/k) sum_{j=1}^{(k-1)/2} tan(pi j/k) "
                    "cot(pi h j/k) = full-range form",
         _ONE, "k odd, h even, gcd(h,k) = 1", sums.S1_HALF_RANGE,
-        exact=lambda c, k, h: sums.hardy_sum("s1", h, k),
+        exact=lambda c, k, h: sums.hardy_sum("s1", h, k,
+                                              work_limit=c.work_limit),
         closed=lambda c, k, h: sums.s1_half_range(h, k, c.precision),
         more=(lambda c, k, h: sums.tan_cot_pair_rhs(h, 1, k, c.precision),),
         note=lambda p, full: f"full-range form = {mpmath.nstr(full, 12)}; "

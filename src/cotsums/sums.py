@@ -3,12 +3,14 @@ and finite trigonometric side for each.
 
 Each exact side is one call of periodic.constrained_product_sum: the zero-
 sum product sum over the defining exact maps and their multipliers, as an
-integer convolution chain ((m-2)k^2 + k products, optional work limit).
+integer convolution chain ((m-2)k^2 + k products, charged to the work
+limit by periodic.charge_chain before any k-entry map is built).
 zagier_sum alone keeps the brute-force enumeration
 (periodic.enumerated_product_sum: k^(m-1) Fraction terms, each prefix
-product formed once), which the speed criterion times against its closed
-form. A pair sum sum_a f1(a h1) f2(a h2) is the m = 2 case at multipliers
-(h1, -h2), a weight such as (-1)^a a table at multiplier 1, and a classical
+product and, at m >= 4, each product of the last two factors formed
+once), which the speed criterion times against its closed form. A pair
+sum sum_a f1(a h1) f2(a h2) is the m = 2 case at multipliers (h1, -h2),
+a weight such as (-1)^a a table at multiplier 1, and a classical
 Hardy sum its corollary's pair sum. Each pair closed form is likewise its
 theorem's tuple form at (h1, -h2); every other trig side is one call of
 trig.trig_product_sum: its factor list, its residues, and its sign and scale.
@@ -27,7 +29,7 @@ from .errors import (H1_ODD, K_EVEN, K_ODD, K_POSITIVE, M_EVEN, PAIRED_ORDERS,
                      all_coprime, check, choice, coprime, orders, parity)
 from .exact import bernoulli_number, mod_inverse
 from .hp import DEFAULT_BITS, guarded
-from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap,
+from .periodic import (DEFAULT_WORK_LIMIT, PeriodicMap, charge_chain,
                        constrained_product_sum, enumerated_product_sum)
 from .trig import COT, TAN, VALUES, trig_product_sum
 from .zeta import series_partial
@@ -82,10 +84,11 @@ def _tan_cots(hs, k: int) -> list:
 # classical Dedekind sum
 
 
-def dedekind_sum(h: int, k: int) -> Fraction:
+def dedekind_sum(h: int, k: int,
+                 work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """s(h,k) = sum_{a mod k} ((a/k)) ((ah/k)), exact."""
     check((K_POSITIVE,), k=k)
-    return homogeneous_pair_sum(1, h, k)
+    return homogeneous_pair_sum(1, h, k, work_limit)
 
 
 def dedekind_cot(h: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -119,7 +122,8 @@ def dedekind_series(h: int, k: int, terms: int = TERMS,
 
 def zagier_sum(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum of ((a_1 h_1/k)) ... ((a_m h_m/k)) over tuples with sum = 0 (mod k),
-    by brute-force enumeration (k^(m-1) Fraction terms, prefixes shared)."""
+    by brute-force enumeration (k^(m-1) Fraction terms, prefixes and last
+    pairs shared)."""
     check((K_POSITIVE,), k=k)
     maps = [periodic.sawtooth_map(k)] * len(hs)
     return enumerated_product_sum(maps, hs, work_limit)
@@ -134,10 +138,11 @@ def zagier_cot(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
                             divisor=_sign(m // 2) * 2 ** m * k)
 
 
-def homogeneous_pair_sum(h1: int, h2: int, k: int) -> Fraction:
+def homogeneous_pair_sum(h1: int, h2: int, k: int,
+                         work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum_{a=1}^{k-1} ((a h1/k)) ((a h2/k)), exact."""
-    saw = periodic.sawtooth_map(k)
-    return constrained_product_sum([saw, saw], (h1, -h2))
+    saw = periodic.sawtooth_map(charge_chain(k, 2, work_limit))
+    return constrained_product_sum([saw, saw], (h1, -h2), work_limit)
 
 
 def homogeneous_pair_cot(h1: int, h2: int, k: int,
@@ -155,6 +160,7 @@ def bernoulli_dedekind_sum(rs, hs, k: int,
                            work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum of B_{r_1}({a_1 h_1/k}) ... B_{r_m}({a_m h_m/k}) over zero-sum tuples."""
     check((K_POSITIVE, *PAIRED_ORDERS), rs=rs, hs=hs, k=k)
+    charge_chain(k, len(hs), work_limit)
     maps = [periodic.bernoulli_map(r, k) for r in rs]
     return constrained_product_sum(maps, hs, work_limit)
 
@@ -193,9 +199,10 @@ def bernoulli_dedekind_rhs(rs, hs, k: int, bits: int = DEFAULT_BITS,
         return mpmath.mpmathify(first) + coeff * acc
 
 
-def bernoulli_pair_sum(r1: int, r2: int, h1: int, h2: int, k: int) -> Fraction:
+def bernoulli_pair_sum(r1: int, r2: int, h1: int, h2: int, k: int,
+                       work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum_{a mod k} B_{r1}({a h1/k}) B_{r2}({a h2/k}), exact."""
-    return bernoulli_dedekind_sum((r1, r2), (h1, -h2), k)
+    return bernoulli_dedekind_sum((r1, r2), (h1, -h2), k, work_limit)
 
 
 def bernoulli_pair_rhs(r1: int, r2: int, h1: int, h2: int, k: int,
@@ -215,8 +222,8 @@ def bernoulli_pair_rhs(r1: int, r2: int, h1: int, h2: int, k: int,
 # Hardy sums
 
 
-def hardy_sum(which: str, h: int, k: int,
-              convention: str = EXCLUDE_ZERO) -> Fraction:
+def hardy_sum(which: str, h: int, k: int, convention: str = EXCLUDE_ZERO,
+              work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """The six classical Hardy sums, exact: s2 is alt_pair_sum at (1, h), s3
     and s1, s5 floor_pair_sum at (1, h) and (h, 1); S and s4 its sign table.
 
@@ -228,13 +235,14 @@ def hardy_sum(which: str, h: int, k: int,
            choice("convention", (EXCLUDE_ZERO, INCLUDE_ZERO), ValueError)),
           which=which, k=k, convention=convention)
     if which in ("S", "s4"):
-        signs = _floor_signs(h, k, which == "S", convention == EXCLUDE_ZERO)
+        signs = _floor_signs(h, charge_chain(k, 2, work_limit), which == "S",
+                             convention == EXCLUDE_ZERO)
         one = periodic.constant_map(-1 if which == "S" else 1, k)
-        return constrained_product_sum([signs, one], (1, -1))
+        return constrained_product_sum([signs, one], (1, -1), work_limit)
     if which == "s2":
-        return alt_pair_sum(1, h, k)
+        return alt_pair_sum(1, h, k, work_limit)
     h1, h2 = (1, h) if which == "s3" else (h, 1)
-    return floor_pair_sum(h1, h2, k, with_alt=which != "s1")
+    return floor_pair_sum(h1, h2, k, which != "s1", work_limit)
 
 
 def hardy_A(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
@@ -243,7 +251,7 @@ def hardy_A(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     Needs k even (for periodicity of the weight) and h_1 odd.
     """
     check((K_POSITIVE, K_EVEN, H1_ODD, all_coprime), hs=hs, k=k)
-    saw = periodic.sawtooth_map(k)
+    saw = periodic.sawtooth_map(charge_chain(k, len(hs), work_limit))
     nums, den = saw.ints
     alt = _weights(lambda a: _sign(a) * nums[a * hs[0] % k], k, den=den)
     return constrained_product_sum([alt] + [saw] * (len(hs) - 1),
@@ -266,7 +274,8 @@ def hardy_B(hs, k: int, work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     Needs k odd.
     """
     check((K_POSITIVE, K_ODD, all_coprime), hs=hs, k=k)
-    h1, saw = hs[0], periodic.sawtooth_map(k)
+    h1 = hs[0]
+    saw = periodic.sawtooth_map(charge_chain(k, len(hs), work_limit))
     sign = _weights(lambda a: _sign(a * h1 + k * ((a * h1) // k)), k, 1)
     return constrained_product_sum([sign] + [saw] * (len(hs) - 1),
                                    (1, *hs[1:]), work_limit)
@@ -283,12 +292,13 @@ def hardy_B_rhs(hs, k: int, bits: int = DEFAULT_BITS) -> mpf:
 # m = 2 corollary forms (homogeneous multipliers, no inverses)
 
 
-def alt_pair_sum(h1: int, h2: int, k: int) -> Fraction:
+def alt_pair_sum(h1: int, h2: int, k: int,
+                 work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum_{a=1}^{k-1} (-1)^a ((a h1/k)) ((a h2/k)); equals s2 for h1 = 1."""
-    saw = periodic.sawtooth_map(k)
+    saw = periodic.sawtooth_map(charge_chain(k, 2, work_limit))
     nums, den = saw.ints
     alt = _weights(lambda a: _sign(a) * nums[a * h1 % k], k, 1, den)
-    return constrained_product_sum([alt, saw], (1, -h2))
+    return constrained_product_sum([alt, saw], (1, -h2), work_limit)
 
 
 def alt_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -298,11 +308,13 @@ def alt_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     return hardy_A_rhs((h1, -h2), k, bits)
 
 
-def floor_pair_sum(h1: int, h2: int, k: int, with_alt: bool) -> Fraction:
+def floor_pair_sum(h1: int, h2: int, k: int, with_alt: bool,
+                   work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum_{a=1}^{k-1} (-1)^(a + floor(a h1/k)) ((a h2/k)) when with_alt,
     else sum (-1)^floor(a h1/k) ((a h2/k))."""
-    return constrained_product_sum(
-        [_floor_signs(h1, k, with_alt), periodic.sawtooth_map(k)], (1, -h2))
+    signs = _floor_signs(h1, charge_chain(k, 2, work_limit), with_alt)
+    return constrained_product_sum([signs, periodic.sawtooth_map(k)],
+                                   (1, -h2), work_limit)
 
 
 def tan_cot_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
@@ -312,13 +324,14 @@ def tan_cot_pair_rhs(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:
     return hardy_B_rhs((h1, -h2), k, bits)
 
 
-def alt_sign_pair_sum(h1: int, h2: int, k: int) -> Fraction:
+def alt_sign_pair_sum(h1: int, h2: int, k: int,
+                      work_limit: int = DEFAULT_WORK_LIMIT) -> Fraction:
     """sum_{a=1}^{k-1} (-1)^((a h1 mod k) + (a h2 mod k)); equals s4(h1,k)
     for h2 = 1, h1 odd. The exponent reduces each product mod k separately
     (the form the transform derivation yields)."""
     check(ODD_PAIR, h1=h1, h2=h2, k=k)
-    sign = periodic.alt_sign_map(k)
-    return constrained_product_sum([sign, sign], (h1, -h2))
+    sign = periodic.alt_sign_map(charge_chain(k, 2, work_limit))
+    return constrained_product_sum([sign, sign], (h1, -h2), work_limit)
 
 
 def tan_pair_mean(h1: int, h2: int, k: int, bits: int = DEFAULT_BITS) -> mpf:

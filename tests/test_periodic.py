@@ -382,6 +382,28 @@ class TestChainEqualsEnumeration:
         assert value == constrained_product_sum(fs, hs)
         assert peak < 1 << 20
 
+    def test_no_pair_table_at_m_3(self):
+        """k = 200, m = 3: 40,000 terms under 1 MiB of traced allocations,
+        so no table of the 40,000 pair products is built where no pair is
+        used twice."""
+        fs, hs = [sawtooth_map(200)] * 3, [1, 3, 7]
+        tracemalloc.start()
+        try:
+            value = enumerated_product_sum(fs, hs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == constrained_product_sum(fs, hs)
+        assert peak < 1 << 20
+
+    def test_pair_table_at_m_4(self):
+        """k = 30, m = 4: the 900 pair products, each read by 30 prefixes,
+        give the chain's value."""
+        fs = [random_rational_map(30, 7 + j) for j in range(4)]
+        hs = [1, -7, 11, 29]
+        assert enumerated_product_sum(fs, hs) == constrained_product_sum(fs,
+                                                                         hs)
+
     @pytest.mark.parametrize("argv,out", [
         (["compute", "zagier"], "0\n"),
         (["verify", "th2"], None)], ids=["compute", "verify"])

@@ -212,10 +212,24 @@ class TestCli:
         (["cor1", "--k", "101", "--h1", "2", "--h2", "3"], 101),
         (["cor2", "--k", "101", "--h1", "2", "--h2", "3"], 101),
         (["parseval", "--k", "101"], 101),
+        # every other row whose exact side is a pair sum, at m = 2
+        (["eq1", "--k", "101", "--h", "2"], 101),
+        (["cor3", "--k", "101", "--h1", "2", "--h2", "3"], 101),
+        (["cor5", "--k", "101", "--r1", "2", "--r2", "4", "--h1", "2",
+          "--h2", "3"], 101),
+        (["cor6", "--k", "102", "--h1", "1", "--h2", "5"], 102),
+        (["cor7", "--k", "102", "--h", "5"], 102),
+        (["cor8", "--k", "101", "--h1", "3", "--h2", "2"], 101),
+        (["cor9-s3", "--k", "101", "--h", "2"], 101),
+        (["cor9-s5", "--k", "101", "--h", "3"], 101),
+        (["cor10", "--k", "101", "--h1", "2", "--h2", "3"], 101),
+        (["cor11", "--k", "101", "--h", "2"], 101),
+        (["eq14", "--k", "101", "--h1", "2", "--h2", "3"], 101),
+        (["remark1", "--k", "101", "--h", "2"], 101),
     ])
     def test_convolution_chain_opens_large_m(self, capsys, argv, products):
         # 101^7 terms by enumeration; (m-2)k^2 + k products by the chain,
-        # charged to --work-limit, th1's pair rows at m = 2 included
+        # charged to --work-limit, the pair rows at m = 2 included
         assert main(["verify", *argv]) == 0
         assert main(["verify", *argv, "--work-limit", str(products - 1)]) == 2
         assert f"{products} products" in capsys.readouterr().err
@@ -420,6 +434,12 @@ class TestCli:
     # rounded at mpmath's global 53 bits (which gives ...691367936)
     (["compute", "hurwitz", "--s", "2+123456789012345678901i", "--x", "1/2"],
      "Hurwitz cut 246913578024691357802 terms x 1 values"),
+    # the m = 2 exact sides are charged to --work-limit as the chain is
+    (["verify", "eq1", "--h", "1", "--k", "5001", "--work-limit", "10"],
+     "error: (m-2)k^2 + k = 5001 products at k=5001, m=2 exceed the work "
+     "limit 10"),
+    (["compute", "dedekind", "--h", "1", "--k", "5001", "--work-limit",
+      "10"], "(m-2)k^2 + k = 5001 products at k=5001, m=2 exceed"),
 ])
 def test_compute_refuses_without_traceback(argv, condition):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -893,6 +913,10 @@ def run_capped(argv, script=TIMED_MAIN, cap=2 << 30):
     # all-coprime tuples are counted from phi(k), not listed
     (["sweep", "th2", "--k", "1..20000", "--hs", "all-coprime", "--m", "1"],
      "--k x --hs: more than 100000000 instances"),
+    # the chain's count, charged before the 2^40-entry sign table is built
+    (["compute", "hardy", "--which", "S", "--h", "12", "--k",
+      "1099511627776"], "(m-2)k^2 + k = 1099511627776 products at "
+                        "k=1099511627776, m=2"),
 ])
 def test_a_size_over_the_work_limit_is_refused_within_a_second(argv,
                                                                refusal):

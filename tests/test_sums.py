@@ -9,9 +9,11 @@ from mpmath import mpf, workprec
 from conftest import TOL_DEFAULT, assert_close, residual
 from cotsums import periodic, sums
 from cotsums.config import RunConfig
-from cotsums.errors import NotCoprime, OutOfRange, ParityViolation
+from cotsums.errors import (NotCoprime, OutOfRange, ParityViolation,
+                            WorkLimitExceeded)
 from cotsums.exact import periodic_bernoulli, sawtooth
-from cotsums.periodic import (constrained_product_sum,
+from cotsums.periodic import (DEFAULT_WORK_LIMIT, PeriodicMap,
+                              constrained_product_sum,
                               enumerated_product_sum, random_rational_map)
 from cotsums.registry import verify
 from cotsums.sums import (EXCLUDE_ZERO, INCLUDE_ZERO, alt_pair_rhs,
@@ -642,3 +644,47 @@ def test_zero_sum_exact_sides_refuse_k_below_one(exact, k):
     with pytest.raises(OutOfRange) as refused:
         exact(k)
     assert str(refused.value) == f"k must be >= 1, got {k}"
+
+
+# each exact side over the chain: (side(k, work_limit), k, m). k = 5003 is
+# prime and k = 5002 even, so every rule holds at these multipliers.
+CHARGED_SIDES = {
+    "dedekind_sum": (lambda k, w: dedekind_sum(2, k, w), 5003, 2),
+    "homogeneous_pair_sum": (
+        lambda k, w: homogeneous_pair_sum(2, 3, k, w), 5003, 2),
+    "alt_pair_sum": (lambda k, w: alt_pair_sum(1, 3, k, w), 5002, 2),
+    "floor_pair_sum": (lambda k, w: floor_pair_sum(3, 2, k, True, w),
+                       5003, 2),
+    "alt_sign_pair_sum": (lambda k, w: alt_sign_pair_sum(2, 3, k, w),
+                          5003, 2),
+    "bernoulli_pair_sum": (
+        lambda k, w: bernoulli_pair_sum(2, 4, 2, 3, k, w), 5003, 2),
+    **{f"hardy_sum-{which}": (
+        lambda k, w, which=which: hardy_sum(which, 2, k, work_limit=w),
+        5003, 2) for which in sums.HARDY_KINDS},
+    "hardy_A": (lambda k, w: hardy_A((1, 3, 9), k, w), 70, 3),
+    "hardy_B": (lambda k, w: hardy_B((2, 3, 4), k, w), 71, 3),
+    "bernoulli_dedekind_sum": (
+        lambda k, w: bernoulli_dedekind_sum((2, 2, 2), (1, 2, 3), k, w),
+        71, 3),
+}
+
+
+@pytest.mark.parametrize("name", CHARGED_SIDES)
+def test_exact_side_charges_the_chain_before_its_maps(monkeypatch, name):
+    """Each side takes the work limit it is given: its (m-2)k^2 + k
+    products fit a limit of that count, and one less is refused in the
+    chain's wording before any k-entry map is built."""
+    side, k, m = CHARGED_SIDES[name]
+    products = (m - 2) * k * k + k
+    assert side(k, products) == side(k, DEFAULT_WORK_LIMIT)
+
+    def built(*args):
+        raise AssertionError("a map was built before the charge")
+    monkeypatch.setattr(PeriodicMap, "over", built)
+    monkeypatch.setattr(PeriodicMap, "__init__", built)
+    with pytest.raises(WorkLimitExceeded) as refused:
+        side(k, products - 1)
+    assert str(refused.value) == (
+        f"(m-2)k^2 + k = {products} products at k={k}, m={m} exceed the "
+        f"work limit {products - 1}")
